@@ -31,6 +31,7 @@ from .config import (
 from .covariance import ma_covariance_estimate
 from .designs import Sample, SamplingDesign, draw, replicate_rng
 from .errors import (
+    ConfigurationError,
     NumericalError,
     OracleFailure,
     ValidationError,
@@ -195,10 +196,16 @@ def cmd_montecarlo(args) -> int:
     )
     alpha = float(cfg.band.get("alpha", 0.05)) if cfg.band else 0.05
     band_sims = int(cfg.band.get("n_sims", 5000)) if cfg.band else 5000
+    sizes = campaign_sizes(cfg)
+    if design.kind != "srswor" and sizes != [design.n]:
+        raise ConfigurationError(
+            f"[campaign] n_list = {cfg.campaign['n_list']} is not supported "
+            f"for a stratified design: its size is fixed at n = {design.n} "
+            "by n_per_stratum"
+        )
     rows = []
-    for n in campaign_sizes(cfg):
-        design_n = dataclasses.replace(design, n=n) if design.kind == "srswor" \
-            else design
+    for n in sizes:
+        design_n = design if n == design.n else dataclasses.replace(design, n=n)
         report = run_campaign(
             pop,
             design_n,

@@ -4,6 +4,21 @@ Exact Horvitz-Thompson covariance from the full population, the residual
 covariance approximating the model-assisted estimator's covariance, and its
 sample-only estimator.  Matrices are stored unscaled (no factor n); the
 bands layer applies the sqrt(n)/n scalings.
+
+Every design here is stratified SRSWOR (SRSWOR is one stratum), so a
+weight matrix over unit pairs takes two values per stratum h: w_diag,h on
+the diagonal and w_off,h between distinct units of h (cross-stratum pairs
+weigh 0).  With U_h the rows u_k = y_k / pi_k of stratum h and
+s_h = sum_{k in h} u_k, every covariance is the closed form
+
+    (1/N^2) sum_h [ w_diag,h U_h'U_h + w_off,h (s_h s_h' - U_h'U_h) ]
+
+at O(rows * D^2) cost, without an n x n or N x N matrix.  The exact
+covariances take w = Delta_kl = pi_kl - pi_k pi_l over the population
+(f_h(1 - f_h) and pi_kl,h - f_h^2, with f_h = n_h / N_h); the estimators
+take w = Delta_kl / pi_kl over the sample (1 - f_h and
+(pi_kl,h - f_h^2) / pi_kl,h).  The dense u' W u formulas live in
+``oracle.py`` as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -12,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (
-    Sample,
-    SamplingDesign,
-    first_order_probs,
-    joint_probs_submatrix,
-    second_order_matrix,
-)
+from .designs import Sample, SamplingDesign, first_order_probs, joint_prob_within
 from .errors import ValidationError
 from .estimators import _sampled_beta, beta_population
 from .grids import FunctionalPopulation
@@ -36,15 +45,45 @@ class CovarianceEstimate:
         return np.diag(self.matrix)
 
 
-def _ht_covariance_of(
-    curves: np.ndarray, design: SamplingDesign
-) -> np.ndarray:
-    """(1/N^2) * u' Delta u with u_k = row_k / pi_k, Delta_kl = pi_kl - pi_k pi_l."""
-    pi = first_order_probs(design)
-    u = curves / pi[:, None]
-    delta = second_order_matrix(design) - np.outer(pi, pi)
-    cov = u.T @ delta @ u / design.N**2
+def _block_covariance(rows: np.ndarray, blocks, N: int) -> np.ndarray:
+    """(1/N^2) sum_h [w_diag,h U_h'U_h + w_off,h (s_h s_h' - U_h'U_h)].
+
+    blocks holds (members, f_h, w_diag,h, w_off,h) per stratum, where
+    members selects the stratum's rows and U_h = rows[members] / f_h.
+    """
+    cov = np.zeros((rows.shape[1], rows.shape[1]))
+    for members, f, w_diag, w_off in blocks:
+        u = rows[members] / f
+        total = u.sum(axis=0)
+        cov += (w_diag - w_off) * (u.T @ u) + w_off * np.outer(total, total)
+    cov /= N**2
     return 0.5 * (cov + cov.T)
+
+
+def _exact_covariance(curves: np.ndarray, design: SamplingDesign) -> np.ndarray:
+    """(1/N^2) u' Delta u over the population, Delta_kl = pi_kl - pi_k pi_l."""
+    blocks = []
+    for s, m in zip(*design.allocation):
+        f = m / s.size
+        blocks.append((s, f, f * (1.0 - f), joint_prob_within(s.size, m) - f * f))
+    return _block_covariance(curves, blocks, design.N)
+
+
+def _estimated_covariance(rows: np.ndarray, sample: Sample) -> np.ndarray:
+    """HT covariance estimator (1/N^2) u' (Delta / pi_kl) u over the sample.
+
+    A stratum with n_h = 1 has no sampled pair, so only its diagonal term
+    enters (its pi_kl = 0 never divides).
+    """
+    design = sample.design
+    labels = design.stratum_of()[sample.indices]
+    blocks = []
+    for h, (s, m) in enumerate(zip(*design.allocation)):
+        f = m / s.size
+        pi_kl = joint_prob_within(s.size, m)
+        w_off = (pi_kl - f * f) / pi_kl if m > 1 else 0.0
+        blocks.append((labels == h, f, 1.0 - f, w_off))
+    return _block_covariance(rows, blocks, design.N)
 
 
 def ht_covariance_exact(
@@ -54,7 +93,7 @@ def ht_covariance_exact(
     if design.N != pop.N:
         raise ValidationError("design and population sizes differ")
     return CovarianceEstimate(
-        matrix=_ht_covariance_of(pop.values, design), kind="HT_exact"
+        matrix=_exact_covariance(pop.values, design), kind="HT_exact"
     )
 
 
@@ -69,30 +108,8 @@ def ma_covariance_approx(
     beta = beta_population(pop)
     residuals = pop.values - pop.aux @ beta.coefficients
     return CovarianceEstimate(
-        matrix=_ht_covariance_of(residuals, design), kind="MA_approx"
+        matrix=_exact_covariance(residuals, design), kind="MA_approx"
     )
-
-
-def residual_ht_covariance_estimate(
-    residuals: np.ndarray,
-    pi: np.ndarray,
-    pi2: np.ndarray,
-    N: int,
-) -> np.ndarray:
-    """Sample HT covariance estimator for given per-unit residual rows.
-
-    pi2 is the n x n matrix of joint inclusion probabilities of the sampled
-    pairs (diagonal = pi_k); all entries must be positive.
-    """
-    if np.any(pi2 <= 0):
-        raise ValidationError(
-            "joint inclusion probability is zero for a sampled pair; "
-            "the covariance estimator is undefined for this design"
-        )
-    weight = (pi2 - np.outer(pi, pi)) / pi2
-    u = residuals / pi[:, None]
-    cov = u.T @ weight @ u / N**2
-    return 0.5 * (cov + cov.T)
 
 
 def ma_covariance_estimate(
@@ -113,23 +130,26 @@ def ma_covariance_estimate(
     y_s = pop.values[idx]
     beta = _sampled_beta(x_s, y_s, pi, pop.N, a)
     residuals = y_s - x_s @ beta.coefficients
-    pi2 = joint_probs_submatrix(sample.design, idx)
     return CovarianceEstimate(
-        matrix=residual_ht_covariance_estimate(residuals, pi, pi2, pop.N),
-        kind="MA_estimated",
+        matrix=_estimated_covariance(residuals, sample), kind="MA_estimated"
     )
 
 
 def ht_covariance_estimate(
-    pop: FunctionalPopulation, sample: Sample
+    pop: FunctionalPopulation,
+    sample: Sample,
+    center: np.ndarray | None = None,
 ) -> CovarianceEstimate:
-    """Sample HT covariance estimator of the plain HT mean (raw curves)."""
+    """Sample HT covariance estimator of the plain HT mean (raw curves).
+
+    With ``center`` the sampled curves are centred at it first (the Hájek
+    estimator's linearization uses its own estimate as the centre).
+    """
     if sample.design.N != pop.N:
         raise ValidationError("design and population sizes differ")
-    idx = sample.indices
-    pi = first_order_probs(sample.design)[idx]
-    pi2 = joint_probs_submatrix(sample.design, idx)
+    rows = pop.values[sample.indices]
+    if center is not None:
+        rows = rows - center
     return CovarianceEstimate(
-        matrix=residual_ht_covariance_estimate(pop.values[idx], pi, pi2, pop.N),
-        kind="HT_estimated",
+        matrix=_estimated_covariance(rows, sample), kind="HT_estimated"
     )

@@ -67,18 +67,24 @@ class SamplingDesign:
         else:
             raise ValidationError(f"unknown design kind {self.kind!r}")
 
+    @property
+    def allocation(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+        """(strata, n_h); SRSWOR is the single stratum 0..N-1 with n_h = (n,)."""
+        if self.strata is None:
+            return (np.arange(self.N),), (self.n,)
+        return self.strata, self.n_h
+
     def stratum_of(self) -> np.ndarray:
         """Stratum id per unit (all zeros for srswor)."""
-        labels = np.zeros(self.N, dtype=int)
-        if self.kind == "stratified":
-            for h, s in enumerate(self.strata):
-                labels[s] = h
+        labels = np.empty(self.N, dtype=int)
+        for h, s in enumerate(self.allocation[0]):
+            labels[s] = h
         return labels
 
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """A drawn sample: sorted distinct unit indices of size design.n."""
+    """A drawn sample: sorted distinct unit indices, n_h of them in stratum h."""
 
     indices: np.ndarray
     design: SamplingDesign
@@ -94,16 +100,21 @@ class Sample:
             raise ValidationError("sample indices must be distinct")
         if idx.size and (idx[0] < 0 or idx[-1] >= self.design.N):
             raise ValidationError("sample indices out of 0..N-1")
+        n_h = self.design.allocation[1]
+        counts = np.bincount(self.design.stratum_of()[idx], minlength=len(n_h))
+        if tuple(counts.tolist()) != n_h:
+            raise ValidationError(
+                f"sample has {tuple(counts.tolist())} units per stratum, "
+                f"the design draws n_h = {n_h}"
+            )
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
 
 def first_order_probs(design: SamplingDesign) -> np.ndarray:
     """Vector of pi_k for all N units."""
-    if design.kind == "srswor":
-        return np.full(design.N, design.n / design.N)
     pi = np.empty(design.N)
-    for s, m in zip(design.strata, design.n_h):
+    for s, m in zip(*design.allocation):
         pi[s] = m / s.size
     return pi
 
@@ -114,43 +125,29 @@ def first_order_prob(design: SamplingDesign, k: int) -> float:
     return float(first_order_probs(design)[k])
 
 
+def joint_prob_within(N_h: int, n_h: int) -> float:
+    """pi_kl of two distinct units of one stratum (1.0 when N_h = 1: no pair)."""
+    return n_h * (n_h - 1) / (N_h * (N_h - 1)) if N_h > 1 else 1.0
+
+
 def second_order_matrix(design: SamplingDesign) -> np.ndarray:
     """Matrix of pi_kl for all pairs, with the convention pi_kk = pi_k.
 
     Within-stratum pairs with n_h = 1 have pi_kl = 0; such pairs can never
     be jointly sampled, so the joint probability is genuinely zero.
     """
-    pi = first_order_probs(design)
-    if design.kind == "srswor":
-        n, N = design.n, design.N
-        off = n * (n - 1) / (N * (N - 1)) if N > 1 else 1.0
-        mat = np.full((N, N), off)
-    else:
-        mat = np.outer(pi, pi)
-        for s, m in zip(design.strata, design.n_h):
-            N_h = s.size
-            within = m * (m - 1) / (N_h * (N_h - 1)) if N_h > 1 else 1.0
-            mat[np.ix_(s, s)] = within
-    np.fill_diagonal(mat, pi)
-    return mat
+    return joint_probs_submatrix(design, np.arange(design.N))
 
 
 def joint_probs_submatrix(design: SamplingDesign, idx: np.ndarray) -> np.ndarray:
-    """pi_kl restricted to the units in idx, without building the N x N matrix."""
+    """pi_kl restricted to the units in idx (dense; a reference for tests)."""
     idx = np.asarray(idx, dtype=int)
     pi = first_order_probs(design)[idx]
-    if design.kind == "srswor":
-        n, N = design.n, design.N
-        off = n * (n - 1) / (N * (N - 1)) if N > 1 else 1.0
-        mat = np.full((idx.size, idx.size), off)
-    else:
-        mat = np.outer(pi, pi)
-        labels = design.stratum_of()[idx]
-        for h, (s, m) in enumerate(zip(design.strata, design.n_h)):
-            N_h = s.size
-            within = m * (m - 1) / (N_h * (N_h - 1)) if N_h > 1 else 1.0
-            members = np.flatnonzero(labels == h)
-            mat[np.ix_(members, members)] = within
+    mat = np.outer(pi, pi)
+    labels = design.stratum_of()[idx]
+    for h, (s, m) in enumerate(zip(*design.allocation)):
+        members = np.flatnonzero(labels == h)
+        mat[np.ix_(members, members)] = joint_prob_within(s.size, m)
     np.fill_diagonal(mat, pi)
     return mat
 
@@ -165,22 +162,16 @@ def second_order_prob(design: SamplingDesign, k: int, l: int) -> float:
 def draw(design: SamplingDesign, rng: np.random.Generator) -> Sample:
     """Draw one sample; every admissible sample equiprobable for SRSWOR and
     within each stratum.  Deterministic given the generator state."""
-    if design.kind == "srswor":
-        idx = rng.choice(design.N, size=design.n, replace=False)
-    else:
-        parts = [
-            s[rng.choice(s.size, size=m, replace=False)]
-            for s, m in zip(design.strata, design.n_h)
-        ]
-        idx = np.concatenate(parts)
-    return Sample(indices=np.sort(idx), design=design)
+    parts = [
+        s[rng.choice(s.size, size=m, replace=False)]
+        for s, m in zip(*design.allocation)
+    ]
+    return Sample(indices=np.sort(np.concatenate(parts)), design=design)
 
 
 def _count_samples(design: SamplingDesign) -> int:
-    if design.kind == "srswor":
-        return math.comb(design.N, design.n)
     total = 1
-    for s, m in zip(design.strata, design.n_h):
+    for s, m in zip(*design.allocation):
         total *= math.comb(s.size, m)
     return total
 
@@ -196,15 +187,11 @@ def enumerate_samples(
     if total > cap:
         raise EnumerationCapError(required=total, cap=cap)
     prob = 1.0 / total
-    out = []
-    if design.kind == "srswor":
-        for combo in itertools.combinations(range(design.N), design.n):
-            out.append((Sample(np.array(combo), design), prob))
-        return out
     per_stratum = [
         list(itertools.combinations(s.tolist(), m))
-        for s, m in zip(design.strata, design.n_h)
+        for s, m in zip(*design.allocation)
     ]
+    out = []
     for parts in itertools.product(*per_stratum):
         idx = np.sort(np.concatenate([np.array(p, dtype=int) for p in parts]))
         out.append((Sample(idx, design), prob))

@@ -79,8 +79,7 @@ def _estimate_once(pop, sample, estimator, a):
     else:
         mu = hajek_mean(pop, sample).curve
         # HT variance estimator applied to curves centered at the estimate
-        shifted = FunctionalPopulation(pop.grid, pop.values - mu, pop.aux)
-        gamma = ht_covariance_estimate(shifted, sample)
+        gamma = ht_covariance_estimate(pop, sample, center=mu)
     return mu, gamma
 
 

@@ -3,7 +3,9 @@
 Every identity that holds exactly by design-based algebra is recomputed two
 ways: once from the closed-form inclusion probabilities and once by summing
 over all possible samples with their exact probabilities.  Used by the
-``oracle-check`` command and by the test suite.
+``oracle-check`` command and by the test suite, which also compares the
+closed-form covariances of ``covariance.py`` against the dense formulas
+kept here.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    ma_covariance_approx,
-    residual_ht_covariance_estimate,
-)
+from .covariance import ma_covariance_approx
 from .designs import (
     SamplingDesign,
     enumerate_samples,
@@ -31,6 +30,7 @@ from .estimators import (
     ht_mean,
     model_assisted_mean,
 )
+from .errors import ValidationError
 from .grids import FunctionalPopulation, TimeGrid, population_mean
 from .synthetic import AuxSpec, ResidualKernel, SuperpopulationConfig, generate_population
 
@@ -46,6 +46,40 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol
+
+
+def dense_ht_covariance(
+    curves: np.ndarray, pi: np.ndarray, pi2: np.ndarray, N: int
+) -> np.ndarray:
+    """(1/N^2) u' Delta u with u_k = row_k / pi_k, Delta = pi2 - pi pi' (N x N).
+
+    Dense reference twin of ``covariance.ht_covariance_exact``.
+    """
+    u = curves / pi[:, None]
+    return u.T @ (pi2 - np.outer(pi, pi)) @ u / N**2
+
+
+def residual_ht_covariance_estimate(
+    residuals: np.ndarray,
+    pi: np.ndarray,
+    pi2: np.ndarray,
+    N: int,
+) -> np.ndarray:
+    """Sample HT covariance estimator for given per-unit residual rows.
+
+    Dense reference twin of ``covariance.ht_covariance_estimate``: pi2 is
+    the n x n matrix of joint inclusion probabilities of the sampled pairs
+    (diagonal = pi_k); all entries must be positive.
+    """
+    if np.any(pi2 <= 0):
+        raise ValidationError(
+            "joint inclusion probability is zero for a sampled pair; "
+            "the covariance estimator is undefined for this design"
+        )
+    weight = (pi2 - np.outer(pi, pi)) / pi2
+    u = residuals / pi[:, None]
+    cov = u.T @ weight @ u / N**2
+    return 0.5 * (cov + cov.T)
 
 
 def default_fixture(
@@ -136,9 +170,7 @@ def oracle_check(
     add("difference-estimator design-unbiasedness", np.abs(diff_mean_enum - mu).max())
 
     def formula_cov(curves):
-        u = curves / pi[:, None]
-        delta = pi2 - np.outer(pi, pi)
-        return u.T @ delta @ u / design.N**2
+        return dense_ht_covariance(curves, pi, pi2, design.N)
 
     add(
         "HT covariance formula matches enumeration",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvesurvey import (
     FunctionalPopulation,
@@ -7,19 +9,25 @@ from curvesurvey import (
     SamplingDesign,
     TimeGrid,
     beta_population,
+    beta_sampled,
     draw,
     enumerate_samples,
     first_order_probs,
+    ht_covariance_estimate,
     ht_covariance_exact,
     ht_mean,
     difference_mean,
     ma_covariance_approx,
     ma_covariance_estimate,
     replicate_rng,
+    second_order_matrix,
 )
-from curvesurvey.covariance import residual_ht_covariance_estimate
 from curvesurvey.designs import joint_probs_submatrix
 from curvesurvey.errors import ValidationError
+from curvesurvey.oracle import (
+    dense_ht_covariance,
+    residual_ht_covariance_estimate,
+)
 
 
 def enumerated_covariance(pop, design, estimator):
@@ -113,16 +121,10 @@ class TestMaCovarianceEstimate:
         design = SamplingDesign(kind="srswor", N=5, n=3)
         beta = beta_population(pop)
         residuals = pop.values - pop.aux @ beta.coefficients
-        pi = first_order_probs(design)
+        resid_pop = FunctionalPopulation(grid, residuals, aux)
         expectation = np.zeros((3, 3))
         for s, p in enumerate_samples(design):
-            est = residual_ht_covariance_estimate(
-                residuals[s.indices],
-                pi[s.indices],
-                joint_probs_submatrix(design, s.indices),
-                design.N,
-            )
-            expectation += p * est
+            expectation += p * ht_covariance_estimate(resid_pop, s).matrix
         target = ma_covariance_approx(pop, design).matrix
         assert np.abs(expectation - target).max() < 1e-12
 
@@ -151,3 +153,116 @@ class TestScaling:
             diag = np.diag(ma_covariance_approx(pop, design).matrix)
             tops.append(design.n * diag.max())
         assert max(tops) < 4 * min(tops)
+
+
+def make_design(sizes, n_h, seed, srswor=False):
+    """Stratified SRSWOR over randomly permuted units (or plain SRSWOR)."""
+    N = sum(sizes)
+    if srswor:
+        return SamplingDesign(kind="srswor", N=N, n=n_h[0])
+    perm = np.random.default_rng(seed).permutation(N)
+    cuts = np.cumsum(sizes)[:-1]
+    return SamplingDesign(
+        kind="stratified", N=N, n=sum(n_h),
+        strata=tuple(np.split(perm, cuts)), n_h=tuple(n_h),
+    )
+
+
+def random_population(N, D, seed):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.linspace(0.0, 1.0, D))
+    aux = np.column_stack([np.ones(N), rng.normal(3.0, 1.0, N)])
+    values = 2.0 + rng.standard_normal((N, D)) + aux[:, 1:] * grid.points
+    return FunctionalPopulation(grid, values, aux)
+
+
+def assert_rel_close(closed, dense, rel=1e-12):
+    scale = np.abs(dense).max()
+    assert np.abs(closed - dense).max() <= rel * scale
+
+
+def check_against_dense(design, seed, D=3):
+    """Closed-form covariances equal their dense oracle.py twins."""
+    pop = random_population(design.N, D, seed)
+    pi = first_order_probs(design)
+    pi2 = second_order_matrix(design)
+    assert_rel_close(
+        ht_covariance_exact(pop, design).matrix,
+        dense_ht_covariance(pop.values, pi, pi2, design.N),
+    )
+    residuals = pop.values - pop.aux @ beta_population(pop).coefficients
+    assert_rel_close(
+        ma_covariance_approx(pop, design).matrix,
+        dense_ht_covariance(residuals, pi, pi2, design.N),
+    )
+    sample = draw(design, replicate_rng(seed, 1))
+    idx = sample.indices
+
+    def dense(rows):
+        pi2_s = joint_probs_submatrix(design, idx)
+        return residual_ht_covariance_estimate(rows, pi[idx], pi2_s, design.N)
+
+    assert_rel_close(
+        ht_covariance_estimate(pop, sample).matrix, dense(pop.values[idx])
+    )
+    center = pop.values[idx].mean(axis=0)
+    assert_rel_close(
+        ht_covariance_estimate(pop, sample, center=center).matrix,
+        dense(pop.values[idx] - center),
+    )
+    beta = beta_sampled(pop, sample, a=None).coefficients
+    assert_rel_close(
+        ma_covariance_estimate(pop, sample, a=None).matrix,
+        dense(pop.values[idx] - pop.aux[idx] @ beta),
+    )
+
+
+@st.composite
+def design_specs(draw_):
+    srswor = draw_(st.booleans())
+    n_strata = 1 if srswor else draw_(st.integers(1, 4))
+    sizes = [draw_(st.integers(1, 7)) for _ in range(n_strata)]
+    assume(sum(sizes) >= 2)  # the census regression needs two units
+    n_h = [draw_(st.integers(1, N_h)) for N_h in sizes]
+    return sizes, n_h, srswor
+
+
+class TestClosedFormMatchesDense:
+    @pytest.mark.parametrize(
+        "sizes, n_h, srswor",
+        [
+            ([5], [2], True),
+            ([6], [6], True),  # census, n = N
+            ([4, 3, 1], [1, 3, 1], False),  # n_h = 1 and f_h = 1 strata
+            ([3, 4], [3, 4], False),  # stratified census
+            ([5, 2, 6], [1, 1, 2], False),
+            ([1, 1], [1, 1], False),
+            ([3, 3, 3], [1, 1, 1], False),  # no sampled pair in any stratum
+        ],
+    )
+    def test_designed_edge_cases(self, sizes, n_h, srswor):
+        check_against_dense(make_design(sizes, n_h, 0, srswor), seed=1)
+
+    @given(design_specs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_designs(self, spec, seed):
+        sizes, n_h, srswor = spec
+        check_against_dense(make_design(sizes, n_h, seed, srswor), seed)
+
+
+class TestMemory:
+    def test_approx_covariance_builds_no_population_square(self):
+        # an N x N float matrix at N = 20000 would be 3.2 GB
+        import tracemalloc
+
+        from curvesurvey import study_population
+
+        pop = study_population(20000, 48, corr=0.9, seed=5)
+        design = SamplingDesign(kind="srswor", N=pop.N, n=2000)
+        tracemalloc.start()
+        try:
+            ma_covariance_approx(pop, design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -200,3 +200,9 @@ class TestValidation:
             Sample(np.array([0, 0]), d)
         with pytest.raises(ValidationError):
             Sample(np.array([0, 4]), d)
+
+    def test_stratum_counts_enforced(self):
+        d = stratified_2x2()
+        Sample(np.array([1, 2]), d)
+        with pytest.raises(ValidationError):
+            Sample(np.array([0, 1]), d)  # two units from stratum 0

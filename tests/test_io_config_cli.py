@@ -235,3 +235,65 @@ a = 0
         cfg = write_config(tmp_path, "[population]\nsynthetic = true\n")
         assert main(["estimate", "--config", str(cfg), "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+STRATIFIED = """
+[population]
+synthetic = true
+n_units = 60
+n_points = 5
+
+[design]
+kind = stratified
+n = 4
+ranges = 0-29,30-59
+n_per_stratum = 2,2
+{extra}
+[estimator]
+kind = ma
+a = 0
+
+[campaign]
+replicates = 5
+{campaign}
+"""
+
+
+class TestStratifiedCli:
+    def test_sample_file_with_wrong_stratum_counts_rejected(self, tmp_path, capsys):
+        # three units from stratum 0 and one from stratum 1, against n_h = 2,2
+        sfile = tmp_path / "sample.txt"
+        sfile.write_text("0\n1\n2\n40\n", encoding="utf-8")
+        cfg = write_config(tmp_path, STRATIFIED.format(
+            extra=f"sample_file = {sfile}\n", campaign=""))
+        for command in ("estimate", "bands"):
+            assert main([command, "--config", str(cfg), "--seed", "1",
+                         "--out", str(tmp_path / command)]) == 2
+            assert "per stratum" in capsys.readouterr().err
+
+    def test_sample_file_with_right_stratum_counts_accepted(self, tmp_path):
+        sfile = tmp_path / "sample.txt"
+        sfile.write_text("0\n1\n40\n41\n", encoding="utf-8")
+        cfg = write_config(tmp_path, STRATIFIED.format(
+            extra=f"sample_file = {sfile}\n", campaign=""))
+        assert main(["bands", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "b")]) == 0
+
+    def test_n_list_rejected_for_stratified_design(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, STRATIFIED.format(
+            extra="", campaign="n_list = 10,30\n"))
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert "n_list" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        assert not list(out.glob("gamma_emp_n*.csv"))
+
+    def test_n_list_of_the_design_size_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, STRATIFIED.format(
+            extra="", campaign="n_list = 4\n"))
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().strip().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("4,")
