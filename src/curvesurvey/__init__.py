@@ -52,6 +52,7 @@ from .linalg import (
     RegularizedInverse,
     cholesky_psd,
     psd_project,
+    psd_repair,
     regularized_inverse,
     sym_eigen,
 )

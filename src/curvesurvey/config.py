@@ -7,6 +7,7 @@ All values are validated before any computation or file output happens.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,9 +64,12 @@ def _get_float(d, key, default=None):
     if raw is None:
         raise ConfigurationError(f"missing numeric option {key!r}")
     try:
-        return float(str(raw))
+        val = float(str(raw))
     except ValueError:
         raise ConfigurationError(f"option {key!r} must be a number") from None
+    if not math.isfinite(val):
+        raise ConfigurationError(f"option {key!r} must be finite, got {raw!r}")
+    return val
 
 
 def _get_bool(d, key, default=False):
@@ -113,10 +117,7 @@ def _validate(cfg: RunConfig):
         _get_int(cfg.band, "n_sims", default=10_000, minimum=100)
     if cfg.campaign:
         _get_int(cfg.campaign, "replicates", minimum=2)
-        for part in str(cfg.campaign.get("n_list", "")).split(","):
-            if part.strip():
-                if int(part) < 1:
-                    raise ConfigurationError("[campaign] n_list entries must be >= 1")
+        _n_list(cfg.campaign)
 
 
 def estimator_floor(cfg: RunConfig) -> float | None:
@@ -196,8 +197,23 @@ def build_design(
     return SamplingDesign(kind="stratified", N=N, n=n, strata=strata, n_h=n_h)
 
 
+def _n_list(campaign: dict) -> list[int]:
+    """The sample sizes of `[campaign] n_list` (empty when absent)."""
+    sizes = []
+    for part in str(campaign.get("n_list", "")).split(","):
+        if not part.strip():
+            continue
+        try:
+            size = int(part)
+        except ValueError:
+            raise ConfigurationError(
+                f"[campaign] n_list entries must be integers, got {part.strip()!r}"
+            ) from None
+        if size < 1:
+            raise ConfigurationError("[campaign] n_list entries must be >= 1")
+        sizes.append(size)
+    return sizes
+
+
 def campaign_sizes(cfg: RunConfig) -> list[int]:
-    raw = cfg.campaign.get("n_list")
-    if raw:
-        return [int(p) for p in str(raw).split(",") if p.strip()]
-    return [_get_int(cfg.design, "n", minimum=1)]
+    return _n_list(cfg.campaign) or [_get_int(cfg.design, "n", minimum=1)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,8 @@ class SamplingDesign:
             if self.strata is None or self.n_h is None:
                 raise ValidationError("stratified design needs strata and n_h")
             strata = tuple(
-                np.sort(np.asarray(s, dtype=int)) for s in self.strata
+                _read_only(np.sort(np.asarray(s, dtype=int)))
+                for s in self.strata
             )
             n_h = tuple(int(v) for v in self.n_h)
             if len(strata) != len(n_h) or not strata:
@@ -67,19 +69,43 @@ class SamplingDesign:
         else:
             raise ValidationError(f"unknown design kind {self.kind!r}")
 
-    @property
+    # The cached arrays below depend only on the design, are computed once
+    # per instance, are read-only, and are left out of the pickled state
+    # (a worker receiving the design recomputes them).
+    _CACHED = ("allocation", "_inclusion_probs", "_stratum_labels")
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in self._CACHED}
+
+    @cached_property
     def allocation(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
         """(strata, n_h); SRSWOR is the single stratum 0..N-1 with n_h = (n,)."""
         if self.strata is None:
-            return (np.arange(self.N),), (self.n,)
+            return (_read_only(np.arange(self.N)),), (self.n,)
         return self.strata, self.n_h
 
-    def stratum_of(self) -> np.ndarray:
-        """Stratum id per unit (all zeros for srswor)."""
+    @cached_property
+    def _inclusion_probs(self) -> np.ndarray:
+        pi = np.empty(self.N)
+        for s, m in zip(*self.allocation):
+            pi[s] = m / s.size
+        return _read_only(pi)
+
+    @cached_property
+    def _stratum_labels(self) -> np.ndarray:
         labels = np.empty(self.N, dtype=int)
         for h, s in enumerate(self.allocation[0]):
             labels[s] = h
-        return labels
+        return _read_only(labels)
+
+    def stratum_of(self) -> np.ndarray:
+        """Stratum id per unit (all zeros for srswor); read-only."""
+        return self._stratum_labels
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +138,8 @@ class Sample:
 
 
 def first_order_probs(design: SamplingDesign) -> np.ndarray:
-    """Vector of pi_k for all N units."""
-    pi = np.empty(design.N)
-    for s, m in zip(*design.allocation):
-        pi[s] = m / s.size
-    return pi
+    """Vector of pi_k for all N units; read-only, computed once per design."""
+    return design._inclusion_probs
 
 
 def first_order_prob(design: SamplingDesign, k: int) -> float:

@@ -112,23 +112,29 @@ def read_sample_indices(path, N: int) -> np.ndarray:
     return arr
 
 
+def _write_table(path, header: list[str], table: np.ndarray):
+    """Header plus one line per row, floats via repr, CRLF line ends: the
+    bytes csv.writer gives for these cells, in one write."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 def write_curve_csv(path, grid: TimeGrid, columns: dict):
     """Columns of equal length keyed by header name, with a leading t column."""
     names = list(columns)
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + names)
-        for i, t in enumerate(grid.points):
-            writer.writerow([_fmt(t)] + [_fmt(columns[name][i]) for name in names])
+    table = np.column_stack(
+        [grid.points] + [np.asarray(columns[name], dtype=float) for name in names]
+    )
+    _write_table(path, ["t"] + names, table)
 
 
 def write_covariance_csv(path, grid: TimeGrid, matrix: np.ndarray):
     """D x D matrix with grid times as row/column headers."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + [_fmt(t) for t in grid.points])
-        for i, t in enumerate(grid.points):
-            writer.writerow([_fmt(t)] + [_fmt(v) for v in matrix[i]])
+    header = [""] + [_fmt(t) for t in grid.points]
+    table = np.column_stack([grid.points, np.asarray(matrix, dtype=float)])
+    _write_table(path, header, table)
 
 
 def write_metadata(path, payload: dict):

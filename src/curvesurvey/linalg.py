@@ -79,17 +79,38 @@ def regularized_inverse(m: np.ndarray, a: float) -> RegularizedInverse:
     )
 
 
+def _eigen_repair(m: np.ndarray):
+    """(repaired, w, v): the nearest-PSD repair of m and the eigenpairs of
+    the symmetrized input it was built from."""
+    m = check_symmetric(m)
+    w, v = np.linalg.eigh(m)
+    if w.min() < 0.0:
+        m = (v * np.clip(w, 0.0, None)) @ v.T
+        m = 0.5 * (m + m.T)
+    return m, w, v
+
+
 def psd_project(m: np.ndarray) -> np.ndarray:
     """Nearest-PSD repair: clip negative eigenvalues to zero.
 
     Returns the input unchanged when it is already PSD; idempotent.
     """
-    m = check_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    if w.min() >= 0.0:
-        return m
-    out = (v * np.clip(w, 0.0, None)) @ v.T
-    return 0.5 * (out + out.T)
+    return _eigen_repair(m)[0]
+
+
+def psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psd_project(m), F) with F F' = psd_project(m), from one eigh.
+
+    F is the lower Cholesky factor of the repaired matrix when that exists,
+    else v sqrt(max(w, 0)) from the same eigendecomposition, so a band
+    costs one eigendecomposition whatever path it takes.
+    """
+    repaired, w, v = _eigen_repair(m)
+    try:
+        factor = np.linalg.cholesky(repaired)
+    except np.linalg.LinAlgError:
+        factor = v * np.sqrt(np.clip(w, 0.0, None))
+    return repaired, factor
 
 
 def cholesky_psd(m: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ optionally, simultaneous band coverage.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -109,6 +110,49 @@ def _run_replicate(args):
     return i, mu, np.diag(gamma.matrix).copy(), covered, None
 
 
+def _openblas_entry(name: str):
+    """OpenBLAS function `name` (e.g. "set_num_threads") of the library
+    loaded in this process, or None when no OpenBLAS is loaded.
+
+    The library is found in the process's memory map; its symbols carry
+    the "scipy_" prefix and "64_" suffix in numpy's wheels.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({
+                fields[5].strip()
+                for fields in (line.split(maxsplit=5) for line in fh)
+                if len(fields) == 6 and "openblas" in fields[5].lower()
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"{prefix}openblas_{name}{suffix}"
+                       for prefix in ("scipy_", "") for suffix in ("64_", "")):
+            func = getattr(lib, symbol, None)
+            if func is not None:
+                return func
+    return None
+
+
+def _single_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker.
+
+    Workers times the default BLAS threads oversubscribe the cores, and
+    the band kernel's many small matrix products run slower, not faster,
+    when they do.  Without an OpenBLAS the worker is left as it is.
+    """
+    set_threads = _openblas_entry("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
+
 def run_campaign(
     pop: FunctionalPopulation,
     design: SamplingDesign,
@@ -139,7 +183,9 @@ def run_campaign(
         results = [_run_replicate(t) for t in tasks]
     else:
         chunksize = max(1, replicates // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_single_blas_thread
+        ) as pool:
             results = list(pool.map(_run_replicate, tasks, chunksize=chunksize))
     results.sort(key=lambda r: r[0])
 

@@ -5,7 +5,8 @@ ways: once from the closed-form inclusion probabilities and once by summing
 over all possible samples with their exact probabilities.  Used by the
 ``oracle-check`` command and by the test suite, which also compares the
 closed-form covariances of ``covariance.py`` against the dense formulas
-kept here.
+kept here, and the blocked sup kernel of ``bands.py`` against its one-shot
+form.
 """
 
 from __future__ import annotations
@@ -80,6 +81,21 @@ def residual_ht_covariance_estimate(
     u = residuals / pi[:, None]
     cov = u.T @ weight @ u / N**2
     return 0.5 * (cov + cov.T)
+
+
+def one_shot_sup_sample(
+    factor: np.ndarray,
+    sigma: np.ndarray,
+    n_sims: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """max_t |(F Z)(t)| / sigma(t) from one (n_sims, D) standard normal draw.
+
+    One-shot reference twin of the blocked ``bands._sup_sample``, which
+    takes F / sigma[:, None] and draws the same stream in blocks.
+    """
+    draws = rng.standard_normal((n_sims, factor.shape[0]))
+    return (np.abs(draws @ factor.T) / sigma).max(axis=1)
 
 
 def default_fixture(

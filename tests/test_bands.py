@@ -10,7 +10,10 @@ from curvesurvey import (
     contains,
     simulate_sup_quantile,
 )
+from curvesurvey import bands
 from curvesurvey.covariance import CovarianceEstimate
+from curvesurvey.linalg import cholesky_psd, psd_project, psd_repair
+from curvesurvey.oracle import one_shot_sup_sample
 
 Z_975 = 1.959963984540054  # standard normal 97.5% quantile
 Z_75 = 0.6744897501960817
@@ -115,3 +118,80 @@ class TestContains:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             contains(self.band(), np.array([0.0, 1.0, 2.0]))
+
+
+def _pd_cov(d=12, seed=0):
+    a = np.random.default_rng(seed).standard_normal((d, d))
+    return a @ a.T / d + 0.1 * np.eye(d)
+
+
+def _indefinite_cov(d=12, seed=5):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    w = np.linspace(2.0, 0.1, d)
+    w[-1] = -0.05
+    return (q * w) @ q.T
+
+
+def _semidefinite_cov():
+    # rank 2 of 3: the first two grid points move together
+    return np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+
+
+COVS = {
+    "definite": _pd_cov(),
+    "indefinite": _indefinite_cov(),
+    "semidefinite": _semidefinite_cov(),
+}
+
+
+class TestSupKernel:
+    """The blocked sup kernel against its one-shot oracle twin."""
+
+    @pytest.mark.parametrize(
+        "n_sims",
+        [100, bands.SIM_BLOCK - 1, bands.SIM_BLOCK, bands.SIM_BLOCK + 1, 5000],
+    )
+    def test_matches_one_shot_sampler(self, n_sims):
+        # the whole one-shot pipeline: repair, Cholesky, one draw, full sort
+        cov = COVS["definite"]
+        projected = psd_project(cov)
+        sigma = np.sqrt(np.diag(projected))
+        expected = one_shot_sup_sample(
+            cholesky_psd(projected), sigma, n_sims, np.random.default_rng(11)
+        )
+        scaled, _ = bands._scaled_factor(cov)
+        sups = bands._sup_sample(scaled, n_sims, np.random.default_rng(11))
+        assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
+        k = int(np.ceil(0.95 * n_sims))
+        c_alpha = simulate_sup_quantile(cov, 0.05, n_sims, seed=11)
+        assert c_alpha == pytest.approx(np.sort(expected)[k - 1], rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["indefinite", "semidefinite"])
+    def test_matches_one_shot_sampler_on_eigen_factor(self, name):
+        projected, factor = psd_repair(COVS[name])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(projected)
+        sigma = np.sqrt(np.diag(projected))
+        scaled, band_sigma = bands._scaled_factor(COVS[name])
+        assert np.array_equal(band_sigma, sigma)
+        assert np.array_equal(scaled, factor / sigma[:, None])
+        expected = one_shot_sup_sample(
+            factor, sigma, 3000, np.random.default_rng(4)
+        )
+        sups = bands._sup_sample(scaled, 3000, np.random.default_rng(4))
+        assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("name", sorted(COVS))
+    def test_one_eigh_per_band(self, monkeypatch, name):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        cov = COVS[name]
+        est = MeanEstimate(curve=np.zeros(cov.shape[0]), estimator_kind="ModelAssisted")
+        build_band(est, cov_est(cov), n=50, alpha=0.05, n_sims=500, seed=1)
+        assert len(calls) == 1

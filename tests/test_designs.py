@@ -1,4 +1,6 @@
 import itertools
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -47,6 +49,35 @@ class TestFirstOrder:
         d = SamplingDesign(kind="srswor", N=4, n=2)
         with pytest.raises(ValidationError):
             first_order_prob(d, 4)
+
+
+class TestCachedInvariants:
+    @pytest.mark.parametrize(
+        "design", [SamplingDesign(kind="srswor", N=6, n=2), stratified_2x2()],
+        ids=["srswor", "stratified"],
+    )
+    def test_cached_arrays_refuse_writes(self, design):
+        arrays = [first_order_probs(design), design.stratum_of(),
+                  *design.allocation[0]]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert first_order_probs(design) is first_order_probs(design)
+        assert design.stratum_of() is design.stratum_of()
+
+    def test_pickled_design_recomputes_its_caches(self):
+        design = SamplingDesign(
+            kind="stratified", N=5, n=3,
+            strata=(np.array([0, 1]), np.array([2, 3, 4])), n_h=(1, 2),
+        )
+        expected = [0.5, 0.5, 2 / 3, 2 / 3, 2 / 3]
+        assert np.allclose(first_order_probs(design), expected)  # fills the cache
+        copy = pickle.loads(pickle.dumps(design))
+        assert not first_order_probs(copy).flags.writeable
+        assert np.array_equal(copy.stratum_of(), [0, 0, 1, 1, 1])
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            pi = pool.submit(first_order_probs, design).result(timeout=60)
+        assert np.allclose(pi, expected)
 
 
 class TestSecondOrder:

@@ -1,14 +1,17 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from curvesurvey import ValidationError, study_population
+from curvesurvey import TimeGrid, ValidationError, study_population
 from curvesurvey.cli import main
 from curvesurvey.config import build_design, build_population, load_config
 from curvesurvey.io import (
     read_population_csv,
     read_sample_indices,
+    write_covariance_csv,
+    write_curve_csv,
     write_population_csv,
 )
 
@@ -53,6 +56,50 @@ class TestPopulationCsv:
         assert read_sample_indices(path, 10).tolist() == [3, 1, 7]
         with pytest.raises(ValidationError):
             read_sample_indices(path, 5)
+
+
+def csv_writer_bytes(path, header, rows):
+    """The csv.writer form of a table with floats via repr (reference twin
+    of the fast writers in io.py)."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(x)) for x in row])
+    return path.read_bytes()
+
+
+class TestTableCsv:
+    VALUES = [-1.5, 0.0, -0.0, 3.0, 1e-300, -2.5e-310, 1.7976931348623157e308,
+              -1e22, 0.1, 123456789.0, 5e-324, -7.0]
+
+    def grid_and_matrix(self):
+        grid = TimeGrid(np.array([-2.0, 0.0, 1e-5, 3.0]))
+        values = np.resize(np.array(self.VALUES), 16).reshape(4, 4)
+        return grid, values
+
+    def test_covariance_bytes_match_csv_writer(self, tmp_path):
+        grid, matrix = self.grid_and_matrix()
+        write_covariance_csv(tmp_path / "fast.csv", grid, matrix)
+        expected = csv_writer_bytes(
+            tmp_path / "ref.csv",
+            [""] + [repr(float(t)) for t in grid.points],
+            np.column_stack([grid.points, matrix]),
+        )
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+        assert expected.startswith(b",-2.0,0.0,1e-05,3.0\r\n")
+
+    def test_curve_bytes_match_csv_writer(self, tmp_path):
+        grid, matrix = self.grid_and_matrix()
+        columns = {"center": matrix[:, 0], "lower": matrix[:, 1],
+                   "upper": matrix[:, 2], "count": np.array([1, -2, 3, 0])}
+        write_curve_csv(tmp_path / "fast.csv", grid, columns)
+        expected = csv_writer_bytes(
+            tmp_path / "ref.csv",
+            ["t", *columns],
+            np.column_stack([grid.points, *columns.values()]),
+        )
+        assert (tmp_path / "fast.csv").read_bytes() == expected
 
 
 def write_config(tmp_path, text):
@@ -235,6 +282,38 @@ a = 0
         cfg = write_config(tmp_path, "[population]\nsynthetic = true\n")
         assert main(["estimate", "--config", str(cfg), "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+class TestCliRejectsBadNumbers:
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("estimate", "a = 0", "a = nan", "'a' must be finite"),
+            ("estimate", "a = 0", "a = inf", "'a' must be finite"),
+            ("bands", "alpha = 0.05", "alpha = -inf", "'alpha' must be finite"),
+            ("estimate", "n_points = 5", "n_points = 5\nt_max = nan",
+             "'t_max' must be finite"),
+            ("montecarlo", "n_list = 10,20", "n_list = 5,abc",
+             "n_list entries must be integers, got 'abc'"),
+        ],
+    )
+    def test_exit_2_with_a_message(self, tmp_path, capsys, command, old, new,
+                                   message):
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma").replace(old, new))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
+    def test_zero_variance_band_exits_3(self, tmp_path, capsys):
+        # a census has zero design variance at every grid point
+        cfg = write_config(tmp_path, SYNTH.format(n=60, kind="ma"))
+        assert main(["bands", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "b")]) == 3
+        err = capsys.readouterr().err
+        assert "not strictly positive" in err and "Traceback" not in err
 
 
 STRATIFIED = """

@@ -8,6 +8,7 @@ from curvesurvey import (
     ValidationError,
     cholesky_psd,
     psd_project,
+    psd_repair,
     regularized_inverse,
     sym_eigen,
 )
@@ -128,6 +129,21 @@ class TestCholeskyPsd:
     def test_rejects_indefinite(self):
         with pytest.raises(NumericalError):
             cholesky_psd(np.diag([1.0, -1.0]))
+
+
+class TestPsdRepair:
+    def test_keeps_the_cholesky_factor(self, rng):
+        m = random_symmetric(rng, 6, psd=True) + 0.1 * np.eye(6)
+        repaired, factor = psd_repair(m)
+        assert np.array_equal(repaired, psd_project(m))
+        assert np.array_equal(factor, cholesky_psd(psd_project(m)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_indefinite_gets_the_projection_and_a_factor(self, seed):
+        m = random_symmetric(np.random.default_rng(seed), 6)
+        repaired, factor = psd_repair(m)
+        assert np.array_equal(repaired, psd_project(m))
+        assert np.abs(factor @ factor.T - repaired).max() < 1e-12
 
 
 class TestEigenvalueLipschitz:

@@ -1,6 +1,10 @@
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from curvesurvey import montecarlo
 from curvesurvey import (
     SamplingDesign,
     ValidationError,
@@ -112,6 +116,31 @@ class TestRunCampaign:
         design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         with pytest.raises(ValidationError):
             run_campaign(mc_pop, design, replicates=10, estimator="magic")
+
+
+def _blas_threads():
+    get_threads = montecarlo._openblas_entry("get_num_threads")
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+class TestPoolBlasThreads:
+    @pytest.fixture(autouse=True)
+    def needs_openblas(self):
+        if montecarlo._openblas_entry("get_num_threads") is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+
+    def test_worker_runs_one_blas_thread(self):
+        with ProcessPoolExecutor(
+            max_workers=1, initializer=montecarlo._single_blas_thread
+        ) as pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == 1
+
+    def test_parent_keeps_its_blas_threads(self, mc_pop):
+        before = _blas_threads()
+        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        run_campaign(mc_pop, design, replicates=8, master_seed=1, workers=2)
+        assert _blas_threads() == before
 
 
 class TestReplicateEstimates:
