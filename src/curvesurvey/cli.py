@@ -20,28 +20,11 @@ import numpy as np
 
 from . import __version__
 from .bands import build_band
-from .config import (
-    RunConfig,
-    build_design,
-    build_population,
-    campaign_sizes,
-    estimator_floor,
-    load_config,
-)
-from .covariance import ma_covariance_estimate
+from .config import RunConfig, build_design, build_population, load_config
+from .covariance import ESTIMATORS, ma_covariance_estimate
 from .designs import Sample, SamplingDesign, draw, replicate_rng
-from .errors import (
-    ConfigurationError,
-    NumericalError,
-    OracleFailure,
-    ValidationError,
-)
-from .estimators import (
-    difference_mean,
-    hajek_mean,
-    ht_mean,
-    model_assisted_mean,
-)
+from .errors import NumericalError, OracleFailure, ValidationError
+from .estimators import model_assisted_mean
 from .io import (
     read_sample_indices,
     write_covariance_csv,
@@ -64,37 +47,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_inputs(cfg: RunConfig, seed: int):
+def _setup(args):
+    """(config, seed, output directory, population, design) of a command."""
+    cfg = load_config(args.config)
+    seed = _resolve_seed(args)
     pop, labels = build_population(cfg, seed)
-    design = build_design(cfg, pop.N, labels)
-    return pop, design
+    return cfg, seed, _out_dir(args), pop, build_design(cfg, pop.N, labels)
 
 
 def _get_sample(cfg: RunConfig, design: SamplingDesign, seed: int) -> Sample:
-    path = cfg.design.get("sample_file")
-    if path:
+    path = cfg.design.sample_file
+    if path is not None:
         return Sample(read_sample_indices(path, design.N), design)
     return draw(design, replicate_rng(seed, 0, 0))
 
 
-def _point_estimate(cfg, pop, sample, a):
-    kind = cfg.estimator.get("kind", "ma")
-    if kind == "ht":
-        return ht_mean(pop, sample)
-    if kind == "hajek":
-        return hajek_mean(pop, sample)
-    if kind == "difference":
-        return difference_mean(pop, sample)
-    return model_assisted_mean(pop, sample, a=a)
-
-
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args)
-    out = _out_dir(args)
-    pop, design = _load_inputs(cfg, seed)
+    cfg, seed, out, pop, design = _setup(args)
     sample = _get_sample(cfg, design, seed)
-    estimate = _point_estimate(cfg, pop, sample, estimator_floor(cfg))
+    mean, _ = ESTIMATORS[cfg.estimator.kind]
+    estimate = mean(pop, sample, cfg.estimator.a)
     write_curve_csv(out / "estimate.csv", pop.grid, {"estimate": estimate.curve})
     write_metadata(
         out / "estimate.meta.json",
@@ -112,16 +84,14 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args)
-    out = _out_dir(args)
-    pop, design = _load_inputs(cfg, seed)
+    cfg, seed, out, pop, design = _setup(args)
     sample = _get_sample(cfg, design, seed)
-    a = estimator_floor(cfg)
+    # the model-assisted band, whatever [estimator] kind says
+    a = cfg.estimator.a
     estimate = model_assisted_mean(pop, sample, a=a)
     gamma = ma_covariance_estimate(pop, sample, a=a)
-    alpha = float(cfg.band.get("alpha", 0.05))
-    n_sims = int(cfg.band.get("n_sims", 10_000))
+    alpha = cfg.band.alpha
+    n_sims = cfg.band.n_sims or 10_000
     band = build_band(
         estimate, gamma, n=design.n, alpha=alpha, n_sims=n_sims,
         seed=replicate_rng(seed, 0, 1),
@@ -182,39 +152,20 @@ def _fmt_cell(v):
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args)
-    out = _out_dir(args)
-    pop, design = _load_inputs(cfg, seed)
-    estimator = cfg.estimator.get("kind", "ma")
-    if estimator == "difference":
-        raise ValidationError("campaigns support estimators ht, hajek, ma")
-    a = estimator_floor(cfg)
-    replicates = int(cfg.campaign.get("replicates", 1000))
-    coverage = str(cfg.campaign.get("coverage", "false")).lower() in (
-        "1", "true", "yes", "on",
-    )
-    alpha = float(cfg.band.get("alpha", 0.05)) if cfg.band else 0.05
-    band_sims = int(cfg.band.get("n_sims", 5000)) if cfg.band else 5000
-    sizes = campaign_sizes(cfg)
-    if design.kind != "srswor" and sizes != [design.n]:
-        raise ConfigurationError(
-            f"[campaign] n_list = {cfg.campaign['n_list']} is not supported "
-            f"for a stratified design: its size is fixed at n = {design.n} "
-            "by n_per_stratum"
-        )
+    cfg, seed, out, pop, design = _setup(args)
+    campaign = cfg.campaign
     rows = []
-    for n in sizes:
+    for n in campaign.n_list or (design.n,):
         design_n = design if n == design.n else dataclasses.replace(design, n=n)
         report = run_campaign(
             pop,
             design_n,
-            replicates=replicates,
-            estimator=estimator,
-            a=a,
-            compute_coverage=coverage,
-            alpha=alpha,
-            band_sims=band_sims,
+            replicates=campaign.replicates,
+            estimator=cfg.estimator.kind,
+            a=cfg.estimator.a,
+            compute_coverage=campaign.coverage,
+            alpha=cfg.band.alpha,
+            band_sims=cfg.band.n_sims or 5000,
             master_seed=seed,
             workers=args.workers,
         )
@@ -245,22 +196,9 @@ def cmd_montecarlo(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     o = cfg.oracle
-    n_units = int(o.get("n_units", 5))
-    if n_units > 8:
-        raise ValidationError("oracle-check requires N <= 8")
-    seed = _resolve_seed(args)
-    pop, design = default_fixture(
-        n_units=n_units,
-        n=int(o.get("n", 2)),
-        n_points=int(o.get("n_points", 4)),
-        seed=int(o.get("seed", seed)),
-    )
-    results = oracle_check(
-        pop,
-        design,
-        tol=float(o.get("tol", 1e-10)),
-        pi2_perturbation=float(o.get("corrupt_pi2", 0.0)),
-    )
+    seed = _resolve_seed(args) if o.seed is None else o.seed
+    pop, design = default_fixture(o.n_units, o.n, o.n_points, seed)
+    results = oracle_check(pop, design, tol=o.tol, pi2_perturbation=o.corrupt_pi2)
     print(format_report(results))
     if any(not r.passed for r in results):
         raise OracleFailure("one or more enumeration identities failed")
@@ -296,7 +234,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (ValidationError, MemoryError) as exc:  # bad or too large input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,219 +1,280 @@
 """Run configuration: flat key=value file with section headers (INI).
 
 Sections: [population], [design], [estimator], [band], [campaign], [oracle].
-All values are validated before any computation or file output happens.
+`load_config` is the only reader of the file.  It returns a frozen
+`RunConfig` whose sections hold converted, checked values, so nothing is
+computed or written for a bad file.  An unknown section or option and an
+unreadable or malformed file are `ConfigurationError`s.  Checks that need
+the population (unit ranges, stratum labels) happen in `build_design`.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .covariance import ESTIMATORS
 from .designs import SamplingDesign
 from .errors import ConfigurationError
-from .grids import FunctionalPopulation
 from .io import read_population_csv
 from .synthetic import study_population
 
-ESTIMATOR_CHOICES = ("ht", "hajek", "ma", "difference")
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigurationError(message)
 
 
-@dataclass
+# Converters: convert(key, raw) turns the INI text of option `key` into its
+# value or raises ConfigurationError.
+def _text(key, raw):
+    _require(raw.strip() != "", f"option {key!r} must not be empty")
+    return raw
+
+
+def _int(minimum, maximum=math.inf):
+    def convert(key, raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"option {key!r} must be an integer, "
+                                     f"got {raw.strip()!r}") from None
+        _require(minimum <= value <= maximum,
+                 f"option {key!r} must lie in [{minimum}, {maximum}]")
+        return value
+    return convert
+
+
+def _float(lo=-math.inf, hi=math.inf):
+    def convert(key, raw):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigurationError(f"option {key!r} must be a number") from None
+        _require(math.isfinite(value),
+                 f"option {key!r} must be finite, got {raw!r}")
+        _require(lo < value < hi, f"option {key!r} must lie in ({lo:g}, {hi:g})")
+        return value
+    return convert
+
+
+def _bool(key, raw):
+    value = raw.strip().lower()
+    _require(value in configparser.ConfigParser.BOOLEAN_STATES,
+             f"option {key!r} must be a boolean, got {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[value]
+
+
+def _choice(*options):
+    def convert(key, raw):
+        _require(raw in options, f"option {key!r} must be one of "
+                 f"{', '.join(options)}, got {raw!r}")
+        return raw
+    return convert
+
+
+def _floor(key, raw):
+    """The eigenvalue floor a >= 0, or None for 'auto'."""
+    value = None if raw == "auto" else _float()(key, raw)
+    _require(value is None or value >= 0, "[estimator] a must be >= 0 or 'auto'")
+    return value
+
+
+def _sizes(key, raw):
+    sizes = []
+    for part in filter(str.strip, raw.split(",")):
+        try:
+            sizes.append(int(part))
+        except ValueError:
+            raise ConfigurationError("[campaign] n_list entries must be "
+                                     f"integers, got {part.strip()!r}") from None
+        _require(sizes[-1] >= 1, "[campaign] n_list entries must be >= 1")
+    return tuple(sizes)
+
+
+def _ranges(key, raw):
+    ranges = []
+    for part in raw.split(","):
+        lo, _, hi = part.partition("-")
+        try:
+            ranges.append((int(lo), int(hi)))
+        except ValueError:
+            raise ConfigurationError(f"bad stratum range {part.strip()!r}, "
+                                     "want lo-hi") from None
+    return tuple(ranges)
+
+
+def _allocation(key, raw):
+    """(label, n_h) per stratum: label None in the `2,2` form (one count per
+    range), a stratum label in the `a:1,b:1` form."""
+    pairs = [part.rpartition(":") for part in raw.split(",")]
+    return tuple((label if sep else None, _int(1)(key, count))
+                 for label, sep, count in pairs)
+
+
+def _option(default, convert):
+    """A section field with its default and the converter of its INI text."""
+    return field(default=default, metadata={"convert": convert})
+
+
+@dataclass(frozen=True)
+class PopulationConfig:
+    csv: str | None = _option(None, _text)
+    strata_column: str | None = _option(None, _text)
+    synthetic: bool = _option(False, _bool)
+    n_units: int | None = _option(None, _int(1))  # required when synthetic
+    n_points: int = _option(48, _int(2))
+    corr: float = _option(0.95, _float(0.0, 1.0))
+    t_max: float = _option(1.0, _float())
+    kernel: str = _option("exponential", _text)
+    length_scale: float = _option(0.2, _float())
+
+    def __post_init__(self):
+        _require((self.csv is not None) != self.synthetic,
+                 "[population] needs exactly one of 'csv' or 'synthetic = true'")
+        _require(not self.synthetic or self.n_units is not None,
+                 "missing integer option 'n_units'")
+
+
+@dataclass(frozen=True)
+class DesignConfig:
+    n: int | None = _option(None, _int(1))  # required
+    kind: str = _option("srswor", _choice("srswor", "stratified"))
+    # (lo, hi) unit ranges, one stratum each; without them the strata are
+    # the labels of the population's strata column
+    ranges: tuple[tuple[int, int], ...] | None = _option(None, _ranges)
+    n_per_stratum: tuple[tuple[str | None, int], ...] | None = _option(None, _allocation)
+    sample_file: str | None = _option(None, _text)
+
+    def __post_init__(self):
+        _require(self.n is not None, "missing integer option 'n'")
+        if self.kind == "stratified":
+            _require(self.n_per_stratum is not None,
+                     "a stratified design needs 'n_per_stratum'")
+            _require(all((label is None) == (self.ranges is not None)
+                         for label, _ in self.n_per_stratum),
+                     "[design] n_per_stratum takes one count per range with "
+                     "'ranges', and label:count pairs without")
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    kind: str = _option("ma", _choice(*ESTIMATORS))
+    a: float | None = _option(0.0, _floor)  # None: the relative default floor
+
+
+@dataclass(frozen=True)
+class BandConfig:
+    alpha: float = _option(0.05, _float(0.0, 1.0))
+    n_sims: int | None = _option(None, _int(100))  # None: the command's default
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    replicates: int = _option(1000, _int(2))
+    n_list: tuple[int, ...] = _option((), _sizes)  # empty: the design's n
+    coverage: bool = _option(False, _bool)
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    n_units: int = _option(5, _int(1, 8))  # enumerable populations only
+    n: int = _option(2, _int(1))
+    n_points: int = _option(4, _int(2))
+    seed: int | None = _option(None, _int(0))  # None: the command's seed
+    tol: float = _option(1e-10, _float(0.0))
+    corrupt_pi2: float = _option(0.0, _float())
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    population: dict = field(default_factory=dict)
-    design: dict = field(default_factory=dict)
-    estimator: dict = field(default_factory=dict)
-    band: dict = field(default_factory=dict)
-    campaign: dict = field(default_factory=dict)
-    oracle: dict = field(default_factory=dict)
+    population: PopulationConfig | None = None
+    design: DesignConfig | None = None
+    estimator: EstimatorConfig = EstimatorConfig()
+    band: BandConfig = BandConfig()
+    campaign: CampaignConfig = CampaignConfig()
+    oracle: OracleConfig = OracleConfig()
+
+    def __post_init__(self):
+        d = self.design
+        if d is not None and d.kind == "stratified":
+            _require(self.campaign.n_list in ((), (d.n,)),
+                     "[campaign] n_list is not supported for a stratified "
+                     f"design: its size is fixed at n = {d.n} by n_per_stratum")
+
+
+_SECTIONS = {
+    "population": PopulationConfig, "design": DesignConfig,
+    "estimator": EstimatorConfig, "band": BandConfig,
+    "campaign": CampaignConfig, "oracle": OracleConfig,
+}
 
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
-    cfg = RunConfig()
-    for section in parser.sections():
-        if not hasattr(cfg, section):
-            raise ConfigurationError(f"unknown config section [{section}]")
-        setattr(cfg, section, dict(parser.items(section)))
-    _validate(cfg)
-    return cfg
-
-
-def _get_int(d, key, default=None, minimum=None):
-    raw = d.get(key, default)
-    if raw is None:
-        raise ConfigurationError(f"missing integer option {key!r}")
     try:
-        val = int(str(raw))
-    except ValueError:
-        raise ConfigurationError(f"option {key!r} must be an integer") from None
-    if minimum is not None and val < minimum:
-        raise ConfigurationError(f"option {key!r} must be >= {minimum}")
-    return val
-
-
-def _get_float(d, key, default=None):
-    raw = d.get(key, default)
-    if raw is None:
-        raise ConfigurationError(f"missing numeric option {key!r}")
-    try:
-        val = float(str(raw))
-    except ValueError:
-        raise ConfigurationError(f"option {key!r} must be a number") from None
-    if not math.isfinite(val):
-        raise ConfigurationError(f"option {key!r} must be finite, got {raw!r}")
-    return val
-
-
-def _get_bool(d, key, default=False):
-    raw = str(d.get(key, default)).strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"option {key!r} must be a boolean")
-
-
-def _validate(cfg: RunConfig):
-    pop = cfg.population
-    if pop:
-        has_csv = "csv" in pop
-        synthetic = _get_bool(pop, "synthetic", False)
-        if has_csv == synthetic:
-            raise ConfigurationError(
-                "[population] needs exactly one of 'csv' or 'synthetic = true'"
-            )
-        if synthetic:
-            _get_int(pop, "n_units", minimum=1)
-            _get_int(pop, "n_points", default=48, minimum=2)
-            corr = _get_float(pop, "corr", 0.95)
-            if not 0.0 < corr < 1.0:
-                raise ConfigurationError("[population] corr must be in (0, 1)")
-    if cfg.design:
-        kind = cfg.design.get("kind", "srswor")
-        if kind not in ("srswor", "stratified"):
-            raise ConfigurationError(f"unknown design kind {kind!r}")
-        _get_int(cfg.design, "n", minimum=1)
-    if cfg.estimator:
-        kind = cfg.estimator.get("kind", "ma")
-        if kind not in ESTIMATOR_CHOICES:
-            raise ConfigurationError(f"unknown estimator kind {kind!r}")
-        a_raw = cfg.estimator.get("a", "0")
-        if a_raw != "auto":
-            a = _get_float(cfg.estimator, "a", 0.0)
-            if a < 0:
-                raise ConfigurationError("[estimator] a must be >= 0 or 'auto'")
-    if cfg.band:
-        alpha = _get_float(cfg.band, "alpha", 0.05)
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError("[band] alpha must be in (0, 1)")
-        _get_int(cfg.band, "n_sims", default=10_000, minimum=100)
-    if cfg.campaign:
-        _get_int(cfg.campaign, "replicates", minimum=2)
-        _n_list(cfg.campaign)
-
-
-def estimator_floor(cfg: RunConfig) -> float | None:
-    """None means the relative default floor; 0.0 means no floor."""
-    raw = cfg.estimator.get("a", "0")
-    if raw == "auto":
-        return None
-    return float(raw)
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigurationError(f"cannot read config file {path}")
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"bad config file {path}: {exc}") from None
+    parsed = {}
+    for name, items in sections.items():
+        _require(name in _SECTIONS, f"unknown config section [{name}]")
+        convert = {f.name: f.metadata["convert"] for f in fields(_SECTIONS[name])}
+        for key, _ in items:
+            _require(key in convert, f"unknown option {key!r} in [{name}]")
+        parsed[name] = _SECTIONS[name](
+            **{key: convert[key](key, raw) for key, raw in items}
+        )
+    return RunConfig(**parsed)
 
 
 def build_population(cfg: RunConfig, seed: int):
     """Returns (population, stratum_labels_or_None)."""
     pop = cfg.population
-    if not pop:
-        raise ConfigurationError("config needs a [population] section")
-    if "csv" in pop:
-        path = Path(pop["csv"])
-        if not path.exists():
-            raise ConfigurationError(f"population csv not found: {path}")
-        return read_population_csv(path, strata_column=pop.get("strata_column"))
+    _require(pop is not None, "config needs a [population] section")
+    if pop.csv is not None:
+        path = Path(pop.csv)
+        _require(path.exists(), f"population csv not found: {path}")
+        return read_population_csv(path, strata_column=pop.strata_column)
     population = study_population(
-        n_units=_get_int(pop, "n_units", minimum=1),
-        n_points=_get_int(pop, "n_points", default=48, minimum=2),
-        corr=_get_float(pop, "corr", 0.95),
-        t_max=_get_float(pop, "t_max", 1.0),
-        kernel_kind=pop.get("kernel", "exponential"),
-        length_scale=_get_float(pop, "length_scale", 0.2),
+        n_units=pop.n_units,
+        n_points=pop.n_points,
+        corr=pop.corr,
+        t_max=pop.t_max,
+        kernel_kind=pop.kernel,
+        length_scale=pop.length_scale,
         seed=seed,
     )
     return population, None
-
-
-def _parse_ranges(raw: str, N: int):
-    strata = []
-    for part in raw.split(","):
-        part = part.strip()
-        if "-" not in part:
-            raise ConfigurationError(f"bad stratum range {part!r}, want lo-hi")
-        lo, hi = part.split("-", 1)
-        lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi < N:
-            raise ConfigurationError(f"stratum range {part!r} outside 0..{N - 1}")
-        strata.append(np.arange(lo, hi + 1))
-    return tuple(strata)
 
 
 def build_design(
     cfg: RunConfig, N: int, labels: list[str] | None = None
 ) -> SamplingDesign:
     d = cfg.design
-    if not d:
-        raise ConfigurationError("config needs a [design] section")
-    kind = d.get("kind", "srswor")
-    n = _get_int(d, "n", minimum=1)
-    if kind == "srswor":
-        return SamplingDesign(kind="srswor", N=N, n=n)
-    if "ranges" in d:
-        strata = _parse_ranges(d["ranges"], N)
-        n_h = tuple(int(v) for v in d["n_per_stratum"].split(","))
+    _require(d is not None, "config needs a [design] section")
+    if d.kind == "srswor":
+        return SamplingDesign(kind="srswor", N=N, n=d.n)
+    allocation = d.n_per_stratum
+    if d.ranges is not None:
+        for lo, hi in d.ranges:
+            _require(lo <= hi < N, f"stratum range {lo}-{hi} outside 0..{N - 1}")
+        strata = tuple(np.arange(lo, hi + 1) for lo, hi in d.ranges)
     elif labels is not None:
+        allocation = sorted(allocation)  # strata in label order
         arr = np.asarray(labels)
-        allocations = dict(
-            pair.split(":", 1) for pair in d["n_per_stratum"].split(",")
-        )
-        strata, n_h = [], []
-        for label in sorted(allocations):
-            members = np.flatnonzero(arr == label)
-            if members.size == 0:
-                raise ConfigurationError(f"no units carry stratum label {label!r}")
-            strata.append(members)
-            n_h.append(int(allocations[label]))
-        strata, n_h = tuple(strata), tuple(n_h)
+        strata = tuple(np.flatnonzero(arr == label) for label, _ in allocation)
+        for (label, _), members in zip(allocation, strata):
+            _require(members.size > 0, f"no units carry stratum label {label!r}")
     else:
         raise ConfigurationError(
             "stratified design needs 'ranges' or a population strata column"
         )
-    return SamplingDesign(kind="stratified", N=N, n=n, strata=strata, n_h=n_h)
-
-
-def _n_list(campaign: dict) -> list[int]:
-    """The sample sizes of `[campaign] n_list` (empty when absent)."""
-    sizes = []
-    for part in str(campaign.get("n_list", "")).split(","):
-        if not part.strip():
-            continue
-        try:
-            size = int(part)
-        except ValueError:
-            raise ConfigurationError(
-                f"[campaign] n_list entries must be integers, got {part.strip()!r}"
-            ) from None
-        if size < 1:
-            raise ConfigurationError("[campaign] n_list entries must be >= 1")
-        sizes.append(size)
-    return sizes
-
-
-def campaign_sizes(cfg: RunConfig) -> list[int]:
-    return _n_list(cfg.campaign) or [_get_int(cfg.design, "n", minimum=1)]
+    n_h = tuple(count for _, count in allocation)
+    return SamplingDesign(kind="stratified", N=N, n=d.n, strata=strata, n_h=n_h)

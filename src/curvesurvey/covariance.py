@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimators
 from .designs import Sample, SamplingDesign, first_order_probs, joint_prob_within
 from .errors import ValidationError
 from .estimators import _sampled_beta, beta_population
@@ -153,3 +154,24 @@ def ht_covariance_estimate(
     return CovarianceEstimate(
         matrix=_estimated_covariance(rows, sample), kind="HT_estimated"
     )
+
+
+# The one table of estimator kinds: kind -> (mean, covariance).
+# mean(pop, sample, a) gives the MeanEstimate and covariance(pop, sample, a,
+# mu) its CovarianceEstimate given the estimated curve mu; covariance is
+# None for an estimator without a sample covariance estimator, which cannot
+# run a campaign.  Functions are looked up by name at each call, so wrappers
+# installed on them later (tracing spans) see these calls.
+ESTIMATORS = {
+    "ht": (lambda pop, s, a: estimators.ht_mean(pop, s),
+           lambda pop, s, a, mu: ht_covariance_estimate(pop, s)),
+    # HT covariance of the linearized curves: the sample centred at mu
+    "hajek": (lambda pop, s, a: estimators.hajek_mean(pop, s),
+              lambda pop, s, a, mu: ht_covariance_estimate(pop, s, center=mu)),
+    "ma": (lambda pop, s, a: estimators.model_assisted_mean(pop, s, a=a),
+           lambda pop, s, a, mu: ma_covariance_estimate(pop, s, a=a)),
+    # the census-fit difference estimator, a testing oracle
+    "difference": (lambda pop, s, a: estimators.difference_mean(pop, s), None),
+}
+
+CAMPAIGN_ESTIMATORS = tuple(k for k, (_, cov) in ESTIMATORS.items() if cov)

@@ -15,17 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import build_band, contains
-from .covariance import (
-    CovarianceEstimate,
-    ht_covariance_estimate,
-    ma_covariance_estimate,
-)
+from .covariance import CAMPAIGN_ESTIMATORS, ESTIMATORS, CovarianceEstimate
 from .designs import SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
-from .estimators import MeanEstimate, hajek_mean, ht_mean, model_assisted_mean
 from .grids import FunctionalPopulation, population_mean
-
-ESTIMATOR_KINDS = ("ma", "ht", "hajek")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,34 +63,22 @@ def relative_error(
     return float(np.mean(((est - ref) / ref) ** 2))
 
 
-def _estimate_once(pop, sample, estimator, a):
-    if estimator == "ma":
-        mu = model_assisted_mean(pop, sample, a=a).curve
-        gamma = ma_covariance_estimate(pop, sample, a=a)
-    elif estimator == "ht":
-        mu = ht_mean(pop, sample).curve
-        gamma = ht_covariance_estimate(pop, sample)
-    else:
-        mu = hajek_mean(pop, sample).curve
-        # HT variance estimator applied to curves centered at the estimate
-        gamma = ht_covariance_estimate(pop, sample, center=mu)
-    return mu, gamma
-
-
 def _run_replicate(args):
     (pop, design, estimator, a, master_seed, i, compute_coverage, alpha,
      band_sims, truth) = args
     rng = replicate_rng(master_seed, i, 0)
     sample = draw(design, rng)
+    mean, covariance = ESTIMATORS[estimator]
     try:
-        mu, gamma = _estimate_once(pop, sample, estimator, a)
+        estimate = mean(pop, sample, a)
+        gamma = covariance(pop, sample, a, estimate.curve)
     except CurveSurveyError as exc:
         return i, None, None, None, str(exc)
     covered = None
     if compute_coverage:
         try:
             band = build_band(
-                MeanEstimate(curve=mu, estimator_kind="ModelAssisted"),
+                estimate,
                 gamma,
                 n=design.n,
                 alpha=alpha,
@@ -106,8 +87,8 @@ def _run_replicate(args):
             )
             covered = contains(band, truth)
         except CurveSurveyError as exc:
-            return i, mu, np.diag(gamma.matrix).copy(), None, str(exc)
-    return i, mu, np.diag(gamma.matrix).copy(), covered, None
+            return i, estimate.curve, np.diag(gamma.matrix).copy(), None, str(exc)
+    return i, estimate.curve, np.diag(gamma.matrix).copy(), covered, None
 
 
 def _openblas_entry(name: str):
@@ -167,8 +148,9 @@ def run_campaign(
 ) -> MonteCarloReport:
     """Full replication campaign; deterministic given master_seed, and
     independent of the worker count (streams are keyed per replicate)."""
-    if estimator not in ESTIMATOR_KINDS:
-        raise ValidationError(f"unknown estimator {estimator!r}")
+    if estimator not in CAMPAIGN_ESTIMATORS:
+        raise ValidationError(f"campaigns support estimators "
+                              f"{', '.join(CAMPAIGN_ESTIMATORS)}, not {estimator!r}")
     if replicates < 2:
         raise ValidationError("need at least 2 replicates")
     if workers < 1:
@@ -258,16 +240,12 @@ def replicate_estimates(
     master_seed: int = 0,
 ) -> np.ndarray:
     """Replicate mean-curve estimates only (no variance estimation), (I, D)."""
-    if estimator not in ESTIMATOR_KINDS:
+    if estimator not in ESTIMATORS:
         raise ValidationError(f"unknown estimator {estimator!r}")
+    mean, _ = ESTIMATORS[estimator]
     out = np.empty((replicates, pop.grid.size))
     for i in range(replicates):
         rng = replicate_rng(master_seed, i, 0)
         sample = draw(design, rng)
-        if estimator == "ma":
-            out[i] = model_assisted_mean(pop, sample, a=a).curve
-        elif estimator == "ht":
-            out[i] = ht_mean(pop, sample).curve
-        else:
-            out[i] = hajek_mean(pop, sample).curve
+        out[i] = mean(pop, sample, a).curve
     return out

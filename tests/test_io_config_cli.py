@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvesurvey import TimeGrid, ValidationError, study_population
 from curvesurvey.cli import main
@@ -158,6 +165,18 @@ n_per_stratum = a:1,b:1
             "[population]\nsynthetic = true\nn_units = 10\n[band]\nalpha = 0\n",
             "[population]\ncsv = x.csv\nsynthetic = true\n",
             "[bogus]\nx = 1\n",
+            "[design]\nn = 4\nn = 5\n",
+            "[design]\nn = 4\nkind = stratified\nranges = 0-9,10-19\n"
+            "n_per_stratum = a:2,b:2\n",
+            "[design]\nn = 4\nkind = stratified\nn_per_stratum = 2,b:2\n",
+            "[design]\nn = 4\nkind = stratified\nranges = 0-9\nn_per_stratum = 4\n"
+            "[campaign]\nreplicates = 5\nn_list = 4,8\n",
+            "[campaign]\nreplicates = 1\n",
+            "[estimator]\na = -1\n",
+            "[estimator]\nkind = difference\nalpha = 0.1\n",
+            "[oracle]\nn_units = 9\n",
+            "[oracle]\ntol = 0\n",
+            "[population]\ncsv = %(missing)s\n",
         ],
     )
     def test_rejects_invalid(self, tmp_path, body):
@@ -295,6 +314,28 @@ class TestCliRejectsBadNumbers:
              "'t_max' must be finite"),
             ("montecarlo", "n_list = 10,20", "n_list = 5,abc",
              "n_list entries must be integers, got 'abc'"),
+            ("estimate", "kind = srswor", "kind = stratified\nranges = 0-29,30-59",
+             "needs 'n_per_stratum'"),
+            ("estimate", "kind = srswor",
+             "kind = stratified\nranges = 0-29,30-x\nn_per_stratum = 5,5",
+             "bad stratum range '30-x'"),
+            ("estimate", "kind = srswor", "kind = stratified\nn_per_stratum = a1,b:1",
+             "got 'a1'"),
+            ("estimate", "kind = srswor", "kind = stratified\nn_per_stratum = a:x,b:1",
+             "got 'x'"),
+            ("oracle-check", "n_list = 10,20", "n_list = 10,20\n[oracle]\nn_units = abc",
+             "'n_units' must be an integer, got 'abc'"),
+            ("oracle-check", "n_list = 10,20", "n_list = 10,20\n[oracle]\ntol = nan",
+             "'tol' must be finite"),
+            ("montecarlo", "n_list = 10,20", "n_list = 10,20\ncoverage = maybe",
+             "'coverage' must be a boolean, got 'maybe'"),
+            ("estimate", "[design]", "[population]\nn_units = 5\n[design]",
+             "section 'population' already exists"),
+            ("estimate", "[population]\n", "", "no section headers"),
+            ("bands", "n_sims = 500", "n_sim = 100", "unknown option 'n_sim' in [band]"),
+            # 10^14 simulations need a 728 TiB buffer, beyond any address
+            # space, so the allocation fails at once
+            ("bands", "n_sims = 500", "n_sims = 100000000000000", "Unable to allocate"),
         ],
     )
     def test_exit_2_with_a_message(self, tmp_path, capsys, command, old, new,
@@ -376,3 +417,90 @@ class TestStratifiedCli:
                      "--out", str(out)]) == 0
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 2 and rows[1].startswith("4,")
+
+
+# Valid small values of every option (sizes bounded to keep runs short),
+# and junk for any of them.
+FUZZ_VALUES = {
+    "population": {
+        "synthetic": ("true", "false"), "n_units": ("12", "40", "60"),
+        "n_points": ("2", "5"), "corr": ("0.5", "0.95"), "t_max": ("1", "3.5"),
+        "kernel": ("white", "exponential", "periodic_exponential"),
+        "length_scale": ("0.2", "2"),
+    },
+    "design": {
+        "kind": ("srswor", "stratified"), "n": ("4", "10"),
+        "ranges": ("0-5,6-11", "0-19,20-39"), "n_per_stratum": ("2,2", "5,5", "a:2,b:2"),
+    },
+    "estimator": {"kind": ("ht", "hajek", "ma", "difference"), "a": ("0", "auto", "1e-3")},
+    "band": {"alpha": ("0.05", "0.3"), "n_sims": ("100", "500")},
+    "campaign": {"replicates": ("2", "5"), "n_list": ("4,8", "10"), "coverage": ("true", "no")},
+    "oracle": {
+        "n_units": ("4", "6"), "n": ("1", "2", "3"), "n_points": ("2", "3"),
+        "seed": ("0", "7"), "tol": ("1e-10", "1e-6"), "corrupt_pi2": ("0", "0.01"),
+    },
+}
+FUZZ_JUNK = ("nan", "inf", "-inf", "-1", "0", "1e308", "1e-300", "", "abc", "5-",
+             "0-x", "a:", ":3", "a:b", "3,,x", "%(x)s")
+FUZZ_BASE = {
+    "population": {"synthetic": "true", "n_units": "40", "n_points": "5"},
+    "design": {"kind": "srswor", "n": "10"},
+    "estimator": {"kind": "ma", "a": "0"},
+    "band": {"n_sims": "200"},
+    "campaign": {"replicates": "4", "n_list": "6,12", "coverage": "true"},
+    "oracle": {},
+}
+
+
+@st.composite
+def ini_texts(draw):
+    """INI text: a small valid run config with a few options set to other
+    valid values or junk, dropped or renamed, plus stray lines (unknown or
+    duplicate sections and keys, options before any header)."""
+    config = {name: dict(options) for name, options in FUZZ_BASE.items()}
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(FUZZ_VALUES)))
+        key = draw(st.sampled_from(sorted(FUZZ_VALUES[name]) + ["n_sim"]))
+        action = draw(st.sampled_from(("valid", "junk", "drop")))
+        if action == "drop" and key != "replicates":  # 1000 replicates by default
+            config[name].pop(key, None)
+        else:
+            values = FUZZ_VALUES[name].get(key, ()) if action == "valid" else ()
+            config[name][key] = draw(st.sampled_from(values or FUZZ_JUNK))
+    lines = []
+    for name, options in config.items():
+        lines.append(f"[{name}]")
+        lines.extend(f"{key} = {value}" for key, value in options.items())
+    stray = ("[bogus]", "[band]", "alpha = 0.1", "alpha = 0.2", "no equals sign")
+    for line in draw(st.lists(st.sampled_from(stray), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@given(ini_texts())
+@settings(max_examples=30, deadline=None)
+def test_cli_survives_arbitrary_config(text):
+    """Every subcommand exits 0, 2, 3 or 4 on any config text, prints no
+    traceback and writes only finite numbers.  The generated population,
+    replicate and simulation counts stay small (n_units <= 60,
+    replicates <= 5, n_sims <= 500), and replicates is never dropped (its
+    default is 1000), only to bound the run time; a huge allocation is
+    covered by TestCliRejectsBadNumbers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        for command in ("estimate", "bands", "montecarlo", "oracle-check"):
+            out = Path(tmp) / command
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--seed", "1",
+                             "--out", str(out)])
+            assert code in (0, 2, 3, 4), (command, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            for table in out.glob("*.csv"):
+                for cell in table.read_text(encoding="utf-8").replace("\n", ",").split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (table.name, cell)

@@ -1,0 +1,40 @@
+"""The benchmark's tracer (perfbench/spans.py) must see every layer.
+
+The tracer wraps the functions listed in `spans.TRACED` by replacing them in
+the namespaces of the loaded curvesurvey modules.  A traced name that no
+longer exists makes `--trace 1` fail, and a call path that holds a function
+reference captured at import (e.g. in a table) bypasses the wrapper and
+reads as zero time.  perfbench/ is read here, never edited.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from curvesurvey import SamplingDesign, montecarlo, study_population
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+spans = importlib.import_module("spans")
+
+
+@pytest.mark.parametrize("module, attr", sorted(spans.TRACED))
+def test_traced_name_exists(module, attr):
+    assert callable(getattr(importlib.import_module(f"curvesurvey.{module}"), attr))
+
+
+@pytest.mark.parametrize("estimator", ["ma", "ht", "hajek"])
+def test_campaign_layers_are_traced(estimator):
+    pop = study_population(40, 5, seed=1)
+    design = SamplingDesign(kind="srswor", N=pop.N, n=10)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        montecarlo.run_campaign(pop, design, replicates=3, estimator=estimator)
+    finally:
+        tracer.uninstall()
+    recorded = spans.SpanStats(tracer.spans)
+    assert recorded.count("montecarlo.replicate") == 3
+    for name in ("estimators.mean", "covariance.estimate"):
+        assert recorded.count(name, under="montecarlo.replicate") == 3, name
