@@ -39,9 +39,11 @@ def main():
         master_seed=args.seed,
         workers=args.workers,
     )
+    # no coverage rate when no band was built (e.g. a census has no variance)
+    coverage = "-" if report.coverage is None else f"{report.coverage:.4f}"
     print(
         f"n={args.n} alpha={args.alpha} replicates={args.replicates} "
-        f"coverage={report.coverage:.4f} (target {1 - args.alpha:.2f}) "
+        f"coverage={coverage} (target {1 - args.alpha:.2f}) "
         f"errors={report.n_errors}"
     )
 

@@ -59,9 +59,7 @@ from .linalg import (
 from .montecarlo import (
     MonteCarloReport,
     empirical_covariance,
-    integrated_mse,
     relative_error,
-    replicate_estimates,
     run_campaign,
 )
 from .synthetic import (

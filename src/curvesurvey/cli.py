@@ -35,6 +35,14 @@ from .montecarlo import run_campaign
 from .oracle import default_fixture, format_report, oracle_check
 
 
+def nonnegative_int(text: str) -> int:
+    """--seed: a non-negative integer, as np.random.SeedSequence needs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -223,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--config", required=(name != "oracle-check"), help="config file path"
         )
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+        p.add_argument("--seed", type=nonnegative_int, default=None,
+                       help="master RNG seed")
         p.add_argument("--workers", type=int, default=1, help="parallel workers")
         p.add_argument("--out", default=".", help="output directory")
         p.set_defaults(handler=handler)

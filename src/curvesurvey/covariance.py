@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .designs import Sample, SamplingDesign, first_order_probs, joint_prob_within
-from .errors import ValidationError
-from .estimators import _sampled_beta, beta_population
+from .designs import Sample, SamplingDesign, joint_prob_within
+from .estimators import _check_match, _sample_arrays, _sampled_beta, beta_population
 from .grids import FunctionalPopulation
 
 
@@ -40,10 +39,6 @@ class CovarianceEstimate:
 
     matrix: np.ndarray
     kind: str  # HT_exact | MA_approx | MA_estimated
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix)
 
 
 def _block_covariance(rows: np.ndarray, blocks, N: int) -> np.ndarray:
@@ -91,8 +86,7 @@ def ht_covariance_exact(
     pop: FunctionalPopulation, design: SamplingDesign
 ) -> CovarianceEstimate:
     """Exact design covariance of the HT mean estimator at all grid pairs."""
-    if design.N != pop.N:
-        raise ValidationError("design and population sizes differ")
+    _check_match(pop, design)
     return CovarianceEstimate(
         matrix=_exact_covariance(pop.values, design), kind="HT_exact"
     )
@@ -104,8 +98,7 @@ def ma_covariance_approx(
     """HT covariance of the census-fit residuals: the approximate covariance
     of the model-assisted estimator (exactly the covariance of the difference
     estimator)."""
-    if design.N != pop.N:
-        raise ValidationError("design and population sizes differ")
+    _check_match(pop, design)
     beta = beta_population(pop)
     residuals = pop.values - pop.aux @ beta.coefficients
     return CovarianceEstimate(
@@ -123,12 +116,7 @@ def ma_covariance_estimate(
     Fits the design-weighted regression on the sample, forms estimated
     residuals and plugs them into the HT covariance estimator.
     """
-    if sample.design.N != pop.N:
-        raise ValidationError("design and population sizes differ")
-    idx = sample.indices
-    pi = first_order_probs(sample.design)[idx]
-    x_s = pop.aux[idx]
-    y_s = pop.values[idx]
+    x_s, y_s, pi = _sample_arrays(pop, sample)
     beta = _sampled_beta(x_s, y_s, pi, pop.N, a)
     residuals = y_s - x_s @ beta.coefficients
     return CovarianceEstimate(
@@ -146,8 +134,7 @@ def ht_covariance_estimate(
     With ``center`` the sampled curves are centred at it first (the Hájek
     estimator's linearization uses its own estimate as the centre).
     """
-    if sample.design.N != pop.N:
-        raise ValidationError("design and population sizes differ")
+    _check_match(pop, sample.design)
     rows = pop.values[sample.indices]
     if center is not None:
         rows = rows - center

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Sample, first_order_probs
+from .designs import Sample, SamplingDesign, first_order_probs
 from .errors import NumericalError, ValidationError
 from .grids import FunctionalPopulation
 from .linalg import RegularizedInverse, regularized_inverse, sym_eigen
@@ -51,21 +51,20 @@ class CalibrationWeights:
     indices: np.ndarray
 
 
-def _check_match(pop: FunctionalPopulation, sample: Sample):
-    if sample.design.N != pop.N:
-        raise ValidationError(
-            f"sample design has N={sample.design.N}, population has N={pop.N}"
-        )
+def _check_match(pop: FunctionalPopulation, design: SamplingDesign):
+    if design.N != pop.N:
+        raise ValidationError(f"design has N={design.N}, population has N={pop.N}")
 
 
 def _sample_arrays(pop: FunctionalPopulation, sample: Sample):
+    """(x_s, y_s, pi) of the sampled units, once the sizes are checked."""
+    _check_match(pop, sample.design)
     pi = first_order_probs(sample.design)[sample.indices]
     return pop.aux[sample.indices], pop.values[sample.indices], pi
 
 
 def ht_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Horvitz-Thompson estimator: inverse-probability-weighted mean."""
-    _check_match(pop, sample)
     _, y_s, pi = _sample_arrays(pop, sample)
     curve = (y_s / pi[:, None]).sum(axis=0) / pop.N
     return MeanEstimate(curve=curve, estimator_kind="HT", sample=sample)
@@ -73,7 +72,6 @@ def ht_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
 
 def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Hajek estimator: HT total divided by the HT-estimated population size."""
-    _check_match(pop, sample)
     _, y_s, pi = _sample_arrays(pop, sample)
     w = 1.0 / pi
     curve = (y_s * w[:, None]).sum(axis=0) / w.sum()
@@ -126,7 +124,6 @@ def beta_sampled(
     pop: FunctionalPopulation, sample: Sample, a: float | None = 0.0
 ) -> BetaEstimate:
     """Design-weighted coefficient curves from sample data only."""
-    _check_match(pop, sample)
     x_s, y_s, pi = _sample_arrays(pop, sample)
     return _sampled_beta(x_s, y_s, pi, pop.N, a)
 
@@ -171,7 +168,6 @@ def model_assisted_mean(
 ) -> MeanEstimate:
     """Convenience wrapper extracting the information contract from a
     population object and a sample."""
-    _check_match(pop, sample)
     x_s, y_s, pi = _sample_arrays(pop, sample)
     curve, beta = model_assisted_mean_core(
         pop.aux_totals(), x_s, y_s, pi, pop.N, a
@@ -190,13 +186,10 @@ def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     Requires the full population; design-unbiased, used as a testing oracle
     and as the target the model-assisted estimator approximates.
     """
-    _check_match(pop, sample)
+    _, y_s, pi = _sample_arrays(pop, sample)
     beta = beta_population(pop)
     pred = pop.aux @ beta.coefficients
-    pi = first_order_probs(sample.design)[sample.indices]
-    resid_ht = (
-        (pred[sample.indices] - pop.values[sample.indices]) / pi[:, None]
-    ).sum(axis=0) / pop.N
+    resid_ht = ((pred[sample.indices] - y_s) / pi[:, None]).sum(axis=0) / pop.N
     curve = pred.mean(axis=0) - resid_ht
     return MeanEstimate(curve=curve, estimator_kind="Difference", sample=sample)
 
@@ -224,7 +217,6 @@ def calibration_weights(
 def calibration_weights_for(
     pop: FunctionalPopulation, sample: Sample
 ) -> CalibrationWeights:
-    _check_match(pop, sample)
     x_s, _, pi = _sample_arrays(pop, sample)
     return calibration_weights(pop.aux_totals(), x_s, pi, sample.indices)
 

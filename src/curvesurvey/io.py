@@ -91,10 +91,12 @@ def write_population_csv(path, pop: FunctionalPopulation, aux_names=None):
 def read_sample_indices(path, N: int) -> np.ndarray:
     """One 0-based unit index per line."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read sample file: {exc}") from None
     idx = []
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -63,32 +63,45 @@ def relative_error(
     return float(np.mean(((est - ref) / ref) ** 2))
 
 
-def _run_replicate(args):
-    (pop, design, estimator, a, master_seed, i, compute_coverage, alpha,
-     band_sims, truth) = args
-    rng = replicate_rng(master_seed, i, 0)
-    sample = draw(design, rng)
-    mean, covariance = ESTIMATORS[estimator]
+@dataclass(frozen=True, eq=False)
+class _Campaign:
+    """What every replicate of one campaign reads; sent to each pool worker
+    once, through its initializer."""
+
+    pop: FunctionalPopulation
+    design: SamplingDesign
+    estimator: str
+    a: float | None
+    seed: int
+    coverage: bool
+    alpha: float
+    sims: int
+    truth: np.ndarray
+
+
+def _run_replicate(campaign: _Campaign, i: int):
+    """(mean curve, variance curve, band covers truth) of replicate i.
+
+    The curves are None when the estimate failed; covered is None without
+    coverage or when the band failed.
+    """
+    c = campaign
+    sample = draw(c.design, replicate_rng(c.seed, i, 0))
+    mean, covariance = ESTIMATORS[c.estimator]
     try:
-        estimate = mean(pop, sample, a)
-        gamma = covariance(pop, sample, a, estimate.curve)
-    except CurveSurveyError as exc:
-        return i, None, None, None, str(exc)
-    covered = None
-    if compute_coverage:
-        try:
-            band = build_band(
-                estimate,
-                gamma,
-                n=design.n,
-                alpha=alpha,
-                n_sims=band_sims,
-                seed=replicate_rng(master_seed, i, 1),
-            )
-            covered = contains(band, truth)
-        except CurveSurveyError as exc:
-            return i, estimate.curve, np.diag(gamma.matrix).copy(), None, str(exc)
-    return i, estimate.curve, np.diag(gamma.matrix).copy(), covered, None
+        estimate = mean(c.pop, sample, c.a)
+        gamma = covariance(c.pop, sample, c.a, estimate.curve)
+    except CurveSurveyError:
+        return None, None, None
+    gdiag = np.diag(gamma.matrix).copy()
+    if not c.coverage:
+        return estimate.curve, gdiag, None
+    try:
+        band = build_band(estimate, gamma, n=c.design.n, alpha=c.alpha,
+                          n_sims=c.sims, seed=replicate_rng(c.seed, i, 1))
+    except CurveSurveyError:
+        return estimate.curve, gdiag, None
+    return estimate.curve, gdiag, contains(band, c.truth)
 
 
 def _openblas_entry(name: str):
@@ -121,7 +134,7 @@ def _openblas_entry(name: str):
 
 
 def _single_blas_thread() -> None:
-    """Pool initializer: one BLAS thread per worker.
+    """One BLAS thread per pool worker.
 
     Workers times the default BLAS threads oversubscribe the cores, and
     the band kernel's many small matrix products run slower, not faster,
@@ -132,6 +145,20 @@ def _single_blas_thread() -> None:
         set_threads.argtypes = [ctypes.c_int]
         set_threads.restype = None
         set_threads(1)
+
+
+_WORKER_CAMPAIGN: _Campaign | None = None
+
+
+def _start_worker(campaign: _Campaign) -> None:
+    """Pool initializer: keep the campaign, run BLAS on one thread."""
+    global _WORKER_CAMPAIGN
+    _WORKER_CAMPAIGN = campaign
+    _single_blas_thread()
+
+
+def _worker_replicate(i: int):
+    return _run_replicate(_WORKER_CAMPAIGN, i)
 
 
 def run_campaign(
@@ -155,32 +182,29 @@ def run_campaign(
         raise ValidationError("need at least 2 replicates")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    truth = population_mean(pop)
-    tasks = [
-        (pop, design, estimator, a, master_seed, i, compute_coverage, alpha,
-         band_sims, truth)
-        for i in range(replicates)
-    ]
+    campaign = _Campaign(pop, design, estimator, a, master_seed,
+                         compute_coverage, alpha, band_sims, population_mean(pop))
     if workers == 1:
-        results = [_run_replicate(t) for t in tasks]
+        results = [_run_replicate(campaign, i) for i in range(replicates)]
     else:
         chunksize = max(1, replicates // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_single_blas_thread
-        ) as pool:
-            results = list(pool.map(_run_replicate, tasks, chunksize=chunksize))
-    results.sort(key=lambda r: r[0])
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(campaign,)) as pool:
+            results = list(pool.map(_worker_replicate, range(replicates),
+                                    chunksize=chunksize))
 
-    mus, gdiags, covers, failures = [], [], [], 0
-    for _, mu, gdiag, covered, err in results:
-        if mu is None or gdiag is None:
+    mus, gdiags, flags, failures = [], [], [], 0
+    for mu, gdiag, covered in results:
+        if mu is None:
             failures += 1
             continue
         mus.append(mu)
         gdiags.append(gdiag)
-        covers.append(covered)
-        if err is not None:
-            failures += 1  # estimate succeeded but the band step failed
+        if compute_coverage:
+            if covered is None:
+                failures += 1  # estimate succeeded but the band step failed
+            else:
+                flags.append(covered)
     if len(mus) < 2:
         raise NumericalError(
             f"only {len(mus)} of {replicates} replicates produced estimates"
@@ -205,10 +229,7 @@ def run_campaign(
         vr = rmse - rb2
         qs = np.quantile(ers, [0.05, 0.25, 0.5, 0.75, 0.95])
         quantiles = dict(zip(quantile_keys, map(float, qs)))
-        coverage = None
-        if compute_coverage:
-            flags = [c for c in covers if c is not None]
-            coverage = float(np.mean(flags)) if flags else None
+        coverage = float(np.mean(flags)) if flags else None
     return MonteCarloReport(
         n=design.n,
         replicates=replicates,
@@ -223,29 +244,3 @@ def run_campaign(
         mean_curve=mus.mean(axis=0),
         mean_gamma_diag=mean_gdiag,
     )
-
-
-def integrated_mse(estimates: np.ndarray, truth: np.ndarray) -> float:
-    """Replicate-and-grid averaged squared estimation error."""
-    estimates = np.asarray(estimates, dtype=float)
-    return float(np.mean((estimates - truth[None, :]) ** 2))
-
-
-def replicate_estimates(
-    pop: FunctionalPopulation,
-    design: SamplingDesign,
-    replicates: int,
-    estimator: str = "ma",
-    a: float | None = 0.0,
-    master_seed: int = 0,
-) -> np.ndarray:
-    """Replicate mean-curve estimates only (no variance estimation), (I, D)."""
-    if estimator not in ESTIMATORS:
-        raise ValidationError(f"unknown estimator {estimator!r}")
-    mean, _ = ESTIMATORS[estimator]
-    out = np.empty((replicates, pop.grid.size))
-    for i in range(replicates):
-        rng = replicate_rng(master_seed, i, 0)
-        sample = draw(design, rng)
-        out[i] = mean(pop, sample, a).curve
-    return out

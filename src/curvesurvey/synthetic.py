@@ -182,7 +182,12 @@ def study_population(
     beta1 = 1.5 + 0.1 * np.cos(2.0 * np.pi * u)
     sd_z = 1.0
     slope = float(beta1.mean()) * sd_z
-    sigma2 = slope**2 * (1.0 / corr**2 - 1.0)
+    # corr**2 underflows to 0 below about 1e-154
+    sigma2 = slope**2 * (1.0 / corr**2 - 1.0) if corr**2 > 0.0 else np.inf
+    if not np.isfinite(sigma2):
+        raise ConfigurationError(
+            f"corr = {corr:g} is too small: the residual variance is not finite"
+        )
     cfg = SuperpopulationConfig(
         beta_curves=np.vstack([beta0, beta1]),
         kernel=ResidualKernel(

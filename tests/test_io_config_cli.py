@@ -333,6 +333,11 @@ class TestCliRejectsBadNumbers:
              "section 'population' already exists"),
             ("estimate", "[population]\n", "", "no section headers"),
             ("bands", "n_sims = 500", "n_sim = 100", "unknown option 'n_sim' in [band]"),
+            # corr**2 underflows to 0, so 1/corr**2 - 1 is not finite
+            ("estimate", "n_points = 5", "n_points = 5\ncorr = 1e-300",
+             "the residual variance is not finite"),
+            ("estimate", "n = 10", "n = 10\nsample_file = no-such-file.txt",
+             "cannot read sample file"),
             # 10^14 simulations need a 728 TiB buffer, beyond any address
             # space, so the allocation fails at once
             ("bands", "n_sims = 500", "n_sims = 100000000000000", "Unable to allocate"),
@@ -347,6 +352,21 @@ class TestCliRejectsBadNumbers:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
+
+    def test_small_corr_still_runs(self, tmp_path):
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma").replace(
+            "n_points = 5", "n_points = 5\ncorr = 0.01"))
+        assert main(["estimate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--config", str(cfg), "--seed", "-1",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be >= 0, got -1" in err and "Traceback" not in err
 
     def test_zero_variance_band_exits_3(self, tmp_path, capsys):
         # a census has zero design variance at every grid point

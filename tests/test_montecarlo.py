@@ -6,12 +6,12 @@ import pytest
 
 from curvesurvey import montecarlo
 from curvesurvey import (
+    FunctionalPopulation,
+    NumericalError,
     SamplingDesign,
     ValidationError,
     empirical_covariance,
-    integrated_mse,
     relative_error,
-    replicate_estimates,
     run_campaign,
     study_population,
 )
@@ -112,6 +112,19 @@ class TestRunCampaign:
         )
         assert report.rmse > 0
 
+    def test_failed_band_counts_as_error_and_keeps_estimate(self, mc_pop, monkeypatch):
+        def no_band(*args, **kwargs):
+            raise NumericalError("no band")
+
+        monkeypatch.setattr(montecarlo, "build_band", no_band)
+        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        failed = run_campaign(mc_pop, design, replicates=20, compute_coverage=True,
+                              master_seed=4)
+        plain = run_campaign(mc_pop, design, replicates=20, master_seed=4)
+        assert failed.n_errors == 20 and failed.coverage is None
+        assert plain.n_errors == 0
+        assert np.array_equal(failed.mean_curve, plain.mean_curve)
+
     def test_unknown_estimator(self, mc_pop):
         design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         with pytest.raises(ValidationError):
@@ -143,16 +156,21 @@ class TestPoolBlasThreads:
         assert _blas_threads() == before
 
 
-class TestReplicateEstimates:
-    def test_shapes_and_determinism(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=30)
-        a = replicate_estimates(mc_pop, design, 15, estimator="ht", master_seed=4)
-        b = replicate_estimates(mc_pop, design, 15, estimator="ht", master_seed=4)
-        assert a.shape == (15, mc_pop.grid.size)
-        assert np.array_equal(a, b)
+class _CountedPopulation(FunctionalPopulation):
+    """A population that counts how often it is pickled."""
 
-    def test_integrated_mse_zero_for_truth(self, mc_pop):
-        from curvesurvey import population_mean
+    pickles = 0
 
-        truth = population_mean(mc_pop)
-        assert integrated_mse(np.tile(truth, (3, 1)), truth) == 0.0
+    def __reduce_ex__(self, protocol):
+        type(self).pickles += 1
+        return super().__reduce_ex__(protocol)
+
+
+def test_pool_receives_the_population_once_per_worker(mc_pop):
+    pop = _CountedPopulation(grid=mc_pop.grid, values=mc_pop.values, aux=mc_pop.aux)
+    design = SamplingDesign(kind="srswor", N=pop.N, n=40)
+    _CountedPopulation.pickles = 0
+    pooled = run_campaign(pop, design, replicates=40, master_seed=9, workers=2)
+    assert _CountedPopulation.pickles <= 2
+    serial = run_campaign(mc_pop, design, replicates=40, master_seed=9)
+    assert np.array_equal(pooled.gamma_emp.matrix, serial.gamma_emp.matrix)
