@@ -4,7 +4,13 @@ replicated-sampling evaluation harness."""
 
 __version__ = "0.1.0"
 
-from .bands import ConfidenceBand, build_band, contains, simulate_sup_quantile
+from .bands import (
+    ConfidenceBand,
+    build_band,
+    contains,
+    covers,
+    simulate_sup_quantile,
+)
 from .covariance import (
     CovarianceEstimate,
     ht_covariance_estimate,

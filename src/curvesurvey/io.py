@@ -22,6 +22,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> str:
+    byte = exc.object[exc.start]
+    return f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})"
+
+
 def read_population_csv(path, strata_column: str | None = None):
     """Load a population; returns (population, stratum_labels_or_None)."""
     path = Path(path)
@@ -29,9 +34,11 @@ def read_population_csv(path, strata_column: str | None = None):
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(_not_utf8(path, exc)) from None
     curve_cols, aux_cols, strata_col = [], [], None
     times = []
     for j, name in enumerate(header):
@@ -95,6 +102,8 @@ def read_sample_indices(path, N: int) -> np.ndarray:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read sample file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(_not_utf8(path, exc)) from None
     idx = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import build_band, contains
+from .bands import covers
 from .covariance import CAMPAIGN_ESTIMATORS, ESTIMATORS, CovarianceEstimate
 from .designs import SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
@@ -97,11 +97,12 @@ def _run_replicate(campaign: _Campaign, i: int):
     if not c.coverage:
         return estimate.curve, gdiag, None
     try:
-        band = build_band(estimate, gamma, n=c.design.n, alpha=c.alpha,
-                          n_sims=c.sims, seed=replicate_rng(c.seed, i, 1))
+        covered = covers(estimate, gamma, n=c.design.n, alpha=c.alpha,
+                         n_sims=c.sims, seed=replicate_rng(c.seed, i, 1),
+                         truth=c.truth)
     except CurveSurveyError:
         return estimate.curve, gdiag, None
-    return estimate.curve, gdiag, contains(band, c.truth)
+    return estimate.curve, gdiag, covered
 
 
 def _openblas_entry(name: str):

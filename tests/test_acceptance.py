@@ -284,7 +284,8 @@ def test_criterion_11_worker_determinism(tmp_path):
     cfg.write_text(
         "[population]\nsynthetic = true\nn_units = 200\nn_points = 12\n"
         "corr = 0.9\n\n[design]\nkind = srswor\nn = 20\n\n"
-        "[campaign]\nreplicates = 64\nn_list = 10,20\n",
+        "[band]\nn_sims = 300\n\n"
+        "[campaign]\nreplicates = 64\nn_list = 10,20\ncoverage = true\n",
         encoding="utf-8",
     )
     outputs = {}
@@ -303,5 +304,8 @@ def test_criterion_11_worker_determinism(tmp_path):
             for name in ("report.txt", "report.csv", "gamma_emp_n10.csv",
                          "gamma_emp_n20.csv")
         }
-    ok = outputs[1] == outputs[8]
-    _check("C11 worker-determinism", ok, "reports byte-identical at 1 and 8 workers")
+    coverage = [row.split(",")[10] for row in
+                outputs[1]["report.csv"].decode().splitlines()[1:]]
+    ok = outputs[1] == outputs[8] and "" not in coverage
+    _check("C11 worker-determinism", ok,
+           f"reports byte-identical at 1 and 8 workers, coverage {coverage}")

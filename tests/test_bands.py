@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvesurvey import (
     ConfidenceBand,
@@ -8,6 +10,7 @@ from curvesurvey import (
     ValidationError,
     build_band,
     contains,
+    covers,
     simulate_sup_quantile,
 )
 from curvesurvey import bands
@@ -160,7 +163,8 @@ class TestSupKernel:
             cholesky_psd(projected), sigma, n_sims, np.random.default_rng(11)
         )
         scaled, _ = bands._scaled_factor(cov)
-        sups = bands._sup_sample(scaled, n_sims, np.random.default_rng(11))
+        sups = np.empty(n_sims)
+        list(bands._sup_sample(scaled, sups, np.random.default_rng(11)))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
         k = int(np.ceil(0.95 * n_sims))
         c_alpha = simulate_sup_quantile(cov, 0.05, n_sims, seed=11)
@@ -178,7 +182,8 @@ class TestSupKernel:
         expected = one_shot_sup_sample(
             factor, sigma, 3000, np.random.default_rng(4)
         )
-        sups = bands._sup_sample(scaled, 3000, np.random.default_rng(4))
+        sups = np.empty(3000)
+        list(bands._sup_sample(scaled, sups, np.random.default_rng(4)))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
 
     @pytest.mark.parametrize("name", sorted(COVS))
@@ -195,3 +200,161 @@ class TestSupKernel:
         est = MeanEstimate(curve=np.zeros(cov.shape[0]), estimator_kind="ModelAssisted")
         build_band(est, cov_est(cov), n=50, alpha=0.05, n_sims=500, seed=1)
         assert len(calls) == 1
+
+
+def _zero_estimate(d):
+    return MeanEstimate(curve=np.zeros(d), estimator_kind="ModelAssisted")
+
+
+def _oracle_covers(estimate, cov, n, alpha, n_sims, seed, truth):
+    band = build_band(estimate, cov, n=n, alpha=alpha, n_sims=n_sims, seed=seed)
+    return contains(band, truth)
+
+
+def _assert_covers_matches_oracle(estimate, cov, n, alpha, n_sims, seed, truth):
+    expected = _oracle_covers(estimate, cov, n, alpha, n_sims, seed, truth)
+    assert covers(estimate, cov, n, alpha, n_sims, seed, truth) is expected
+    return expected
+
+
+class TestCovers:
+    """The early-stopping coverage flag against its twin
+    contains(build_band(...), truth)."""
+
+    @given(
+        d=st.integers(1, 8),
+        cov_seed=st.integers(0, 2**32 - 1),
+        ridge=st.sampled_from([-0.2, 0.0, 0.05, 1.0]),
+        n=st.integers(1, 500),
+        alpha=st.floats(0.001, 0.6),
+        n_sims=st.integers(100, 2500),
+        spread=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, d, cov_seed, ridge, n, alpha, n_sims,
+                            spread, seed):
+        # a negative ridge makes some covariances indefinite
+        rng = np.random.default_rng(cov_seed)
+        a = rng.standard_normal((d, d))
+        matrix = a @ a.T / d + ridge * np.eye(d)
+        center = rng.standard_normal(d)
+        # the band's half-width is c_alpha * sqrt(diag), whatever n is
+        truth = center + spread * np.sqrt(np.abs(np.diag(matrix))) * \
+            rng.uniform(-1.0, 1.0, d)
+        estimate = MeanEstimate(curve=center, estimator_kind="ModelAssisted")
+        args = (estimate, cov_est(matrix), n, alpha, n_sims, seed, truth)
+        try:
+            expected = _oracle_covers(*args)
+        except DegenerateVarianceError:
+            with pytest.raises(DegenerateVarianceError):
+                covers(*args)
+            return
+        assert covers(*args) is expected
+
+    @pytest.mark.parametrize(
+        "n_sims, alpha",
+        [(100, 0.05), (bands.SIM_BLOCK - 1, 0.05), (bands.SIM_BLOCK, 0.05),
+         (bands.SIM_BLOCK + 1, 0.05), (5000, 0.05), (bands.SIM_BLOCK + 1, 1e-4)],
+    )
+    @pytest.mark.parametrize("name", sorted(COVS))
+    def test_truth_on_and_around_the_band_edge(self, name, n_sims, alpha):
+        cov = cov_est(COVS[name])
+        d = cov.matrix.shape[0]
+        estimate = _zero_estimate(d)
+        band = build_band(estimate, cov, n=50, alpha=alpha, n_sims=n_sims, seed=9)
+        edge = band.half_width[d - 1]
+        outcomes = []
+        # with a zero center, truth = half_width is exactly on the edge (a
+        # tie, which the closed interval covers); one ulp further is outside
+        for value in (0.0, 0.9 * edge, edge, np.nextafter(edge, np.inf),
+                      1.1 * edge):
+            truth = np.zeros(d)
+            truth[d - 1] = value
+            outcomes.append(_assert_covers_matches_oracle(
+                estimate, cov, 50, alpha, n_sims, 9, truth))
+        assert outcomes == [True, True, True, False, False]
+
+    def test_alpha_with_k_equal_to_n_sims(self):
+        n_sims, alpha = bands.SIM_BLOCK + 1, 1e-4
+        assert bands._quantile_rank(alpha, n_sims) == n_sims
+
+    @pytest.mark.parametrize("name", ["indefinite", "semidefinite"])
+    def test_eigen_factor_path(self, name):
+        # n = 1, so n * cov is the matrix whose repair Cholesky refuses
+        cov = cov_est(COVS[name])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(psd_repair(cov.matrix)[0])
+        d = cov.matrix.shape[0]
+        rng = np.random.default_rng(2)
+        sigma = np.sqrt(np.abs(np.diag(cov.matrix)))
+        outcomes = {
+            _assert_covers_matches_oracle(
+                _zero_estimate(d), cov, 1, 0.05, 3000, 5,
+                3.0 * sigma * rng.uniform(-1.0, 1.0, d))
+            for _ in range(20)
+        }
+        assert outcomes == {True, False}
+
+    def test_zero_variance_raises_in_both(self):
+        cov = cov_est(np.diag([1.0, 0.0]))
+        args = (_zero_estimate(2), cov, 10, 0.05, 1000, 0, np.zeros(2))
+        with pytest.raises(DegenerateVarianceError):
+            _oracle_covers(*args)
+        with pytest.raises(DegenerateVarianceError):
+            covers(*args)
+
+    @pytest.mark.parametrize(
+        "n, alpha, n_sims, truth_size",
+        [(0, 0.05, 1000, 3), (10, 0.0, 1000, 3), (10, 1.5, 1000, 3),
+         (10, 0.05, 99, 3), (10, 0.05, 1000, 4)],
+    )
+    def test_same_validation_errors(self, n, alpha, n_sims, truth_size):
+        args = (_zero_estimate(3), cov_est(np.eye(3)), n, alpha, n_sims, 0,
+                np.zeros(truth_size))
+        with pytest.raises(ValidationError) as oracle_error:
+            _oracle_covers(*args)
+        with pytest.raises(ValidationError) as error:
+            covers(*args)
+        assert str(error.value) == str(oracle_error.value)
+
+    def test_stops_after_one_block_when_truth_is_the_center(self):
+        # all 5000 sups would cover; the first block already settles it
+        cov = cov_est(COVS["definite"])
+        d = cov.matrix.shape[0]
+        rng = np.random.default_rng(21)
+        assert covers(_zero_estimate(d), cov, 50, 0.05, 5000, rng, np.zeros(d))
+        reference = np.random.default_rng(21)
+        reference.standard_normal((bands.SIM_BLOCK, d))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "alpha, rank, blocks",
+        [
+            # k = 1948 of 2048: covered needs 101 sups to satisfy P
+            (0.049, -101, 1),  # the first block has 101
+            (0.049, -100, 2),  # it has 100, one short of deciding
+            # k = 512: 512 failing sups decide "not covered"
+            (0.75, 512, 1),
+            (0.75, 511, 2),
+        ],
+    )
+    def test_decided_at_a_block_boundary(self, alpha, rank, blocks):
+        # truth sits on the edge of the band built on the sup of the given
+        # rank in the first block, so that block's count is known
+        n_sims, n, seed = 2 * bands.SIM_BLOCK, 50, 13
+        cov = cov_est(COVS["definite"])
+        d = cov.matrix.shape[0]
+        scaled, sigma = bands._scaled_factor(n * cov.matrix)
+        sups = np.empty(n_sims)
+        list(bands._sup_sample(scaled, sups, np.random.default_rng(seed)))
+        edge = np.sort(sups[: bands.SIM_BLOCK])[rank]
+        truth = np.zeros(d)
+        truth[0] = edge * sigma[0] / np.sqrt(n)
+        rng = np.random.default_rng(seed)
+        _assert_covers_matches_oracle(_zero_estimate(d), cov, n, alpha,
+                                      n_sims, seed, truth)
+        covers(_zero_estimate(d), cov, n, alpha, n_sims, rng, truth)
+        reference = np.random.default_rng(seed)
+        reference.standard_normal((blocks * bands.SIM_BLOCK, d))
+        assert rng.bit_generator.state == reference.bit_generator.state

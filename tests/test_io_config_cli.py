@@ -341,6 +341,10 @@ class TestCliRejectsBadNumbers:
             # 10^14 simulations need a 728 TiB buffer, beyond any address
             # space, so the allocation fails at once
             ("bands", "n_sims = 500", "n_sims = 100000000000000", "Unable to allocate"),
+            # the coverage flag allocates the same buffer before any draw
+            ("montecarlo", "n_sims = 500\n\n[campaign]",
+             "n_sims = 100000000000000\n\n[campaign]\ncoverage = true",
+             "Unable to allocate"),
         ],
     )
     def test_exit_2_with_a_message(self, tmp_path, capsys, command, old, new,
@@ -375,6 +379,34 @@ class TestCliRejectsBadNumbers:
                      "--out", str(tmp_path / "b")]) == 3
         err = capsys.readouterr().err
         assert "not strictly positive" in err and "Traceback" not in err
+
+
+class TestCliRejectsUndecodableFiles:
+    def _exits_2_naming(self, tmp_path, capsys, body, path):
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
+    def test_sample_file(self, tmp_path, capsys):
+        sfile = tmp_path / "sample.txt"
+        sfile.write_bytes(b"1\n\xfe\n")
+        body = SYNTH.format(n=10, kind="ma").replace(
+            "n = 10", f"n = 10\nsample_file = {sfile}")
+        self._exits_2_naming(tmp_path, capsys, body, sfile)
+
+    def test_population_csv(self, tmp_path, capsys, pop_csv):
+        path, _ = pop_csv
+        header, first, rest = path.read_bytes().split(b"\n", 2)
+        cells = first.split(b",")
+        cells[1] = b"\xff"
+        path.write_bytes(b"\n".join([header, b",".join(cells), rest]))
+        body = (f"[population]\ncsv = {path}\n\n[design]\nkind = srswor\n"
+                "n = 12\n\n[estimator]\nkind = ma\na = 0\n")
+        self._exits_2_naming(tmp_path, capsys, body, path)
 
 
 STRATIFIED = """

@@ -116,7 +116,7 @@ class TestRunCampaign:
         def no_band(*args, **kwargs):
             raise NumericalError("no band")
 
-        monkeypatch.setattr(montecarlo, "build_band", no_band)
+        monkeypatch.setattr(montecarlo, "covers", no_band)
         design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         failed = run_campaign(mc_pop, design, replicates=20, compute_coverage=True,
                               master_seed=4)
