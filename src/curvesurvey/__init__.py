@@ -23,11 +23,9 @@ from .designs import (
     SamplingDesign,
     draw,
     enumerate_samples,
-    first_order_prob,
     first_order_probs,
     replicate_rng,
     second_order_matrix,
-    second_order_prob,
 )
 from .errors import (
     ConfigurationError,
@@ -65,7 +63,6 @@ from .linalg import (
 from .montecarlo import (
     MonteCarloReport,
     empirical_covariance,
-    relative_error,
     run_campaign,
 )
 from .synthetic import (

@@ -35,12 +35,16 @@ from .montecarlo import run_campaign
 from .oracle import default_fixture, format_report, oracle_check
 
 
-def nonnegative_int(text: str) -> int:
-    """--seed: a non-negative integer, as np.random.SeedSequence needs."""
+def nonnegative_int(text: str, low: int = 0) -> int:
+    """--seed: an integer >= low (0, as np.random.SeedSequence needs)."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:  # --workers
+    return nonnegative_int(text, low=1)
 
 
 def _resolve_seed(args) -> int:
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=nonnegative_int, default=None,
                        help="master RNG seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument("--workers", type=positive_int, default=1, help="pool size")
         p.add_argument("--out", default=".", help="output directory")
         p.set_defaults(handler=handler)
     return parser

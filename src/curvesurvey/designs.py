@@ -142,12 +142,6 @@ def first_order_probs(design: SamplingDesign) -> np.ndarray:
     return design._inclusion_probs
 
 
-def first_order_prob(design: SamplingDesign, k: int) -> float:
-    if not 0 <= k < design.N:
-        raise ValidationError(f"unit index {k} out of 0..{design.N - 1}")
-    return float(first_order_probs(design)[k])
-
-
 def joint_prob_within(N_h: int, n_h: int) -> float:
     """pi_kl of two distinct units of one stratum (1.0 when N_h = 1: no pair)."""
     return n_h * (n_h - 1) / (N_h * (N_h - 1)) if N_h > 1 else 1.0
@@ -173,13 +167,6 @@ def joint_probs_submatrix(design: SamplingDesign, idx: np.ndarray) -> np.ndarray
         mat[np.ix_(members, members)] = joint_prob_within(s.size, m)
     np.fill_diagonal(mat, pi)
     return mat
-
-
-def second_order_prob(design: SamplingDesign, k: int, l: int) -> float:
-    for idx in (k, l):
-        if not 0 <= idx < design.N:
-            raise ValidationError(f"unit index {idx} out of 0..{design.N - 1}")
-    return float(second_order_matrix(design)[k, l])
 
 
 def draw(design: SamplingDesign, rng: np.random.Generator) -> Sample:

@@ -8,7 +8,9 @@ optionally, simultaneous band coverage.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -47,20 +49,6 @@ def empirical_covariance(estimates: np.ndarray) -> CovarianceEstimate:
     centered = estimates - estimates.mean(axis=0)
     matrix = centered.T @ centered / estimates.shape[0]
     return CovarianceEstimate(matrix=0.5 * (matrix + matrix.T), kind="empirical")
-
-
-def relative_error(
-    estimated: CovarianceEstimate | np.ndarray,
-    reference: CovarianceEstimate | np.ndarray,
-) -> float:
-    """Mean squared relative deviation of the variance (diagonal) curves."""
-    est = np.diag(estimated.matrix) if isinstance(estimated, CovarianceEstimate) else np.asarray(estimated, dtype=float)
-    ref = np.diag(reference.matrix) if isinstance(reference, CovarianceEstimate) else np.asarray(reference, dtype=float)
-    if est.shape != ref.shape:
-        raise ValidationError("variance curves must share the grid")
-    if np.any(ref <= 0.0):
-        raise ValidationError("reference variance must be strictly positive")
-    return float(np.mean(((est - ref) / ref) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +93,10 @@ def _run_replicate(campaign: _Campaign, i: int):
     return estimate.curve, gdiag, covered
 
 
-def _openblas_entry(name: str):
-    """OpenBLAS function `name` (e.g. "set_num_threads") of the library
-    loaded in this process, or None when no OpenBLAS is loaded.
+@functools.cache
+def _openblas_entry(name: str, restype=ctypes.c_int, argtypes=()):
+    """OpenBLAS function `name` (e.g. "get_num_threads") of the library
+    loaded in this process, or None without an OpenBLAS; looked up once.
 
     The library is found in the process's memory map; its symbols carry
     the "scipy_" prefix and "64_" suffix in numpy's wheels.
@@ -130,32 +119,41 @@ def _openblas_entry(name: str):
                        for prefix in ("scipy_", "") for suffix in ("64_", "")):
             func = getattr(lib, symbol, None)
             if func is not None:
+                func.restype, func.argtypes = restype, argtypes
                 return func
     return None
 
 
-def _single_blas_thread() -> None:
-    """One BLAS thread per pool worker.
+def _set_blas_threads(count: int) -> int | None:
+    """Set the OpenBLAS thread count and return the previous one; without
+    an OpenBLAS change nothing and return None."""
+    set_threads = _openblas_entry("set_num_threads", None, (ctypes.c_int,))
+    if set_threads is None:
+        return None
+    before = _openblas_entry("get_num_threads")()
+    set_threads(count)
+    return before
 
-    Workers times the default BLAS threads oversubscribe the cores, and
-    the band kernel's many small matrix products run slower, not faster,
-    when they do.  Without an OpenBLAS the worker is left as it is.
-    """
-    set_threads = _openblas_entry("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run a replicate loop with BLAS on one thread, then restore the count:
+    a replicate's D x D and SIM_BLOCK x D products gain nothing from more."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)  # a no-op without an OpenBLAS
 
 
 _WORKER_CAMPAIGN: _Campaign | None = None
 
 
 def _start_worker(campaign: _Campaign) -> None:
-    """Pool initializer: keep the campaign, run BLAS on one thread."""
+    """Pool initializer: keep the campaign, run BLAS on one thread for good."""
     global _WORKER_CAMPAIGN
     _WORKER_CAMPAIGN = campaign
-    _single_blas_thread()
+    _set_blas_threads(1)
 
 
 def _worker_replicate(i: int):
@@ -185,8 +183,10 @@ def run_campaign(
         raise ValidationError("workers must be >= 1")
     campaign = _Campaign(pop, design, estimator, a, master_seed,
                          compute_coverage, alpha, band_sims, population_mean(pop))
+    workers = min(workers, replicates)  # a fork pool starts every worker at once
     if workers == 1:
-        results = [_run_replicate(campaign, i) for i in range(replicates)]
+        with _one_blas_thread():
+            results = [_run_replicate(campaign, i) for i in range(replicates)]
     else:
         chunksize = max(1, replicates // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,

@@ -121,21 +121,30 @@ def _residual_factor(kernel: ResidualKernel, grid: TimeGrid) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _draw_residuals(kernel, grid, count, rng) -> np.ndarray:
-    factor = _residual_factor(kernel, grid)
-    z = rng.standard_normal((count, grid.size))
-    return z @ factor.T
+GEN_BLOCK = 1024  # rows drawn at a time: the population is the one N x D array
 
 
-def _draw_aux(spec: AuxSpec, kernel, grid, count, rng) -> np.ndarray:
+def _draw_residuals(factor: np.ndarray, rng, count: int) -> np.ndarray:
+    """(count, D) residuals z @ factor.T, z standard normal, drawn GEN_BLOCK
+    rows at a time in the stream order of one (count, D) draw."""
+    out = np.empty((count, len(factor)))
+    z = np.empty((min(GEN_BLOCK, count), len(factor)))
+    for lo in range(0, count, GEN_BLOCK):
+        rows = out[lo:lo + GEN_BLOCK]
+        np.matmul(rng.standard_normal(out=z[: len(rows)]), factor.T, out=rows)
+    return out
+
+
+def _draw_aux(spec: AuxSpec, factor, count, rng) -> np.ndarray:
     ones = np.ones(count)
     if spec.kind == "intercept_only":
         return ones[:, None]
     base = rng.normal(spec.mean, spec.sd, count)
     if spec.kind == "gaussian":
         return np.column_stack([ones, base])
-    past = base[:, None] + _draw_residuals(kernel, grid, count, rng)
-    return np.column_stack([ones, past.mean(axis=1)])
+    blocks = (base[lo:lo + GEN_BLOCK, None] for lo in range(0, count, GEN_BLOCK))
+    past = [(b + _draw_residuals(factor, rng, len(b))).mean(axis=1) for b in blocks]
+    return np.column_stack([ones, np.concatenate(past)])
 
 
 def generate_population(
@@ -154,10 +163,20 @@ def generate_population(
             f"{grid.size} points"
         )
     rng = np.random.default_rng(cfg.seed)
-    aux = _draw_aux(cfg.aux, cfg.kernel, grid, n_units, rng)
-    eps = _draw_residuals(cfg.kernel, grid, n_units, rng)
-    values = aux @ cfg.beta_curves + eps
+    factor = _residual_factor(cfg.kernel, grid)
+    aux = _draw_aux(cfg.aux, factor, n_units, rng)
+    values = _draw_residuals(factor, rng, n_units)
+    for lo in range(0, n_units, GEN_BLOCK):
+        values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ cfg.beta_curves
     return FunctionalPopulation(grid=grid, values=values, aux=aux)
+
+
+def _study_trend(n_points: int, t_max: float) -> tuple[TimeGrid, np.ndarray]:
+    """Grid and (2, D) intercept and nearly flat slope of the study populations."""
+    grid = TimeGrid(np.linspace(0.0, t_max, n_points))
+    u = grid.points / t_max
+    return grid, np.vstack([2.0 + np.sin(2.0 * np.pi * u),
+                            1.5 + 0.1 * np.cos(2.0 * np.pi * u)])
 
 
 def study_population(
@@ -176,12 +195,9 @@ def study_population(
     """
     if not 0.0 < corr < 1.0:
         raise ConfigurationError("corr must be in (0, 1)")
-    grid = TimeGrid(np.linspace(0.0, t_max, n_points))
-    u = grid.points / t_max
-    beta0 = 2.0 + np.sin(2.0 * np.pi * u)
-    beta1 = 1.5 + 0.1 * np.cos(2.0 * np.pi * u)
+    grid, beta = _study_trend(n_points, t_max)
     sd_z = 1.0
-    slope = float(beta1.mean()) * sd_z
+    slope = float(beta[1].mean()) * sd_z
     # corr**2 underflows to 0 below about 1e-154
     sigma2 = slope**2 * (1.0 / corr**2 - 1.0) if corr**2 > 0.0 else np.inf
     if not np.isfinite(sigma2):
@@ -189,7 +205,7 @@ def study_population(
             f"corr = {corr:g} is too small: the residual variance is not finite"
         )
     cfg = SuperpopulationConfig(
-        beta_curves=np.vstack([beta0, beta1]),
+        beta_curves=beta,
         kernel=ResidualKernel(
             kind=kernel_kind, sigma2=sigma2, length_scale=length_scale
         ),
@@ -219,17 +235,13 @@ def heteroscedastic_study_population(
     if scale_sd < 0:
         raise ConfigurationError("scale_sd must be >= 0")
     rng = np.random.default_rng(seed)
-    grid = TimeGrid(np.linspace(0.0, t_max, n_points))
-    u = grid.points / t_max
-    beta0 = 2.0 + np.sin(2.0 * np.pi * u)
-    beta1 = 1.5 + 0.1 * np.cos(2.0 * np.pi * u)
-    z = rng.normal(5.0, 1.0, n_units)
-    aux = np.column_stack([np.ones(n_units), z])
-    kernel = ResidualKernel(
-        kind="exponential", sigma2=sigma2, length_scale=length_scale
-    )
-    eta = _draw_residuals(kernel, grid, n_units, rng)
+    grid, beta = _study_trend(n_points, t_max)
+    aux = np.column_stack([np.ones(n_units), rng.normal(5.0, 1.0, n_units)])
+    kernel = ResidualKernel("exponential", sigma2, length_scale)
+    values = _draw_residuals(_residual_factor(kernel, grid), rng, n_units)
     scales = np.exp(scale_sd * rng.standard_normal(n_units))
     scales /= np.sqrt(np.mean(scales**2))
-    values = aux @ np.vstack([beta0, beta1]) + scales[:, None] * eta
+    values *= scales[:, None]
+    for lo in range(0, n_units, GEN_BLOCK):
+        values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ beta
     return FunctionalPopulation(grid=grid, values=values, aux=aux)

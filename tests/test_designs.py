@@ -12,11 +12,9 @@ from curvesurvey import (
     ValidationError,
     draw,
     enumerate_samples,
-    first_order_prob,
     first_order_probs,
     replicate_rng,
     second_order_matrix,
-    second_order_prob,
 )
 from curvesurvey.designs import joint_probs_submatrix
 
@@ -35,7 +33,7 @@ class TestFirstOrder:
     def test_srswor_half(self):
         d = SamplingDesign(kind="srswor", N=4, n=2)
         for k in range(4):
-            assert first_order_prob(d, k) == pytest.approx(0.5)
+            assert first_order_probs(d)[k] == pytest.approx(0.5)
 
     def test_census(self):
         d = SamplingDesign(kind="srswor", N=3, n=3)
@@ -43,12 +41,13 @@ class TestFirstOrder:
 
     def test_stratified(self):
         d = stratified_2x2()
-        assert first_order_prob(d, 0) == pytest.approx(0.5)
+        assert first_order_probs(d)[0] == pytest.approx(0.5)
 
     def test_out_of_range(self):
         d = SamplingDesign(kind="srswor", N=4, n=2)
-        with pytest.raises(ValidationError):
-            first_order_prob(d, 4)
+        assert first_order_probs(d).shape == (d.N,)
+        with pytest.raises(IndexError):
+            first_order_probs(d)[4]
 
 
 class TestCachedInvariants:
@@ -83,19 +82,19 @@ class TestCachedInvariants:
 class TestSecondOrder:
     def test_srswor_4_2(self):
         d = SamplingDesign(kind="srswor", N=4, n=2)
-        assert second_order_prob(d, 0, 1) == pytest.approx(1 / 6)
+        assert second_order_matrix(d)[0, 1] == pytest.approx(1 / 6)
 
     def test_census(self):
         d = SamplingDesign(kind="srswor", N=3, n=3)
-        assert second_order_prob(d, 0, 2) == 1.0
+        assert second_order_matrix(d)[0, 2] == 1.0
 
     def test_srswor_5_3(self):
         d = SamplingDesign(kind="srswor", N=5, n=3)
-        assert second_order_prob(d, 1, 3) == pytest.approx(0.3)
+        assert second_order_matrix(d)[1, 3] == pytest.approx(0.3)
 
     def test_diagonal_convention(self):
         d = SamplingDesign(kind="srswor", N=5, n=3)
-        assert second_order_prob(d, 2, 2) == pytest.approx(0.6)
+        assert second_order_matrix(d)[2, 2] == pytest.approx(0.6)
 
     def test_submatrix_matches_full(self):
         for d in (SamplingDesign(kind="srswor", N=6, n=3), stratified_2x2()):

@@ -372,6 +372,24 @@ class TestCliRejectsBadNumbers:
         err = capsys.readouterr().err
         assert "must be >= 0, got -1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["estimate", "bands", "montecarlo",
+                                         "oracle-check"])
+    @pytest.mark.parametrize("workers, message", [
+        ("0", "must be >= 1, got 0"),
+        ("-3", "must be >= 1, got -3"),
+        ("two", "invalid positive_int value: 'two'"),
+    ])
+    def test_bad_workers_exits_2(self, tmp_path, capsys, command, workers,
+                                 message):
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--workers", workers,
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_variance_band_exits_3(self, tmp_path, capsys):
         # a census has zero design variance at every grid point
         cfg = write_config(tmp_path, SYNTH.format(n=60, kind="ma"))

@@ -1,4 +1,3 @@
-import ctypes
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -11,15 +10,9 @@ from curvesurvey import (
     SamplingDesign,
     ValidationError,
     empirical_covariance,
-    relative_error,
     run_campaign,
     study_population,
 )
-from curvesurvey.covariance import CovarianceEstimate
-
-
-def cov_from_diag(diag):
-    return CovarianceEstimate(matrix=np.diag(np.asarray(diag, float)), kind="x")
 
 
 class TestEmpiricalCovariance:
@@ -43,26 +36,6 @@ class TestEmpiricalCovariance:
     def test_needs_two_replicates(self):
         with pytest.raises(ValidationError):
             empirical_covariance(np.ones((1, 3)))
-
-
-class TestRelativeError:
-    def test_zero_when_equal(self):
-        ref = cov_from_diag([1.0, 2.0, 3.0])
-        assert relative_error(ref, ref) == 0.0
-
-    def test_doubled_diagonal(self):
-        ref = cov_from_diag([1.0, 2.0])
-        est = cov_from_diag([2.0, 4.0])
-        assert relative_error(est, ref) == pytest.approx(1.0)
-
-    def test_zero_estimate(self):
-        ref = cov_from_diag([1.0, 2.0])
-        est = cov_from_diag([0.0, 0.0])
-        assert relative_error(est, ref) == pytest.approx(1.0)
-
-    def test_rejects_zero_reference(self):
-        with pytest.raises(ValidationError):
-            relative_error(cov_from_diag([1.0]), cov_from_diag([0.0]))
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +105,7 @@ class TestRunCampaign:
 
 
 def _blas_threads():
-    get_threads = montecarlo._openblas_entry("get_num_threads")
-    get_threads.restype = ctypes.c_int
-    return get_threads()
+    return montecarlo._openblas_entry("get_num_threads")()
 
 
 class TestPoolBlasThreads:
@@ -145,7 +116,7 @@ class TestPoolBlasThreads:
 
     def test_worker_runs_one_blas_thread(self):
         with ProcessPoolExecutor(
-            max_workers=1, initializer=montecarlo._single_blas_thread
+            max_workers=1, initializer=montecarlo._start_worker, initargs=(None,)
         ) as pool:
             assert pool.submit(_blas_threads).result(timeout=60) == 1
 
@@ -154,6 +125,97 @@ class TestPoolBlasThreads:
         design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         run_campaign(mc_pop, design, replicates=8, master_seed=1, workers=2)
         assert _blas_threads() == before
+
+
+@pytest.fixture
+def caller_at_two_blas_threads():
+    """Run the test with the calling process at 2 BLAS threads, then put
+    its count back."""
+    before = montecarlo._set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    yield
+    montecarlo._set_blas_threads(before)
+
+
+class TestCallerBlasThreads:
+    """A workers=1 campaign runs its replicates on one BLAS thread in the
+    calling process, and gives the caller its own count back."""
+
+    def test_replicate_reads_one_thread(self, mc_pop, monkeypatch,
+                                        caller_at_two_blas_threads):
+        seen = []
+        replicate = montecarlo._run_replicate
+
+        def recording(campaign, i):
+            seen.append(_blas_threads())
+            return replicate(campaign, i)
+
+        monkeypatch.setattr(montecarlo, "_run_replicate", recording)
+        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        run_campaign(mc_pop, design, replicates=6, master_seed=1)
+        assert seen == [1] * 6
+        assert _blas_threads() == 2
+
+    def test_count_restored_when_a_replicate_raises(
+            self, mc_pop, monkeypatch, caller_at_two_blas_threads):
+        def broken(campaign, i):
+            raise RuntimeError("not a CurveSurveyError")
+
+        monkeypatch.setattr(montecarlo, "_run_replicate", broken)
+        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        with pytest.raises(RuntimeError):
+            run_campaign(mc_pop, design, replicates=6, master_seed=1)
+        assert _blas_threads() == 2
+
+    def test_results_do_not_depend_on_the_callers_count(
+            self, mc_pop, caller_at_two_blas_threads):
+        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        reports = []
+        for threads in (1, 2):
+            montecarlo._set_blas_threads(threads)
+            reports.append(run_campaign(
+                mc_pop, design, replicates=12, compute_coverage=True,
+                band_sims=300, master_seed=6))
+        one, two = reports
+        assert one.coverage is not None and one.coverage == two.coverage
+        assert one.n_errors == two.n_errors
+        for name in ("mean_curve", "mean_gamma_diag"):
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+        assert np.array_equal(one.gamma_emp.matrix, two.gamma_emp.matrix)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and runs the replicates in this process, starting none."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        type(self).sizes.append(max_workers)
+        self.campaign = initargs[0]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [montecarlo._run_replicate(self.campaign, i) for i in items]
+
+
+def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+    capped = run_campaign(mc_pop, design, replicates=10, master_seed=3,
+                          workers=500)
+    run_campaign(mc_pop, design, replicates=10, master_seed=3, workers=3)
+    assert _RecordingPool.sizes == [10, 3]
+    serial = run_campaign(mc_pop, design, replicates=10, master_seed=3)
+    assert _RecordingPool.sizes == [10, 3]
+    assert np.array_equal(capped.gamma_emp.matrix, serial.gamma_emp.matrix)
 
 
 class _CountedPopulation(FunctionalPopulation):

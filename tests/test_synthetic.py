@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from curvesurvey import synthetic
 from curvesurvey import (
     AuxSpec,
     ConfigurationError,
@@ -120,3 +123,85 @@ def test_heteroscedastic_population_shapes_and_scale():
 def test_heteroscedastic_population_rejects_negative_scale_sd():
     with pytest.raises(ConfigurationError):
         heteroscedastic_study_population(10, 4, scale_sd=-1.0)
+
+
+def one_shot_population(cfg, n_units, grid):
+    """(aux, values) from the unblocked formula: each (N, D) draw and
+    product formed at once.  The test twin of the blocked generator."""
+    rng = np.random.default_rng(cfg.seed)
+    factor = synthetic._residual_factor(cfg.kernel, grid)
+    ones = np.ones(n_units)
+    if cfg.aux.kind == "intercept_only":
+        aux = ones[:, None]
+    else:
+        base = rng.normal(cfg.aux.mean, cfg.aux.sd, n_units)
+        if cfg.aux.kind == "past_mean":
+            z = rng.standard_normal((n_units, grid.size))
+            base = (base[:, None] + z @ factor.T).mean(axis=1)
+        aux = np.column_stack([ones, base])
+    eps = rng.standard_normal((n_units, grid.size)) @ factor.T
+    return aux, aux @ cfg.beta_curves + eps
+
+
+def one_shot_heteroscedastic(n_units, n_points, seed):
+    """The unblocked formula of heteroscedastic_study_population's defaults."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.linspace(0.0, 1.0, n_points))
+    beta = np.vstack([2.0 + np.sin(2.0 * np.pi * grid.points),
+                      1.5 + 0.1 * np.cos(2.0 * np.pi * grid.points)])
+    aux = np.column_stack([np.ones(n_units), rng.normal(5.0, 1.0, n_units)])
+    kernel = ResidualKernel(kind="exponential", sigma2=0.25, length_scale=0.2)
+    z = rng.standard_normal((n_units, n_points))
+    eta = z @ synthetic._residual_factor(kernel, grid).T
+    scales = np.exp(0.75 * rng.standard_normal(n_units))
+    scales /= np.sqrt(np.mean(scales**2))
+    return aux, aux @ beta + scales[:, None] * eta
+
+
+def assert_close(actual, expected):
+    """Equal to 1e-12 relative to the largest entry."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+BLOCK_SIZES = [1, synthetic.GEN_BLOCK - 1, synthetic.GEN_BLOCK,
+               synthetic.GEN_BLOCK + 1, 2 * synthetic.GEN_BLOCK + 300]
+
+
+@pytest.mark.parametrize("n_units", BLOCK_SIZES)
+@pytest.mark.parametrize("aux_kind", ["intercept_only", "gaussian", "past_mean"])
+def test_blocked_population_matches_one_shot_formula(n_units, aux_kind):
+    cfg = make_cfg(sigma2=0.7, kernel="exponential", aux_kind=aux_kind,
+                   seed=n_units)
+    pop = generate_population(cfg, n_units, GRID)
+    aux, values = one_shot_population(cfg, n_units, GRID)
+    assert_close(pop.aux, aux)
+    assert_close(pop.values, values)
+
+
+@pytest.mark.parametrize("n_units", BLOCK_SIZES)
+def test_blocked_heteroscedastic_population_matches_one_shot_formula(n_units):
+    pop = heteroscedastic_study_population(n_units, 8, seed=n_units)
+    aux, values = one_shot_heteroscedastic(n_units, 8, seed=n_units)
+    assert_close(pop.aux, aux)
+    assert_close(pop.values, values)
+
+
+@pytest.mark.parametrize("aux_kind", ["gaussian", "past_mean"])
+def test_load_curve_population_holds_one_n_by_d_array(aux_kind):
+    # the one-shot formula peaks near three N x D arrays (161 MB here)
+    n_units, grid = 20000, TimeGrid(np.linspace(0.0, 1.0, 336))
+    cfg = SuperpopulationConfig(
+        beta_curves=np.vstack([2.0 + grid.points, 1.5 * np.ones(grid.size)]),
+        kernel=ResidualKernel(kind="exponential", sigma2=0.5),
+        aux=AuxSpec(kind=aux_kind),
+        seed=5,
+    )
+    tracemalloc.start()
+    try:
+        pop = generate_population(cfg, n_units, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pop.values.nbytes == n_units * grid.size * 8
+    assert peak < pop.values.nbytes + 16 * 2**20
