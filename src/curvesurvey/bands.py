@@ -36,10 +36,10 @@ SIM_BLOCK = 1024
 
 
 def _scaled_factor(cov_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F / sigma[:, None], sigma) from one eigendecomposition of cov_scaled.
+    """(F / sigma[:, None], sigma) from linalg.psd_repair(cov_scaled).
 
     sigma is the square root of the repaired diagonal; F F' is the repaired
-    matrix (see linalg.psd_repair).
+    matrix.
     """
     repaired, factor = psd_repair(cov_scaled)
     diag = np.diag(repaired)
@@ -53,32 +53,60 @@ def _scaled_factor(cov_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factor / sigma[:, None], sigma
 
 
-def _sup_sample(
-    scaled_factor: np.ndarray, sups: np.ndarray, rng: np.random.Generator
-):
-    """Fills sups with max_t |(F Z)(t)| / sigma(t) for sups.size standard
-    normal vectors Z, one SIM_BLOCK-row block at a time, and yields each
-    block of sups as soon as it is filled.
+class _SupKernel:
+    """The sup kernel of build_band and covers: for standard normal vectors
+    Z drawn from one stream, sups[i] = max_t |(F Z_i)(t)| / sigma(t).
 
-    The draws come from rng in the order of one
-    rng.standard_normal((sups.size, D)) call, so the sups equal those of
-    that one-shot form (oracle.one_shot_sup_sample) up to rounding.
-    Callers allocate sups whole, so an n_sims beyond memory fails before
-    any draw.
+    fill(lo, hi) draws simulations lo..hi-1, at most SIM_BLOCK of them,
+    into draws[:hi - lo] and returns sups[lo:hi].  Called on consecutive
+    ranges from 0, it takes the draws from rng in the order of one
+    rng.standard_normal((n_sims, D)) call, so the sups equal those of that
+    one-shot form (oracle.one_shot_sup_sample) up to rounding.  The band
+    fills whole SIM_BLOCK tiles (the last one shorter).  A BLAS product can
+    round a column differently at another width, so a fill of another
+    range can differ from the band's sups in the last bits, by at most
+    slack(hi - lo); tile_sup recomputes one sup exactly as the band does.
+    sups is allocated whole before any draw, so an n_sims beyond memory
+    fails at once.
     """
-    d = scaled_factor.shape[0]
-    n_sims = sups.size
-    block = min(SIM_BLOCK, n_sims)
-    draws = np.empty(block * d)
-    product = np.empty(block * d)
-    for lo in range(0, n_sims, block):
-        b = min(block, n_sims - lo)
-        z = draws[: b * d].reshape(b, d)
-        rng.standard_normal(out=z)
-        p = product[: b * d].reshape(d, b)
-        np.matmul(scaled_factor, z.T, out=p)
+
+    def __init__(self, scaled_factor: np.ndarray, n_sims: int,
+                 rng: np.random.Generator):
+        d = scaled_factor.shape[0]
+        self.factor, self.rng = scaled_factor, rng
+        self.sups = np.empty(n_sims)
+        self.draws = np.empty((min(SIM_BLOCK, n_sims), d))
+        self._product = np.empty(self.draws.size)
+        # any two summation orders of a D-term product F_t . z differ by at
+        # most 2 gamma_D sum_j |F_tj z_j| (Higham 2002, eq. 3.5), doubled
+        # here for the rounding of the bound itself
+        unit = np.finfo(float).eps / 2.0
+        self._slack_per_z = 4.0 * d * unit / (1.0 - d * unit) * float(
+            np.abs(scaled_factor).sum(axis=1).max())
+
+    def _sups(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        p = self._product[: z.size].reshape(z.shape[1], z.shape[0])
+        np.matmul(self.factor, z.T, out=p)
         np.abs(p, out=p)
-        yield p.max(axis=0, out=sups[lo : lo + b])
+        return p.max(axis=0, out=out)
+
+    def fill(self, lo: int, hi: int) -> np.ndarray:
+        z = self.draws[: hi - lo]
+        self.rng.standard_normal(out=z)
+        return self._sups(z, self.sups[lo:hi])
+
+    def slack(self, b: int) -> float:
+        """A bound on |sup - band's sup| for the last fill, of b draws."""
+        z = self.draws[:b]
+        return self._slack_per_z * max(float(z.max()), -float(z.min()))
+
+    def tile_sup(self, i: int, z: np.ndarray) -> float:
+        """Simulation i's sup, of draw z, as the band's tile fill gives it:
+        the same product shape, z at the same column."""
+        tile = i - i % SIM_BLOCK
+        draws = np.zeros((min(SIM_BLOCK, self.sups.size - tile), z.size))
+        draws[i - tile] = z
+        return float(self._sups(draws, np.empty(draws.shape[0]))[i - tile])
 
 
 def _quantile_rank(alpha: float, n_sims: int) -> int:
@@ -96,14 +124,14 @@ def _check_sims(alpha: float, n_sims: int) -> None:
 def _band_constant(
     cov_scaled: np.ndarray, alpha: float, n_sims: int, seed
 ) -> tuple[float, np.ndarray]:
-    """(c_alpha, sigma) from one eigendecomposition of cov_scaled."""
+    """(c_alpha, sigma) of the band on cov_scaled."""
     _check_sims(alpha, n_sims)
     scaled_factor, sigma = _scaled_factor(cov_scaled)
-    sups = np.empty(n_sims)
-    for _ in _sup_sample(scaled_factor, sups, np.random.default_rng(seed)):
-        pass
+    kernel = _SupKernel(scaled_factor, n_sims, np.random.default_rng(seed))
+    for lo in range(0, n_sims, SIM_BLOCK):
+        kernel.fill(lo, min(lo + SIM_BLOCK, n_sims))
     k = _quantile_rank(alpha, n_sims)
-    return float(np.partition(sups, k - 1)[k - 1]), sigma
+    return float(np.partition(kernel.sups, k - 1)[k - 1]), sigma
 
 
 def simulate_sup_quantile(
@@ -134,8 +162,7 @@ def build_band(
     `cov` is the unscaled covariance estimate; sigma_hat(t) =
     sqrt(n * gamma_hat(t, t)), so the half-width reduces to
     c_alpha * sqrt(gamma_hat(t, t)).  Same constant as
-    simulate_sup_quantile(n * cov, alpha, n_sims, seed), from one
-    eigendecomposition of n * cov.
+    simulate_sup_quantile(n * cov, alpha, n_sims, seed).
     """
     if n < 1:
         raise ValidationError("sample size n must be >= 1")
@@ -166,6 +193,52 @@ def contains(band: ConfidenceBand, truth: np.ndarray) -> bool:
     return bool(np.all(np.abs(truth - band.center) <= band.half_width))
 
 
+def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray,
+                        root_n) -> float:
+    """The smallest float s >= 0 with
+    P(s) = all(deviation <= s * sigma / root_n), or inf when no finite s
+    satisfies P (e.g. a NaN or infinite deviation).
+
+    P is monotone in s (see covers), so the floats satisfying it are those
+    from this threshold up.  The search starts at deviation * root_n /
+    sigma, which is exact or a few ulps off, and walks the floats in bit
+    order (non-negative floats order as their bit patterns), doubling its
+    step until P changes and then bisecting, so a far start (an overflow)
+    costs a few dozen evaluations, not a walk.
+    """
+
+    def holds(bits: int) -> bool:
+        s = np.int64(bits).view(np.float64)
+        return bool(np.all(deviation <= s * sigma / root_n))
+
+    inf = int(np.float64(np.inf).view(np.int64))
+    with np.errstate(over="ignore"):
+        if not holds(inf):
+            return np.inf
+        start = float(np.max(deviation * root_n / sigma))
+        hi = int(np.float64(start).view(np.int64))
+        step = 1
+        if holds(hi):  # walk down to a failing lo; -1 stands for "below 0"
+            lo = hi - step
+            while lo >= 0 and holds(lo):
+                hi, step = lo, 2 * step
+                lo = hi - step
+            lo = max(lo, -1)
+        else:  # walk up to a holding hi; holds(inf) ends the walk
+            lo = hi
+            hi = min(lo + step, inf)
+            while not holds(hi):
+                lo, step = hi, 2 * step
+                hi = min(lo + step, inf)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
 def covers(
     estimate: MeanEstimate,
     cov: CovarianceEstimate,
@@ -182,30 +255,49 @@ def covers(
     P(s) = all(|truth - center| <= s * sigma / sqrt(n)), the float
     expression of build_band's half-width and of contains' test.  IEEE
     multiplication and division by positive numbers are monotone, so P is
-    monotone in s and the sups satisfying it are the largest ones.  The
-    band covers truth iff P(c_alpha), with c_alpha the k-th smallest of
-    the n_sims sups, k = ceil((1 - alpha) * n_sims).  By monotonicity that
-    holds iff at least n_sims - k + 1 sups satisfy P, and fails iff at
-    least k sups fail P.  The sups are drawn block by block in
-    build_band's order, and the walk stops as soon as either count is
-    reached (a sequential Monte Carlo test, Besag & Clifford 1991).
+    monotone in s: a sup satisfies it iff it is at least the threshold s*
+    of _coverage_threshold, one scalar per band.  The band covers truth iff
+    P(c_alpha), with c_alpha the k-th smallest of the n_sims sups,
+    k = ceil((1 - alpha) * n_sims).  By monotonicity that holds iff at
+    least n_sims - k + 1 sups reach s*, and fails iff at least k sups fall
+    short.  The sups are drawn in build_band's order by the same kernel,
+    and the walk stops as soon as either count is reached (a sequential
+    Monte Carlo test, Besag & Clifford 1991).  Its blocks are not the
+    band's tiles, so a sup can differ from the band's by up to the fill's
+    slack; a sup that close to s* is recomputed as the band computes it
+    (_SupKernel.tile_sup), so both counts are the band's.  The first block
+    is the fewest draws that could settle the flag, min(n_sims - k + 1,
+    k); each later one is the expected number still needed at the observed
+    rate q of sups reaching s*, ceil(min(rem_in / q, rem_out / (1 - q))),
+    and at least min(rem_in, rem_out), which any answer still needs.  No
+    block exceeds SIM_BLOCK.
     """
     if n < 1:
         raise ValidationError("sample size n must be >= 1")
     _check_sims(alpha, n_sims)
     scaled_factor, sigma = _scaled_factor(n * cov.matrix)
     center = np.asarray(estimate.curve, dtype=float)
-    deviation = np.abs(_truth_array(truth, center) - center)[:, None]
-    sigma = sigma[:, None]
-    root_n = np.sqrt(n)
+    deviation = np.abs(_truth_array(truth, center) - center)
+    threshold = _coverage_threshold(deviation, sigma, np.sqrt(n))
     k = _quantile_rank(alpha, n_sims)
-    inside = outside = 0
-    sups = np.empty(n_sims)
-    for block in _sup_sample(scaled_factor, sups, np.random.default_rng(seed)):
-        hits = int(np.count_nonzero(
-            np.all(deviation <= block * sigma / root_n, axis=0)))
-        inside += hits
-        outside += block.size - hits
-        if inside > n_sims - k or outside >= k:
-            break
-    return inside > n_sims - k
+    need_in, need_out = n_sims - k + 1, k
+    kernel = _SupKernel(scaled_factor, n_sims, np.random.default_rng(seed))
+    inside = drawn = 0
+    block = min(need_in, need_out, SIM_BLOCK)
+    while True:
+        sups = kernel.fill(drawn, drawn + block)
+        slack = kernel.slack(block)
+        sure = np.nextafter(threshold + slack, np.inf)
+        inside += int(np.count_nonzero(sups >= sure))
+        near = (sups >= np.nextafter(threshold - slack, -np.inf)) & (sups < sure)
+        for j in np.flatnonzero(near):  # within rounding of the threshold
+            inside += kernel.tile_sup(drawn + j, kernel.draws[j]) >= threshold
+        drawn += block
+        rem_in, rem_out = need_in - inside, need_out - (drawn - inside)
+        if rem_in <= 0 or rem_out <= 0:
+            return rem_in <= 0
+        q = inside / drawn
+        expected = min(rem_in / q if q > 0.0 else np.inf,
+                       rem_out / (1.0 - q) if q < 1.0 else np.inf)
+        block = min(max(ceil(expected), min(rem_in, rem_out)), SIM_BLOCK,
+                    n_sims - drawn)

@@ -31,7 +31,7 @@ from .io import (
     write_curve_csv,
     write_metadata,
 )
-from .montecarlo import run_campaign
+from .montecarlo import blas_threads, run_campaign
 from .oracle import default_fixture, format_report, oracle_check
 
 
@@ -89,6 +89,7 @@ def cmd_estimate(args) -> int:
             "seed": seed,
             "n": design.n,
             "N": design.N,
+            "blas_threads": blas_threads(),
         },
     )
     print(f"wrote {out / 'estimate.csv'}")
@@ -129,6 +130,7 @@ def cmd_bands(args) -> int:
             "seed": seed,
             "n": design.n,
             "sample_indices": sample.indices.tolist(),
+            "blas_threads": blas_threads(),
         },
     )
     print(f"wrote {out / 'band.csv'} (c_alpha = {band.c_alpha:.4f})")

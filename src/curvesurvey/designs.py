@@ -122,7 +122,7 @@ class Sample:
             raise ValidationError(
                 f"sample size {idx.size} != design size {self.design.n}"
             )
-        if idx.size != np.unique(idx).size:
+        if np.any(idx[1:] == idx[:-1]):  # sorted, so repeats are neighbours
             raise ValidationError("sample indices must be distinct")
         if idx.size and (idx[0] < 0 or idx[-1] >= self.design.N):
             raise ValidationError("sample indices out of 0..N-1")

@@ -80,9 +80,8 @@ def regularized_inverse(m: np.ndarray, a: float) -> RegularizedInverse:
 
 
 def _eigen_repair(m: np.ndarray):
-    """(repaired, w, v): the nearest-PSD repair of m and the eigenpairs of
-    the symmetrized input it was built from."""
-    m = check_symmetric(m)
+    """(repaired, w, v): the nearest-PSD repair of the symmetric m and the
+    eigenpairs of m it was built from."""
     w, v = np.linalg.eigh(m)
     if w.min() < 0.0:
         m = (v * np.clip(w, 0.0, None)) @ v.T
@@ -95,22 +94,30 @@ def psd_project(m: np.ndarray) -> np.ndarray:
 
     Returns the input unchanged when it is already PSD; idempotent.
     """
-    return _eigen_repair(m)[0]
+    return _eigen_repair(check_symmetric(m))[0]
 
 
 def psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psd_project(m), F) with F F' = psd_project(m), from one eigh.
+    """(R, F) with F F' = R, R the PSD repair of the symmetrized m.
 
-    F is the lower Cholesky factor of the repaired matrix when that exists,
-    else v sqrt(max(w, 0)) from the same eigendecomposition, so a band
-    costs one eigendecomposition whatever path it takes.
+    Cholesky of the symmetrized m runs first: when it succeeds, m is
+    positive definite, R is m itself and F its lower Cholesky factor, with
+    no eigendecomposition.  Otherwise R = psd_project(m), from one eigh,
+    and F is the Cholesky factor of R when that exists, else v sqrt(max(w,
+    0)) from the same eigendecomposition.  Equal bit for bit to the
+    eigh-first form (oracle.eigh_first_psd_repair) whenever that form
+    leaves m unclipped or Cholesky fails on m.
     """
+    m = check_symmetric(m)
+    try:
+        return m, np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        pass
     repaired, w, v = _eigen_repair(m)
     try:
-        factor = np.linalg.cholesky(repaired)
+        return repaired, np.linalg.cholesky(repaired)
     except np.linalg.LinAlgError:
-        factor = v * np.sqrt(np.clip(w, 0.0, None))
-    return repaired, factor
+        return repaired, v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def cholesky_psd(m: np.ndarray) -> np.ndarray:

@@ -124,13 +124,20 @@ def _openblas_entry(name: str, restype=ctypes.c_int, argtypes=()):
     return None
 
 
+def blas_threads() -> int | None:
+    """The OpenBLAS thread count of this process, or None without an
+    OpenBLAS."""
+    get_threads = _openblas_entry("get_num_threads")
+    return None if get_threads is None else get_threads()
+
+
 def _set_blas_threads(count: int) -> int | None:
     """Set the OpenBLAS thread count and return the previous one; without
     an OpenBLAS change nothing and return None."""
     set_threads = _openblas_entry("set_num_threads", None, (ctypes.c_int,))
     if set_threads is None:
         return None
-    before = _openblas_entry("get_num_threads")()
+    before = blas_threads()
     set_threads(count)
     return before
 

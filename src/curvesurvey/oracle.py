@@ -5,8 +5,8 @@ ways: once from the closed-form inclusion probabilities and once by summing
 over all possible samples with their exact probabilities.  Used by the
 ``oracle-check`` command and by the test suite, which also compares the
 closed-form covariances of ``covariance.py`` against the dense formulas
-kept here, and the blocked sup kernel of ``bands.py`` against its one-shot
-form.
+kept here, the blocked sup kernel of ``bands.py`` against its one-shot
+form, and the Cholesky-first PSD repair against its eigh-first form.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .estimators import (
 )
 from .errors import ValidationError
 from .grids import FunctionalPopulation, TimeGrid, population_mean
+from .linalg import _eigen_repair, check_symmetric
 from .synthetic import AuxSpec, ResidualKernel, SuperpopulationConfig, generate_population
 
 DEFAULT_TOL = 1e-10
@@ -91,11 +92,25 @@ def one_shot_sup_sample(
 ) -> np.ndarray:
     """max_t |(F Z)(t)| / sigma(t) from one (n_sims, D) standard normal draw.
 
-    One-shot reference twin of the blocked ``bands._sup_sample``, which
+    One-shot reference twin of the blocked ``bands._sup_sampler``, which
     takes F / sigma[:, None] and draws the same stream in blocks.
     """
     draws = rng.standard_normal((n_sims, factor.shape[0]))
     return (np.abs(draws @ factor.T) / sigma).max(axis=1)
+
+
+def eigh_first_psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psd_project(m), F) with F F' = psd_project(m), from one eigh.
+
+    Eigh-first twin of the Cholesky-first ``linalg.psd_repair``: F is the
+    lower Cholesky factor of the repaired matrix when that exists, else
+    v sqrt(max(w, 0)) from the same eigendecomposition.
+    """
+    repaired, w, v = _eigen_repair(check_symmetric(m))
+    try:
+        return repaired, np.linalg.cholesky(repaired)
+    except np.linalg.LinAlgError:
+        return repaired, v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def default_fixture(

@@ -163,8 +163,7 @@ class TestSupKernel:
             cholesky_psd(projected), sigma, n_sims, np.random.default_rng(11)
         )
         scaled, _ = bands._scaled_factor(cov)
-        sups = np.empty(n_sims)
-        list(bands._sup_sample(scaled, sups, np.random.default_rng(11)))
+        sups = _band_sups(scaled, n_sims, np.random.default_rng(11))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
         k = int(np.ceil(0.95 * n_sims))
         c_alpha = simulate_sup_quantile(cov, 0.05, n_sims, seed=11)
@@ -182,12 +181,14 @@ class TestSupKernel:
         expected = one_shot_sup_sample(
             factor, sigma, 3000, np.random.default_rng(4)
         )
-        sups = np.empty(3000)
-        list(bands._sup_sample(scaled, sups, np.random.default_rng(4)))
+        sups = _band_sups(scaled, 3000, np.random.default_rng(4))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
 
     @pytest.mark.parametrize("name", sorted(COVS))
     def test_one_eigh_per_band(self, monkeypatch, name):
+        # Cholesky of n * cov runs first; only a matrix it refuses gets the
+        # eigen repair, once, whether the band is built or only tested
+        eighs = 0 if name == "definite" else 1
         calls = []
         eigh = np.linalg.eigh
 
@@ -199,7 +200,41 @@ class TestSupKernel:
         cov = COVS[name]
         est = MeanEstimate(curve=np.zeros(cov.shape[0]), estimator_kind="ModelAssisted")
         build_band(est, cov_est(cov), n=50, alpha=0.05, n_sims=500, seed=1)
-        assert len(calls) == 1
+        assert len(calls) == eighs
+        covers(est, cov_est(cov), 50, 0.05, 500, 1, np.zeros(cov.shape[0]))
+        assert len(calls) == 2 * eighs
+
+    @pytest.mark.parametrize("n_sims", [100, bands.SIM_BLOCK + 1, 3 * bands.SIM_BLOCK - 5])
+    @pytest.mark.parametrize("name", sorted(COVS))
+    def test_any_cut_is_within_slack_and_tile_sup_is_exact(self, n_sims, name):
+        # fills of other ranges keep the stream and stay within their slack
+        # of the band's sups; tile_sup gives the band's sup bit for bit
+        scaled, _ = bands._scaled_factor(COVS[name])
+        d = scaled.shape[0]
+        band = _band_sups(scaled, n_sims, np.random.default_rng(3))
+        # ranges of 1 and 2 sims, ranges across tiles, none over SIM_BLOCK
+        cuts = np.random.default_rng(n_sims).integers(1, n_sims, 12)
+        cuts = sorted({*cuts.tolist(), 1, 3, *range(0, n_sims, 700), n_sims})
+        rng = np.random.default_rng(3)
+        kernel = bands._SupKernel(scaled, n_sims, rng)
+        draws = np.random.default_rng(3).standard_normal((n_sims, d))
+        for lo, hi in zip(cuts, cuts[1:]):
+            sups = kernel.fill(lo, hi)
+            assert np.array_equal(kernel.draws[: hi - lo], draws[lo:hi])
+            assert np.abs(sups - band[lo:hi]).max() <= kernel.slack(hi - lo)
+            for i in {lo, hi - 1, (lo + hi) // 2}:
+                assert kernel.tile_sup(i, draws[i]) == band[i]
+        reference = np.random.default_rng(3)
+        reference.standard_normal((n_sims, d))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _band_sups(scaled, n_sims, rng):
+    """The sups of a band, which fills whole SIM_BLOCK tiles."""
+    kernel = bands._SupKernel(scaled, n_sims, rng)
+    for lo in range(0, n_sims, bands.SIM_BLOCK):
+        kernel.fill(lo, min(lo + bands.SIM_BLOCK, n_sims))
+    return kernel.sups
 
 
 def _zero_estimate(d):
@@ -230,10 +265,12 @@ class TestCovers:
         n_sims=st.integers(100, 2500),
         spread=st.floats(0.0, 6.0),
         seed=st.integers(0, 2**32 - 1),
+        special=st.sampled_from(
+            [None, "center", "inf", "-inf", "nan", "overflow", "huge"]),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_matches_oracle(self, d, cov_seed, ridge, n, alpha, n_sims,
-                            spread, seed):
+                            spread, seed, special):
         # a negative ridge makes some covariances indefinite
         rng = np.random.default_rng(cov_seed)
         a = rng.standard_normal((d, d))
@@ -242,6 +279,16 @@ class TestCovers:
         # the band's half-width is c_alpha * sqrt(diag), whatever n is
         truth = center + spread * np.sqrt(np.abs(np.diag(matrix))) * \
             rng.uniform(-1.0, 1.0, d)
+        j = int(rng.integers(d))
+        if special == "center":  # a zero deviation everywhere
+            truth = center.copy()
+        elif special in ("inf", "-inf", "nan"):
+            truth[j] = float(special)
+        elif special == "overflow":  # deviation / sigma_hat overflows
+            matrix *= 1e-300
+            truth[j] = center[j] + 1e300
+        elif special == "huge":  # deviation * sqrt(n) overflows
+            truth[j] = center[j] - 1.5e308
         estimate = MeanEstimate(curve=center, estimator_kind="ModelAssisted")
         args = (estimate, cov_est(matrix), n, alpha, n_sims, seed, truth)
         try:
@@ -251,6 +298,8 @@ class TestCovers:
                 covers(*args)
             return
         assert covers(*args) is expected
+        if special is not None:
+            assert expected is (special == "center")
 
     @pytest.mark.parametrize(
         "n_sims, alpha",
@@ -274,6 +323,37 @@ class TestCovers:
             outcomes.append(_assert_covers_matches_oracle(
                 estimate, cov, 50, alpha, n_sims, 9, truth))
         assert outcomes == [True, True, True, False, False]
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    @pytest.mark.parametrize("n_sims, alpha", [(5000, 0.05), (bands.SIM_BLOCK + 1, 0.3)])
+    def test_sups_within_the_slack_are_decided_exactly(self, monkeypatch,
+                                                       n_sims, alpha, shift):
+        # covers may rely only on fill being within its slack of the band's
+        # sups: moved by half the slack, the walk must still decide every
+        # sup near the threshold from tile_sup, the band's own value
+        cov = cov_est(COVS["definite"])
+        d = cov.matrix.shape[0]
+        estimate = _zero_estimate(d)
+        band = build_band(estimate, cov, n=50, alpha=alpha, n_sims=n_sims, seed=9)
+        edge = band.half_width[d - 1]
+        truths = []
+        for value in (edge, np.nextafter(edge, np.inf)):
+            truth = np.zeros(d)
+            truth[d - 1] = value
+            truths.append(truth)
+        expected = [_oracle_covers(estimate, cov, 50, alpha, n_sims, 9, t)
+                    for t in truths]
+        assert expected == [True, False]
+        fill = bands._SupKernel.fill
+
+        def shifted_fill(kernel, lo, hi):
+            sups = fill(kernel, lo, hi)
+            sups += shift * kernel.slack(hi - lo)
+            return sups
+
+        monkeypatch.setattr(bands._SupKernel, "fill", shifted_fill)
+        assert [covers(estimate, cov, 50, alpha, n_sims, 9, t)
+                for t in truths] == expected
 
     def test_alpha_with_k_equal_to_n_sims(self):
         n_sims, alpha = bands.SIM_BLOCK + 1, 1e-4
@@ -319,42 +399,130 @@ class TestCovers:
         assert str(error.value) == str(oracle_error.value)
 
     def test_stops_after_one_block_when_truth_is_the_center(self):
-        # all 5000 sups would cover; the first block already settles it
+        # every sup covers, so the first block, the n_sims - k + 1 = 251
+        # sups a "covered" needs (k = 4750), already settles it
         cov = cov_est(COVS["definite"])
         d = cov.matrix.shape[0]
         rng = np.random.default_rng(21)
         assert covers(_zero_estimate(d), cov, 50, 0.05, 5000, rng, np.zeros(d))
         reference = np.random.default_rng(21)
-        reference.standard_normal((bands.SIM_BLOCK, d))
+        reference.standard_normal((251, d))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("n_sims, alpha", [
+        (2 * bands.SIM_BLOCK + 1, 0.01),  # one block of 21
+        (4096, 0.6),  # more than SIM_BLOCK needed: 1024 + 1024 + 410
+        (4096, 0.5),  # 1024 + 1024 + 1
+    ])
+    def test_truth_at_the_center_draws_n_sims_minus_k_plus_1(self, n_sims,
+                                                             alpha):
+        cov = cov_est(COVS["definite"])
+        d = cov.matrix.shape[0]
+        rng = np.random.default_rng(22)
+        assert covers(_zero_estimate(d), cov, 50, alpha, n_sims, rng, np.zeros(d))
+        reference = np.random.default_rng(22)
+        reference.standard_normal(
+            (n_sims - bands._quantile_rank(alpha, n_sims) + 1, d))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize(
-        "alpha, rank, blocks",
+        "alpha, edge_of, drawn, covered",
         [
-            # k = 1948 of 2048: covered needs 101 sups to satisfy P
-            (0.049, -101, 1),  # the first block has 101
-            (0.049, -100, 2),  # it has 100, one short of deciding
-            # k = 512: 512 failing sups decide "not covered"
-            (0.75, 512, 1),
-            (0.75, 511, 2),
+            # k = 1948 of 2048: the first block is the 101 sups "covered"
+            # needs; truth on the band of the smallest covers with all 101
+            (0.049, "smallest", 101, True),
+            # on the second smallest, 100 cover: one short, so a block of
+            # ceil(1 / (100/101)) = 2 follows, and its first sup covers
+            (0.049, "second smallest", 103, True),
+            # k = 512: the first block is the 512 sups "not covered" needs;
+            # beyond the largest, all 512 fall short
+            (0.75, "beyond the largest", 512, False),
+            # on the largest, 511 fall short: a block of
+            # ceil(1 / (511/512)) = 2 follows, and its first sup falls short
+            (0.75, "largest", 514, False),
         ],
     )
-    def test_decided_at_a_block_boundary(self, alpha, rank, blocks):
-        # truth sits on the edge of the band built on the sup of the given
-        # rank in the first block, so that block's count is known
+    def test_decided_at_a_block_boundary(self, alpha, edge_of, drawn, covered):
+        # truth sits on the edge of the band built on a chosen sup of the
+        # first block, so that block's count is known
         n_sims, n, seed = 2 * bands.SIM_BLOCK, 50, 13
         cov = cov_est(COVS["definite"])
         d = cov.matrix.shape[0]
         scaled, sigma = bands._scaled_factor(n * cov.matrix)
-        sups = np.empty(n_sims)
-        list(bands._sup_sample(scaled, sups, np.random.default_rng(seed)))
-        edge = np.sort(sups[: bands.SIM_BLOCK])[rank]
+        sups = _band_sups(scaled, n_sims, np.random.default_rng(seed))
+        k = bands._quantile_rank(alpha, n_sims)
+        first = np.sort(sups[: min(n_sims - k + 1, k)])
+        edge = {
+            "smallest": first[0],
+            "second smallest": first[1],
+            "beyond the largest": first[-1] * (1.0 + 1e-9),
+            "largest": first[-1],
+        }[edge_of]
+        # no other sup lies within rounding of the edge, and the sups after
+        # the first block fall where the comments above say
+        assert np.abs(sups / edge - 1.0)[sups != edge].min() > 1e-12
+        if drawn > first.size:
+            assert bool(sups[first.size] >= edge) is covered
         truth = np.zeros(d)
         truth[0] = edge * sigma[0] / np.sqrt(n)
+        assert _assert_covers_matches_oracle(
+            _zero_estimate(d), cov, n, alpha, n_sims, seed, truth) is covered
         rng = np.random.default_rng(seed)
-        _assert_covers_matches_oracle(_zero_estimate(d), cov, n, alpha,
-                                      n_sims, seed, truth)
         covers(_zero_estimate(d), cov, n, alpha, n_sims, rng, truth)
         reference = np.random.default_rng(seed)
-        reference.standard_normal((blocks * bands.SIM_BLOCK, d))
+        reference.standard_normal((drawn, d))
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _float_after(s, direction):
+    return float(np.nextafter(s, direction))
+
+
+class TestCoverageThreshold:
+    """_coverage_threshold is the smallest float whose band covers."""
+
+    @staticmethod
+    def _holds(s, deviation, sigma, root_n):
+        with np.errstate(over="ignore"):
+            return bool(np.all(deviation <= s * sigma / root_n))
+
+    def _assert_smallest(self, deviation, sigma, n):
+        root_n = np.sqrt(n)
+        s = bands._coverage_threshold(deviation, sigma, root_n)
+        if s == np.inf:
+            assert not self._holds(np.finfo(float).max, deviation, sigma, root_n)
+            return
+        assert s >= 0.0 and self._holds(s, deviation, sigma, root_n)
+        if s > 0.0:
+            assert not self._holds(_float_after(s, 0.0), deviation, sigma, root_n)
+
+    @given(
+        d=st.integers(1, 6),
+        exponent=st.integers(-320, 308),
+        sigma_exponent=st.integers(-160, 150),
+        n=st.integers(1, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_smallest_float_that_covers(self, d, exponent,
+                                               sigma_exponent, n, seed):
+        # deviations from subnormal to near overflow, so that the start
+        # deviation * sqrt(n) / sigma can underflow or overflow
+        rng = np.random.default_rng(seed)
+        deviation = rng.uniform(0.0, 1.7, d) * 10.0 ** exponent
+        deviation[rng.uniform(size=d) < 0.2] = 0.0
+        sigma = rng.uniform(0.1, 3.0, d) * 10.0 ** sigma_exponent
+        self._assert_smallest(deviation, sigma, n)
+
+    @pytest.mark.parametrize("deviation, expected", [
+        ([0.0, 0.0], 0.0),
+        ([0.0, np.nan], np.inf),
+        ([1.0, np.inf], None),  # finite only where s * sigma overflows
+        ([1e300, 0.0], None),
+    ])
+    @pytest.mark.parametrize("sigma", [[1.0, 1.0], [1e-150, 1e150]])
+    def test_edge_deviations(self, deviation, expected, sigma):
+        deviation, sigma = np.array(deviation), np.array(sigma)
+        self._assert_smallest(deviation, sigma, 50)
+        if expected is not None:
+            assert bands._coverage_threshold(deviation, sigma, np.sqrt(50)) == expected

@@ -231,6 +231,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Sample(np.array([0, 4]), d)
 
+    @pytest.mark.parametrize("indices", [[0, 0], [3, 1, 3], [2, 2, 2], [5, 1, 0, 1]])
+    def test_repeated_index_refused_srswor(self, indices):
+        d = SamplingDesign(kind="srswor", N=6, n=len(indices))
+        with pytest.raises(ValidationError, match="sample indices must be distinct"):
+            Sample(np.array(indices), d)
+
+    def test_repeated_index_refused_stratified(self):
+        # [2, 2] has the right count per stratum (n_h = 2 in stratum 1) but
+        # names unit 2 twice
+        d = SamplingDesign(kind="stratified", N=6, n=3,
+                           strata=(np.array([0, 1]), np.array([2, 3, 4, 5])),
+                           n_h=(1, 2))
+        Sample(np.array([0, 2, 5]), d)
+        with pytest.raises(ValidationError, match="sample indices must be distinct"):
+            Sample(np.array([2, 0, 2]), d)
+
     def test_stratum_counts_enforced(self):
         d = stratified_2x2()
         Sample(np.array([1, 2]), d)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesurvey import TimeGrid, ValidationError, study_population
+from curvesurvey import TimeGrid, ValidationError, montecarlo, study_population
 from curvesurvey.cli import main
 from curvesurvey.config import build_design, build_population, load_config
 from curvesurvey.io import (
@@ -248,6 +248,43 @@ a = 0
                          "--out", str(out)]) == 0
             outs.append((out / "estimate.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["estimate", "bands"])
+    def test_sample_file_with_a_repeated_index_exits_2(self, tmp_path, capsys,
+                                                       command):
+        sfile = tmp_path / "sample.txt"
+        sfile.write_text("\n".join(map(str, [*range(9), 4])), encoding="utf-8")
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma").replace(
+            "n = 10", f"n = 10\nsample_file = {sfile}"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sample indices must be distinct" in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_meta_records_the_blas_thread_count(self, tmp_path, threads):
+        # estimate and bands run at the caller's count and record it
+        before = montecarlo._set_blas_threads(threads)
+        try:
+            expected = montecarlo.blas_threads()
+            cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
+            for command, meta in (("estimate", "estimate.meta.json"),
+                                  ("bands", "band.meta.json")):
+                out = tmp_path / command
+                assert main([command, "--config", str(cfg), "--seed", "1",
+                             "--out", str(out)]) == 0
+                recorded = json.loads((out / meta).read_text())
+                assert "blas_threads" in recorded
+                assert recorded["blas_threads"] == expected
+        finally:
+            if before is not None:
+                montecarlo._set_blas_threads(before)
+        if before is None:  # no OpenBLAS: nothing to count
+            assert expected is None
+        else:  # OpenBLAS may cap the count at the cores it sees
+            assert expected == 1 if threads == 1 else expected >= 1
 
     def test_bands_deterministic_and_ordered(self, tmp_path):
         cfg = write_config(tmp_path, SYNTH.format(n=25, kind="ma"))

@@ -13,6 +13,7 @@ from curvesurvey import (
     sym_eigen,
 )
 from curvesurvey.linalg import spectral_norm_sym
+from curvesurvey.oracle import eigh_first_psd_repair
 
 
 def random_symmetric(rng, dim, psd=False):
@@ -144,6 +145,27 @@ class TestPsdRepair:
         repaired, factor = psd_repair(m)
         assert np.array_equal(repaired, psd_project(m))
         assert np.abs(factor @ factor.T - repaired).max() < 1e-12
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_eigh_first_twin_on_definite_input(self, seed):
+        m = random_symmetric(np.random.default_rng(seed), 8, psd=True)
+        m += 0.05 * np.eye(8)
+        m[0, 1] += 1e-15  # asymmetric within tolerance: both symmetrize
+        for got, want in zip(psd_repair(m), eigh_first_psd_repair(m)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1.0, -0.5, 2.0]),
+        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+        np.zeros((3, 3)),
+        *(random_symmetric(np.random.default_rng(seed), 6) for seed in range(5)),
+    ])
+    def test_equals_the_eigh_first_twin_on_the_eigen_path(self, m):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m)
+        for got, want in zip(psd_repair(m), eigh_first_psd_repair(m)):
+            assert np.array_equal(got, want)
 
 
 class TestEigenvalueLipschitz:
