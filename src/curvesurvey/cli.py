@@ -102,7 +102,7 @@ def cmd_bands(args) -> int:
     # the model-assisted band, whatever [estimator] kind says
     a = cfg.estimator.a
     estimate = model_assisted_mean(pop, sample, a=a)
-    gamma = ma_covariance_estimate(pop, sample, a=a)
+    gamma = ma_covariance_estimate(pop, sample, a=a, estimate=estimate)
     alpha = cfg.band.alpha
     n_sims = cfg.band.n_sims or 10_000
     band = build_band(

@@ -13,7 +13,9 @@ s_h = sum_{k in h} u_k, every covariance is the closed form
 
     (1/N^2) sum_h [ w_diag,h U_h'U_h + w_off,h (s_h s_h' - U_h'U_h) ]
 
-at O(rows * D^2) cost, without an n x n or N x N matrix.  The exact
+at O(rows * D^2) cost, without an n x n or N x N matrix.  Its diagonal,
+the variance function, is (1/N^2) sum_h [(w_diag,h - w_off,h) sum_k u_k^2
++ w_off,h s_h^2] at O(rows * D).  The exact
 covariances take w = Delta_kl = pi_kl - pi_k pi_l over the population
 (f_h(1 - f_h) and pi_kl,h - f_h^2, with f_h = n_h / N_h); the estimators
 take w = Delta_kl / pi_kl over the sample (1 - f_h and
@@ -23,49 +25,63 @@ take w = Delta_kl / pi_kl over the sample (1 - f_h and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import estimators
 from .designs import Sample, SamplingDesign, joint_prob_within
-from .estimators import _check_match, _sample_arrays, _sampled_beta, beta_population
+from .estimators import MeanEstimate, _check_match, beta_population
 from .grids import FunctionalPopulation
 
 
-@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
-    """D x D symmetric matrix of covariance values at grid-point pairs."""
+    """D x D symmetric `matrix` of covariance values at grid-point pairs and
+    its diagonal, the `variance` function.  From a (rows, blocks, N) kernel
+    the variance costs O(rows * D); the matrix, O(rows * D^2), is formed
+    when first read."""
 
-    matrix: np.ndarray
-    kind: str  # HT_exact | MA_approx | MA_estimated
+    def __init__(self, matrix=None, kind: str = "", kernel=None):
+        self.kind = kind  # HT_exact | MA_approx | MA_estimated | ...
+        self._kernel = kernel
+        if matrix is not None:  # instance attributes shadow the properties
+            self.matrix = matrix
+        if kernel is not None:
+            self.variance = _block_covariance(*kernel, diagonal=True)
+
+    matrix = cached_property(lambda self: _block_covariance(*self._kernel))
+    variance = cached_property(lambda self: np.diag(self.matrix).copy())
 
 
-def _block_covariance(rows: np.ndarray, blocks, N: int) -> np.ndarray:
-    """(1/N^2) sum_h [w_diag,h U_h'U_h + w_off,h (s_h s_h' - U_h'U_h)].
+def _block_covariance(rows: np.ndarray, blocks, N: int, diagonal=False):
+    """(1/N^2) sum_h [w_diag,h U_h'U_h + w_off,h (s_h s_h' - U_h'U_h)], or
+    with `diagonal` its diagonal alone, elementwise at O(rows * D).
 
     blocks holds (members, f_h, w_diag,h, w_off,h) per stratum, where
     members selects the stratum's rows and U_h = rows[members] / f_h.
     """
-    cov = np.zeros((rows.shape[1], rows.shape[1]))
+    cov = 0.0
     for members, f, w_diag, w_off in blocks:
         u = rows[members] / f
         total = u.sum(axis=0)
-        cov += (w_diag - w_off) * (u.T @ u) + w_off * np.outer(total, total)
+        if diagonal:
+            cov += (w_diag - w_off) * np.einsum("ij,ij->j", u, u) + w_off * total**2
+        else:
+            cov += (w_diag - w_off) * (u.T @ u) + w_off * np.outer(total, total)
     cov /= N**2
-    return 0.5 * (cov + cov.T)
+    return cov if diagonal else 0.5 * (cov + cov.T)
 
 
-def _exact_covariance(curves: np.ndarray, design: SamplingDesign) -> np.ndarray:
+def _exact_covariance(curves: np.ndarray, design: SamplingDesign, kind: str):
     """(1/N^2) u' Delta u over the population, Delta_kl = pi_kl - pi_k pi_l."""
     blocks = []
     for s, m in zip(*design.allocation):
         f = m / s.size
         blocks.append((s, f, f * (1.0 - f), joint_prob_within(s.size, m) - f * f))
-    return _block_covariance(curves, blocks, design.N)
+    return CovarianceEstimate(kind=kind, kernel=(curves, blocks, design.N))
 
 
-def _estimated_covariance(rows: np.ndarray, sample: Sample) -> np.ndarray:
+def _estimated_covariance(rows: np.ndarray, sample: Sample, kind: str):
     """HT covariance estimator (1/N^2) u' (Delta / pi_kl) u over the sample.
 
     A stratum with n_h = 1 has no sampled pair, so only its diagonal term
@@ -79,7 +95,7 @@ def _estimated_covariance(rows: np.ndarray, sample: Sample) -> np.ndarray:
         pi_kl = joint_prob_within(s.size, m)
         w_off = (pi_kl - f * f) / pi_kl if m > 1 else 0.0
         blocks.append((labels == h, f, 1.0 - f, w_off))
-    return _block_covariance(rows, blocks, design.N)
+    return CovarianceEstimate(kind=kind, kernel=(rows, blocks, design.N))
 
 
 def ht_covariance_exact(
@@ -87,9 +103,7 @@ def ht_covariance_exact(
 ) -> CovarianceEstimate:
     """Exact design covariance of the HT mean estimator at all grid pairs."""
     _check_match(pop, design)
-    return CovarianceEstimate(
-        matrix=_exact_covariance(pop.values, design), kind="HT_exact"
-    )
+    return _exact_covariance(pop.values, design, "HT_exact")
 
 
 def ma_covariance_approx(
@@ -101,62 +115,54 @@ def ma_covariance_approx(
     _check_match(pop, design)
     beta = beta_population(pop)
     residuals = pop.values - pop.aux @ beta.coefficients
-    return CovarianceEstimate(
-        matrix=_exact_covariance(residuals, design), kind="MA_approx"
-    )
+    return _exact_covariance(residuals, design, "MA_approx")
 
 
 def ma_covariance_estimate(
     pop: FunctionalPopulation,
     sample: Sample,
     a: float | None = 0.0,
+    estimate: MeanEstimate | None = None,
 ) -> CovarianceEstimate:
     """Sample-only estimator of the model-assisted covariance.
 
-    Fits the design-weighted regression on the sample, forms estimated
-    residuals and plugs them into the HT covariance estimator.
+    Plugs the residuals of the design-weighted regression fitted on the
+    sample into the HT covariance estimator; they are read from the
+    model-assisted `estimate` of this sample and floor when given.
     """
-    x_s, y_s, pi = _sample_arrays(pop, sample)
-    beta = _sampled_beta(x_s, y_s, pi, pop.N, a)
-    residuals = y_s - x_s @ beta.coefficients
-    return CovarianceEstimate(
-        matrix=_estimated_covariance(residuals, sample), kind="MA_estimated"
-    )
+    if estimate is None:
+        estimate = estimators.model_assisted_mean(pop, sample, a=a)
+    return _estimated_covariance(estimate.linearized, sample, "MA_estimated")
 
 
 def ht_covariance_estimate(
     pop: FunctionalPopulation,
     sample: Sample,
-    center: np.ndarray | None = None,
+    estimate: MeanEstimate | None = None,
 ) -> CovarianceEstimate:
-    """Sample HT covariance estimator of the plain HT mean (raw curves).
-
-    With ``center`` the sampled curves are centred at it first (the Hájek
-    estimator's linearization uses its own estimate as the centre).
-    """
-    _check_match(pop, sample.design)
-    rows = pop.values[sample.indices]
-    if center is not None:
-        rows = rows - center
-    return CovarianceEstimate(
-        matrix=_estimated_covariance(rows, sample), kind="HT_estimated"
-    )
+    """Sample HT covariance estimator of the HT mean of this sample, or of
+    the Hajek mean given its `estimate`: the HT covariance of the sampled
+    curves centred at that estimate, its linearized rows."""
+    if estimate is None:
+        estimate = estimators.ht_mean(pop, sample)
+    return _estimated_covariance(estimate.linearized, sample, "HT_estimated")
 
 
 # The one table of estimator kinds: kind -> (mean, covariance).
 # mean(pop, sample, a) gives the MeanEstimate and covariance(pop, sample, a,
-# mu) its CovarianceEstimate given the estimated curve mu; covariance is
-# None for an estimator without a sample covariance estimator, which cannot
-# run a campaign.  Functions are looked up by name at each call, so wrappers
-# installed on them later (tracing spans) see these calls.
+# estimate) its CovarianceEstimate from that estimate's linearized rows;
+# covariance is None for an estimator without a sample covariance
+# estimator, which cannot run a campaign.  Functions are looked up by name
+# at each call, so wrappers installed on them later (tracing spans) see
+# these calls.
 ESTIMATORS = {
     "ht": (lambda pop, s, a: estimators.ht_mean(pop, s),
-           lambda pop, s, a, mu: ht_covariance_estimate(pop, s)),
-    # HT covariance of the linearized curves: the sample centred at mu
+           lambda pop, s, a, est: ht_covariance_estimate(pop, s, estimate=est)),
+    # HT covariance of the linearized curves: the sample centred at the mean
     "hajek": (lambda pop, s, a: estimators.hajek_mean(pop, s),
-              lambda pop, s, a, mu: ht_covariance_estimate(pop, s, center=mu)),
+              lambda pop, s, a, est: ht_covariance_estimate(pop, s, estimate=est)),
     "ma": (lambda pop, s, a: estimators.model_assisted_mean(pop, s, a=a),
-           lambda pop, s, a, mu: ma_covariance_estimate(pop, s, a=a)),
+           lambda pop, s, a, est: ma_covariance_estimate(pop, s, a=a, estimate=est)),
     # the census-fit difference estimator, a testing oracle
     "difference": (lambda pop, s, a: estimators.difference_mean(pop, s), None),
 }

@@ -25,12 +25,15 @@ SINGULARITY_REL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class MeanEstimate:
-    """Estimated mean curve on the population grid."""
+    """Estimated mean curve on the population grid, with the linearized
+    sample rows its covariance estimator reads (HT y_s, Hajek y_s - curve,
+    MA the fit residuals y_s - x_s beta)."""
 
     curve: np.ndarray
     estimator_kind: str  # HT | Hajek | ModelAssisted | Difference
     sample: Sample | None = None
     a_used: float | None = None
+    linearized: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +70,8 @@ def ht_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Horvitz-Thompson estimator: inverse-probability-weighted mean."""
     _, y_s, pi = _sample_arrays(pop, sample)
     curve = (y_s / pi[:, None]).sum(axis=0) / pop.N
-    return MeanEstimate(curve=curve, estimator_kind="HT", sample=sample)
+    return MeanEstimate(curve=curve, estimator_kind="HT", sample=sample,
+                        linearized=y_s)
 
 
 def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
@@ -75,7 +79,8 @@ def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     _, y_s, pi = _sample_arrays(pop, sample)
     w = 1.0 / pi
     curve = (y_s * w[:, None]).sum(axis=0) / w.sum()
-    return MeanEstimate(curve=curve, estimator_kind="Hajek", sample=sample)
+    return MeanEstimate(curve=curve, estimator_kind="Hajek", sample=sample,
+                        linearized=y_s - curve)
 
 
 def _solve_moment_system(g: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
@@ -139,8 +144,9 @@ def model_assisted_mean_core(
     pi: np.ndarray,
     N: int,
     a: float | None = 0.0,
-) -> tuple[np.ndarray, BetaEstimate]:
-    """Model-assisted mean from sample rows plus auxiliary population totals.
+) -> tuple[np.ndarray, BetaEstimate, np.ndarray]:
+    """(curve, beta, residuals y_s - x_s beta) of the model-assisted mean
+    from sample rows plus auxiliary population totals.
 
     This is the full information contract: nothing outside the sample is
     needed beyond the totals of the auxiliary variables.
@@ -149,8 +155,10 @@ def model_assisted_mean_core(
     if aux_totals.shape != (x_s.shape[1],):
         raise ValidationError("aux_totals must have one entry per covariate")
     beta = _sampled_beta(x_s, y_s, pi, N, a)
-    resid_ht = ((x_s @ beta.coefficients - y_s) / pi[:, None]).sum(axis=0) / N
-    curve = aux_totals @ beta.coefficients / N - resid_ht
+    residuals = y_s - x_s @ beta.coefficients
+    # the HT mean of y - x beta: exactly minus that of x beta - y in IEEE
+    resid_ht = (residuals / pi[:, None]).sum(axis=0) / N
+    curve = aux_totals @ beta.coefficients / N + resid_ht
     floored = beta.regularization is not None and beta.regularization.floor_applied
     if _has_intercept(x_s) and not floored:
         # with an intercept the HT sum of estimated residuals must vanish
@@ -160,7 +168,7 @@ def model_assisted_mean_core(
                 "intercept residual cancellation violated "
                 f"(max |HT residual| = {np.abs(resid_ht).max():g})"
             )
-    return curve, beta
+    return curve, beta, residuals
 
 
 def model_assisted_mean(
@@ -169,15 +177,14 @@ def model_assisted_mean(
     """Convenience wrapper extracting the information contract from a
     population object and a sample."""
     x_s, y_s, pi = _sample_arrays(pop, sample)
-    curve, beta = model_assisted_mean_core(
+    curve, beta, residuals = model_assisted_mean_core(
         pop.aux_totals(), x_s, y_s, pi, pop.N, a
     )
     a_used = None if beta.regularization is None else beta.regularization.a
     if a == 0.0:
         a_used = 0.0
-    return MeanEstimate(
-        curve=curve, estimator_kind="ModelAssisted", sample=sample, a_used=a_used
-    )
+    return MeanEstimate(curve=curve, estimator_kind="ModelAssisted",
+                        sample=sample, a_used=a_used, linearized=residuals)
 
 
 def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:

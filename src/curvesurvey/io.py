@@ -142,10 +142,24 @@ def write_curve_csv(path, grid: TimeGrid, columns: dict):
 
 
 def write_covariance_csv(path, grid: TimeGrid, matrix: np.ndarray):
-    """D x D matrix with grid times as row/column headers."""
-    header = [""] + [_fmt(t) for t in grid.points]
-    table = np.column_stack([grid.points, np.asarray(matrix, dtype=float)])
-    _write_table(path, header, table)
+    """D x D matrix with grid times as row/column headers, in _write_table's
+    bytes; an entry bitwise equal to its mirror reuses the mirror's string."""
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    bits = matrix.view(np.int64)
+    differs = bits != bits.T
+    times = [_fmt(t) for t in grid.points]
+    mirrors = [[] for _ in times]  # row k's strict lower triangle, from above
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join([""] + times) + "\r\n")
+        for i, t in enumerate(times):
+            row = matrix[i].tolist()
+            line, mirrors[i] = mirrors[i], None
+            for j in np.flatnonzero(differs[i, :i]):
+                line[j] = repr(row[j])
+            upper = list(map(repr, row[i:]))
+            for below, text in zip(mirrors[i + 1:], upper[1:]):
+                below.append(text)
+            fh.write(",".join([t] + line + upper) + "\r\n")
 
 
 def write_metadata(path, payload: dict):

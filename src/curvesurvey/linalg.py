@@ -51,11 +51,6 @@ def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def spectral_norm_sym(m: np.ndarray) -> float:
-    w, _ = sym_eigen(m)
-    return float(np.abs(w).max())
-
-
 def regularized_inverse(m: np.ndarray, a: float) -> RegularizedInverse:
     """Spectral inverse with eigenvalues floored at a > 0.
 

@@ -35,6 +35,7 @@ class MonteCarloReport:
     vr: float
     er_quantiles: dict
     coverage: float | None
+    coverage_bands: int  # bands the coverage rate averages; 0 without it
     n_errors: int
     seed: int
     mean_curve: np.ndarray  # average of replicate estimates
@@ -78,10 +79,10 @@ def _run_replicate(campaign: _Campaign, i: int):
     mean, covariance = ESTIMATORS[c.estimator]
     try:
         estimate = mean(c.pop, sample, c.a)
-        gamma = covariance(c.pop, sample, c.a, estimate.curve)
+        gamma = covariance(c.pop, sample, c.a, estimate)
     except CurveSurveyError:
         return None, None, None
-    gdiag = np.diag(gamma.matrix).copy()
+    gdiag = gamma.variance  # covers alone reads the D x D matrix
     if not c.coverage:
         return estimate.curve, gdiag, None
     try:
@@ -247,6 +248,7 @@ def run_campaign(
         vr=vr,
         er_quantiles=quantiles,
         coverage=coverage,
+        coverage_bands=0 if coverage is None else len(flags),
         n_errors=failures,
         seed=master_seed,
         mean_curve=mus.mean(axis=0),

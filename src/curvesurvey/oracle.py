@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .errors import ValidationError
 from .grids import FunctionalPopulation, TimeGrid, population_mean
-from .linalg import _eigen_repair, check_symmetric
+from .linalg import _eigen_repair, check_symmetric, sym_eigen
 from .synthetic import AuxSpec, ResidualKernel, SuperpopulationConfig, generate_population
 
 DEFAULT_TOL = 1e-10
@@ -111,6 +111,11 @@ def eigh_first_psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return repaired, np.linalg.cholesky(repaired)
     except np.linalg.LinAlgError:
         return repaired, v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def spectral_norm_sym(m: np.ndarray) -> float:  # bounds inverses in tests
+    w, _ = sym_eigen(m)
+    return float(np.abs(w).max())
 
 
 def default_fixture(

@@ -38,7 +38,7 @@ from curvesurvey import (
     study_population,
 )
 from curvesurvey.designs import draw
-from curvesurvey.linalg import spectral_norm_sym
+from curvesurvey.oracle import spectral_norm_sym
 
 
 def _check(label: str, ok: bool, detail: str = ""):

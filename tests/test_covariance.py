@@ -13,15 +13,18 @@ from curvesurvey import (
     draw,
     enumerate_samples,
     first_order_probs,
+    hajek_mean,
     ht_covariance_estimate,
     ht_covariance_exact,
     ht_mean,
     difference_mean,
     ma_covariance_approx,
     ma_covariance_estimate,
+    model_assisted_mean,
     replicate_rng,
     second_order_matrix,
 )
+from curvesurvey import covariance
 from curvesurvey.designs import joint_probs_submatrix
 from curvesurvey.errors import ValidationError
 from curvesurvey.oracle import (
@@ -181,18 +184,26 @@ def assert_rel_close(closed, dense, rel=1e-12):
     assert np.abs(closed - dense).max() <= rel * scale
 
 
+def assert_matches_dense(cov, dense):
+    """The closed form's matrix and its O(n D) variance function equal the
+    dense twin; the variance is also the matrix's own diagonal."""
+    assert_rel_close(cov.matrix, dense)
+    assert_rel_close(cov.variance, np.diag(dense))
+    assert_rel_close(cov.variance, np.diag(cov.matrix))
+
+
 def check_against_dense(design, seed, D=3):
     """Closed-form covariances equal their dense oracle.py twins."""
     pop = random_population(design.N, D, seed)
     pi = first_order_probs(design)
     pi2 = second_order_matrix(design)
-    assert_rel_close(
-        ht_covariance_exact(pop, design).matrix,
+    assert_matches_dense(
+        ht_covariance_exact(pop, design),
         dense_ht_covariance(pop.values, pi, pi2, design.N),
     )
     residuals = pop.values - pop.aux @ beta_population(pop).coefficients
-    assert_rel_close(
-        ma_covariance_approx(pop, design).matrix,
+    assert_matches_dense(
+        ma_covariance_approx(pop, design),
         dense_ht_covariance(residuals, pi, pi2, design.N),
     )
     sample = draw(design, replicate_rng(seed, 1))
@@ -202,19 +213,21 @@ def check_against_dense(design, seed, D=3):
         pi2_s = joint_probs_submatrix(design, idx)
         return residual_ht_covariance_estimate(rows, pi[idx], pi2_s, design.N)
 
-    assert_rel_close(
-        ht_covariance_estimate(pop, sample).matrix, dense(pop.values[idx])
+    assert_matches_dense(
+        ht_covariance_estimate(pop, sample), dense(pop.values[idx])
     )
-    center = pop.values[idx].mean(axis=0)
-    assert_rel_close(
-        ht_covariance_estimate(pop, sample, center=center).matrix,
-        dense(pop.values[idx] - center),
+    hajek = hajek_mean(pop, sample)
+    assert_matches_dense(
+        ht_covariance_estimate(pop, sample, estimate=hajek),
+        dense(pop.values[idx] - hajek.curve),
     )
     beta = beta_sampled(pop, sample, a=None).coefficients
-    assert_rel_close(
-        ma_covariance_estimate(pop, sample, a=None).matrix,
-        dense(pop.values[idx] - pop.aux[idx] @ beta),
-    )
+    ma = model_assisted_mean(pop, sample, a=None)
+    for estimate in (None, ma):
+        assert_matches_dense(
+            ma_covariance_estimate(pop, sample, a=None, estimate=estimate),
+            dense(pop.values[idx] - pop.aux[idx] @ beta),
+        )
 
 
 @st.composite
@@ -248,6 +261,22 @@ class TestClosedFormMatchesDense:
     def test_random_designs(self, spec, seed):
         sizes, n_h, srswor = spec
         check_against_dense(make_design(sizes, n_h, seed, srswor), seed)
+
+
+class TestLazyMatrix:
+    def test_matrix_is_formed_once_and_only_when_read(self, small_pop,
+                                                      small_design, monkeypatch):
+        full = []
+        kernel = covariance._block_covariance
+
+        def counted(*args, **kwargs):
+            full.append(not kwargs.get("diagonal", False))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(covariance, "_block_covariance", counted)
+        cov = ma_covariance_estimate(small_pop, draw(small_design, replicate_rng(3, 0)))
+        assert cov.variance is cov.variance and full == [False]
+        assert cov.matrix is cov.matrix and full == [False, True]
 
 
 class TestMemory:

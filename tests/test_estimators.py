@@ -22,7 +22,8 @@ from curvesurvey import (
     population_mean,
     replicate_rng,
 )
-from curvesurvey.linalg import spectral_norm_sym, sym_eigen
+from curvesurvey.linalg import sym_eigen
+from curvesurvey.oracle import spectral_norm_sym
 
 
 def census_sample(pop):

@@ -96,6 +96,33 @@ class TestTableCsv:
         assert (tmp_path / "fast.csv").read_bytes() == expected
         assert expected.startswith(b",-2.0,0.0,1e-05,3.0\r\n")
 
+    def covariance_bytes_match(self, tmp_path, grid, matrix):
+        write_covariance_csv(tmp_path / "fast.csv", grid, matrix)
+        expected = csv_writer_bytes(
+            tmp_path / "ref.csv",
+            [""] + [repr(float(t)) for t in grid.points],
+            np.column_stack([grid.points, matrix]),
+        )
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+        return expected
+
+    def test_symmetric_covariance_bytes_match_csv_writer(self, tmp_path):
+        z = np.random.default_rng(5).standard_normal((400, 336))
+        matrix = z.T @ z / 400
+        matrix = 0.5 * (matrix + matrix.T)
+        assert np.array_equal(matrix, matrix.T)
+        self.covariance_bytes_match(
+            tmp_path, TimeGrid(np.linspace(0.0, 167.5, 336)), matrix)
+
+    def test_mirrors_differing_only_in_the_sign_of_zero(self, tmp_path):
+        matrix = np.array([[1.0, 0.0, -0.0, 2.5],
+                           [-0.0, 3.0, 0.0, -0.0],
+                           [-0.0, 0.0, -0.0, 7.0],
+                           [2.5, 0.0, 7.0, 0.1]])
+        expected = self.covariance_bytes_match(
+            tmp_path, TimeGrid(np.arange(4.0)), matrix)
+        assert b"\r\n1.0,-0.0,3.0,0.0,-0.0\r\n" in expected
+
     def test_curve_bytes_match_csv_writer(self, tmp_path):
         grid, matrix = self.grid_and_matrix()
         columns = {"center": matrix[:, 0], "lower": matrix[:, 1],
@@ -324,6 +351,16 @@ a = 0
         assert (out / "report.csv").exists()
         assert (out / "gamma_emp_n10.csv").exists()
         assert (out / "gamma_emp_n20.csv").exists()
+
+    def test_report_files_carry_no_coverage_band_count(self, tmp_path):
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+        header = (out / "report.csv").read_text().splitlines()[0]
+        assert header == ("n,replicates,rmse,rb_squared,vr,q5,q25,median,"
+                          "q75,q95,coverage,errors,seed")
+        assert "bands" not in (out / "report.txt").read_text()
 
     def test_oracle_check_passes(self, capsys):
         assert main(["oracle-check", "--seed", "0"]) == 0

@@ -12,8 +12,7 @@ from curvesurvey import (
     regularized_inverse,
     sym_eigen,
 )
-from curvesurvey.linalg import spectral_norm_sym
-from curvesurvey.oracle import eigh_first_psd_repair
+from curvesurvey.oracle import eigh_first_psd_repair, spectral_norm_sym
 
 
 def random_symmetric(rng, dim, psd=False):

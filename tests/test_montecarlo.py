@@ -1,9 +1,10 @@
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from curvesurvey import montecarlo
+from curvesurvey import covariance, estimators, montecarlo
 from curvesurvey import (
     FunctionalPopulation,
     NumericalError,
@@ -102,6 +103,97 @@ class TestRunCampaign:
         design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         with pytest.raises(ValidationError):
             run_campaign(mc_pop, design, replicates=10, estimator="magic")
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name in every curvesurvey module that refers to it;
+    returns the list of each call's keyword arguments."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    for key, loaded in list(sys.modules.items()):
+        if key.startswith("curvesurvey") and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
+
+
+def _stratified(pop):
+    half = pop.N // 2
+    return SamplingDesign(kind="stratified", N=pop.N, n=40,
+                          strata=(np.arange(half), np.arange(half, pop.N)),
+                          n_h=(25, 15))
+
+
+class TestReplicateWork:
+    """A replicate computes what the report reads: the variance curve, from
+    one gather and one fit; the D x D matrix only for a coverage band."""
+
+    @pytest.fixture(params=["srswor", "stratified"])
+    def design(self, request, mc_pop):
+        if request.param == "srswor":
+            return SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        return _stratified(mc_pop)
+
+    def kernel_calls(self, monkeypatch):
+        calls = _count_calls(monkeypatch, covariance, "_block_covariance")
+        return lambda diagonal: sum(c.get("diagonal", False) == diagonal
+                                    for c in calls)
+
+    @pytest.mark.parametrize("estimator", ["ma", "ht", "hajek"])
+    def test_no_matrix_without_coverage(self, mc_pop, design, monkeypatch,
+                                        estimator):
+        kernel = self.kernel_calls(monkeypatch)
+        run_campaign(mc_pop, design, replicates=6, estimator=estimator)
+        assert kernel(diagonal=False) == 0
+        assert kernel(diagonal=True) == 6
+
+    @pytest.mark.parametrize("coverage", [False, True])
+    def test_ma_gathers_and_fits_once(self, mc_pop, design, monkeypatch,
+                                      coverage):
+        gathers = _count_calls(monkeypatch, estimators, "_sample_arrays")
+        fits = _count_calls(monkeypatch, estimators, "_sampled_beta")
+        run_campaign(mc_pop, design, replicates=5, compute_coverage=coverage,
+                     band_sims=200)
+        assert (len(gathers), len(fits)) == (5, 5)
+
+    def test_coverage_forms_the_matrix_once(self, mc_pop, design, monkeypatch):
+        kernel = self.kernel_calls(monkeypatch)
+        report = run_campaign(mc_pop, design, replicates=5,
+                              compute_coverage=True, band_sims=200)
+        assert report.coverage_bands == 5
+        assert kernel(diagonal=False) == 5
+        assert kernel(diagonal=True) == 5
+
+
+class TestCoverageBands:
+    def test_one_failed_band_is_left_out_of_the_rate(self, mc_pop, monkeypatch):
+        flags, real = [], montecarlo.covers
+
+        def third_band_fails(*args, **kwargs):
+            if len(flags) == 2:
+                flags.append(None)
+                raise NumericalError("no band")
+            flags.append(real(*args, **kwargs))
+            return flags[-1]
+
+        monkeypatch.setattr(montecarlo, "covers", third_band_fails)
+        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        report = run_campaign(mc_pop, design, replicates=12,
+                              compute_coverage=True, band_sims=400,
+                              master_seed=4)
+        built = [f for f in flags if f is not None]
+        assert len(flags) == 12 and len(built) == 11
+        assert report.coverage_bands == 11
+        assert report.n_errors == 1
+        assert report.coverage == np.mean(built)
+
+    def test_zero_without_coverage(self, mc_pop):
+        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        report = run_campaign(mc_pop, design, replicates=4)
+        assert report.coverage is None and report.coverage_bands == 0
 
 
 def _blas_threads():
