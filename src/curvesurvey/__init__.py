@@ -37,29 +37,15 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    BetaEstimate,
-    CalibrationWeights,
     MeanEstimate,
     beta_population,
-    beta_sampled,
-    calibration_mean,
-    calibration_weights,
-    calibration_weights_for,
     difference_mean,
     hajek_mean,
     ht_mean,
     model_assisted_mean,
-    model_assisted_mean_core,
 )
-from .grids import FunctionalPopulation, TimeGrid, interpolate, population_mean
-from .linalg import (
-    RegularizedInverse,
-    cholesky_psd,
-    psd_project,
-    psd_repair,
-    regularized_inverse,
-    sym_eigen,
-)
+from .grids import FunctionalPopulation, TimeGrid, population_mean
+from .linalg import cholesky_psd, psd_project, psd_repair
 from .montecarlo import (
     MonteCarloReport,
     empirical_covariance,

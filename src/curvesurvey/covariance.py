@@ -113,8 +113,7 @@ def ma_covariance_approx(
     of the model-assisted estimator (exactly the covariance of the difference
     estimator)."""
     _check_match(pop, design)
-    beta = beta_population(pop)
-    residuals = pop.values - pop.aux @ beta.coefficients
+    residuals = pop.values - pop.aux @ beta_population(pop)
     return _exact_covariance(residuals, design, "MA_approx")
 
 

@@ -1,9 +1,18 @@
 """Mean-curve estimators.
 
 Horvitz-Thompson, Hajek, the generalized difference estimator (population
-regression fit, an oracle for testing), the model-assisted estimator with an
-eigenvalue-floored design matrix, and calibration weights equivalent to the
-unregularized model-assisted estimator.
+regression fit, an oracle for testing) and the model-assisted estimator
+with an eigenvalue-floored design matrix.
+
+Both regression fits, the census one and the design-weighted sampled one,
+come from one thin SVD of the weighted design (`_fit`), never from the
+moment matrix x'x / pi, so a fit loses cond(x / sqrt(pi)) digits, not its
+square.  At a = 0 the model-assisted mean is the calibration estimator
+(Deville & Sarndal 1992): the mean under the weights closest to 1/pi that
+reproduce the auxiliary totals.  The MA estimate and those calibration
+weights therefore come from the same SVD fit; ``oracle.py`` keeps an
+independent lstsq twin of the weights, and of the eigenvalue-floored
+inverse, for the tests and ``oracle-check``.
 """
 
 from __future__ import annotations
@@ -15,12 +24,12 @@ import numpy as np
 from .designs import Sample, SamplingDesign, first_order_probs
 from .errors import NumericalError, ValidationError
 from .grids import FunctionalPopulation
-from .linalg import RegularizedInverse, regularized_inverse, sym_eigen
 
 # a=None asks for this relative floor; a=0.0 means "no floor, fail on
 # singular sampled design matrix".
 DEFAULT_FLOOR_REL = 1e-8
 SINGULARITY_REL = 1e-12
+_SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,24 +43,6 @@ class MeanEstimate:
     sample: Sample | None = None
     a_used: float | None = None
     linearized: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class BetaEstimate:
-    """Regression coefficient curves, (p, D); column i = beta(t_i)."""
-
-    coefficients: np.ndarray
-    ghat: np.ndarray
-    kind: str  # "population" | "sampled"
-    regularization: RegularizedInverse | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationWeights:
-    """Per-sampled-unit weights reproducing the auxiliary population totals."""
-
-    weights: np.ndarray  # aligned with `indices`
-    indices: np.ndarray
 
 
 def _check_match(pop: FunctionalPopulation, design: SamplingDesign):
@@ -83,108 +74,86 @@ def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
                         linearized=y_s - curve)
 
 
-def _solve_moment_system(g: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
-    w, _ = sym_eigen(g)
-    p = g.shape[0]
-    threshold = SINGULARITY_REL * np.trace(g) / p
-    if w.min() <= threshold:
-        raise NumericalError(
-            f"{label} moment matrix is singular "
-            f"(min eigenvalue {w.min():g} <= threshold {threshold:g})"
-        )
-    return np.linalg.solve(g, b)
+def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
+    """(beta, a_used, floored): the (p, D) coefficient curves of the
+    regression of y on x weighted by 1/pi, with the moment matrix
+    G = sum x x' / (pi N) floored at a, and whether the floor fired.
 
-
-def beta_population(pop: FunctionalPopulation) -> BetaEstimate:
-    """Census-level OLS coefficient curves (the unobservable fit)."""
-    g = pop.aux.T @ pop.aux / pop.N
-    b = pop.aux.T @ pop.values / pop.N
-    coef = _solve_moment_system(g, b, "population")
-    return BetaEstimate(coefficients=coef, ghat=g, kind="population")
-
-
-def _sampled_beta(
-    x_s: np.ndarray, y_s: np.ndarray, pi: np.ndarray, N: int, a: float | None
-) -> BetaEstimate:
-    xw = x_s / pi[:, None]
-    ghat = xw.T @ x_s / N
-    ghat = 0.5 * (ghat + ghat.T)
-    b = xw.T @ y_s / N
-    if a is None:
-        a = DEFAULT_FLOOR_REL * np.trace(ghat) / ghat.shape[0]
-    if a < 0:
+    With the thin SVD x / sqrt(pi) = U S V', G = V diag(S^2 / N) V' and
+    b = sum x y / (pi N) = V diag(S / N) U' (y / sqrt(pi)), so
+    inv(G floored at a) b = V diag(scale) (U / sqrt(pi))' y with scale 1/S
+    where S^2 / N >= a and S / (N a) below the floor.  a = 0 asks for no
+    floor and fails on a singular G (min eigenvalue <= SINGULARITY_REL
+    trace(G) / p); a = None asks for the floor DEFAULT_FLOOR_REL
+    trace(G) / p.  Both tests read the eigenvalues relative to the largest,
+    (S / S_max)^2, so no step squares the design.
+    """
+    if a is not None and a < 0:
         raise ValidationError("regularization floor a must be >= 0")
+    root_pi = np.sqrt(pi)[:, None]
+    u, s, vt = np.linalg.svd(x / root_pi, full_matrices=False)
+    # eigenvalues of G over the largest; those missing when n < p are 0
+    ratio = np.zeros(x.shape[1])
+    if s[0] > 0:
+        ratio[: s.size] = (s / s[0]) ** 2
+    mean_ratio = ratio.mean()  # trace(G) / p over the largest eigenvalue
+    root_eig = s / np.sqrt(N)  # square roots of the eigenvalues of G
+    if a is None:
+        if not root_eig[0] < _SQRT_MAX:
+            raise NumericalError(
+                f"{label} moment matrix overflows float64 (largest eigenvalue "
+                f"{root_eig[0]:g}^2), so its relative floor is undefined"
+            )
+        a = DEFAULT_FLOOR_REL * mean_ratio * root_eig[0] ** 2
     if a == 0.0:
-        coef = _solve_moment_system(ghat, b, "sampled")
-        reg = None
-    else:
-        reg = regularized_inverse(ghat, a)
-        coef = reg.inverse @ b
-    return BetaEstimate(
-        coefficients=coef, ghat=ghat, kind="sampled", regularization=reg
-    )
+        threshold = SINGULARITY_REL * mean_ratio
+        if ratio.min() <= threshold:
+            raise NumericalError(
+                f"{label} moment matrix is singular (eigenvalue ratio min/max "
+                f"{ratio.min():g} <= threshold {threshold:g})"
+            )
+    floored = root_eig < np.sqrt(a)
+    scale = np.empty_like(s)
+    scale[~floored] = 1.0 / s[~floored]
+    scale[floored] = s[floored] / (N * a)
+    beta = vt.T @ (scale[:, None] * ((u / root_pi).T @ y))
+    return beta, float(a), bool(floored.any()) or s.size < x.shape[1]
 
 
-def beta_sampled(
-    pop: FunctionalPopulation, sample: Sample, a: float | None = 0.0
-) -> BetaEstimate:
-    """Design-weighted coefficient curves from sample data only."""
-    x_s, y_s, pi = _sample_arrays(pop, sample)
-    return _sampled_beta(x_s, y_s, pi, pop.N, a)
+def beta_population(pop: FunctionalPopulation) -> np.ndarray:
+    """Census-level OLS coefficient curves, (p, D): the unobservable fit."""
+    return _fit(pop.aux, pop.values, np.ones(pop.N), pop.N, 0.0, "population")[0]
 
 
 def _has_intercept(x_s: np.ndarray) -> bool:
     return bool(np.any(np.all(x_s == 1.0, axis=0)))
 
 
-def model_assisted_mean_core(
-    aux_totals: np.ndarray,
-    x_s: np.ndarray,
-    y_s: np.ndarray,
-    pi: np.ndarray,
-    N: int,
-    a: float | None = 0.0,
-) -> tuple[np.ndarray, BetaEstimate, np.ndarray]:
-    """(curve, beta, residuals y_s - x_s beta) of the model-assisted mean
-    from sample rows plus auxiliary population totals.
+def model_assisted_mean(
+    pop: FunctionalPopulation, sample: Sample, a: float | None = 0.0
+) -> MeanEstimate:
+    """Model-assisted mean t_x' beta / N + (1/N) sum_s e_k / pi_k.
 
-    This is the full information contract: nothing outside the sample is
-    needed beyond the totals of the auxiliary variables.
+    beta is the sampled fit floored at a and e_s = y_s - x_s beta its
+    residuals, the linearized rows.  Nothing outside the sample enters
+    beyond the auxiliary population totals t_x.
     """
-    aux_totals = np.asarray(aux_totals, dtype=float)
-    if aux_totals.shape != (x_s.shape[1],):
-        raise ValidationError("aux_totals must have one entry per covariate")
-    beta = _sampled_beta(x_s, y_s, pi, N, a)
-    residuals = y_s - x_s @ beta.coefficients
-    # the HT mean of y - x beta: exactly minus that of x beta - y in IEEE
-    resid_ht = (residuals / pi[:, None]).sum(axis=0) / N
-    curve = aux_totals @ beta.coefficients / N + resid_ht
-    floored = beta.regularization is not None and beta.regularization.floor_applied
+    x_s, y_s, pi = _sample_arrays(pop, sample)
+    beta, a_used, floored = _fit(x_s, y_s, pi, pop.N, a)
+    y_max = max(y_s.max(), -y_s.min())
+    y_s -= x_s @ beta  # the residuals, over the gathered rows
+    resid_ht = (1.0 / pi) @ y_s / pop.N
     if _has_intercept(x_s) and not floored:
         # with an intercept the HT sum of estimated residuals must vanish
-        tol = 1e-8 * max(1.0, float(np.abs(y_s).max()))
+        tol = 1e-8 * max(1.0, float(y_max))
         if np.abs(resid_ht).max() > tol:
             raise NumericalError(
                 "intercept residual cancellation violated "
                 f"(max |HT residual| = {np.abs(resid_ht).max():g})"
             )
-    return curve, beta, residuals
-
-
-def model_assisted_mean(
-    pop: FunctionalPopulation, sample: Sample, a: float | None = 0.0
-) -> MeanEstimate:
-    """Convenience wrapper extracting the information contract from a
-    population object and a sample."""
-    x_s, y_s, pi = _sample_arrays(pop, sample)
-    curve, beta, residuals = model_assisted_mean_core(
-        pop.aux_totals(), x_s, y_s, pi, pop.N, a
-    )
-    a_used = None if beta.regularization is None else beta.regularization.a
-    if a == 0.0:
-        a_used = 0.0
+    curve = pop.aux_totals() @ beta / pop.N + resid_ht
     return MeanEstimate(curve=curve, estimator_kind="ModelAssisted",
-                        sample=sample, a_used=a_used, linearized=residuals)
+                        sample=sample, a_used=a_used, linearized=y_s)
 
 
 def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
@@ -195,41 +164,7 @@ def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """
     _, y_s, pi = _sample_arrays(pop, sample)
     beta = beta_population(pop)
-    pred = pop.aux @ beta.coefficients
+    pred = pop.aux @ beta
     resid_ht = ((pred[sample.indices] - y_s) / pi[:, None]).sum(axis=0) / pop.N
     curve = pred.mean(axis=0) - resid_ht
     return MeanEstimate(curve=curve, estimator_kind="Difference", sample=sample)
-
-
-def calibration_weights(
-    aux_totals: np.ndarray, x_s: np.ndarray, pi: np.ndarray, indices: np.ndarray
-) -> CalibrationWeights:
-    """Weights closest (chi-square distance) to 1/pi_k that reproduce the
-    auxiliary population totals exactly."""
-    aux_totals = np.asarray(aux_totals, dtype=float)
-    xw = x_s / pi[:, None]
-    moment = xw.T @ x_s
-    gap = xw.sum(axis=0) - aux_totals  # HT totals minus true totals
-    correction = _solve_moment_system(
-        0.5 * (moment + moment.T), gap, "calibration"
-    )
-    weights = (1.0 - x_s @ correction) / pi
-    achieved = weights @ x_s
-    scale = np.maximum(np.abs(aux_totals), 1.0)
-    if np.abs(achieved - aux_totals).max() > 1e-8 * scale.max():
-        raise NumericalError("calibration equations not satisfied")
-    return CalibrationWeights(weights=weights, indices=np.asarray(indices))
-
-
-def calibration_weights_for(
-    pop: FunctionalPopulation, sample: Sample
-) -> CalibrationWeights:
-    x_s, _, pi = _sample_arrays(pop, sample)
-    return calibration_weights(pop.aux_totals(), x_s, pi, sample.indices)
-
-
-def calibration_mean(
-    weights: CalibrationWeights, y_s: np.ndarray, N: int
-) -> np.ndarray:
-    """Calibration-weighted mean curve, (1/N) * sum_s w_k Y_k."""
-    return weights.weights @ y_s / N

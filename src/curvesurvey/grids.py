@@ -1,4 +1,4 @@
-"""Time grids, discretized functional populations and linear interpolation."""
+"""Time grids and discretized functional populations."""
 
 from __future__ import annotations
 
@@ -28,10 +28,6 @@ class TimeGrid:
     @property
     def size(self) -> int:
         return self.points.size
-
-    @property
-    def t_min(self) -> float:
-        return float(self.points[0])
 
     @property
     def t_max(self) -> float:
@@ -77,23 +73,6 @@ class FunctionalPopulation:
     def aux_totals(self) -> np.ndarray:
         """Population totals of the auxiliary variables (p,)."""
         return self.aux.sum(axis=0)
-
-
-def interpolate(curve: np.ndarray, grid: TimeGrid, t):
-    """Piecewise-linear value of a discretized curve at time(s) t.
-
-    Exact at grid points; raises for t outside [t_1, t_D].
-    """
-    curve = np.asarray(curve, dtype=float)
-    if curve.shape != (grid.size,):
-        raise ValidationError(f"curve must have {grid.size} values")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < grid.t_min) or np.any(t_arr > grid.t_max):
-        raise ValidationError(
-            f"t outside the grid range [{grid.t_min}, {grid.t_max}]"
-        )
-    out = np.interp(t_arr, grid.points, curve)
-    return float(out) if np.ndim(t) == 0 else out
 
 
 def population_mean(pop: FunctionalPopulation) -> np.ndarray:

@@ -1,34 +1,16 @@
-"""Small dense symmetric linear algebra used by the estimators.
+"""Small dense symmetric linear algebra for the bands.
 
-Covers the eigenvalue-floored regularized inverse (the always-invertible
-version of the sampled design matrix), PSD projection and a PSD-tolerant
-Cholesky factorization for Gaussian simulation.
+Covers PSD projection, the Cholesky-first PSD repair of a covariance
+estimate and a PSD-tolerant Cholesky factorization for Gaussian simulation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
 SYMMETRY_RTOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class RegularizedInverse:
-    """Inverse of the eigenvalue-floored matrix, with provenance.
-
-    floor_applied is True iff some eigenvalue of the input fell below the
-    floor `a`; when False the inverse equals the plain matrix inverse.
-    The spectral norm of `inverse` is bounded by 1/a.
-    """
-
-    inverse: np.ndarray
-    floor_applied: bool
-    a: float
-    min_eigenvalue: float
 
 
 def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
@@ -41,37 +23,6 @@ def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     if np.abs(m - m.T).max() > rtol * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
     return 0.5 * (m + m.T)
-
-
-def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in descending order and matching orthonormal eigenvectors
-    (as columns)."""
-    m = check_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def regularized_inverse(m: np.ndarray, a: float) -> RegularizedInverse:
-    """Spectral inverse with eigenvalues floored at a > 0.
-
-    Input must be non-negative definite within a small eigenvalue tolerance.
-    """
-    if a <= 0:
-        raise ValidationError("floor a must be > 0")
-    w, v = sym_eigen(m)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -1e-10 * scale:
-        raise NumericalError(
-            f"matrix is not non-negative definite (eigenvalue {w.min():g})"
-        )
-    floored = np.maximum(w, a)
-    inv = (v / floored) @ v.T
-    return RegularizedInverse(
-        inverse=0.5 * (inv + inv.T),
-        floor_applied=bool(w.min() < a),
-        a=float(a),
-        min_eigenvalue=float(w.min()),
-    )
 
 
 def _eigen_repair(m: np.ndarray):

@@ -6,7 +6,9 @@ over all possible samples with their exact probabilities.  Used by the
 ``oracle-check`` command and by the test suite, which also compares the
 closed-form covariances of ``covariance.py`` against the dense formulas
 kept here, the blocked sup kernel of ``bands.py`` against its one-shot
-form, and the Cholesky-first PSD repair against its eigh-first form.
+form, the Cholesky-first PSD repair against its eigh-first form, and the
+SVD fit of ``estimators.py`` against an lstsq calibration-weight twin and
+the eigenvalue-floored inverse of the moment matrix.
 """
 
 from __future__ import annotations
@@ -23,17 +25,16 @@ from .designs import (
     second_order_matrix,
 )
 from .estimators import (
+    _sample_arrays,
     beta_population,
-    calibration_mean,
-    calibration_weights_for,
     difference_mean,
     hajek_mean,
     ht_mean,
     model_assisted_mean,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .grids import FunctionalPopulation, TimeGrid, population_mean
-from .linalg import _eigen_repair, check_symmetric, sym_eigen
+from .linalg import _eigen_repair, check_symmetric
 from .synthetic import AuxSpec, ResidualKernel, SuperpopulationConfig, generate_population
 
 DEFAULT_TOL = 1e-10
@@ -111,6 +112,71 @@ def eigh_first_psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return repaired, np.linalg.cholesky(repaired)
     except np.linalg.LinAlgError:
         return repaired, v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues in descending order and matching orthonormal eigenvectors
+    (as columns)."""
+    m = check_symmetric(m)
+    w, v = np.linalg.eigh(m)
+    return w[::-1].copy(), v[:, ::-1].copy()
+
+
+@dataclass(frozen=True, eq=False)
+class RegularizedInverse:
+    """Inverse of the eigenvalue-floored matrix, with provenance.
+
+    floor_applied is True iff some eigenvalue of the input fell below the
+    floor `a`; when False the inverse equals the plain matrix inverse.
+    The spectral norm of `inverse` is bounded by 1/a.
+    """
+
+    inverse: np.ndarray
+    floor_applied: bool
+    a: float
+    min_eigenvalue: float
+
+
+def regularized_inverse(m: np.ndarray, a: float) -> RegularizedInverse:
+    """Spectral inverse with eigenvalues floored at a > 0.
+
+    Eigen-floor twin of the floored SVD fit in ``estimators``: with the
+    sampled moment matrix G and b = sum x y / (pi N), the fit's beta is
+    regularized_inverse(G, a).inverse @ b.  Input must be non-negative
+    definite within a small eigenvalue tolerance.
+    """
+    if a <= 0:
+        raise ValidationError("floor a must be > 0")
+    w, v = sym_eigen(m)
+    scale = max(1.0, float(np.abs(w).max()))
+    if w.min() < -1e-10 * scale:
+        raise NumericalError(
+            f"matrix is not non-negative definite (eigenvalue {w.min():g})"
+        )
+    floored = np.maximum(w, a)
+    inv = (v / floored) @ v.T
+    return RegularizedInverse(
+        inverse=0.5 * (inv + inv.T),
+        floor_applied=bool(w.min() < a),
+        a=float(a),
+        min_eigenvalue=float(w.min()),
+    )
+
+
+def calibrated_weights(pop: FunctionalPopulation, sample) -> np.ndarray:
+    """Weights of the sampled units closest (chi-square distance) to 1/pi_k
+    that reproduce the auxiliary population totals t_x: w = 1/pi + v /
+    sqrt(pi), with v the minimum-norm solution of (x_s / sqrt(pi))' v =
+    t_x - sum_s x_k / pi_k.
+
+    lstsq twin of the SVD fit in ``estimators``: at a = 0 the model-assisted
+    mean is w @ y_s / N (Deville & Sarndal 1992).
+    """
+    x_s, _, pi = _sample_arrays(pop, sample)
+    root_pi = np.sqrt(pi)
+    gap = pop.aux_totals() - (x_s / pi[:, None]).sum(axis=0)
+    v = np.linalg.lstsq((x_s / root_pi[:, None]).T, gap, rcond=None)[0]
+    return 1.0 / pi + v / root_pi
 
 
 def spectral_norm_sym(m: np.ndarray) -> float:  # bounds inverses in tests
@@ -212,7 +278,7 @@ def oracle_check(
         "HT covariance formula matches enumeration",
         np.abs(formula_cov(pop.values) - ht_cov_enum).max(),
     )
-    residuals = pop.values - pop.aux @ beta_population(pop).coefficients
+    residuals = pop.values - pop.aux @ beta_population(pop)
     add(
         "residual covariance formula matches enumerated difference-estimator "
         "covariance",
@@ -249,8 +315,7 @@ def oracle_check(
 
     calib_gap = 0.0
     for s in samples:
-        weights = calibration_weights_for(pop, s)
-        cal = calibration_mean(weights, pop.values[s.indices], pop.N)
+        cal = calibrated_weights(pop, s) @ pop.values[s.indices] / pop.N
         ma = model_assisted_mean(pop, s, a=0.0).curve
         calib_gap = max(calib_gap, float(np.abs(cal - ma).max()))
     add("calibration mean equals model-assisted (a=0)", calib_gap)

@@ -20,8 +20,6 @@ from curvesurvey import (
     SamplingDesign,
     SuperpopulationConfig,
     TimeGrid,
-    calibration_mean,
-    calibration_weights_for,
     difference_mean,
     enumerate_samples,
     generate_population,
@@ -32,13 +30,16 @@ from curvesurvey import (
     ma_covariance_approx,
     model_assisted_mean,
     population_mean,
-    regularized_inverse,
     run_campaign,
     simulate_sup_quantile,
     study_population,
 )
 from curvesurvey.designs import draw
-from curvesurvey.oracle import spectral_norm_sym
+from curvesurvey.oracle import (
+    calibrated_weights,
+    regularized_inverse,
+    spectral_norm_sym,
+)
 
 
 def _check(label: str, ok: bool, detail: str = ""):
@@ -146,11 +147,11 @@ def test_criterion_04_calibration_equivalence():
         pop = study_population(50, 6, corr=0.9, seed=pair)
         design = SamplingDesign(kind="srswor", N=50, n=12)
         sample = draw(design, rng)
-        weights = calibration_weights_for(pop, sample)
-        cal = calibration_mean(weights, pop.values[sample.indices], pop.N)
+        weights = calibrated_weights(pop, sample)
+        cal = weights @ pop.values[sample.indices] / pop.N
         ma = model_assisted_mean(pop, sample, a=0.0).curve
         worst_mean = max(worst_mean, float(np.abs(cal - ma).max()))
-        achieved = weights.weights @ pop.aux[sample.indices]
+        achieved = weights @ pop.aux[sample.indices]
         rel = np.abs(achieved - pop.aux_totals()) / np.abs(pop.aux_totals())
         worst_eq = max(worst_eq, float(rel.max()))
     _check(

@@ -9,7 +9,6 @@ from curvesurvey import (
     SamplingDesign,
     TimeGrid,
     beta_population,
-    beta_sampled,
     draw,
     enumerate_samples,
     first_order_probs,
@@ -24,7 +23,7 @@ from curvesurvey import (
     replicate_rng,
     second_order_matrix,
 )
-from curvesurvey import covariance
+from curvesurvey import covariance, estimators
 from curvesurvey.designs import joint_probs_submatrix
 from curvesurvey.errors import ValidationError
 from curvesurvey.oracle import (
@@ -78,8 +77,7 @@ class TestMaCovarianceApprox:
         assert np.abs(ma_covariance_approx(pop, design).matrix).max() < 1e-12
 
     def test_dual_path_residual_population(self, small_pop, small_design):
-        beta = beta_population(small_pop)
-        residuals = small_pop.values - small_pop.aux @ beta.coefficients
+        residuals = small_pop.values - small_pop.aux @ beta_population(small_pop)
         resid_pop = FunctionalPopulation(
             small_pop.grid, residuals, small_pop.aux
         )
@@ -122,8 +120,7 @@ class TestMaCovarianceEstimate:
             + 0.5 * rng.standard_normal((5, 3))
         pop = FunctionalPopulation(grid, values, aux)
         design = SamplingDesign(kind="srswor", N=5, n=3)
-        beta = beta_population(pop)
-        residuals = pop.values - pop.aux @ beta.coefficients
+        residuals = pop.values - pop.aux @ beta_population(pop)
         resid_pop = FunctionalPopulation(grid, residuals, aux)
         expectation = np.zeros((3, 3))
         for s, p in enumerate_samples(design):
@@ -201,7 +198,7 @@ def check_against_dense(design, seed, D=3):
         ht_covariance_exact(pop, design),
         dense_ht_covariance(pop.values, pi, pi2, design.N),
     )
-    residuals = pop.values - pop.aux @ beta_population(pop).coefficients
+    residuals = pop.values - pop.aux @ beta_population(pop)
     assert_matches_dense(
         ma_covariance_approx(pop, design),
         dense_ht_covariance(residuals, pi, pi2, design.N),
@@ -221,7 +218,8 @@ def check_against_dense(design, seed, D=3):
         ht_covariance_estimate(pop, sample, estimate=hajek),
         dense(pop.values[idx] - hajek.curve),
     )
-    beta = beta_sampled(pop, sample, a=None).coefficients
+    beta = estimators._fit(pop.aux[idx], pop.values[idx], pi[idx], design.N,
+                           None)[0]
     ma = model_assisted_mean(pop, sample, a=None)
     for estimate in (None, ma):
         assert_matches_dense(

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from curvesurvey import (
     FunctionalPopulation,
     TimeGrid,
     ValidationError,
-    interpolate,
     population_mean,
 )
 
@@ -23,50 +20,6 @@ class TestTimeGrid:
     def test_rejects_bad_grids(self, pts):
         with pytest.raises(ValidationError):
             TimeGrid(pts)
-
-
-class TestInterpolate:
-    def test_midpoint(self):
-        g = TimeGrid([0.0, 1.0])
-        assert interpolate([1.0, 3.0], g, 0.5) == pytest.approx(2.0)
-
-    def test_exact_at_grid_point(self):
-        g = TimeGrid([0.0, 1.0])
-        assert interpolate([1.0, 3.0], g, 1.0) == 3.0
-
-    def test_hand_segment(self):
-        # segment [1, 2]: 4 + (2 - 4) * 0.5 = 3
-        g = TimeGrid([0.0, 1.0, 2.0])
-        assert interpolate([0.0, 4.0, 2.0], g, 1.5) == pytest.approx(3.0)
-
-    def test_out_of_range(self):
-        g = TimeGrid([0.0, 1.0])
-        with pytest.raises(ValidationError):
-            interpolate([1.0, 3.0], g, 1.5)
-        with pytest.raises(ValidationError):
-            interpolate([1.0, 3.0], g, -0.1)
-
-    @given(st.floats(0.0, 1.0), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_convex_combination_between_neighbors(self, lam, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        pts = np.sort(rng.uniform(0, 10, 5))
-        pts[1:] += 0.1 * np.arange(1, 5)  # enforce strict increase
-        g = TimeGrid(pts)
-        curve = rng.standard_normal(5)
-        i = data.draw(st.integers(0, 3))
-        t = (1 - lam) * pts[i] + lam * pts[i + 1]
-        expected = (1 - lam) * curve[i] + lam * curve[i + 1]
-        assert interpolate(curve, g, t) == pytest.approx(expected, abs=1e-9)
-
-    def test_affine_curve_reproduced(self, rng):
-        pts = np.array([0.0, 0.3, 1.1, 2.0, 5.0])
-        g = TimeGrid(pts)
-        a, b = 1.7, -0.4
-        curve = a * pts + b
-        ts = rng.uniform(0.0, 5.0, 200)
-        out = interpolate(curve, g, ts)
-        assert np.allclose(out, a * ts + b, atol=1e-12)
 
 
 class TestPopulation:

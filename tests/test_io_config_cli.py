@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesurvey import TimeGrid, ValidationError, montecarlo, study_population
+from curvesurvey import (
+    FunctionalPopulation,
+    TimeGrid,
+    ValidationError,
+    montecarlo,
+    study_population,
+)
 from curvesurvey.cli import main
 from curvesurvey.config import build_design, build_population, load_config
 from curvesurvey.io import (
@@ -471,6 +478,27 @@ class TestCliRejectsBadNumbers:
                      "--out", str(tmp_path / "b")]) == 3
         err = capsys.readouterr().err
         assert "not strictly positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("a", ["0", "auto"])
+    def test_huge_auxiliary_column_exits_3(self, tmp_path, capsys, a):
+        # a finite column of size 1e160 squares past the float64 range
+        pop = study_population(30, 5, corr=0.9, seed=2)
+        aux = pop.aux * [1.0, 1e160]
+        path = tmp_path / "pop.csv"
+        write_population_csv(path, FunctionalPopulation(pop.grid, pop.values, aux),
+                             aux_names=["intercept", "past_mean"])
+        cfg = write_config(tmp_path, f"[population]\ncsv = {path}\n\n[design]\n"
+                           f"kind = srswor\nn = 12\n\n[estimator]\nkind = ma\n"
+                           f"a = {a}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["estimate", "--config", str(cfg), "--seed", "1",
+                         "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "sampled moment matrix" in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
 
 
 class TestCliRejectsUndecodableFiles:

@@ -9,10 +9,13 @@ from curvesurvey import (
     cholesky_psd,
     psd_project,
     psd_repair,
+)
+from curvesurvey.oracle import (
+    eigh_first_psd_repair,
     regularized_inverse,
+    spectral_norm_sym,
     sym_eigen,
 )
-from curvesurvey.oracle import eigh_first_psd_repair, spectral_norm_sym
 
 
 def random_symmetric(rng, dim, psd=False):

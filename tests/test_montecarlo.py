@@ -154,7 +154,7 @@ class TestReplicateWork:
     def test_ma_gathers_and_fits_once(self, mc_pop, design, monkeypatch,
                                       coverage):
         gathers = _count_calls(monkeypatch, estimators, "_sample_arrays")
-        fits = _count_calls(monkeypatch, estimators, "_sampled_beta")
+        fits = _count_calls(monkeypatch, estimators, "_fit")
         run_campaign(mc_pop, design, replicates=5, compute_coverage=coverage,
                      band_sims=200)
         assert (len(gathers), len(fits)) == (5, 5)
