@@ -5,22 +5,21 @@ covariance approximating the model-assisted estimator's covariance, and its
 sample-only estimator.  Matrices are stored unscaled (no factor n); the
 bands layer applies the sqrt(n)/n scalings.
 
-Every design here is stratified SRSWOR (SRSWOR is one stratum), so a
-weight matrix over unit pairs takes two values per stratum h: w_diag,h on
-the diagonal and w_off,h between distinct units of h (cross-stratum pairs
-weigh 0).  With U_h the rows u_k = y_k / pi_k of stratum h and
-s_h = sum_{k in h} u_k, every covariance is the closed form
-
-    (1/N^2) sum_h [ w_diag,h U_h'U_h + w_off,h (s_h s_h' - U_h'U_h) ]
-
-at O(rows * D^2) cost, without an n x n or N x N matrix.  Its diagonal,
-the variance function, is (1/N^2) sum_h [(w_diag,h - w_off,h) sum_k u_k^2
-+ w_off,h s_h^2] at O(rows * D).  The exact
-covariances take w = Delta_kl = pi_kl - pi_k pi_l over the population
-(f_h(1 - f_h) and pi_kl,h - f_h^2, with f_h = n_h / N_h); the estimators
-take w = Delta_kl / pi_kl over the sample (1 - f_h and
-(pi_kl,h - f_h^2) / pi_kl,h).  The dense u' W u formulas live in
-``oracle.py`` as the reference the tests compare against.
+Every design here is stratified SRSWOR (SRSWOR is one stratum), whose HT
+covariance is (1/N^2) sum_h N_h^2 (1 - f_h) / n_h S_h, with f_h = n_h / N_h
+and S_h the within-stratum covariance of the curves (Sarndal, Swensson &
+Wretman 1992, section 3.7).  So every covariance is the Gram matrix C'C of
+scaled, stratum-centred rows: row k of stratum h is
+sqrt(c_h) (y_k - ybar_h) / N, c_h = N_h^2 (1 - f_h) / (n_h (m_h - 1)) over
+the m_h rows of the stratum, its N_h curves for the exact covariances and
+its n_h linearized rows for the estimators.  A stratum of one row keeps
+the n_h = 1 convention (1 - f_h) u u' / N^2 with u = y / f_h: its row is
+uncentred, c_h = N_h^2 (1 - f_h) / n_h^2.  Centred, C'C is shift-invariant
+and PSD by construction, so its Cholesky factorization fails only on a
+singular C'C, as when n - H < D.  The variance function costs O(rows * D)
+and the D x D matrix O(rows * D^2); no n x n or N x N matrix is built.
+The dense u' W u formulas live in ``oracle.py`` as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -30,72 +29,59 @@ from functools import cached_property
 import numpy as np
 
 from . import estimators
-from .designs import Sample, SamplingDesign, joint_prob_within
+from .designs import Sample, SamplingDesign
+from .errors import NumericalError
 from .estimators import MeanEstimate, _check_match, beta_population
 from .grids import FunctionalPopulation
 
 
 class CovarianceEstimate:
-    """D x D symmetric `matrix` of covariance values at grid-point pairs and
-    its diagonal, the `variance` function.  From a (rows, blocks, N) kernel
-    the variance costs O(rows * D); the matrix, O(rows * D^2), is formed
-    when first read."""
+    """Covariance C'C on the grid, from the (rows, D) array C.  The
+    `variance` function, C's column sums of squares, is computed here at
+    O(rows * D); the D x D `matrix` is formed when first read, which
+    releases C.  A variance that overflows float64 raises NumericalError;
+    a finite one bounds every entry of C'C (Cauchy-Schwarz)."""
 
-    def __init__(self, matrix=None, kind: str = "", kernel=None):
-        self.kind = kind  # HT_exact | MA_approx | MA_estimated | ...
-        self._kernel = kernel
-        if matrix is not None:  # instance attributes shadow the properties
-            self.matrix = matrix
-        if kernel is not None:
-            self.variance = _block_covariance(*kernel, diagonal=True)
+    def __init__(self, rows: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.variance = np.einsum("ij,ij->j", rows, rows)
+        if not np.isfinite(self.variance).all():
+            raise NumericalError("covariance overflows float64 (a variance "
+                                 "is not finite)")
+        self._rows = rows
 
-    matrix = cached_property(lambda self: _block_covariance(*self._kernel))
-    variance = cached_property(lambda self: np.diag(self.matrix).copy())
-
-
-def _block_covariance(rows: np.ndarray, blocks, N: int, diagonal=False):
-    """(1/N^2) sum_h [w_diag,h U_h'U_h + w_off,h (s_h s_h' - U_h'U_h)], or
-    with `diagonal` its diagonal alone, elementwise at O(rows * D).
-
-    blocks holds (members, f_h, w_diag,h, w_off,h) per stratum, where
-    members selects the stratum's rows and U_h = rows[members] / f_h.
-    """
-    cov = 0.0
-    for members, f, w_diag, w_off in blocks:
-        u = rows[members] / f
-        total = u.sum(axis=0)
-        if diagonal:
-            cov += (w_diag - w_off) * np.einsum("ij,ij->j", u, u) + w_off * total**2
-        else:
-            cov += (w_diag - w_off) * (u.T @ u) + w_off * np.outer(total, total)
-    cov /= N**2
-    return cov if diagonal else 0.5 * (cov + cov.T)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        rows, self._rows = self._rows, None
+        return rows.T @ rows
 
 
-def _exact_covariance(curves: np.ndarray, design: SamplingDesign, kind: str):
-    """(1/N^2) u' Delta u over the population, Delta_kl = pi_kl - pi_k pi_l."""
-    blocks = []
-    for s, m in zip(*design.allocation):
-        f = m / s.size
-        blocks.append((s, f, f * (1.0 - f), joint_prob_within(s.size, m) - f * f))
-    return CovarianceEstimate(kind=kind, kernel=(curves, blocks, design.N))
-
-
-def _estimated_covariance(rows: np.ndarray, sample: Sample, kind: str):
-    """HT covariance estimator (1/N^2) u' (Delta / pi_kl) u over the sample.
-
-    A stratum with n_h = 1 has no sampled pair, so only its diagonal term
-    enters (its pi_kl = 0 never divides).
-    """
-    design = sample.design
-    labels = design.stratum_of()[sample.indices]
-    blocks = []
-    for h, (s, m) in enumerate(zip(*design.allocation)):
-        f = m / s.size
-        pi_kl = joint_prob_within(s.size, m)
-        w_off = (pi_kl - f * f) / pi_kl if m > 1 else 0.0
-        blocks.append((labels == h, f, 1.0 - f, w_off))
-    return CovarianceEstimate(kind=kind, kernel=(rows, blocks, design.N))
+def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
+                        indices: np.ndarray | None = None):
+    """CovarianceEstimate of the population curves, or of the linearized
+    rows of the sampled units `indices`: one gather puts the rows in
+    stratum order, then each stratum's slice is centred and scaled in
+    place (module docstring)."""
+    strata, n_h = design.allocation
+    labels = design.stratum_of()
+    if indices is None:
+        sizes = [s.size for s in strata]
+    else:
+        labels, sizes = labels[indices], n_h
+    c = rows[np.argsort(labels, kind="stable")]
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, n, m in zip(strata, n_h, sizes):
+            block = c[start:start + m]
+            start += m
+            weight = s.size**2 * (1.0 - n / s.size) / n
+            if m > 1:
+                block -= block.sum(axis=0) / m
+                weight /= m - 1
+            else:  # the uncentred n_h = 1 convention
+                weight /= n
+            block *= np.sqrt(weight) / design.N
+    return CovarianceEstimate(c)
 
 
 def ht_covariance_exact(
@@ -103,7 +89,7 @@ def ht_covariance_exact(
 ) -> CovarianceEstimate:
     """Exact design covariance of the HT mean estimator at all grid pairs."""
     _check_match(pop, design)
-    return _exact_covariance(pop.values, design, "HT_exact")
+    return _centred_covariance(pop.values, design)
 
 
 def ma_covariance_approx(
@@ -114,7 +100,7 @@ def ma_covariance_approx(
     estimator)."""
     _check_match(pop, design)
     residuals = pop.values - pop.aux @ beta_population(pop)
-    return _exact_covariance(residuals, design, "MA_approx")
+    return _centred_covariance(residuals, design)
 
 
 def ma_covariance_estimate(
@@ -131,7 +117,8 @@ def ma_covariance_estimate(
     """
     if estimate is None:
         estimate = estimators.model_assisted_mean(pop, sample, a=a)
-    return _estimated_covariance(estimate.linearized, sample, "MA_estimated")
+    return _centred_covariance(estimate.linearized, sample.design,
+                               sample.indices)
 
 
 def ht_covariance_estimate(
@@ -144,7 +131,8 @@ def ht_covariance_estimate(
     curves centred at that estimate, its linearized rows."""
     if estimate is None:
         estimate = estimators.ht_mean(pop, sample)
-    return _estimated_covariance(estimate.linearized, sample, "HT_estimated")
+    return _centred_covariance(estimate.linearized, sample.design,
+                               sample.indices)
 
 
 # The one table of estimator kinds: kind -> (mean, covariance).

@@ -43,13 +43,13 @@ class MonteCarloReport:
 
 
 def empirical_covariance(estimates: np.ndarray) -> CovarianceEstimate:
-    """Cross-product covariance of replicate mean curves, normalized by 1/I."""
+    """Cross-product covariance of replicate mean curves, normalized by 1/I:
+    the Gram matrix of the rows (estimate - mean) / sqrt(I)."""
     estimates = np.asarray(estimates, dtype=float)
     if estimates.ndim != 2 or estimates.shape[0] < 2:
         raise ValidationError("need at least 2 replicate curves")
-    centered = estimates - estimates.mean(axis=0)
-    matrix = centered.T @ centered / estimates.shape[0]
-    return CovarianceEstimate(matrix=0.5 * (matrix + matrix.T), kind="empirical")
+    rows = (estimates - estimates.mean(axis=0)) / np.sqrt(estimates.shape[0])
+    return CovarianceEstimate(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +71,9 @@ class _Campaign:
 def _run_replicate(campaign: _Campaign, i: int):
     """(mean curve, variance curve, band covers truth) of replicate i.
 
-    The curves are None when the estimate failed; covered is None without
-    coverage or when the band failed.
+    When the estimate failed the mean curve is None and the variance slot
+    holds the error message; covered is None without coverage or when the
+    band failed.
     """
     c = campaign
     sample = draw(c.design, replicate_rng(c.seed, i, 0))
@@ -80,8 +81,8 @@ def _run_replicate(campaign: _Campaign, i: int):
     try:
         estimate = mean(c.pop, sample, c.a)
         gamma = covariance(c.pop, sample, c.a, estimate)
-    except CurveSurveyError:
-        return None, None, None
+    except CurveSurveyError as exc:
+        return None, str(exc), None
     gdiag = gamma.variance  # covers alone reads the D x D matrix
     if not c.coverage:
         return estimate.curve, gdiag, None
@@ -202,10 +203,11 @@ def run_campaign(
             results = list(pool.map(_worker_replicate, range(replicates),
                                     chunksize=chunksize))
 
-    mus, gdiags, flags, failures = [], [], [], 0
+    mus, gdiags, flags, failures, first_error = [], [], [], 0, None
     for mu, gdiag, covered in results:
         if mu is None:
             failures += 1
+            first_error = first_error or gdiag
             continue
         mus.append(mu)
         gdiags.append(gdiag)
@@ -216,12 +218,13 @@ def run_campaign(
                 flags.append(covered)
     if len(mus) < 2:
         raise NumericalError(
-            f"only {len(mus)} of {replicates} replicates produced estimates"
+            f"only {len(mus)} of {replicates} replicates produced estimates "
+            f"(first failure: {first_error})"
         )
     mus = np.asarray(mus)
     gdiags = np.asarray(gdiags)
     gamma_emp = empirical_covariance(mus)
-    emp_diag = np.diag(gamma_emp.matrix)
+    emp_diag = gamma_emp.variance
     mean_gdiag = gdiags.mean(axis=0)
 
     quantile_keys = ("q5", "q25", "median", "q75", "q95")

@@ -1,10 +1,14 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from curvesurvey import (
+    CovarianceEstimate,
     FunctionalPopulation,
     SamplingDesign,
     TimeGrid,
+    covariance,
 )
 from curvesurvey.oracle import default_fixture
 
@@ -34,3 +38,27 @@ def small_pop(rng):
 @pytest.fixture
 def small_design(small_pop):
     return SamplingDesign(kind="srswor", N=small_pop.N, n=6)
+
+
+@pytest.fixture
+def covariance_work(monkeypatch):
+    """Counts, while the test runs, of the covariance row builds (each also
+    computes its variance function) and of the D x D Gram matrices formed
+    from them: a dict with keys "rows" and "grams"."""
+    counts = {"rows": 0, "grams": 0}
+    build = covariance._centred_covariance
+    gram = CovarianceEstimate.__dict__["matrix"].func
+
+    def counted_build(*args, **kwargs):
+        counts["rows"] += 1
+        return build(*args, **kwargs)
+
+    def counted_gram(self):
+        counts["grams"] += 1
+        return gram(self)
+
+    matrix = cached_property(counted_gram)
+    matrix.__set_name__(CovarianceEstimate, "matrix")
+    monkeypatch.setattr(covariance, "_centred_covariance", counted_build)
+    monkeypatch.setattr(CovarianceEstimate, "matrix", matrix)
+    return counts

@@ -23,7 +23,11 @@ Z_75 = 0.6744897501960817
 
 
 def cov_est(matrix):
-    return CovarianceEstimate(matrix=np.asarray(matrix, dtype=float), kind="MA_estimated")
+    """A covariance estimate holding the given, possibly indefinite, matrix:
+    the bands read only its `matrix`."""
+    cov = CovarianceEstimate.__new__(CovarianceEstimate)
+    cov.matrix = np.asarray(matrix, dtype=float)
+    return cov
 
 
 class TestSupQuantile:

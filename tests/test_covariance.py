@@ -23,7 +23,7 @@ from curvesurvey import (
     replicate_rng,
     second_order_matrix,
 )
-from curvesurvey import covariance, estimators
+from curvesurvey import estimators
 from curvesurvey.designs import joint_probs_submatrix
 from curvesurvey.errors import ValidationError
 from curvesurvey.oracle import (
@@ -261,20 +261,44 @@ class TestClosedFormMatchesDense:
         check_against_dense(make_design(sizes, n_h, seed, srswor), seed)
 
 
+class TestShiftInvariance:
+    """A level added to every curve leaves every covariance unchanged: the
+    rows are centred within their stratum before any product is formed."""
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_large_level_keeps_variance_and_cholesky(self, stratified):
+        from curvesurvey import study_population
+
+        pop = study_population(2000, 48, seed=5)
+        design = make_design([700, 1300], [60, 140], seed=0, srswor=False) \
+            if stratified else make_design([2000], [200], seed=0, srswor=True)
+        sample = draw(design, replicate_rng(1, 0))
+
+        def covariances(p):
+            return [
+                ht_covariance_estimate(p, sample),
+                ht_covariance_estimate(p, sample, estimate=hajek_mean(p, sample)),
+                ht_covariance_exact(p, design),
+                ma_covariance_approx(p, design),
+            ]
+
+        base = covariances(pop)
+        for level in (1e2, 1e4, 1e6, 1e8):
+            shifted = covariances(
+                FunctionalPopulation(pop.grid, pop.values + level, pop.aux))
+            for cov, ref in zip(shifted, base):
+                assert np.abs(cov.variance / ref.variance - 1.0).max() <= 1e-8
+        for cov in shifted:  # PSD by construction, at level 1e8 too
+            np.linalg.cholesky(design.n * cov.matrix)
+
+
 class TestLazyMatrix:
     def test_matrix_is_formed_once_and_only_when_read(self, small_pop,
-                                                      small_design, monkeypatch):
-        full = []
-        kernel = covariance._block_covariance
-
-        def counted(*args, **kwargs):
-            full.append(not kwargs.get("diagonal", False))
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(covariance, "_block_covariance", counted)
+                                                      small_design,
+                                                      covariance_work):
         cov = ma_covariance_estimate(small_pop, draw(small_design, replicate_rng(3, 0)))
-        assert cov.variance is cov.variance and full == [False]
-        assert cov.matrix is cov.matrix and full == [False, True]
+        assert cov.variance is cov.variance and covariance_work == {"rows": 1, "grams": 0}
+        assert cov.matrix is cov.matrix and covariance_work == {"rows": 1, "grams": 1}
 
 
 class TestMemory:

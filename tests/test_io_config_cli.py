@@ -501,6 +501,31 @@ class TestCliRejectsBadNumbers:
         assert not list(out.glob("*.csv"))
 
 
+    @pytest.mark.parametrize("command, kind", [
+        ("bands", "ma"), ("montecarlo", "ma"), ("montecarlo", "ht"),
+        ("montecarlo", "hajek"),
+    ])
+    def test_huge_curve_values_exit_3(self, tmp_path, capsys, command, kind):
+        # finite curve values near +-1e200 square past the float64 range
+        pop = study_population(30, 5, corr=0.9, seed=2)
+        values = 1e200 * np.random.default_rng(0).uniform(-1.0, 1.0, (30, 5))
+        path = tmp_path / "pop.csv"
+        write_population_csv(path, FunctionalPopulation(pop.grid, values, pop.aux),
+                             aux_names=["intercept", "past_mean"])
+        cfg = write_config(tmp_path, f"[population]\ncsv = {path}\n\n[design]\n"
+                           f"kind = srswor\nn = 12\n\n[estimator]\nkind = {kind}\n"
+                           f"\n[campaign]\nreplicates = 5\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg), "--seed", "1",
+                         "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "covariance overflows float64" in err and "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
+
 class TestCliRejectsUndecodableFiles:
     def _exits_2_naming(self, tmp_path, capsys, body, path):
         cfg = write_config(tmp_path, body)

@@ -4,7 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from curvesurvey import covariance, estimators, montecarlo
+from curvesurvey import estimators, montecarlo
 from curvesurvey import (
     FunctionalPopulation,
     NumericalError,
@@ -137,18 +137,12 @@ class TestReplicateWork:
             return SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         return _stratified(mc_pop)
 
-    def kernel_calls(self, monkeypatch):
-        calls = _count_calls(monkeypatch, covariance, "_block_covariance")
-        return lambda diagonal: sum(c.get("diagonal", False) == diagonal
-                                    for c in calls)
-
     @pytest.mark.parametrize("estimator", ["ma", "ht", "hajek"])
-    def test_no_matrix_without_coverage(self, mc_pop, design, monkeypatch,
+    def test_no_matrix_without_coverage(self, mc_pop, design, covariance_work,
                                         estimator):
-        kernel = self.kernel_calls(monkeypatch)
         run_campaign(mc_pop, design, replicates=6, estimator=estimator)
-        assert kernel(diagonal=False) == 0
-        assert kernel(diagonal=True) == 6
+        assert covariance_work["grams"] == 0
+        assert covariance_work["rows"] == 6
 
     @pytest.mark.parametrize("coverage", [False, True])
     def test_ma_gathers_and_fits_once(self, mc_pop, design, monkeypatch,
@@ -159,13 +153,13 @@ class TestReplicateWork:
                      band_sims=200)
         assert (len(gathers), len(fits)) == (5, 5)
 
-    def test_coverage_forms_the_matrix_once(self, mc_pop, design, monkeypatch):
-        kernel = self.kernel_calls(monkeypatch)
+    def test_coverage_forms_the_matrix_once(self, mc_pop, design,
+                                            covariance_work):
         report = run_campaign(mc_pop, design, replicates=5,
                               compute_coverage=True, band_sims=200)
         assert report.coverage_bands == 5
-        assert kernel(diagonal=False) == 5
-        assert kernel(diagonal=True) == 5
+        assert covariance_work["grams"] == 5
+        assert covariance_work["rows"] == 5
 
 
 class TestCoverageBands:
