@@ -7,6 +7,7 @@ gives the band constant c_alpha.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from math import ceil
 
@@ -15,7 +16,7 @@ import numpy as np
 from .covariance import CovarianceEstimate
 from .errors import DegenerateVarianceError, ValidationError
 from .estimators import MeanEstimate
-from .linalg import psd_repair
+from .linalg import _one_blas_thread, normal_blocks, psd_repair
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +63,10 @@ class _SupKernel:
     ranges from 0, it takes the draws from rng in the order of one
     rng.standard_normal((n_sims, D)) call, so the sups equal those of that
     one-shot form (oracle.one_shot_sup_sample) up to rounding.  The band
-    fills whole SIM_BLOCK tiles (the last one shorter).  A BLAS product can
-    round a column differently at another width, so a fill of another
-    range can differ from the band's sups in the last bits, by at most
+    (_band_sups) takes whole SIM_BLOCK tiles of the same stream (the last
+    one shorter) through the same product.  A BLAS product can round a
+    column differently at another width, so a fill of another range can
+    differ from the band's sups in the last bits, by at most
     slack(hi - lo); tile_sup recomputes one sup exactly as the band does.
     sups is allocated whole before any draw, so an n_sims beyond memory
     fails at once.
@@ -121,17 +123,29 @@ def _check_sims(alpha: float, n_sims: int) -> None:
         raise ValidationError("need at least 100 simulations")
 
 
+def _band_sups(scaled_factor: np.ndarray, n_sims: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """The band's n_sims sups: _SupKernel's product on whole SIM_BLOCK
+    tiles of one stream, drawn on a helper thread (linalg.normal_blocks)."""
+    kernel = _SupKernel(scaled_factor, n_sims, rng)
+    d = scaled_factor.shape[0]
+    with closing(normal_blocks(rng, n_sims, d, SIM_BLOCK)) as blocks:
+        for lo, z in blocks:
+            kernel._sups(z, kernel.sups[lo:lo + len(z)])
+    return kernel.sups
+
+
+@_one_blas_thread()
 def _band_constant(
     cov_scaled: np.ndarray, alpha: float, n_sims: int, seed
 ) -> tuple[float, np.ndarray]:
-    """(c_alpha, sigma) of the band on cov_scaled."""
+    """(c_alpha, sigma) of the band on cov_scaled, on one BLAS thread
+    whatever the caller's count."""
     _check_sims(alpha, n_sims)
     scaled_factor, sigma = _scaled_factor(cov_scaled)
-    kernel = _SupKernel(scaled_factor, n_sims, np.random.default_rng(seed))
-    for lo in range(0, n_sims, SIM_BLOCK):
-        kernel.fill(lo, min(lo + SIM_BLOCK, n_sims))
+    sups = _band_sups(scaled_factor, n_sims, np.random.default_rng(seed))
     k = _quantile_rank(alpha, n_sims)
-    return float(np.partition(kernel.sups, k - 1)[k - 1]), sigma
+    return float(np.partition(sups, k - 1)[k - 1]), sigma
 
 
 def simulate_sup_quantile(
@@ -239,6 +253,7 @@ def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray,
     return float(np.int64(hi).view(np.float64))
 
 
+@_one_blas_thread()  # as the band is built, whatever the caller's count
 def covers(
     estimate: MeanEstimate,
     cov: CovarianceEstimate,

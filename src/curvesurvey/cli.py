@@ -2,7 +2,9 @@
 
 Subcommands: estimate, bands, montecarlo, oracle-check.  All randomness
 flows from --seed; when it is absent a fresh seed is generated and recorded
-in the output metadata so every run can be reproduced.
+in the output metadata so every run can be reproduced.  Every command
+runs its BLAS on one thread, so its outputs depend only on the config, the
+seed and the numpy/BLAS build.
 
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy,
 4 oracle failure.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import secrets
+import os
 import sys
 from pathlib import Path
 
@@ -31,8 +33,8 @@ from .io import (
     write_curve_csv,
     write_metadata,
 )
-from .montecarlo import blas_threads, run_campaign
-from .oracle import default_fixture, format_report, oracle_check
+from .linalg import _one_blas_thread, blas_threads
+from .montecarlo import run_campaign
 
 
 def nonnegative_int(text: str, low: int = 0) -> int:
@@ -50,7 +52,7 @@ def positive_int(text: str) -> int:  # --workers
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return secrets.randbits(32)
+    return int.from_bytes(os.urandom(4), "little")
 
 
 def _out_dir(args) -> Path:
@@ -208,6 +210,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle import default_fixture, format_report, oracle_check
+
     cfg = load_config(args.config) if args.config else RunConfig()
     o = cfg.oracle
     seed = _resolve_seed(args) if o.seed is None else o.seed
@@ -248,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with _one_blas_thread():  # so no output depends on the thread count
+            return args.handler(args)
     except (ValidationError, MemoryError) as exc:  # bad or too large input
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,15 +60,18 @@ def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
                         indices: np.ndarray | None = None):
     """CovarianceEstimate of the population curves, or of the linearized
     rows of the sampled units `indices`: one gather puts the rows in
-    stratum order, then each stratum's slice is centred and scaled in
-    place (module docstring)."""
+    stratum order (a copy when they already are), then each stratum's
+    slice is centred and scaled in place (module docstring)."""
     strata, n_h = design.allocation
     labels = design.stratum_of()
     if indices is None:
         sizes = [s.size for s in strata]
     else:
         labels, sizes = labels[indices], n_h
-    c = rows[np.argsort(labels, kind="stable")]
+    if np.all(labels[:-1] <= labels[1:]):  # already in stratum order
+        c = rows.copy()
+    else:
+        c = rows[np.argsort(labels, kind="stable")]
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for s, n, m in zip(strata, n_h, sizes):

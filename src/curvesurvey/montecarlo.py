@@ -8,10 +8,6 @@ optionally, simultaneous band coverage.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +17,7 @@ from .covariance import CAMPAIGN_ESTIMATORS, ESTIMATORS, CovarianceEstimate
 from .designs import SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
 from .grids import FunctionalPopulation, population_mean
+from .linalg import _one_blas_thread, _set_blas_threads
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,66 +92,6 @@ def _run_replicate(campaign: _Campaign, i: int):
     return estimate.curve, gdiag, covered
 
 
-@functools.cache
-def _openblas_entry(name: str, restype=ctypes.c_int, argtypes=()):
-    """OpenBLAS function `name` (e.g. "get_num_threads") of the library
-    loaded in this process, or None without an OpenBLAS; looked up once.
-
-    The library is found in the process's memory map; its symbols carry
-    the "scipy_" prefix and "64_" suffix in numpy's wheels.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({
-                fields[5].strip()
-                for fields in (line.split(maxsplit=5) for line in fh)
-                if len(fields) == 6 and "openblas" in fields[5].lower()
-            })
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in (f"{prefix}openblas_{name}{suffix}"
-                       for prefix in ("scipy_", "") for suffix in ("64_", "")):
-            func = getattr(lib, symbol, None)
-            if func is not None:
-                func.restype, func.argtypes = restype, argtypes
-                return func
-    return None
-
-
-def blas_threads() -> int | None:
-    """The OpenBLAS thread count of this process, or None without an
-    OpenBLAS."""
-    get_threads = _openblas_entry("get_num_threads")
-    return None if get_threads is None else get_threads()
-
-
-def _set_blas_threads(count: int) -> int | None:
-    """Set the OpenBLAS thread count and return the previous one; without
-    an OpenBLAS change nothing and return None."""
-    set_threads = _openblas_entry("set_num_threads", None, (ctypes.c_int,))
-    if set_threads is None:
-        return None
-    before = blas_threads()
-    set_threads(count)
-    return before
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run a replicate loop with BLAS on one thread, then restore the count:
-    a replicate's D x D and SIM_BLOCK x D products gain nothing from more."""
-    before = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        _set_blas_threads(before)  # a no-op without an OpenBLAS
-
-
 _WORKER_CAMPAIGN: _Campaign | None = None
 
 
@@ -197,6 +134,9 @@ def run_campaign(
         with _one_blas_thread():
             results = [_run_replicate(campaign, i) for i in range(replicates)]
     else:
+        # imported for a pool only: it loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, replicates // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(campaign,)) as pool:

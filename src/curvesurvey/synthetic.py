@@ -8,12 +8,14 @@ working model only requires centered, continuous residuals.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grids import FunctionalPopulation, TimeGrid
+from .linalg import _one_blas_thread, normal_blocks
 
 KERNEL_KINDS = ("white", "exponential", "periodic_exponential")
 AUX_KINDS = ("intercept_only", "gaussian", "past_mean")
@@ -124,17 +126,6 @@ def _residual_factor(kernel: ResidualKernel, grid: TimeGrid) -> np.ndarray:
 GEN_BLOCK = 1024  # rows drawn at a time: the population is the one N x D array
 
 
-def _draw_residuals(factor: np.ndarray, rng, count: int) -> np.ndarray:
-    """(count, D) residuals z @ factor.T, z standard normal, drawn GEN_BLOCK
-    rows at a time in the stream order of one (count, D) draw."""
-    out = np.empty((count, len(factor)))
-    z = np.empty((min(GEN_BLOCK, count), len(factor)))
-    for lo in range(0, count, GEN_BLOCK):
-        rows = out[lo:lo + GEN_BLOCK]
-        np.matmul(rng.standard_normal(out=z[: len(rows)]), factor.T, out=rows)
-    return out
-
-
 def _draw_aux(spec: AuxSpec, factor, count, rng) -> np.ndarray:
     ones = np.ones(count)
     if spec.kind == "intercept_only":
@@ -142,9 +133,16 @@ def _draw_aux(spec: AuxSpec, factor, count, rng) -> np.ndarray:
     base = rng.normal(spec.mean, spec.sd, count)
     if spec.kind == "gaussian":
         return np.column_stack([ones, base])
-    blocks = (base[lo:lo + GEN_BLOCK, None] for lo in range(0, count, GEN_BLOCK))
-    past = [(b + _draw_residuals(factor, rng, len(b))).mean(axis=1) for b in blocks]
-    return np.column_stack([ones, np.concatenate(past)])
+    # the time-means of the past curves base + z @ factor.T, z one
+    # (count, D) draw, formed GEN_BLOCK rows at a time
+    past = np.empty(count)
+    curves = np.empty((min(GEN_BLOCK, count), len(factor)))
+    with closing(normal_blocks(rng, count, len(factor), GEN_BLOCK)) as blocks:
+        for lo, z in blocks:
+            rows = np.matmul(z, factor.T, out=curves[: len(z)])
+            rows += base[lo:lo + len(z), None]
+            rows.mean(axis=1, out=past[lo:lo + len(z)])
+    return np.column_stack([ones, past])
 
 
 def generate_population(
@@ -152,8 +150,8 @@ def generate_population(
 ) -> FunctionalPopulation:
     """Draw a finite population of n_units curves from the working model.
 
-    Deterministic given cfg.seed; aux and residuals are independent across
-    units.
+    Deterministic given cfg.seed, on one BLAS thread whatever the caller's
+    count; aux and residuals are independent across units.
     """
     if n_units < 1:
         raise ConfigurationError("need at least one unit")
@@ -163,11 +161,15 @@ def generate_population(
             f"{grid.size} points"
         )
     rng = np.random.default_rng(cfg.seed)
-    factor = _residual_factor(cfg.kernel, grid)
-    aux = _draw_aux(cfg.aux, factor, n_units, rng)
-    values = _draw_residuals(factor, rng, n_units)
-    for lo in range(0, n_units, GEN_BLOCK):
-        values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ cfg.beta_curves
+    values = np.empty((n_units, grid.size))
+    with _one_blas_thread():
+        factor = _residual_factor(cfg.kernel, grid)
+        aux = _draw_aux(cfg.aux, factor, n_units, rng)
+        # aux @ beta + z @ factor.T, z one (n_units, D) draw
+        with closing(normal_blocks(rng, n_units, grid.size, GEN_BLOCK)) as blocks:
+            for lo, z in blocks:
+                rows = np.matmul(z, factor.T, out=values[lo:lo + len(z)])
+                rows += aux[lo:lo + len(z)] @ cfg.beta_curves
     return FunctionalPopulation(grid=grid, values=values, aux=aux)
 
 
@@ -238,10 +240,15 @@ def heteroscedastic_study_population(
     grid, beta = _study_trend(n_points, t_max)
     aux = np.column_stack([np.ones(n_units), rng.normal(5.0, 1.0, n_units)])
     kernel = ResidualKernel("exponential", sigma2, length_scale)
-    values = _draw_residuals(_residual_factor(kernel, grid), rng, n_units)
-    scales = np.exp(scale_sd * rng.standard_normal(n_units))
-    scales /= np.sqrt(np.mean(scales**2))
-    values *= scales[:, None]
-    for lo in range(0, n_units, GEN_BLOCK):
-        values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ beta
+    values = np.empty((n_units, grid.size))
+    with _one_blas_thread():
+        factor = _residual_factor(kernel, grid)
+        with closing(normal_blocks(rng, n_units, grid.size, GEN_BLOCK)) as blocks:
+            for lo, z in blocks:
+                np.matmul(z, factor.T, out=values[lo:lo + len(z)])
+        scales = np.exp(scale_sd * rng.standard_normal(n_units))
+        scales /= np.sqrt(np.mean(scales**2))
+        values *= scales[:, None]
+        for lo in range(0, n_units, GEN_BLOCK):
+            values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ beta
     return FunctionalPopulation(grid=grid, values=values, aux=aux)

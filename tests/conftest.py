@@ -9,6 +9,7 @@ from curvesurvey import (
     SamplingDesign,
     TimeGrid,
     covariance,
+    linalg,
 )
 from curvesurvey.oracle import default_fixture
 
@@ -16,6 +17,17 @@ from curvesurvey.oracle import default_fixture
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def caller_at_two_blas_threads():
+    """Run the test with the calling process at 2 BLAS threads, then put
+    its count back."""
+    before = linalg._set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    yield
+    linalg._set_blas_threads(before)
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from curvesurvey import (
     covers,
     simulate_sup_quantile,
 )
-from curvesurvey import bands
+from curvesurvey import bands, linalg
 from curvesurvey.covariance import CovarianceEstimate
 from curvesurvey.linalg import cholesky_psd, psd_project, psd_repair
 from curvesurvey.oracle import one_shot_sup_sample
@@ -167,7 +169,7 @@ class TestSupKernel:
             cholesky_psd(projected), sigma, n_sims, np.random.default_rng(11)
         )
         scaled, _ = bands._scaled_factor(cov)
-        sups = _band_sups(scaled, n_sims, np.random.default_rng(11))
+        sups = bands._band_sups(scaled, n_sims, np.random.default_rng(11))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
         k = int(np.ceil(0.95 * n_sims))
         c_alpha = simulate_sup_quantile(cov, 0.05, n_sims, seed=11)
@@ -185,7 +187,7 @@ class TestSupKernel:
         expected = one_shot_sup_sample(
             factor, sigma, 3000, np.random.default_rng(4)
         )
-        sups = _band_sups(scaled, 3000, np.random.default_rng(4))
+        sups = bands._band_sups(scaled, 3000, np.random.default_rng(4))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
 
     @pytest.mark.parametrize("name", sorted(COVS))
@@ -215,7 +217,7 @@ class TestSupKernel:
         # of the band's sups; tile_sup gives the band's sup bit for bit
         scaled, _ = bands._scaled_factor(COVS[name])
         d = scaled.shape[0]
-        band = _band_sups(scaled, n_sims, np.random.default_rng(3))
+        band = bands._band_sups(scaled, n_sims, np.random.default_rng(3))
         # ranges of 1 and 2 sims, ranges across tiles, none over SIM_BLOCK
         cuts = np.random.default_rng(n_sims).integers(1, n_sims, 12)
         cuts = sorted({*cuts.tolist(), 1, 3, *range(0, n_sims, 700), n_sims})
@@ -233,12 +235,63 @@ class TestSupKernel:
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def _band_sups(scaled, n_sims, rng):
-    """The sups of a band, which fills whole SIM_BLOCK tiles."""
+def _filled_sups(scaled, n_sims, rng):
+    """A band's sups from a sequential loop: whole SIM_BLOCK tiles drawn
+    and multiplied on the calling thread."""
     kernel = bands._SupKernel(scaled, n_sims, rng)
     for lo in range(0, n_sims, bands.SIM_BLOCK):
         kernel.fill(lo, min(lo + bands.SIM_BLOCK, n_sims))
     return kernel.sups
+
+
+class TestBandSups:
+    """The band's tiles, drawn on a helper thread, against the sequential
+    loop; and c_alpha at the load-curve D against the caller's BLAS count."""
+
+    @pytest.mark.parametrize(
+        "n_sims", [100, bands.SIM_BLOCK, bands.SIM_BLOCK + 1, 3 * bands.SIM_BLOCK - 5])
+    @pytest.mark.parametrize("name", sorted(COVS))
+    def test_equal_to_the_sequential_loop(self, n_sims, name):
+        scaled, _ = bands._scaled_factor(COVS[name])
+        rng = np.random.default_rng(21)
+        before = threading.active_count()
+        sups = bands._band_sups(scaled, n_sims, rng)
+        assert threading.active_count() == before
+        assert np.array_equal(sups, _filled_sups(scaled, n_sims,
+                                                 np.random.default_rng(21)))
+        reference = np.random.default_rng(21)
+        reference.standard_normal((n_sims, scaled.shape[0]))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_c_alpha_at_336_points_does_not_depend_on_the_callers_count(
+            self, caller_at_two_blas_threads):
+        # a Gram matrix of rank 200 < D, as from a sample of n = 200: its
+        # Cholesky fails, so the band's factor comes from eigh
+        rows = np.random.default_rng(3).standard_normal((200, 336))
+        est, cov = _zero_estimate(336), cov_est(rows.T @ rows / 200)
+        built = []
+        for threads in (1, 2):
+            linalg._set_blas_threads(threads)
+            before = threading.active_count()
+            built.append(build_band(est, cov, n=200, alpha=0.05, n_sims=3000,
+                                    seed=17))
+            assert threading.active_count() == before
+        one, two = built
+        assert one.c_alpha == two.c_alpha
+        assert np.array_equal(one.half_width, two.half_width)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_covers_decides_the_band_edge_at_336_points(
+            self, seed, caller_at_two_blas_threads):
+        # covers factors and multiplies on one thread as the band does, so
+        # truth on the band's edge, or one float beyond it, gets its flag
+        rows = np.random.default_rng(seed).standard_normal((200, 336)) / 200
+        est, cov = _zero_estimate(336), CovarianceEstimate(rows)
+        band = build_band(est, cov, n=200, alpha=0.05, n_sims=1000, seed=seed)
+        edge = band.center + band.half_width
+        for truth, inside in ((edge, True), (np.nextafter(edge, np.inf), False)):
+            assert contains(band, truth) is inside
+            assert covers(est, cov, 200, 0.05, 1000, seed, truth) is inside
 
 
 def _zero_estimate(d):
@@ -453,7 +506,7 @@ class TestCovers:
         cov = cov_est(COVS["definite"])
         d = cov.matrix.shape[0]
         scaled, sigma = bands._scaled_factor(n * cov.matrix)
-        sups = _band_sups(scaled, n_sims, np.random.default_rng(seed))
+        sups = bands._band_sups(scaled, n_sims, np.random.default_rng(seed))
         k = bands._quantile_rank(alpha, n_sims)
         first = np.sort(sups[: min(n_sims - k + 1, k)])
         edge = {

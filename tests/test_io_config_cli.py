@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,7 +18,7 @@ from curvesurvey import (
     FunctionalPopulation,
     TimeGrid,
     ValidationError,
-    montecarlo,
+    linalg,
     study_population,
 )
 from curvesurvey.cli import main
@@ -299,10 +301,11 @@ a = 0
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_meta_records_the_blas_thread_count(self, tmp_path, threads):
-        # estimate and bands run at the caller's count and record it
-        before = montecarlo._set_blas_threads(threads)
+        # estimate and bands run on one BLAS thread whatever the caller's
+        # count, record that pinned count and give the caller its own back
+        before = linalg._set_blas_threads(threads)
         try:
-            expected = montecarlo.blas_threads()
+            caller = linalg.blas_threads()
             cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
             for command, meta in (("estimate", "estimate.meta.json"),
                                   ("bands", "band.meta.json")):
@@ -311,14 +314,28 @@ a = 0
                              "--out", str(out)]) == 0
                 recorded = json.loads((out / meta).read_text())
                 assert "blas_threads" in recorded
-                assert recorded["blas_threads"] == expected
+                assert recorded["blas_threads"] == (None if before is None else 1)
+                assert linalg.blas_threads() == caller
         finally:
             if before is not None:
-                montecarlo._set_blas_threads(before)
-        if before is None:  # no OpenBLAS: nothing to count
-            assert expected is None
-        else:  # OpenBLAS may cap the count at the cores it sees
-            assert expected == 1 if threads == 1 else expected >= 1
+                linalg._set_blas_threads(before)
+
+    def test_a_fresh_seed_is_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        seed = json.loads((out / "estimate.meta.json").read_text())["seed"]
+        assert isinstance(seed, int) and 0 <= seed < 2**32
+
+    def test_import_loads_neither_the_pool_nor_the_oracle(self):
+        # a fresh interpreter: multiprocessing and the oracle are imported
+        # by the commands that use them, not by every command
+        code = ("import sys, curvesurvey.cli; print(sorted("
+                "{'multiprocessing', 'curvesurvey.oracle'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_bands_deterministic_and_ordered(self, tmp_path):
         cfg = write_config(tmp_path, SYNTH.format(n=25, kind="ma"))

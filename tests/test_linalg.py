@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from contextlib import closing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from curvesurvey import (
     psd_project,
     psd_repair,
 )
+from curvesurvey.linalg import check_symmetric, normal_blocks
 from curvesurvey.oracle import (
     eigh_first_psd_repair,
     regularized_inverse,
@@ -98,6 +104,116 @@ class TestRegularizedInverse:
         r = regularized_inverse(m, a=1.0)
         assert not r.floor_applied
         assert np.abs(r.inverse @ m - np.eye(4)).max() < 1e-8
+
+
+class TestCheckSymmetric:
+    def test_bitwise_symmetric_input_is_returned_as_is(self, rng):
+        b = rng.standard_normal((7, 5))
+        m = b.T @ b
+        assert np.array_equal(m, m.T)
+        out = check_symmetric(m)
+        assert out is m
+        assert np.array_equal(out, 0.5 * (m + m.T))
+
+    def test_asymmetry_within_tolerance_is_averaged_out(self, rng):
+        m = random_symmetric(rng, 5)
+        m[0, 1] += 1e-15
+        out = check_symmetric(m)
+        assert out is not m and np.array_equal(out, out.T)
+        assert np.array_equal(out, 0.5 * (m + m.T))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_symmetric_input_is_refused(self, bad):
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            check_symmetric(m)
+
+    def test_asymmetry_beyond_tolerance_is_refused(self):
+        with pytest.raises(ValidationError, match="symmetric"):
+            check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class _RecordingRng:
+    """Wraps a Generator: records the thread of each standard_normal call,
+    and raises on call number `fail_at` (counting from 0) if given."""
+
+    def __init__(self, seed, fail_at=None):
+        self.rng, self.fail_at, self.threads = np.random.default_rng(seed), fail_at, []
+
+    def standard_normal(self, out):
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("draw failed")
+        self.threads.append(threading.current_thread())
+        return self.rng.standard_normal(out=out)
+
+
+class TestNormalBlocks:
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 29])
+    def test_blocks_of_the_one_shot_draw(self, rows):
+        rng = np.random.default_rng(5)
+        before = threading.active_count()
+        got, buffers = [], []
+        for lo, z in normal_blocks(rng, rows, 3, 7):
+            got.append((lo, z.copy()))
+            buffers.append(z.base)
+        assert threading.active_count() == before
+        reference = np.random.default_rng(5)
+        expected = reference.standard_normal((rows, 3))
+        assert [lo for lo, _ in got] == list(range(0, rows, 7))
+        if got:
+            assert np.array_equal(np.vstack([z for _, z in got]), expected)
+        # the generator is where the one-shot draw leaves it
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert len({id(b) for b in buffers}) <= 2  # two reused buffers
+
+    def test_no_block_is_overwritten_while_the_caller_holds_it(self):
+        # thread switches forced as often as the interpreter allows: a
+        # buffer handed back too early would change under the caller
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng = np.random.default_rng(8)
+            got = []
+            for _, z in normal_blocks(rng, 3000, 2, 3):
+                first = z.copy()
+                time.sleep(0)
+                assert np.array_equal(z, first)
+                got.append(first)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = np.random.default_rng(8).standard_normal((3000, 2))
+        assert np.array_equal(np.vstack(got), expected)
+
+    def test_drawn_on_one_helper_thread(self):
+        rng = _RecordingRng(1)
+        blocks = list(normal_blocks(rng, 40, 2, 8))
+        assert len(blocks) == 5
+        assert len(set(rng.threads)) == 1
+        assert rng.threads[0] is not threading.current_thread()
+
+    def test_helper_joined_when_the_consumer_raises(self):
+        before = threading.active_count()
+        with pytest.raises(ValueError), closing(
+                normal_blocks(np.random.default_rng(2), 100, 4, 10)) as blocks:
+            for lo, _ in blocks:
+                if lo == 30:
+                    raise ValueError("consumer failed")
+        assert threading.active_count() == before
+
+    def test_helper_joined_when_the_consumer_stops_early(self):
+        before = threading.active_count()
+        with closing(normal_blocks(np.random.default_rng(2), 100, 4, 10)) as blocks:
+            next(blocks)
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_raises_on_the_caller(self):
+        before = threading.active_count()
+        blocks = normal_blocks(_RecordingRng(3, fail_at=2), 50, 2, 10)
+        assert [next(blocks)[0], next(blocks)[0]] == [0, 10]
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(blocks)
+        assert threading.active_count() == before
 
 
 class TestPsdProject:

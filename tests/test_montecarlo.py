@@ -1,10 +1,12 @@
+import concurrent.futures
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from curvesurvey import estimators, montecarlo
+from curvesurvey import estimators, linalg, montecarlo
 from curvesurvey import (
     FunctionalPopulation,
     NumericalError,
@@ -191,13 +193,13 @@ class TestCoverageBands:
 
 
 def _blas_threads():
-    return montecarlo._openblas_entry("get_num_threads")()
+    return linalg._openblas_entry("get_num_threads")()
 
 
 class TestPoolBlasThreads:
     @pytest.fixture(autouse=True)
     def needs_openblas(self):
-        if montecarlo._openblas_entry("get_num_threads") is None:
+        if linalg._openblas_entry("get_num_threads") is None:
             pytest.skip("numpy is not linked against OpenBLAS")
 
     def test_worker_runs_one_blas_thread(self):
@@ -211,17 +213,6 @@ class TestPoolBlasThreads:
         design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         run_campaign(mc_pop, design, replicates=8, master_seed=1, workers=2)
         assert _blas_threads() == before
-
-
-@pytest.fixture
-def caller_at_two_blas_threads():
-    """Run the test with the calling process at 2 BLAS threads, then put
-    its count back."""
-    before = montecarlo._set_blas_threads(2)
-    if before is None:
-        pytest.skip("numpy is not linked against OpenBLAS")
-    yield
-    montecarlo._set_blas_threads(before)
 
 
 class TestCallerBlasThreads:
@@ -259,7 +250,7 @@ class TestCallerBlasThreads:
         design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
         reports = []
         for threads in (1, 2):
-            montecarlo._set_blas_threads(threads)
+            linalg._set_blas_threads(threads)
             reports.append(run_campaign(
                 mc_pop, design, replicates=12, compute_coverage=True,
                 band_sims=300, master_seed=6))
@@ -273,12 +264,15 @@ class TestCallerBlasThreads:
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size it is asked
-    for and runs the replicates in this process, starting none."""
+    for and the threads alive when it would fork, and runs the replicates
+    in this process, starting none."""
 
     sizes: list = []
+    threads: list = []
 
     def __init__(self, max_workers, initializer, initargs):
         type(self).sizes.append(max_workers)
+        type(self).threads.append(threading.active_count())
         self.campaign = initargs[0]
 
     def __enter__(self):
@@ -292,7 +286,8 @@ class _RecordingPool:
 
 
 def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+    # run_campaign imports the pool class when it needs a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
     capped = run_campaign(mc_pop, design, replicates=10, master_seed=3,
@@ -302,6 +297,18 @@ def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
     serial = run_campaign(mc_pop, design, replicates=10, master_seed=3)
     assert _RecordingPool.sizes == [10, 3]
     assert np.array_equal(capped.gamma_emp.matrix, serial.gamma_emp.matrix)
+
+
+def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "threads", [])
+    before = threading.active_count()
+    # three GEN_BLOCKs: the normals are drawn on a helper thread
+    pop = study_population(3000, 8, seed=2)
+    design = SamplingDesign(kind="srswor", N=pop.N, n=40)
+    run_campaign(pop, design, replicates=4, master_seed=1, workers=2)
+    assert _RecordingPool.threads == [before]
 
 
 class _CountedPopulation(FunctionalPopulation):

@@ -1,9 +1,10 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from curvesurvey import synthetic
+from curvesurvey import linalg, synthetic
 from curvesurvey import (
     AuxSpec,
     ConfigurationError,
@@ -205,3 +206,112 @@ def test_load_curve_population_holds_one_n_by_d_array(aux_kind):
         tracemalloc.stop()
     assert pop.values.nbytes == n_units * grid.size * 8
     assert peak < pop.values.nbytes + 16 * 2**20
+
+
+def blocked_population(cfg, n_units, grid):
+    """(aux, values) of generate_population from a sequential loop on one
+    BLAS thread: GEN_BLOCK rows of each (N, D) draw at a time, drawn and
+    then multiplied on the calling thread."""
+    block = synthetic.GEN_BLOCK
+
+    def residuals(rng, factor):
+        out = np.empty((n_units, grid.size))
+        for lo in range(0, n_units, block):
+            z = rng.standard_normal((min(block, n_units - lo), grid.size))
+            out[lo:lo + len(z)] = z @ factor.T
+        return out
+
+    with linalg._one_blas_thread():
+        rng = np.random.default_rng(cfg.seed)
+        factor = synthetic._residual_factor(cfg.kernel, grid)
+        ones = np.ones(n_units)
+        if cfg.aux.kind == "intercept_only":
+            aux = ones[:, None]
+        else:
+            base = rng.normal(cfg.aux.mean, cfg.aux.sd, n_units)
+            if cfg.aux.kind == "past_mean":
+                base = (base[:, None] + residuals(rng, factor)).mean(axis=1)
+            aux = np.column_stack([ones, base])
+        values = residuals(rng, factor)
+        for lo in range(0, n_units, block):
+            values[lo:lo + block] += aux[lo:lo + block] @ cfg.beta_curves
+    return aux, values
+
+
+def blocked_heteroscedastic(n_units, n_points, seed):
+    """heteroscedastic_study_population's defaults as the same loop."""
+    block = synthetic.GEN_BLOCK
+    with linalg._one_blas_thread():
+        rng = np.random.default_rng(seed)
+        grid, beta = synthetic._study_trend(n_points, 1.0)
+        aux = np.column_stack([np.ones(n_units), rng.normal(5.0, 1.0, n_units)])
+        kernel = ResidualKernel(kind="exponential", sigma2=0.25, length_scale=0.2)
+        factor = synthetic._residual_factor(kernel, grid)
+        values = np.empty((n_units, n_points))
+        for lo in range(0, n_units, block):
+            z = rng.standard_normal((min(block, n_units - lo), n_points))
+            values[lo:lo + len(z)] = z @ factor.T
+        scales = np.exp(0.75 * rng.standard_normal(n_units))
+        scales /= np.sqrt(np.mean(scales**2))
+        values *= scales[:, None]
+        for lo in range(0, n_units, block):
+            values[lo:lo + block] += aux[lo:lo + block] @ beta
+    return aux, values
+
+
+def study_cfg(n_points, seed, corr=0.95):
+    """The SuperpopulationConfig study_population builds."""
+    grid, beta = synthetic._study_trend(n_points, 1.0)
+    sigma2 = float(beta[1].mean()) ** 2 * (1.0 / corr**2 - 1.0)
+    return grid, SuperpopulationConfig(
+        beta_curves=beta,
+        kernel=ResidualKernel(kind="exponential", sigma2=sigma2, length_scale=0.2),
+        aux=AuxSpec(kind="gaussian", mean=5.0, sd=1.0),
+        seed=seed,
+    )
+
+
+LOAD_CURVE_POINTS = 336  # where a product's bits change with the thread count
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+class TestBitsDoNotDependOnTheCallersBlasThreads:
+    """Every generator equals the sequential one-thread loop bit for bit,
+    at one and at two caller BLAS threads, and leaves no thread behind."""
+
+    @pytest.fixture(autouse=True)
+    def at_count(self, threads, caller_at_two_blas_threads):
+        linalg._set_blas_threads(threads)
+
+    def test_study_population(self):
+        before = threading.active_count()
+        pop = study_population(2000, LOAD_CURVE_POINTS, seed=1204)
+        assert threading.active_count() == before
+        grid, cfg = study_cfg(LOAD_CURVE_POINTS, seed=1204)
+        aux, values = blocked_population(cfg, 2000, grid)
+        assert np.array_equal(pop.aux, aux)
+        assert np.array_equal(pop.values, values)
+
+    def test_heteroscedastic_study_population(self):
+        before = threading.active_count()
+        pop = heteroscedastic_study_population(2000, LOAD_CURVE_POINTS, seed=3)
+        assert threading.active_count() == before
+        aux, values = blocked_heteroscedastic(2000, LOAD_CURVE_POINTS, seed=3)
+        assert np.array_equal(pop.aux, aux)
+        assert np.array_equal(pop.values, values)
+
+    @pytest.mark.parametrize("aux_kind", ["intercept_only", "past_mean"])
+    def test_generate_population(self, aux_kind):
+        grid = TimeGrid(np.linspace(0.0, 1.0, LOAD_CURVE_POINTS))
+        p = 1 if aux_kind == "intercept_only" else 2
+        cfg = SuperpopulationConfig(
+            beta_curves=np.vstack([2.0 + grid.points, 1.5 * np.ones(grid.size)])[:p],
+            kernel=ResidualKernel(kind="exponential", sigma2=0.5),
+            aux=AuxSpec(kind=aux_kind),
+            seed=9,
+        )
+        n_units = 2 * synthetic.GEN_BLOCK + 300
+        pop = generate_population(cfg, n_units, grid)
+        aux, values = blocked_population(cfg, n_units, grid)
+        assert np.array_equal(pop.aux, aux)
+        assert np.array_equal(pop.values, values)
