@@ -57,7 +57,10 @@ def _resolve_seed(args) -> int:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file at or above that path
+        raise ValidationError(f"cannot create output directory: {exc}") from None
     return out
 
 
@@ -66,7 +69,8 @@ def _setup(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(args)
     pop, labels = build_population(cfg, seed)
-    return cfg, seed, _out_dir(args), pop, build_design(cfg, pop.N, labels)
+    design = build_design(cfg, pop.N, labels)  # before the directory is made
+    return cfg, seed, _out_dir(args), pop, design
 
 
 def _get_sample(cfg: RunConfig, design: SamplingDesign, seed: int) -> Sample:

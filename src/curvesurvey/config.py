@@ -5,7 +5,8 @@ Sections: [population], [design], [estimator], [band], [campaign], [oracle].
 `RunConfig` whose sections hold converted, checked values, so nothing is
 computed or written for a bad file.  An unknown section or option and an
 unreadable or malformed file are `ConfigurationError`s.  Checks that need
-the population (unit ranges, stratum labels) happen in `build_design`.
+the population (unit ranges, stratum labels, n_list sizes) happen in
+`build_design`, before any sample is drawn.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -239,9 +239,7 @@ def build_population(cfg: RunConfig, seed: int):
     pop = cfg.population
     _require(pop is not None, "config needs a [population] section")
     if pop.csv is not None:
-        path = Path(pop.csv)
-        _require(path.exists(), f"population csv not found: {path}")
-        return read_population_csv(path, strata_column=pop.strata_column)
+        return read_population_csv(pop.csv, strata_column=pop.strata_column)
     population = study_population(
         n_units=pop.n_units,
         n_points=pop.n_points,
@@ -259,6 +257,8 @@ def build_design(
 ) -> SamplingDesign:
     d = cfg.design
     _require(d is not None, "config needs a [design] section")
+    for n in cfg.campaign.n_list:  # checked before any campaign runs
+        _require(n <= N, f"[campaign] n_list: need 1 <= n <= N, got n={n}, N={N}")
     if d.kind == "srswor":
         return SamplingDesign(kind="srswor", N=N, n=d.n)
     allocation = d.n_per_stratum

@@ -30,15 +30,17 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> str:
 def read_population_csv(path, strata_column: str | None = None):
     """Load a population; returns (population, stratum_labels_or_None)."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise ValidationError(_not_utf8(path, exc)) from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read population csv: {exc}") from None
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(_not_utf8(path, exc)) from None
     curve_cols, aux_cols, strata_col = [], [], None
     times = []
     for j, name in enumerate(header):

@@ -93,8 +93,8 @@ def one_shot_sup_sample(
 ) -> np.ndarray:
     """max_t |(F Z)(t)| / sigma(t) from one (n_sims, D) standard normal draw.
 
-    One-shot reference twin of the blocked ``bands._sup_sampler``, which
-    takes F / sigma[:, None] and draws the same stream in blocks.
+    One-shot reference twin of the tiled ``bands._band_sups``, which takes
+    F / sigma[:, None] and draws the same stream in SIM_BLOCK tiles.
     """
     draws = rng.standard_normal((n_sims, factor.shape[0]))
     return (np.abs(draws @ factor.T) / sigma).max(axis=1)

@@ -210,38 +210,15 @@ class TestSupKernel:
         covers(est, cov_est(cov), 50, 0.05, 500, 1, np.zeros(cov.shape[0]))
         assert len(calls) == 2 * eighs
 
-    @pytest.mark.parametrize("n_sims", [100, bands.SIM_BLOCK + 1, 3 * bands.SIM_BLOCK - 5])
-    @pytest.mark.parametrize("name", sorted(COVS))
-    def test_any_cut_is_within_slack_and_tile_sup_is_exact(self, n_sims, name):
-        # fills of other ranges keep the stream and stay within their slack
-        # of the band's sups; tile_sup gives the band's sup bit for bit
-        scaled, _ = bands._scaled_factor(COVS[name])
-        d = scaled.shape[0]
-        band = bands._band_sups(scaled, n_sims, np.random.default_rng(3))
-        # ranges of 1 and 2 sims, ranges across tiles, none over SIM_BLOCK
-        cuts = np.random.default_rng(n_sims).integers(1, n_sims, 12)
-        cuts = sorted({*cuts.tolist(), 1, 3, *range(0, n_sims, 700), n_sims})
-        rng = np.random.default_rng(3)
-        kernel = bands._SupKernel(scaled, n_sims, rng)
-        draws = np.random.default_rng(3).standard_normal((n_sims, d))
-        for lo, hi in zip(cuts, cuts[1:]):
-            sups = kernel.fill(lo, hi)
-            assert np.array_equal(kernel.draws[: hi - lo], draws[lo:hi])
-            assert np.abs(sups - band[lo:hi]).max() <= kernel.slack(hi - lo)
-            for i in {lo, hi - 1, (lo + hi) // 2}:
-                assert kernel.tile_sup(i, draws[i]) == band[i]
-        reference = np.random.default_rng(3)
-        reference.standard_normal((n_sims, d))
-        assert rng.bit_generator.state == reference.bit_generator.state
-
 
 def _filled_sups(scaled, n_sims, rng):
-    """A band's sups from a sequential loop: whole SIM_BLOCK tiles drawn
-    and multiplied on the calling thread."""
-    kernel = bands._SupKernel(scaled, n_sims, rng)
+    """A band's sups from covers' loop: SIM_BLOCK tiles drawn and
+    multiplied on the calling thread."""
+    sups, product = np.empty(n_sims), np.empty(bands.SIM_BLOCK * scaled.shape[0])
     for lo in range(0, n_sims, bands.SIM_BLOCK):
-        kernel.fill(lo, min(lo + bands.SIM_BLOCK, n_sims))
-    return kernel.sups
+        z = rng.standard_normal((min(bands.SIM_BLOCK, n_sims - lo), scaled.shape[0]))
+        bands._tile_sups(scaled, z, sups[lo:lo + len(z)], product)
+    return sups
 
 
 class TestBandSups:
@@ -381,37 +358,6 @@ class TestCovers:
                 estimate, cov, 50, alpha, n_sims, 9, truth))
         assert outcomes == [True, True, True, False, False]
 
-    @pytest.mark.parametrize("shift", [-0.5, 0.5])
-    @pytest.mark.parametrize("n_sims, alpha", [(5000, 0.05), (bands.SIM_BLOCK + 1, 0.3)])
-    def test_sups_within_the_slack_are_decided_exactly(self, monkeypatch,
-                                                       n_sims, alpha, shift):
-        # covers may rely only on fill being within its slack of the band's
-        # sups: moved by half the slack, the walk must still decide every
-        # sup near the threshold from tile_sup, the band's own value
-        cov = cov_est(COVS["definite"])
-        d = cov.matrix.shape[0]
-        estimate = _zero_estimate(d)
-        band = build_band(estimate, cov, n=50, alpha=alpha, n_sims=n_sims, seed=9)
-        edge = band.half_width[d - 1]
-        truths = []
-        for value in (edge, np.nextafter(edge, np.inf)):
-            truth = np.zeros(d)
-            truth[d - 1] = value
-            truths.append(truth)
-        expected = [_oracle_covers(estimate, cov, 50, alpha, n_sims, 9, t)
-                    for t in truths]
-        assert expected == [True, False]
-        fill = bands._SupKernel.fill
-
-        def shifted_fill(kernel, lo, hi):
-            sups = fill(kernel, lo, hi)
-            sups += shift * kernel.slack(hi - lo)
-            return sups
-
-        monkeypatch.setattr(bands._SupKernel, "fill", shifted_fill)
-        assert [covers(estimate, cov, 50, alpha, n_sims, 9, t)
-                for t in truths] == expected
-
     def test_alpha_with_k_equal_to_n_sims(self):
         n_sims, alpha = bands.SIM_BLOCK + 1, 1e-4
         assert bands._quantile_rank(alpha, n_sims) == n_sims
@@ -456,70 +402,73 @@ class TestCovers:
         assert str(error.value) == str(oracle_error.value)
 
     def test_stops_after_one_block_when_truth_is_the_center(self):
-        # every sup covers, so the first block, the n_sims - k + 1 = 251
-        # sups a "covered" needs (k = 4750), already settles it
+        # every sup covers, so the first tile of 256 holds the
+        # n_sims - k + 1 = 251 sups a "covered" needs (k = 4750)
         cov = cov_est(COVS["definite"])
         d = cov.matrix.shape[0]
         rng = np.random.default_rng(21)
         assert covers(_zero_estimate(d), cov, 50, 0.05, 5000, rng, np.zeros(d))
         reference = np.random.default_rng(21)
-        reference.standard_normal((251, d))
+        reference.standard_normal((bands.SIM_BLOCK, d))
         assert rng.bit_generator.state == reference.bit_generator.state
 
-    @pytest.mark.parametrize("n_sims, alpha", [
-        (2 * bands.SIM_BLOCK + 1, 0.01),  # one block of 21
-        (4096, 0.6),  # more than SIM_BLOCK needed: 1024 + 1024 + 410
-        (4096, 0.5),  # 1024 + 1024 + 1
+    @pytest.mark.parametrize("n_sims, alpha, drawn", [
+        (2 * bands.SIM_BLOCK + 1, 0.01, 256),  # 6 needed: one tile
+        (4096, 0.6, 2560),  # 2458 needed: ten tiles
+        (4096, 0.5, 2304),  # 2049 needed: nine tiles
+        (2 * bands.SIM_BLOCK + 1, 0.999, 513),  # all: two tiles and one sim
     ])
     def test_truth_at_the_center_draws_n_sims_minus_k_plus_1(self, n_sims,
-                                                             alpha):
+                                                             alpha, drawn):
+        # every sup covers, so covers draws the n_sims - k + 1 sups that
+        # "covered" needs, rounded up to whole tiles
+        need = n_sims - bands._quantile_rank(alpha, n_sims) + 1
+        assert drawn == min(n_sims, -(-need // bands.SIM_BLOCK) * bands.SIM_BLOCK)
         cov = cov_est(COVS["definite"])
         d = cov.matrix.shape[0]
         rng = np.random.default_rng(22)
         assert covers(_zero_estimate(d), cov, 50, alpha, n_sims, rng, np.zeros(d))
         reference = np.random.default_rng(22)
-        reference.standard_normal(
-            (n_sims - bands._quantile_rank(alpha, n_sims) + 1, d))
+        reference.standard_normal((drawn, d))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize(
         "alpha, edge_of, drawn, covered",
         [
-            # k = 1948 of 2048: the first block is the 101 sups "covered"
-            # needs; truth on the band of the smallest covers with all 101
-            (0.049, "smallest", 101, True),
-            # on the second smallest, 100 cover: one short, so a block of
-            # ceil(1 / (100/101)) = 2 follows, and its first sup covers
-            (0.049, "second smallest", 103, True),
-            # k = 512: the first block is the 512 sups "not covered" needs;
-            # beyond the largest, all 512 fall short
-            (0.75, "beyond the largest", 512, False),
-            # on the largest, 511 fall short: a block of
-            # ceil(1 / (511/512)) = 2 follows, and its first sup falls short
-            (0.75, "largest", 514, False),
+            # k = 1793 of 2048: "covered" needs 256 sups, one whole tile;
+            # truth on the band of the first tile's smallest covers with all
+            (0.1246, "smallest", 256, True),
+            # on its second smallest, 255 cover: the second tile settles it
+            (0.1246, "second smallest", 512, True),
+            # k = 256: "not covered" needs 256; beyond the first tile's
+            # largest, all 256 fall short
+            (0.8752, "beyond the largest", 256, False),
+            # on the largest, 255 fall short: the second tile settles it
+            (0.8752, "largest", 512, False),
         ],
     )
     def test_decided_at_a_block_boundary(self, alpha, edge_of, drawn, covered):
         # truth sits on the edge of the band built on a chosen sup of the
-        # first block, so that block's count is known
-        n_sims, n, seed = 2 * bands.SIM_BLOCK, 50, 13
+        # first tile, so that tile's count is known; covers draws whole tiles
+        n_sims, n, seed = 2048, 50, 13
         cov = cov_est(COVS["definite"])
         d = cov.matrix.shape[0]
         scaled, sigma = bands._scaled_factor(n * cov.matrix)
         sups = bands._band_sups(scaled, n_sims, np.random.default_rng(seed))
         k = bands._quantile_rank(alpha, n_sims)
-        first = np.sort(sups[: min(n_sims - k + 1, k)])
+        assert bands.SIM_BLOCK in (n_sims - k + 1, k)
+        first = np.sort(sups[: bands.SIM_BLOCK])
         edge = {
             "smallest": first[0],
             "second smallest": first[1],
             "beyond the largest": first[-1] * (1.0 + 1e-9),
             "largest": first[-1],
         }[edge_of]
-        # no other sup lies within rounding of the edge, and the sups after
-        # the first block fall where the comments above say
+        # no other sup lies within rounding of the edge, and the drawn
+        # tiles settle the flag as the comments above say
         assert np.abs(sups / edge - 1.0)[sups != edge].min() > 1e-12
-        if drawn > first.size:
-            assert bool(sups[first.size] >= edge) is covered
+        inside = np.count_nonzero(sups[:drawn] >= edge)
+        assert (inside >= n_sims - k + 1 if covered else drawn - inside >= k)
         truth = np.zeros(d)
         truth[0] = edge * sigma[0] / np.sqrt(n)
         assert _assert_covers_matches_oracle(

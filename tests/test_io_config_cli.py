@@ -436,6 +436,9 @@ class TestCliRejectsBadNumbers:
              "the residual variance is not finite"),
             ("estimate", "n = 10", "n = 10\nsample_file = no-such-file.txt",
              "cannot read sample file"),
+            # the n = 10 campaign would run and write its CSV first
+            ("montecarlo", "n_list = 10,20", "n_list = 10,500",
+             "need 1 <= n <= N, got n=500, N=60"),
             # 10^14 simulations need a 728 TiB buffer, beyond any address
             # space, so the allocation fails at once
             ("bands", "n_sims = 500", "n_sims = 100000000000000", "Unable to allocate"),
@@ -569,6 +572,34 @@ class TestCliRejectsUndecodableFiles:
         body = (f"[population]\ncsv = {path}\n\n[design]\nkind = srswor\n"
                 "n = 12\n\n[estimator]\nkind = ma\na = 0\n")
         self._exits_2_naming(tmp_path, capsys, body, path)
+
+
+class TestCliRejectsBadPaths:
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_is_a_file_or_below_one(self, tmp_path, capsys, below):
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        out = taken / "out" if below else taken
+        assert main(["estimate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and "Traceback" not in err
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_population_csv_cannot_be_opened(self, tmp_path, capsys, kind):
+        path = tmp_path / "pop.csv"
+        if kind == "directory":
+            path.mkdir()
+        cfg = write_config(tmp_path, f"[population]\ncsv = {path}\n\n[design]\n"
+                           "kind = srswor\nn = 12\n")
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read population csv" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 STRATIFIED = """
