@@ -221,6 +221,30 @@ def _filled_sups(scaled, n_sims, rng):
     return sups
 
 
+class TestTileSups:
+    """The one sup product that the band and covers share."""
+
+    @pytest.mark.parametrize("m", [1, 7, bands.SIM_BLOCK])
+    @pytest.mark.parametrize("name", sorted(COVS))
+    def test_a_reused_buffer_gives_a_fresh_buffers_sups(self, name, m):
+        # covers and the band reuse one product buffer of a whole tile,
+        # also for a short last tile: what it held before must not leak
+        scaled, _ = bands._scaled_factor(COVS[name])
+        d = scaled.shape[0]
+        rng = np.random.default_rng(m)
+        product = np.full(bands.SIM_BLOCK * d, np.nan)
+        bands._tile_sups(scaled, rng.standard_normal((bands.SIM_BLOCK, d)),
+                         np.empty(bands.SIM_BLOCK), product)
+        z = rng.standard_normal((m, d))
+        out = np.full(m + 2, -1.0)
+        tile = bands._tile_sups(scaled, z, out[1:-1], product)
+        assert np.shares_memory(tile, out) and out[0] == out[-1] == -1.0
+        fresh = bands._tile_sups(scaled, z, np.empty(m), np.empty(m * d))
+        assert np.array_equal(tile, fresh)
+        direct = np.abs(scaled @ z.T).max(axis=0)
+        assert np.abs(tile - direct).max() <= 1e-12 * direct.max()
+
+
 class TestBandSups:
     """The band's tiles, drawn on a helper thread, against the sequential
     loop; and c_alpha at the load-curve D against the caller's BLAS count."""

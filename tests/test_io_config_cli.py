@@ -193,6 +193,18 @@ n_per_stratum = a:1,b:1
         design = build_design(cfg, 4, ["a", "b", "a", "b"])
         assert design.n_h == (1, 1)
 
+    @pytest.mark.parametrize("n_list, largest", [("10,50", 50), ("51,10", 51)])
+    def test_n_list_bounded_by_the_population(self, tmp_path, n_list, largest):
+        # every entry is checked against N before any campaign runs
+        cfg = load_config(write_config(tmp_path, "[design]\nkind = srswor\nn = 10\n"
+                                       f"[campaign]\nn_list = {n_list}\n"))
+        if largest <= 50:
+            assert build_design(cfg, 50, None).n == 10
+        else:
+            with pytest.raises(ValidationError,
+                               match="need 1 <= n <= N, got n=51, N=50"):
+                build_design(cfg, 50, None)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -587,11 +599,14 @@ class TestCliRejectsBadPaths:
         assert "cannot create output directory" in err and "Traceback" not in err
         assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
-    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    @pytest.mark.parametrize("kind", ["directory", "missing", "below a file"])
     def test_population_csv_cannot_be_opened(self, tmp_path, capsys, kind):
         path = tmp_path / "pop.csv"
         if kind == "directory":
             path.mkdir()
+        elif kind == "below a file":
+            path.write_text("t0,t1\n1,2\n", encoding="utf-8")
+            path = path / "pop.csv"
         cfg = write_config(tmp_path, f"[population]\ncsv = {path}\n\n[design]\n"
                            "kind = srswor\nn = 12\n")
         out = tmp_path / "out"
