@@ -27,7 +27,7 @@ def main():
     pop = study_population(
         args.n_units, args.n_points, corr=args.corr, seed=args.pop_seed
     )
-    design = SamplingDesign(kind="srswor", N=pop.N, n=args.n)
+    design = SamplingDesign(N=pop.N, n=args.n)
     report = run_campaign(
         pop,
         design,

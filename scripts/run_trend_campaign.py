@@ -13,7 +13,7 @@ from curvesurvey import (
     run_campaign,
     study_population,
 )
-from curvesurvey.covariance import CAMPAIGN_ESTIMATORS
+from curvesurvey.estimators import CAMPAIGN_ESTIMATORS
 
 
 def main():
@@ -43,7 +43,7 @@ def main():
     header = f"{'n':>5}  {'rmse':>10}  {'rb^2':>10}  {'vr':>10}  {'median E_r':>10}"
     print(header)
     for n in args.sizes:
-        design = SamplingDesign(kind="srswor", N=pop.N, n=n)
+        design = SamplingDesign(N=pop.N, n=n)
         r = run_campaign(
             pop,
             design,

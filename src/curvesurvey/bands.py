@@ -26,9 +26,6 @@ class ConfidenceBand:
     center: np.ndarray
     half_width: np.ndarray
     c_alpha: float
-    alpha: float
-    n_sims: int
-    seed: object = None
 
 
 # Simulations per tile of the sup product, for the band and covers alike.
@@ -145,14 +142,8 @@ def build_band(
         raise ValidationError("sample size n must be >= 1")
     c_alpha, sigma = _band_constant(n * cov.matrix, alpha, n_sims, seed)
     half_width = c_alpha * sigma / np.sqrt(n)
-    return ConfidenceBand(
-        center=np.asarray(estimate.curve, dtype=float),
-        half_width=half_width,
-        c_alpha=c_alpha,
-        alpha=alpha,
-        n_sims=n_sims,
-        seed=seed,
-    )
+    return ConfidenceBand(center=np.asarray(estimate.curve, dtype=float),
+                          half_width=half_width, c_alpha=c_alpha)
 
 
 def _truth_array(truth, center: np.ndarray) -> np.ndarray:

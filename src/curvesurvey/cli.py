@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .bands import build_band
 from .config import RunConfig, build_design, build_population, load_config
-from .covariance import ESTIMATORS, ma_covariance_estimate
+from .covariance import ma_covariance_estimate
 from .designs import Sample, SamplingDesign, draw, replicate_rng
 from .errors import NumericalError, OracleFailure, ValidationError
-from .estimators import model_assisted_mean
+from .estimators import ESTIMATORS, model_assisted_mean
 from .io import (
     read_sample_indices,
     write_covariance_csv,
@@ -83,8 +83,7 @@ def _get_sample(cfg: RunConfig, design: SamplingDesign, seed: int) -> Sample:
 def cmd_estimate(args) -> int:
     cfg, seed, out, pop, design = _setup(args)
     sample = _get_sample(cfg, design, seed)
-    mean, _ = ESTIMATORS[cfg.estimator.kind]
-    estimate = mean(pop, sample, cfg.estimator.a)
+    estimate = ESTIMATORS[cfg.estimator.kind](pop, sample, cfg.estimator.a)
     write_curve_csv(out / "estimate.csv", pop.grid, {"estimate": estimate.curve})
     write_metadata(
         out / "estimate.meta.json",

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .covariance import ESTIMATORS
 from .designs import SamplingDesign
 from .errors import ConfigurationError
+from .estimators import ESTIMATORS
 from .io import read_population_csv
 from .synthetic import study_population
 
@@ -260,7 +260,7 @@ def build_design(
     for n in cfg.campaign.n_list:  # checked before any campaign runs
         _require(n <= N, f"[campaign] n_list: need 1 <= n <= N, got n={n}, N={N}")
     if d.kind == "srswor":
-        return SamplingDesign(kind="srswor", N=N, n=d.n)
+        return SamplingDesign(N=N, n=d.n)
     allocation = d.n_per_stratum
     if d.ranges is not None:
         for lo, hi in d.ranges:
@@ -277,4 +277,4 @@ def build_design(
             "stratified design needs 'ranges' or a population strata column"
         )
     n_h = tuple(count for _, count in allocation)
-    return SamplingDesign(kind="stratified", N=N, n=d.n, strata=strata, n_h=n_h)
+    return SamplingDesign(N=N, n=d.n, strata=strata, n_h=n_h)

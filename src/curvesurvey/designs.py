@@ -1,73 +1,66 @@
-"""Fixed-size sampling designs: SRSWOR and stratified SRSWOR.
+"""Fixed-size sampling designs: stratified SRSWOR, with SRSWOR as the one
+stratum 0..N-1.
 
 Unit indices are 0-based throughout.  Inclusion probabilities have closed
-forms for both shipped designs; an exhaustive enumeration oracle is provided
-for small populations.
+forms; the exhaustive enumeration of every sample, for small populations,
+lives in ``oracle.py`` beside the checks that read it.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationCapError, ValidationError
-
-DEFAULT_ENUMERATION_CAP = 1_000_000
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, eq=False)
 class SamplingDesign:
     """A fixed-size design on a population of N units.
 
-    kind "srswor": every n-subset of 0..N-1 equiprobable.
-    kind "stratified": independent SRSWOR of size n_h within each stratum;
-    strata is a tuple of disjoint index arrays partitioning 0..N-1.
+    Without strata, SRSWOR: every n-subset of 0..N-1 equiprobable.  With
+    strata, a tuple of disjoint index arrays partitioning 0..N-1, and n_h,
+    independent SRSWOR of size n_h within each stratum.
     """
 
-    kind: str
     N: int
     n: int
     strata: tuple | None = None
     n_h: tuple | None = None
 
     def __post_init__(self):
+        N, n = _indices((self.N, self.n), "N and n").tolist()
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "n", n)
         if self.N < 1:
             raise ValidationError("population size must be >= 1")
         if not 1 <= self.n <= self.N:
             raise ValidationError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
-        if self.kind == "srswor":
-            if self.strata is not None or self.n_h is not None:
-                raise ValidationError("srswor takes no strata")
-        elif self.kind == "stratified":
-            if self.strata is None or self.n_h is None:
-                raise ValidationError("stratified design needs strata and n_h")
-            strata = tuple(
-                _read_only(np.sort(np.asarray(s, dtype=int)))
-                for s in self.strata
-            )
-            n_h = tuple(int(v) for v in self.n_h)
-            if len(strata) != len(n_h) or not strata:
-                raise ValidationError("strata and n_h must align and be nonempty")
-            flat = np.concatenate(strata)
-            if flat.size != self.N or not np.array_equal(
-                np.sort(flat), np.arange(self.N)
-            ):
-                raise ValidationError("strata must partition 0..N-1")
-            for s, m in zip(strata, n_h):
-                if not 1 <= m <= s.size:
-                    raise ValidationError(
-                        f"need 1 <= n_h <= N_h, got n_h={m}, N_h={s.size}"
-                    )
-            if sum(n_h) != self.n:
-                raise ValidationError("sum of n_h must equal n")
-            object.__setattr__(self, "strata", strata)
-            object.__setattr__(self, "n_h", n_h)
-        else:
-            raise ValidationError(f"unknown design kind {self.kind!r}")
+        if (self.strata is None) != (self.n_h is None):
+            raise ValidationError("a stratified design needs strata and n_h")
+        if self.strata is None:
+            return
+        strata = tuple(_read_only(np.sort(_indices(s, "stratum members")))
+                       for s in self.strata)
+        n_h = tuple(_indices(self.n_h, "n_h").tolist())
+        if len(strata) != len(n_h) or not strata:
+            raise ValidationError("strata and n_h must align and be nonempty")
+        flat = np.concatenate(strata)
+        if flat.size != self.N or not np.array_equal(
+            np.sort(flat), np.arange(self.N)
+        ):
+            raise ValidationError("strata must partition 0..N-1")
+        for s, m in zip(strata, n_h):
+            if not 1 <= m <= s.size:
+                raise ValidationError(
+                    f"need 1 <= n_h <= N_h, got n_h={m}, N_h={s.size}"
+                )
+        if sum(n_h) != self.n:
+            raise ValidationError("sum of n_h must equal n")
+        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "n_h", n_h)
 
     # The cached arrays below depend only on the design, are computed once
     # per instance, are read-only, and are left out of the pickled state
@@ -108,6 +101,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _indices(values, what: str) -> np.ndarray:
+    """values as an int array; a value that is not an integer (0.9, NaN, a
+    string) raises ValidationError rather than being truncated."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        idx = raw.astype(int) if raw.dtype.kind in "iuf" else None
+    if idx is None or not np.array_equal(idx, raw):
+        raise ValidationError(f"{what} must be integers, got {values!r}")
+    return idx
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """A drawn sample: sorted distinct unit indices, n_h of them in stratum h."""
@@ -116,8 +120,7 @@ class Sample:
     design: SamplingDesign
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        idx = np.sort(idx)
+        idx = np.sort(_indices(self.indices, "sample indices"))
         if idx.size != self.design.n:
             raise ValidationError(
                 f"sample size {idx.size} != design size {self.design.n}"
@@ -147,15 +150,6 @@ def joint_prob_within(N_h: int, n_h: int) -> float:
     return n_h * (n_h - 1) / (N_h * (N_h - 1)) if N_h > 1 else 1.0
 
 
-def second_order_matrix(design: SamplingDesign) -> np.ndarray:
-    """Matrix of pi_kl for all pairs, with the convention pi_kk = pi_k.
-
-    Within-stratum pairs with n_h = 1 have pi_kl = 0; such pairs can never
-    be jointly sampled, so the joint probability is genuinely zero.
-    """
-    return joint_probs_submatrix(design, np.arange(design.N))
-
-
 def joint_probs_submatrix(design: SamplingDesign, idx: np.ndarray) -> np.ndarray:
     """pi_kl restricted to the units in idx (dense; a reference for tests)."""
     idx = np.asarray(idx, dtype=int)
@@ -177,35 +171,6 @@ def draw(design: SamplingDesign, rng: np.random.Generator) -> Sample:
         for s, m in zip(*design.allocation)
     ]
     return Sample(indices=np.sort(np.concatenate(parts)), design=design)
-
-
-def _count_samples(design: SamplingDesign) -> int:
-    total = 1
-    for s, m in zip(*design.allocation):
-        total *= math.comb(s.size, m)
-    return total
-
-
-def enumerate_samples(
-    design: SamplingDesign, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[Sample, float]]:
-    """All possible samples with their exact design probabilities.
-
-    Probabilities sum to 1; refuses when the count exceeds `cap`.
-    """
-    total = _count_samples(design)
-    if total > cap:
-        raise EnumerationCapError(required=total, cap=cap)
-    prob = 1.0 / total
-    per_stratum = [
-        list(itertools.combinations(s.tolist(), m))
-        for s, m in zip(*design.allocation)
-    ]
-    out = []
-    for parts in itertools.product(*per_stratum):
-        idx = np.sort(np.concatenate([np.array(p, dtype=int) for p in parts]))
-        out.append((Sample(idx, design), prob))
-    return out
 
 
 def replicate_rng(master_seed: int, *key: int) -> np.random.Generator:

@@ -1,8 +1,12 @@
-"""Mean-curve estimators.
+"""Mean-curve estimators and the one table of estimator kinds.
 
 Horvitz-Thompson, Hajek, the generalized difference estimator (population
 regression fit, an oracle for testing) and the model-assisted estimator
-with an eigenvalue-floored design matrix.
+with an eigenvalue-floored design matrix.  `ESTIMATORS` maps each kind to
+its mean function.  Every estimate but the difference estimator's carries
+its linearized rows, whose HT covariance estimator
+(``covariance.ht_covariance_estimate``) is the estimate's covariance
+estimator, so those kinds can run a campaign.
 
 Both regression fits, the census one and the design-weighted sampled one,
 come from one thin SVD of the weighted design (`_fit`), never from the
@@ -40,7 +44,6 @@ class MeanEstimate:
 
     curve: np.ndarray
     estimator_kind: str  # HT | Hajek | ModelAssisted | Difference
-    sample: Sample | None = None
     a_used: float | None = None
     linearized: np.ndarray | None = None
 
@@ -61,8 +64,7 @@ def ht_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Horvitz-Thompson estimator: inverse-probability-weighted mean."""
     _, y_s, pi = _sample_arrays(pop, sample)
     curve = (y_s / pi[:, None]).sum(axis=0) / pop.N
-    return MeanEstimate(curve=curve, estimator_kind="HT", sample=sample,
-                        linearized=y_s)
+    return MeanEstimate(curve=curve, estimator_kind="HT", linearized=y_s)
 
 
 def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
@@ -70,7 +72,7 @@ def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     _, y_s, pi = _sample_arrays(pop, sample)
     w = 1.0 / pi
     curve = (y_s * w[:, None]).sum(axis=0) / w.sum()
-    return MeanEstimate(curve=curve, estimator_kind="Hajek", sample=sample,
+    return MeanEstimate(curve=curve, estimator_kind="Hajek",
                         linearized=y_s - curve)
 
 
@@ -153,7 +155,7 @@ def model_assisted_mean(
             )
     curve = pop.aux_totals() @ beta / pop.N + resid_ht
     return MeanEstimate(curve=curve, estimator_kind="ModelAssisted",
-                        sample=sample, a_used=a_used, linearized=y_s)
+                        a_used=a_used, linearized=y_s)
 
 
 def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
@@ -167,4 +169,19 @@ def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     pred = pop.aux @ beta
     resid_ht = ((pred[sample.indices] - y_s) / pi[:, None]).sum(axis=0) / pop.N
     curve = pred.mean(axis=0) - resid_ht
-    return MeanEstimate(curve=curve, estimator_kind="Difference", sample=sample)
+    return MeanEstimate(curve=curve, estimator_kind="Difference")
+
+
+# kind -> mean(pop, sample, a).  Each looks its function up by name at the
+# call, so wrappers installed on the functions later (tracing spans) see
+# these calls.
+ESTIMATORS = {
+    "ht": lambda pop, s, a: ht_mean(pop, s),
+    "hajek": lambda pop, s, a: hajek_mean(pop, s),
+    "ma": lambda pop, s, a: model_assisted_mean(pop, s, a=a),
+    "difference": lambda pop, s, a: difference_mean(pop, s),
+}
+
+# the kinds with linearized rows, so a covariance estimator: all but the
+# census-fit difference estimator
+CAMPAIGN_ESTIMATORS = ("ht", "hajek", "ma")

@@ -29,10 +29,6 @@ class TimeGrid:
     def size(self) -> int:
         return self.points.size
 
-    @property
-    def t_max(self) -> float:
-        return float(self.points[-1])
-
 
 @dataclass(frozen=True, eq=False)
 class FunctionalPopulation:

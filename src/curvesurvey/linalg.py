@@ -23,7 +23,7 @@ from .errors import NumericalError, ValidationError
 SYMMETRY_RTOL = 1e-12
 
 
-def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def check_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -32,7 +32,7 @@ def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     if np.array_equal(m, m.T):  # as every Gram matrix C'C is
         return m
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > rtol * scale:
+    if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
     return 0.5 * (m + m.T)
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import covers
-from .covariance import CAMPAIGN_ESTIMATORS, ESTIMATORS, CovarianceEstimate
+from .covariance import CovarianceEstimate, ht_covariance_estimate
 from .designs import SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
+from .estimators import CAMPAIGN_ESTIMATORS, ESTIMATORS
 from .grids import FunctionalPopulation, population_mean
 from .linalg import _one_blas_thread, _set_blas_threads
 
@@ -74,10 +75,9 @@ def _run_replicate(campaign: _Campaign, i: int):
     """
     c = campaign
     sample = draw(c.design, replicate_rng(c.seed, i, 0))
-    mean, covariance = ESTIMATORS[c.estimator]
     try:
-        estimate = mean(c.pop, sample, c.a)
-        gamma = covariance(c.pop, sample, c.a, estimate)
+        estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
+        gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
     except CurveSurveyError as exc:
         return None, str(exc), None
     gdiag = gamma.variance  # covers alone reads the D x D matrix

@@ -1,30 +1,37 @@
-"""Exhaustive-enumeration identity checks for tiny populations.
+"""Exhaustive-enumeration identity checks for tiny populations, and the
+twins the production paths are tested against.
 
 Every identity that holds exactly by design-based algebra is recomputed two
 ways: once from the closed-form inclusion probabilities and once by summing
-over all possible samples with their exact probabilities.  Used by the
-``oracle-check`` command and by the test suite, which also compares the
-closed-form covariances of ``covariance.py`` against the dense formulas
-kept here, the blocked sup kernel of ``bands.py`` against its one-shot
-form, the Cholesky-first PSD repair against its eigh-first form, and the
-SVD fit of ``estimators.py`` against an lstsq calibration-weight twin and
-the eigenvalue-floored inverse of the moment matrix.
+over all possible samples (`enumerate_samples`) with their exact
+probabilities.  Used by the ``oracle-check`` command and by the test suite,
+which also compares the closed-form exact covariances kept here
+(`ht_covariance_exact`, `ma_covariance_approx`, built like the estimators
+of ``covariance.py``) against the dense u' Delta u formulas, the dense
+pi_kl matrix (`second_order_matrix`) against the enumerated one, the
+blocked sup kernel of ``bands.py`` against its one-shot form, the
+Cholesky-first PSD repair against its eigh-first form, and the SVD fit of
+``estimators.py`` against an lstsq calibration-weight twin and the
+eigenvalue-floored inverse of the moment matrix.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import ma_covariance_approx
+from .covariance import CovarianceEstimate, _centred_covariance
 from .designs import (
+    Sample,
     SamplingDesign,
-    enumerate_samples,
     first_order_probs,
-    second_order_matrix,
+    joint_probs_submatrix,
 )
 from .estimators import (
+    _check_match,
     _sample_arrays,
     beta_population,
     difference_mean,
@@ -32,12 +39,13 @@ from .estimators import (
     ht_mean,
     model_assisted_mean,
 )
-from .errors import NumericalError, ValidationError
+from .errors import EnumerationCapError, NumericalError, ValidationError
 from .grids import FunctionalPopulation, TimeGrid, population_mean
 from .linalg import _eigen_repair, check_symmetric
 from .synthetic import AuxSpec, ResidualKernel, SuperpopulationConfig, generate_population
 
 DEFAULT_TOL = 1e-10
+DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -51,12 +59,69 @@ class CheckResult:
         return self.residual <= self.tol
 
 
+def _count_samples(design: SamplingDesign) -> int:
+    total = 1
+    for s, m in zip(*design.allocation):
+        total *= math.comb(s.size, m)
+    return total
+
+
+def enumerate_samples(
+    design: SamplingDesign, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[tuple[Sample, float]]:
+    """All possible samples with their exact design probabilities.
+
+    Probabilities sum to 1; refuses when the count exceeds `cap`.
+    """
+    total = _count_samples(design)
+    if total > cap:
+        raise EnumerationCapError(required=total, cap=cap)
+    prob = 1.0 / total
+    per_stratum = [
+        list(itertools.combinations(s.tolist(), m))
+        for s, m in zip(*design.allocation)
+    ]
+    out = []
+    for parts in itertools.product(*per_stratum):
+        idx = np.sort(np.concatenate([np.array(p, dtype=int) for p in parts]))
+        out.append((Sample(idx, design), prob))
+    return out
+
+
+def second_order_matrix(design: SamplingDesign) -> np.ndarray:
+    """Matrix of pi_kl for all pairs, with the convention pi_kk = pi_k.
+
+    Within-stratum pairs with n_h = 1 have pi_kl = 0; such pairs can never
+    be jointly sampled, so the joint probability is genuinely zero.
+    """
+    return joint_probs_submatrix(design, np.arange(design.N))
+
+
+def ht_covariance_exact(
+    pop: FunctionalPopulation, design: SamplingDesign
+) -> CovarianceEstimate:
+    """Exact design covariance of the HT mean estimator at all grid pairs."""
+    _check_match(pop, design)
+    return _centred_covariance(pop.values, design)
+
+
+def ma_covariance_approx(
+    pop: FunctionalPopulation, design: SamplingDesign
+) -> CovarianceEstimate:
+    """HT covariance of the census-fit residuals: the approximate covariance
+    of the model-assisted estimator (exactly the covariance of the difference
+    estimator)."""
+    _check_match(pop, design)
+    residuals = pop.values - pop.aux @ beta_population(pop)
+    return _centred_covariance(residuals, design)
+
+
 def dense_ht_covariance(
     curves: np.ndarray, pi: np.ndarray, pi2: np.ndarray, N: int
 ) -> np.ndarray:
     """(1/N^2) u' Delta u with u_k = row_k / pi_k, Delta = pi2 - pi pi' (N x N).
 
-    Dense reference twin of ``covariance.ht_covariance_exact``.
+    Dense reference twin of `ht_covariance_exact`.
     """
     u = curves / pi[:, None]
     return u.T @ (pi2 - np.outer(pi, pi)) @ u / N**2
@@ -198,7 +263,7 @@ def default_fixture(
         seed=seed,
     )
     pop = generate_population(cfg, n_units, grid)
-    design = SamplingDesign(kind="srswor", N=n_units, n=n)
+    design = SamplingDesign(N=n_units, n=n)
     return pop, design
 
 
@@ -216,7 +281,7 @@ def oracle_check(
     design: SamplingDesign,
     tol: float = DEFAULT_TOL,
     pi2_perturbation: float = 0.0,
-    cap: int = 1_000_000,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[CheckResult]:
     """Run all enumeration identities; returns one result per check.
 
@@ -257,10 +322,10 @@ def oracle_check(
         "second-order probabilities match enumeration",
         np.abs(joint - pi2).max(),
     )
-    if design.kind == "srswor" and design.n < design.N:
-        delta_off = pi2 - np.outer(pi, pi)
-        np.fill_diagonal(delta_off, -np.inf)
-        add("negative association Delta_kl <= 0", max(0.0, delta_off.max()))
+    # holds within each stratum of SRSWOR; across strata Delta_kl = 0
+    delta_off = pi2 - np.outer(pi, pi)
+    np.fill_diagonal(delta_off, -np.inf)
+    add("negative association Delta_kl <= 0", max(0.0, delta_off.max()))
 
     mu = population_mean(pop)
     ht_curves = [ht_mean(pop, s).curve for s in samples]

@@ -3,14 +3,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from curvesurvey import (
-    CovarianceEstimate,
-    FunctionalPopulation,
-    SamplingDesign,
-    TimeGrid,
-    covariance,
-    linalg,
-)
+from curvesurvey import SamplingDesign, covariance, linalg
+from curvesurvey.covariance import CovarianceEstimate
+from curvesurvey.grids import FunctionalPopulation, TimeGrid
 from curvesurvey.oracle import default_fixture
 
 
@@ -49,7 +44,7 @@ def small_pop(rng):
 
 @pytest.fixture
 def small_design(small_pop):
-    return SamplingDesign(kind="srswor", N=small_pop.N, n=6)
+    return SamplingDesign(N=small_pop.N, n=6)
 
 
 @pytest.fixture

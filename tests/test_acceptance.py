@@ -15,30 +15,29 @@ import numpy as np
 import pytest
 
 from curvesurvey import (
-    AuxSpec,
-    ResidualKernel,
     SamplingDesign,
-    SuperpopulationConfig,
-    TimeGrid,
-    difference_mean,
-    enumerate_samples,
-    generate_population,
-    hajek_mean,
     heteroscedastic_study_population,
-    ht_covariance_exact,
-    ht_mean,
-    ma_covariance_approx,
     model_assisted_mean,
-    population_mean,
     run_campaign,
-    simulate_sup_quantile,
     study_population,
 )
+from curvesurvey.bands import simulate_sup_quantile
 from curvesurvey.designs import draw
+from curvesurvey.estimators import difference_mean, hajek_mean, ht_mean
+from curvesurvey.grids import TimeGrid, population_mean
 from curvesurvey.oracle import (
     calibrated_weights,
+    enumerate_samples,
+    ht_covariance_exact,
+    ma_covariance_approx,
     regularized_inverse,
     spectral_norm_sym,
+)
+from curvesurvey.synthetic import (
+    AuxSpec,
+    ResidualKernel,
+    SuperpopulationConfig,
+    generate_population,
 )
 
 
@@ -67,7 +66,7 @@ def small_fixtures():
     out = []
     for seed, (N, n) in enumerate(SMALL_CONFIGS):
         pop = _tiny_population(N, seed=seed + 1)
-        design = SamplingDesign(kind="srswor", N=N, n=n)
+        design = SamplingDesign(N=N, n=n)
         out.append((pop, design, enumerate_samples(design)))
     return out
 
@@ -124,7 +123,7 @@ def test_criterion_03_hajek_reduction():
             seed=seed,
         )
         pop = generate_population(cfg, 40, grid)
-        design = SamplingDesign(kind="srswor", N=40, n=10)
+        design = SamplingDesign(N=40, n=10)
         for _ in range(34):
             sample = draw(design, rng)
             dev = np.abs(
@@ -145,7 +144,7 @@ def test_criterion_04_calibration_equivalence():
     worst_mean, worst_eq = 0.0, 0.0
     for pair in range(100):
         pop = study_population(50, 6, corr=0.9, seed=pair)
-        design = SamplingDesign(kind="srswor", N=50, n=12)
+        design = SamplingDesign(N=50, n=12)
         sample = draw(design, rng)
         weights = calibrated_weights(pop, sample)
         cal = weights @ pop.values[sample.indices] / pop.N
@@ -191,7 +190,7 @@ def test_criterion_05_regularization_bound():
 
 def test_criterion_06_variance_estimator_consistency(big_population):
     pop = big_population
-    design = SamplingDesign(kind="srswor", N=pop.N, n=400)
+    design = SamplingDesign(N=pop.N, n=400)
     start = time.perf_counter()
     report = run_campaign(pop, design, replicates=1000, a=0.0, master_seed=90)
     elapsed = time.perf_counter() - start
@@ -206,7 +205,7 @@ def test_criterion_06_variance_estimator_consistency(big_population):
 
 def test_criterion_07_band_coverage(big_population):
     pop = big_population
-    design = SamplingDesign(kind="srswor", N=pop.N, n=200)
+    design = SamplingDesign(N=pop.N, n=200)
     start = time.perf_counter()
     report = run_campaign(
         pop,
@@ -242,7 +241,7 @@ def test_criterion_09_accuracy_trend():
     pop = heteroscedastic_study_population(2000, 48, seed=100)
     reports = []
     for n in (50, 100, 300):
-        design = SamplingDesign(kind="srswor", N=pop.N, n=n)
+        design = SamplingDesign(N=pop.N, n=n)
         reports.append(
             run_campaign(pop, design, replicates=1000, a=0.0, master_seed=90)
         )
@@ -267,7 +266,7 @@ def test_criterion_09_accuracy_trend():
 
 def test_criterion_10_variance_reduction(big_population):
     pop = big_population
-    design = SamplingDesign(kind="srswor", N=pop.N, n=100)
+    design = SamplingDesign(N=pop.N, n=100)
     truth = population_mean(pop)
     mse = {}
     for kind in ("ma", "ht"):

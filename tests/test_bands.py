@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesurvey import (
+from curvesurvey import DegenerateVarianceError, ValidationError, build_band
+from curvesurvey import bands, linalg
+from curvesurvey.bands import (
     ConfidenceBand,
-    DegenerateVarianceError,
-    MeanEstimate,
-    ValidationError,
-    build_band,
     contains,
     covers,
     simulate_sup_quantile,
 )
-from curvesurvey import bands, linalg
 from curvesurvey.covariance import CovarianceEstimate
+from curvesurvey.estimators import MeanEstimate
 from curvesurvey.linalg import cholesky_psd, psd_project, psd_repair
 from curvesurvey.oracle import one_shot_sup_sample
 
@@ -111,8 +109,6 @@ class TestContains:
             center=np.array([0.0, 1.0]),
             half_width=np.array([0.5, 0.5]),
             c_alpha=2.0,
-            alpha=0.05,
-            n_sims=1000,
         )
 
     def test_truth_at_center(self):

@@ -4,31 +4,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvesurvey import (
-    FunctionalPopulation,
-    Sample,
     SamplingDesign,
-    TimeGrid,
-    beta_population,
     draw,
-    enumerate_samples,
-    first_order_probs,
-    hajek_mean,
-    ht_covariance_estimate,
-    ht_covariance_exact,
-    ht_mean,
-    difference_mean,
-    ma_covariance_approx,
     ma_covariance_estimate,
     model_assisted_mean,
-    replicate_rng,
-    second_order_matrix,
 )
 from curvesurvey import estimators
-from curvesurvey.designs import joint_probs_submatrix
+from curvesurvey.covariance import ht_covariance_estimate
+from curvesurvey.designs import (
+    Sample,
+    first_order_probs,
+    joint_probs_submatrix,
+    replicate_rng,
+)
 from curvesurvey.errors import ValidationError
+from curvesurvey.estimators import (
+    beta_population,
+    difference_mean,
+    hajek_mean,
+    ht_mean,
+)
+from curvesurvey.grids import FunctionalPopulation, TimeGrid
 from curvesurvey.oracle import (
     dense_ht_covariance,
+    enumerate_samples,
+    ht_covariance_exact,
+    ma_covariance_approx,
     residual_ht_covariance_estimate,
+    second_order_matrix,
 )
 
 
@@ -42,7 +45,7 @@ def enumerated_covariance(pop, design, estimator):
 
 class TestHtCovarianceExact:
     def test_census_is_zero(self, small_pop):
-        design = SamplingDesign(kind="srswor", N=small_pop.N, n=small_pop.N)
+        design = SamplingDesign(N=small_pop.N, n=small_pop.N)
         cov = ht_covariance_exact(small_pop, design)
         assert np.abs(cov.matrix).max() < 1e-12
 
@@ -57,7 +60,7 @@ class TestHtCovarianceExact:
         pop = FunctionalPopulation(
             grid, np.full((6, 3), 2.0), np.ones((6, 1))
         )
-        design = SamplingDesign(kind="srswor", N=6, n=2)
+        design = SamplingDesign(N=6, n=2)
         cov = ht_covariance_exact(pop, design)
         assert np.abs(cov.matrix).max() < 1e-12
 
@@ -73,7 +76,7 @@ class TestMaCovarianceApprox:
         aux = np.column_stack([np.ones(10), rng.normal(0, 1, 10)])
         beta = np.vstack([np.ones(4), grid.points])
         pop = FunctionalPopulation(grid, aux @ beta, aux)
-        design = SamplingDesign(kind="srswor", N=10, n=3)
+        design = SamplingDesign(N=10, n=3)
         assert np.abs(ma_covariance_approx(pop, design).matrix).max() < 1e-12
 
     def test_dual_path_residual_population(self, small_pop, small_design):
@@ -94,7 +97,7 @@ class TestMaCovarianceApprox:
 
 class TestMaCovarianceEstimate:
     def test_census_zero(self, small_pop):
-        design = SamplingDesign(kind="srswor", N=small_pop.N, n=small_pop.N)
+        design = SamplingDesign(N=small_pop.N, n=small_pop.N)
         sample = Sample(np.arange(small_pop.N), design)
         cov = ma_covariance_estimate(small_pop, sample, a=0.0)
         assert np.abs(cov.matrix).max() < 1e-12
@@ -105,7 +108,7 @@ class TestMaCovarianceEstimate:
         aux = np.column_stack([np.ones(15), rng.normal(0, 1, 15)])
         beta = np.vstack([np.ones(4), 1 - grid.points])
         pop = FunctionalPopulation(grid, aux @ beta, aux)
-        design = SamplingDesign(kind="srswor", N=15, n=5)
+        design = SamplingDesign(N=15, n=5)
         sample = draw(design, replicate_rng(0, 0))
         cov = ma_covariance_estimate(pop, sample, a=0.0)
         assert np.abs(cov.matrix).max() < 1e-8
@@ -119,7 +122,7 @@ class TestMaCovarianceEstimate:
         values = aux @ np.vstack([np.ones(3), grid.points]) \
             + 0.5 * rng.standard_normal((5, 3))
         pop = FunctionalPopulation(grid, values, aux)
-        design = SamplingDesign(kind="srswor", N=5, n=3)
+        design = SamplingDesign(N=5, n=3)
         residuals = pop.values - pop.aux @ beta_population(pop)
         resid_pop = FunctionalPopulation(grid, residuals, aux)
         expectation = np.zeros((3, 3))
@@ -149,7 +152,7 @@ class TestScaling:
         tops = []
         for scale in (1, 2, 4):
             pop = study_population(250 * scale, 12, corr=0.9, seed=17)
-            design = SamplingDesign(kind="srswor", N=pop.N, n=25 * scale)
+            design = SamplingDesign(N=pop.N, n=25 * scale)
             diag = np.diag(ma_covariance_approx(pop, design).matrix)
             tops.append(design.n * diag.max())
         assert max(tops) < 4 * min(tops)
@@ -159,11 +162,11 @@ def make_design(sizes, n_h, seed, srswor=False):
     """Stratified SRSWOR over randomly permuted units (or plain SRSWOR)."""
     N = sum(sizes)
     if srswor:
-        return SamplingDesign(kind="srswor", N=N, n=n_h[0])
+        return SamplingDesign(N=N, n=n_h[0])
     perm = np.random.default_rng(seed).permutation(N)
     cuts = np.cumsum(sizes)[:-1]
     return SamplingDesign(
-        kind="stratified", N=N, n=sum(n_h),
+        N=N, n=sum(n_h),
         strata=tuple(np.split(perm, cuts)), n_h=tuple(n_h),
     )
 
@@ -309,7 +312,7 @@ class TestMemory:
         from curvesurvey import study_population
 
         pop = study_population(20000, 48, corr=0.9, seed=5)
-        design = SamplingDesign(kind="srswor", N=pop.N, n=2000)
+        design = SamplingDesign(N=pop.N, n=2000)
         tracemalloc.start()
         try:
             ma_covariance_approx(pop, design)

@@ -7,21 +7,26 @@ import pytest
 
 from curvesurvey import (
     EnumerationCapError,
-    Sample,
     SamplingDesign,
     ValidationError,
     draw,
-    enumerate_samples,
+)
+from curvesurvey.designs import (
+    Sample,
     first_order_probs,
+    joint_probs_submatrix,
     replicate_rng,
+)
+from curvesurvey.oracle import (
+    default_fixture,
+    enumerate_samples,
+    oracle_check,
     second_order_matrix,
 )
-from curvesurvey.designs import joint_probs_submatrix
 
 
 def stratified_2x2():
     return SamplingDesign(
-        kind="stratified",
         N=4,
         n=2,
         strata=(np.array([0, 1]), np.array([2, 3])),
@@ -31,12 +36,12 @@ def stratified_2x2():
 
 class TestFirstOrder:
     def test_srswor_half(self):
-        d = SamplingDesign(kind="srswor", N=4, n=2)
+        d = SamplingDesign(N=4, n=2)
         for k in range(4):
             assert first_order_probs(d)[k] == pytest.approx(0.5)
 
     def test_census(self):
-        d = SamplingDesign(kind="srswor", N=3, n=3)
+        d = SamplingDesign(N=3, n=3)
         assert first_order_probs(d).tolist() == [1.0, 1.0, 1.0]
 
     def test_stratified(self):
@@ -44,7 +49,7 @@ class TestFirstOrder:
         assert first_order_probs(d)[0] == pytest.approx(0.5)
 
     def test_out_of_range(self):
-        d = SamplingDesign(kind="srswor", N=4, n=2)
+        d = SamplingDesign(N=4, n=2)
         assert first_order_probs(d).shape == (d.N,)
         with pytest.raises(IndexError):
             first_order_probs(d)[4]
@@ -52,7 +57,7 @@ class TestFirstOrder:
 
 class TestCachedInvariants:
     @pytest.mark.parametrize(
-        "design", [SamplingDesign(kind="srswor", N=6, n=2), stratified_2x2()],
+        "design", [SamplingDesign(N=6, n=2), stratified_2x2()],
         ids=["srswor", "stratified"],
     )
     def test_cached_arrays_refuse_writes(self, design):
@@ -66,7 +71,7 @@ class TestCachedInvariants:
 
     def test_pickled_design_recomputes_its_caches(self):
         design = SamplingDesign(
-            kind="stratified", N=5, n=3,
+            N=5, n=3,
             strata=(np.array([0, 1]), np.array([2, 3, 4])), n_h=(1, 2),
         )
         expected = [0.5, 0.5, 2 / 3, 2 / 3, 2 / 3]
@@ -81,23 +86,23 @@ class TestCachedInvariants:
 
 class TestSecondOrder:
     def test_srswor_4_2(self):
-        d = SamplingDesign(kind="srswor", N=4, n=2)
+        d = SamplingDesign(N=4, n=2)
         assert second_order_matrix(d)[0, 1] == pytest.approx(1 / 6)
 
     def test_census(self):
-        d = SamplingDesign(kind="srswor", N=3, n=3)
+        d = SamplingDesign(N=3, n=3)
         assert second_order_matrix(d)[0, 2] == 1.0
 
     def test_srswor_5_3(self):
-        d = SamplingDesign(kind="srswor", N=5, n=3)
+        d = SamplingDesign(N=5, n=3)
         assert second_order_matrix(d)[1, 3] == pytest.approx(0.3)
 
     def test_diagonal_convention(self):
-        d = SamplingDesign(kind="srswor", N=5, n=3)
+        d = SamplingDesign(N=5, n=3)
         assert second_order_matrix(d)[2, 2] == pytest.approx(0.6)
 
     def test_submatrix_matches_full(self):
-        for d in (SamplingDesign(kind="srswor", N=6, n=3), stratified_2x2()):
+        for d in (SamplingDesign(N=6, n=3), stratified_2x2()):
             idx = np.array([0, 2, 3])
             full = second_order_matrix(d)[np.ix_(idx, idx)]
             assert np.allclose(joint_probs_submatrix(d, idx), full, atol=0)
@@ -105,12 +110,12 @@ class TestSecondOrder:
 
 class TestDraw:
     def test_census_always_everything(self):
-        d = SamplingDesign(kind="srswor", N=4, n=4)
+        d = SamplingDesign(N=4, n=4)
         s = draw(d, np.random.default_rng(0))
         assert s.indices.tolist() == [0, 1, 2, 3]
 
     def test_subset_frequencies_uniform(self):
-        d = SamplingDesign(kind="srswor", N=4, n=2)
+        d = SamplingDesign(N=4, n=2)
         rng = np.random.default_rng(99)
         counts = {}
         reps = 60_000
@@ -122,7 +127,7 @@ class TestDraw:
             assert abs(c / reps - 1 / 6) < 0.01
 
     def test_deterministic_given_stream(self):
-        d = SamplingDesign(kind="srswor", N=50, n=10)
+        d = SamplingDesign(N=50, n=10)
         a = draw(d, replicate_rng(7, 3, 0))
         b = draw(d, replicate_rng(7, 3, 0))
         assert np.array_equal(a.indices, b.indices)
@@ -136,14 +141,14 @@ class TestDraw:
 
 class TestEnumeration:
     def test_srswor_4_2(self):
-        d = SamplingDesign(kind="srswor", N=4, n=2)
+        d = SamplingDesign(N=4, n=2)
         pairs = enumerate_samples(d)
         assert len(pairs) == 6
         assert all(p == pytest.approx(1 / 6) for _, p in pairs)
         assert abs(sum(p for _, p in pairs) - 1.0) < 1e-12
 
     def test_census_single_sample(self):
-        d = SamplingDesign(kind="srswor", N=3, n=3)
+        d = SamplingDesign(N=3, n=3)
         pairs = enumerate_samples(d)
         assert len(pairs) == 1 and pairs[0][1] == 1.0
 
@@ -153,7 +158,7 @@ class TestEnumeration:
         assert all(p == pytest.approx(0.25) for _, p in pairs)
 
     def test_cap_refusal(self):
-        d = SamplingDesign(kind="srswor", N=30, n=15)
+        d = SamplingDesign(N=30, n=15)
         with pytest.raises(EnumerationCapError) as exc:
             enumerate_samples(d, cap=1000)
         assert exc.value.required > 1000
@@ -163,11 +168,10 @@ class TestIdentities:
     @pytest.mark.parametrize(
         "design",
         [
-            SamplingDesign(kind="srswor", N=6, n=3),
-            SamplingDesign(kind="srswor", N=8, n=4),
+            SamplingDesign(N=6, n=3),
+            SamplingDesign(N=8, n=4),
             stratified_2x2(),
             SamplingDesign(
-                kind="stratified",
                 N=6,
                 n=4,
                 strata=(np.arange(3), np.arange(3, 6)),
@@ -183,7 +187,7 @@ class TestIdentities:
         assert np.abs(rows - (design.n - 1) * pi).max() < 1e-12
 
     def test_enumeration_reproduces_probabilities(self):
-        design = SamplingDesign(kind="srswor", N=7, n=3)
+        design = SamplingDesign(N=7, n=3)
         pairs = enumerate_samples(design)
         member = np.zeros((len(pairs), 7))
         probs = np.array([p for _, p in pairs])
@@ -198,24 +202,52 @@ class TestIdentities:
         for N, n in itertools.product(range(2, 9), range(1, 5)):
             if n >= N:
                 continue
-            d = SamplingDesign(kind="srswor", N=N, n=n)
+            d = SamplingDesign(N=N, n=n)
             pi = first_order_probs(d)
             delta = second_order_matrix(d) - np.outer(pi, pi)
             np.fill_diagonal(delta, 0.0)
             assert delta.max() <= 1e-15
 
 
+class TestOracleNegativeAssociation:
+    """oracle_check's Delta_kl <= 0 identity on a stratified design: it
+    holds within each stratum, and Delta_kl = 0 across strata."""
+
+    def result(self, **kwargs):
+        pop, _ = default_fixture(n_units=6)
+        design = SamplingDesign(N=6, n=3, strata=(np.arange(3), np.arange(3, 6)),
+                                n_h=(1, 2))
+        results = {r.name: r for r in oracle_check(pop, design, **kwargs)}
+        return results["negative association Delta_kl <= 0"]
+
+    def test_holds_on_a_stratified_design(self):
+        assert self.result().passed
+
+    def test_perturbed_joint_probabilities_fail_it(self):
+        assert not self.result(pi2_perturbation=0.01).passed
+
+
 class TestValidation:
     def test_bad_sizes(self):
         with pytest.raises(ValidationError):
-            SamplingDesign(kind="srswor", N=4, n=5)
+            SamplingDesign(N=4, n=5)
         with pytest.raises(ValidationError):
-            SamplingDesign(kind="srswor", N=4, n=0)
+            SamplingDesign(N=4, n=0)
+
+    @pytest.mark.parametrize("N, n", [(5, 2.5), (5.5, 2), (5, "2")])
+    def test_non_integer_sizes_refused(self, N, n):
+        with pytest.raises(ValidationError, match="must be integers"):
+            SamplingDesign(N=N, n=n)
+
+    def test_non_integer_indices_refused(self):
+        d = SamplingDesign(N=5, n=2)
+        with pytest.raises(ValidationError, match="must be integers"):
+            Sample([0.9, 3.7], d)
+        assert Sample([3.0, 0.0], d).indices.tolist() == [0, 3]
 
     def test_strata_must_partition(self):
         with pytest.raises(ValidationError):
             SamplingDesign(
-                kind="stratified",
                 N=4,
                 n=2,
                 strata=(np.array([0, 1]), np.array([1, 2])),
@@ -223,7 +255,7 @@ class TestValidation:
             )
 
     def test_sample_size_enforced(self):
-        d = SamplingDesign(kind="srswor", N=4, n=2)
+        d = SamplingDesign(N=4, n=2)
         with pytest.raises(ValidationError):
             Sample(np.array([0, 1, 2]), d)
         with pytest.raises(ValidationError):
@@ -233,14 +265,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("indices", [[0, 0], [3, 1, 3], [2, 2, 2], [5, 1, 0, 1]])
     def test_repeated_index_refused_srswor(self, indices):
-        d = SamplingDesign(kind="srswor", N=6, n=len(indices))
+        d = SamplingDesign(N=6, n=len(indices))
         with pytest.raises(ValidationError, match="sample indices must be distinct"):
             Sample(np.array(indices), d)
 
     def test_repeated_index_refused_stratified(self):
         # [2, 2] has the right count per stratum (n_h = 2 in stratum 1) but
         # names unit 2 twice
-        d = SamplingDesign(kind="stratified", N=6, n=3,
+        d = SamplingDesign(N=6, n=3,
                            strata=(np.array([0, 1]), np.array([2, 3, 4, 5])),
                            n_h=(1, 2))
         Sample(np.array([0, 2, 5]), d)

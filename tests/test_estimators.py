@@ -2,27 +2,25 @@ import numpy as np
 import pytest
 
 from curvesurvey import (
-    FunctionalPopulation,
     NumericalError,
-    Sample,
     SamplingDesign,
-    TimeGrid,
     ValidationError,
-    beta_population,
-    difference_mean,
     draw,
-    enumerate_samples,
-    first_order_probs,
-    hajek_mean,
-    ht_mean,
     model_assisted_mean,
-    population_mean,
-    replicate_rng,
 )
 from curvesurvey import estimators
+from curvesurvey.designs import Sample, first_order_probs, replicate_rng
+from curvesurvey.estimators import (
+    beta_population,
+    difference_mean,
+    hajek_mean,
+    ht_mean,
+)
+from curvesurvey.grids import FunctionalPopulation, TimeGrid, population_mean
 from curvesurvey.oracle import (
     calibrated_weights,
     default_fixture,
+    enumerate_samples,
     oracle_check,
     regularized_inverse,
     sym_eigen,
@@ -30,7 +28,7 @@ from curvesurvey.oracle import (
 
 
 def census_sample(pop):
-    design = SamplingDesign(kind="srswor", N=pop.N, n=pop.N)
+    design = SamplingDesign(N=pop.N, n=pop.N)
     return Sample(np.arange(pop.N), design)
 
 
@@ -59,7 +57,7 @@ class TestHtMean:
         )
 
     def test_mismatched_population(self, small_pop):
-        other = SamplingDesign(kind="srswor", N=small_pop.N + 1, n=3)
+        other = SamplingDesign(N=small_pop.N + 1, n=3)
         sample = draw(other, replicate_rng(0, 0))
         with pytest.raises(ValidationError):
             ht_mean(small_pop, sample)
@@ -218,7 +216,7 @@ class TestModelAssisted:
         aux = np.column_stack([np.ones(40), rng.normal(3, 1, 40)])
         beta = np.vstack([1 + grid.points, 2 - grid.points])
         pop = FunctionalPopulation(grid, aux @ beta, aux)
-        design = SamplingDesign(kind="srswor", N=40, n=8)
+        design = SamplingDesign(N=40, n=8)
         for rep in range(10):
             sample = draw(design, replicate_rng(6, rep))
             est = model_assisted_mean(pop, sample, a=0.0)
@@ -238,7 +236,7 @@ class TestModelAssisted:
             model_assisted_mean(small_pop, sample, a=-1.0)
 
     def test_singular_sample_design(self, small_pop):
-        design = SamplingDesign(kind="srswor", N=small_pop.N, n=1)
+        design = SamplingDesign(N=small_pop.N, n=1)
         sample = draw(design, replicate_rng(7, 0))  # n < p
         with pytest.raises(NumericalError, match="sampled moment matrix"):
             model_assisted_mean(small_pop, sample, a=0.0)
@@ -261,7 +259,7 @@ class TestDifferenceMean:
         aux = np.column_stack([np.ones(12), rng.normal(1, 1, 12)])
         beta = np.vstack([np.ones(4), grid.points])
         pop = FunctionalPopulation(grid, aux @ beta, aux)
-        design = SamplingDesign(kind="srswor", N=12, n=3)
+        design = SamplingDesign(N=12, n=3)
         for s, _ in enumerate_samples(design, cap=300):
             est = difference_mean(pop, s)
             assert np.abs(est.curve - population_mean(pop)).max() < 1e-10
@@ -291,7 +289,7 @@ class TestCalibration:
         grid = TimeGrid([0.0, 1.0])
         aux = np.column_stack([np.ones(4), np.array([1.0, 2.0, 1.0, 2.0])])
         pop = FunctionalPopulation(grid, np.zeros((4, 2)), aux)
-        design = SamplingDesign(kind="srswor", N=4, n=2)
+        design = SamplingDesign(N=4, n=2)
         sample = Sample(np.array([0, 1]), design)  # HT totals = 2*(x0+x1) = totals
         assert np.allclose(calibrated_weights(pop, sample), 2.0, atol=1e-10)
 

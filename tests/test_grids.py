@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from curvesurvey import (
-    FunctionalPopulation,
-    TimeGrid,
-    ValidationError,
-    population_mean,
-)
+from curvesurvey import ValidationError
+from curvesurvey.grids import FunctionalPopulation, TimeGrid, population_mean
 
 
 class TestTimeGrid:
     def test_valid(self):
         g = TimeGrid([0.0, 0.5, 1.0])
-        assert g.size == 3 and g.t_max == 1.0
+        assert g.size == 3
 
     @pytest.mark.parametrize(
         "pts", [[0.0], [0.0, 0.0], [1.0, 0.5], [0.0, np.nan]]

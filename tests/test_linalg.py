@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesurvey import (
-    NumericalError,
-    ValidationError,
+from curvesurvey import NumericalError, ValidationError
+from curvesurvey.linalg import (
+    check_symmetric,
     cholesky_psd,
+    normal_blocks,
     psd_project,
     psd_repair,
 )
-from curvesurvey.linalg import check_symmetric, normal_blocks
 from curvesurvey.oracle import (
     eigh_first_psd_repair,
     regularized_inverse,

@@ -8,14 +8,14 @@ import pytest
 
 from curvesurvey import estimators, linalg, montecarlo
 from curvesurvey import (
-    FunctionalPopulation,
     NumericalError,
     SamplingDesign,
     ValidationError,
-    empirical_covariance,
     run_campaign,
     study_population,
 )
+from curvesurvey.grids import FunctionalPopulation
+from curvesurvey.montecarlo import empirical_covariance
 
 
 class TestEmpiricalCovariance:
@@ -48,7 +48,7 @@ def mc_pop():
 
 class TestRunCampaign:
     def test_rmse_decomposition_identity(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         report = run_campaign(mc_pop, design, replicates=100, master_seed=5)
         assert report.rmse == pytest.approx(
             report.rb_squared + report.vr, abs=1e-10
@@ -58,7 +58,7 @@ class TestRunCampaign:
         assert all(q >= 0 for q in qs)
 
     def test_reproducible_and_worker_independent(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         r1 = run_campaign(mc_pop, design, replicates=40, master_seed=9, workers=1)
         r2 = run_campaign(mc_pop, design, replicates=40, master_seed=9, workers=2)
         assert r1.rmse == r2.rmse
@@ -66,14 +66,14 @@ class TestRunCampaign:
         assert np.array_equal(r1.mean_gamma_diag, r2.mean_gamma_diag)
 
     def test_census_campaign_degenerate(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=mc_pop.N)
+        design = SamplingDesign(N=mc_pop.N, n=mc_pop.N)
         report = run_campaign(mc_pop, design, replicates=10, master_seed=1)
         assert report.rmse == 0.0
         assert report.coverage is None
         assert report.n_errors == 10
 
     def test_coverage_flag_produces_rate(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=60)
+        design = SamplingDesign(N=mc_pop.N, n=60)
         report = run_campaign(
             mc_pop, design, replicates=60, compute_coverage=True,
             alpha=0.05, band_sims=500, master_seed=2,
@@ -82,7 +82,7 @@ class TestRunCampaign:
         assert 0.7 <= report.coverage <= 1.0
 
     def test_ht_estimator_campaign(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         report = run_campaign(
             mc_pop, design, replicates=60, estimator="ht", master_seed=3
         )
@@ -93,7 +93,7 @@ class TestRunCampaign:
             raise NumericalError("no band")
 
         monkeypatch.setattr(montecarlo, "covers", no_band)
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         failed = run_campaign(mc_pop, design, replicates=20, compute_coverage=True,
                               master_seed=4)
         plain = run_campaign(mc_pop, design, replicates=20, master_seed=4)
@@ -102,7 +102,7 @@ class TestRunCampaign:
         assert np.array_equal(failed.mean_curve, plain.mean_curve)
 
     def test_unknown_estimator(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         with pytest.raises(ValidationError):
             run_campaign(mc_pop, design, replicates=10, estimator="magic")
 
@@ -124,7 +124,7 @@ def _count_calls(monkeypatch, module, name):
 
 def _stratified(pop):
     half = pop.N // 2
-    return SamplingDesign(kind="stratified", N=pop.N, n=40,
+    return SamplingDesign(N=pop.N, n=40,
                           strata=(np.arange(half), np.arange(half, pop.N)),
                           n_h=(25, 15))
 
@@ -136,7 +136,7 @@ class TestReplicateWork:
     @pytest.fixture(params=["srswor", "stratified"])
     def design(self, request, mc_pop):
         if request.param == "srswor":
-            return SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+            return SamplingDesign(N=mc_pop.N, n=40)
         return _stratified(mc_pop)
 
     @pytest.mark.parametrize("estimator", ["ma", "ht", "hajek"])
@@ -176,7 +176,7 @@ class TestCoverageBands:
             return flags[-1]
 
         monkeypatch.setattr(montecarlo, "covers", third_band_fails)
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         report = run_campaign(mc_pop, design, replicates=12,
                               compute_coverage=True, band_sims=400,
                               master_seed=4)
@@ -187,7 +187,7 @@ class TestCoverageBands:
         assert report.coverage == np.mean(built)
 
     def test_zero_without_coverage(self, mc_pop):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         report = run_campaign(mc_pop, design, replicates=4)
         assert report.coverage is None and report.coverage_bands == 0
 
@@ -210,7 +210,7 @@ class TestPoolBlasThreads:
 
     def test_parent_keeps_its_blas_threads(self, mc_pop):
         before = _blas_threads()
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         run_campaign(mc_pop, design, replicates=8, master_seed=1, workers=2)
         assert _blas_threads() == before
 
@@ -229,7 +229,7 @@ class TestCallerBlasThreads:
             return replicate(campaign, i)
 
         monkeypatch.setattr(montecarlo, "_run_replicate", recording)
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         run_campaign(mc_pop, design, replicates=6, master_seed=1)
         assert seen == [1] * 6
         assert _blas_threads() == 2
@@ -240,14 +240,14 @@ class TestCallerBlasThreads:
             raise RuntimeError("not a CurveSurveyError")
 
         monkeypatch.setattr(montecarlo, "_run_replicate", broken)
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         with pytest.raises(RuntimeError):
             run_campaign(mc_pop, design, replicates=6, master_seed=1)
         assert _blas_threads() == 2
 
     def test_results_do_not_depend_on_the_callers_count(
             self, mc_pop, caller_at_two_blas_threads):
-        design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+        design = SamplingDesign(N=mc_pop.N, n=40)
         reports = []
         for threads in (1, 2):
             linalg._set_blas_threads(threads)
@@ -289,7 +289,7 @@ def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
     # run_campaign imports the pool class when it needs a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    design = SamplingDesign(kind="srswor", N=mc_pop.N, n=40)
+    design = SamplingDesign(N=mc_pop.N, n=40)
     capped = run_campaign(mc_pop, design, replicates=10, master_seed=3,
                           workers=500)
     run_campaign(mc_pop, design, replicates=10, master_seed=3, workers=3)
@@ -306,7 +306,7 @@ def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
     before = threading.active_count()
     # three GEN_BLOCKs: the normals are drawn on a helper thread
     pop = study_population(3000, 8, seed=2)
-    design = SamplingDesign(kind="srswor", N=pop.N, n=40)
+    design = SamplingDesign(N=pop.N, n=40)
     run_campaign(pop, design, replicates=4, master_seed=1, workers=2)
     assert _RecordingPool.threads == [before]
 
@@ -323,7 +323,7 @@ class _CountedPopulation(FunctionalPopulation):
 
 def test_pool_receives_the_population_once_per_worker(mc_pop):
     pop = _CountedPopulation(grid=mc_pop.grid, values=mc_pop.values, aux=mc_pop.aux)
-    design = SamplingDesign(kind="srswor", N=pop.N, n=40)
+    design = SamplingDesign(N=pop.N, n=40)
     _CountedPopulation.pickles = 0
     pooled = run_campaign(pop, design, replicates=40, master_seed=9, workers=2)
     assert _CountedPopulation.pickles <= 2

@@ -6,14 +6,16 @@ import pytest
 
 from curvesurvey import linalg, synthetic
 from curvesurvey import (
-    AuxSpec,
     ConfigurationError,
-    ResidualKernel,
-    SuperpopulationConfig,
-    TimeGrid,
-    generate_population,
     heteroscedastic_study_population,
     study_population,
+)
+from curvesurvey.grids import TimeGrid
+from curvesurvey.synthetic import (
+    AuxSpec,
+    ResidualKernel,
+    SuperpopulationConfig,
+    generate_population,
 )
 
 GRID = TimeGrid(np.linspace(0.0, 1.0, 8))

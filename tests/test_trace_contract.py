@@ -27,7 +27,7 @@ def test_traced_name_exists(module, attr):
 @pytest.mark.parametrize("estimator", ["ma", "ht", "hajek"])
 def test_campaign_layers_are_traced(estimator):
     pop = study_population(40, 5, seed=1)
-    design = SamplingDesign(kind="srswor", N=pop.N, n=10)
+    design = SamplingDesign(N=pop.N, n=10)
     tracer = spans.Tracer()
     tracer.install()
     try:
