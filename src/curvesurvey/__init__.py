@@ -25,4 +25,10 @@ from .estimators import model_assisted_mean
 from .montecarlo import run_campaign
 from .synthetic import heteroscedastic_study_population, study_population
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigurationError", "CurveSurveyError", "DegenerateVarianceError",
+    "EnumerationCapError", "NumericalError", "OracleFailure", "SamplingDesign",
+    "ValidationError", "build_band", "draw", "heteroscedastic_study_population",
+    "ma_covariance_estimate", "model_assisted_mean", "run_campaign",
+    "study_population",
+]

@@ -1,8 +1,12 @@
 """Simultaneous confidence bands via Gaussian-process simulation.
 
-A centered Gaussian vector with the n-scaled estimated covariance is drawn
-repeatedly; the (1 - alpha) quantile of the sup of |Z(t)| / sigma_hat(t)
-gives the band constant c_alpha.
+A centered Gaussian vector with the n-scaled estimated covariance n C'C is
+drawn repeatedly; the (1 - alpha) quantile of the sup of
+|Z(t)| / sigma_hat(t) gives the band constant c_alpha.  Z = F z with
+F F' = n C'C: the Cholesky factor of n C'C, else, when Cholesky refuses a
+singular C'C (as when n - H < D), sqrt(n) R' from the thin QR C = QR.
+Either factor comes from C'C or C as they are, with no repair and no
+clip.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from math import ceil
 import numpy as np
 
 from .covariance import CovarianceEstimate
-from .errors import DegenerateVarianceError, ValidationError
+from .errors import DegenerateVarianceError, NumericalError, ValidationError
 from .estimators import MeanEstimate
-from .linalg import _one_blas_thread, normal_blocks, psd_repair
+from .linalg import _one_blas_thread, normal_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,20 +40,31 @@ class ConfidenceBand:
 SIM_BLOCK = 256
 
 
-def _scaled_factor(cov_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F / sigma[:, None], sigma) from linalg.psd_repair(cov_scaled).
+def _scaled_factor(cov: CovarianceEstimate,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F / sigma[:, None], sigma) with F F' = n C'C, C = cov.rows, and
+    sigma = sqrt(diag(n C'C)).
 
-    sigma is the square root of the repaired diagonal; F F' is the repaired
-    matrix.
+    F is the lower Cholesky factor of n C'C (D x D) when that exists, else
+    sqrt(n) R' (D x min(rows, D)) from the thin QR of C: R'R = C'C of any
+    rank (Golub & Van Loan, Matrix Computations, section 5.2).
     """
-    repaired, factor = psd_repair(cov_scaled)
-    diag = np.diag(repaired)
+    with np.errstate(over="ignore"):
+        scaled = n * cov.matrix
+    diag = np.diag(scaled)
+    if not np.isfinite(diag).all():
+        raise NumericalError("n times the covariance overflows float64; no "
+                             "band can be built")
     if np.any(diag <= 0.0):
         worst = int(np.argmin(diag))
         raise DegenerateVarianceError(
             f"estimated variance is not strictly positive at grid index "
             f"{worst} (value {diag[worst]:g}); no band can be built"
         )
+    try:
+        factor = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        factor = np.sqrt(n) * np.linalg.qr(cov.rows, mode="r").T
     sigma = np.sqrt(diag)
     return factor / sigma[:, None], sigma
 
@@ -57,15 +72,16 @@ def _scaled_factor(cov_scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _tile_sups(scaled_factor: np.ndarray, z: np.ndarray, out: np.ndarray,
                product: np.ndarray) -> np.ndarray:
     """out[i] = max_t |(F z_i)(t)| / sigma(t) for the rows z_i of one tile,
-    with scaled_factor = F / sigma[:, None] and product a reused buffer of
-    at least z.size floats.
+    with scaled_factor = F / sigma[:, None] (D x r), z of width r and
+    product a reused buffer of at least D * len(z) floats.
 
     The band and covers both send their SIM_BLOCK tiles of one stream
     through this product, so they get the same sups bit for bit; these
-    equal the sups of one rng.standard_normal((n_sims, D)) draw
+    equal the sups of one rng.standard_normal((n_sims, r)) draw
     (oracle.one_shot_sup_sample) up to rounding.
     """
-    p = product[: z.size].reshape(z.shape[1], z.shape[0])
+    d = scaled_factor.shape[0]
+    p = product[: d * len(z)].reshape(d, len(z))
     np.matmul(scaled_factor, z.T, out=p)
     np.abs(p, out=p)
     return p.max(axis=0, out=out)
@@ -85,44 +101,17 @@ def _check_sims(alpha: float, n_sims: int) -> None:
 
 def _band_sups(scaled_factor: np.ndarray, n_sims: int,
                rng: np.random.Generator) -> np.ndarray:
-    """The band's n_sims sups, from SIM_BLOCK tiles of one stream drawn on
-    a helper thread (linalg.normal_blocks)."""
-    d = scaled_factor.shape[0]
+    """The band's n_sims sups, from SIM_BLOCK tiles of one stream of
+    r-wide normals drawn on a helper thread (linalg.normal_blocks)."""
+    d, r = scaled_factor.shape
     sups, product = np.empty(n_sims), np.empty(min(SIM_BLOCK, n_sims) * d)
-    with closing(normal_blocks(rng, n_sims, d, SIM_BLOCK)) as blocks:
+    with closing(normal_blocks(rng, n_sims, r, SIM_BLOCK)) as blocks:
         for lo, z in blocks:
             _tile_sups(scaled_factor, z, sups[lo:lo + len(z)], product)
     return sups
 
 
 @_one_blas_thread()
-def _band_constant(
-    cov_scaled: np.ndarray, alpha: float, n_sims: int, seed
-) -> tuple[float, np.ndarray]:
-    """(c_alpha, sigma) of the band on cov_scaled, on one BLAS thread
-    whatever the caller's count."""
-    _check_sims(alpha, n_sims)
-    scaled_factor, sigma = _scaled_factor(cov_scaled)
-    sups = _band_sups(scaled_factor, n_sims, np.random.default_rng(seed))
-    k = _quantile_rank(alpha, n_sims)
-    return float(np.partition(sups, k - 1)[k - 1]), sigma
-
-
-def simulate_sup_quantile(
-    cov: CovarianceEstimate | np.ndarray,
-    alpha: float,
-    n_sims: int,
-    seed,
-) -> float:
-    """Band constant c_alpha from n_sims Gaussian draws.
-
-    `cov` must already carry the n scaling (gamma_Z = n * gamma_hat).
-    Deterministic given the seed.
-    """
-    matrix = cov.matrix if isinstance(cov, CovarianceEstimate) else np.asarray(cov)
-    return _band_constant(matrix, alpha, n_sims, seed)[0]
-
-
 def build_band(
     estimate: MeanEstimate,
     cov: CovarianceEstimate,
@@ -131,16 +120,20 @@ def build_band(
     n_sims: int = 10_000,
     seed=None,
 ) -> ConfidenceBand:
-    """Simultaneous band around an estimated mean curve.
+    """Simultaneous band around an estimated mean curve, built on one BLAS
+    thread whatever the caller's count; deterministic given the seed.
 
     `cov` is the unscaled covariance estimate; sigma_hat(t) =
     sqrt(n * gamma_hat(t, t)), so the half-width reduces to
-    c_alpha * sqrt(gamma_hat(t, t)).  Same constant as
-    simulate_sup_quantile(n * cov, alpha, n_sims, seed).
+    c_alpha * sqrt(gamma_hat(t, t)).
     """
     if n < 1:
         raise ValidationError("sample size n must be >= 1")
-    c_alpha, sigma = _band_constant(n * cov.matrix, alpha, n_sims, seed)
+    _check_sims(alpha, n_sims)
+    scaled_factor, sigma = _scaled_factor(cov, n)
+    sups = _band_sups(scaled_factor, n_sims, np.random.default_rng(seed))
+    k = _quantile_rank(alpha, n_sims)
+    c_alpha = float(np.partition(sups, k - 1)[k - 1])
     half_width = c_alpha * sigma / np.sqrt(n)
     return ConfidenceBand(center=np.asarray(estimate.curve, dtype=float),
                           half_width=half_width, c_alpha=c_alpha)
@@ -237,15 +230,16 @@ def covers(
     if n < 1:
         raise ValidationError("sample size n must be >= 1")
     _check_sims(alpha, n_sims)
-    scaled_factor, sigma = _scaled_factor(n * cov.matrix)
+    scaled_factor, sigma = _scaled_factor(cov, n)
     center = np.asarray(estimate.curve, dtype=float)
     deviation = np.abs(_truth_array(truth, center) - center)
     threshold = _coverage_threshold(deviation, sigma, np.sqrt(n))
     k = _quantile_rank(alpha, n_sims)
     need_in = n_sims - k + 1  # sups reaching s* that make the band cover
     # allocated before any draw, so an n_sims beyond memory fails at once
-    draws = np.empty((min(SIM_BLOCK, n_sims), scaled_factor.shape[0]))
-    sups, product = np.empty(n_sims), np.empty(draws.size)
+    d, r = scaled_factor.shape
+    draws = np.empty((min(SIM_BLOCK, n_sims), r))
+    sups, product = np.empty(n_sims), np.empty(len(draws) * d)
     rng = np.random.default_rng(seed)
     inside = 0
     for lo in range(0, n_sims, SIM_BLOCK):

@@ -129,6 +129,8 @@ def cmd_bands(args) -> int:
     write_metadata(
         out / "band.meta.json",
         {
+            "estimator_kind": estimate.estimator_kind,
+            "a": estimate.a_used,
             "c_alpha": band.c_alpha,
             "alpha": alpha,
             "n_sims": n_sims,

@@ -17,10 +17,11 @@ the m_h rows of the stratum, its n_h linearized rows for the estimators
 one row keeps the n_h = 1 convention (1 - f_h) u u' / N^2 with u = y / f_h:
 its row is uncentred, c_h = N_h^2 (1 - f_h) / n_h^2.  Centred, C'C is
 shift-invariant and PSD by construction, so its Cholesky factorization
-fails only on a singular C'C, as when n - H < D.  The variance function
-costs O(rows * D) and the D x D matrix O(rows * D^2); no n x n or N x N
-matrix is built.  The dense u' W u formulas live in ``oracle.py`` as the
-reference the tests compare against.
+fails only on a singular C'C, as when n - H < D; the bands then factor C
+itself by a thin QR, so the estimate keeps C as `rows`.  The variance
+function costs O(rows * D) and the D x D matrix O(rows * D^2); no n x n
+or N x N matrix is built.  The dense u' W u formulas live in
+``oracle.py`` as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ import numpy as np
 
 from . import estimators
 from .designs import Sample, SamplingDesign
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .estimators import MeanEstimate
 from .grids import FunctionalPopulation
 
 
 class CovarianceEstimate:
-    """Covariance C'C on the grid, from the (rows, D) array C.  The
-    `variance` function, C's column sums of squares, is computed here at
-    O(rows * D); the D x D `matrix` is formed when first read, which
-    releases C.  A variance that overflows float64 raises NumericalError;
-    a finite one bounds every entry of C'C (Cauchy-Schwarz)."""
+    """Covariance C'C on the grid, from the (rows, D) array C, kept as
+    `rows`.  The `variance` function, C's column sums of squares, is
+    computed here at O(rows * D); the D x D `matrix` is formed when first
+    read.  A variance that overflows float64 raises NumericalError; a
+    finite one bounds every entry of C'C (Cauchy-Schwarz)."""
 
     def __init__(self, rows: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -49,12 +50,11 @@ class CovarianceEstimate:
         if not np.isfinite(self.variance).all():
             raise NumericalError("covariance overflows float64 (a variance "
                                  "is not finite)")
-        self._rows = rows
+        self.rows = rows
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        rows, self._rows = self._rows, None
-        return rows.T @ rows
+        return self.rows.T @ self.rows
 
 
 def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
@@ -89,6 +89,15 @@ def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
     return CovarianceEstimate(c)
 
 
+def _linearized(estimate: MeanEstimate) -> np.ndarray:
+    if estimate.linearized is None:
+        raise ValidationError(
+            f"a {estimate.estimator_kind} estimate has no linearized rows, "
+            "so no covariance estimator"
+        )
+    return estimate.linearized
+
+
 def ma_covariance_estimate(
     pop: FunctionalPopulation,
     sample: Sample,
@@ -103,7 +112,7 @@ def ma_covariance_estimate(
     """
     if estimate is None:
         estimate = estimators.model_assisted_mean(pop, sample, a=a)
-    return _centred_covariance(estimate.linearized, sample.design,
+    return _centred_covariance(_linearized(estimate), sample.design,
                                sample.indices)
 
 
@@ -117,6 +126,6 @@ def ht_covariance_estimate(
     when not given): the covariance estimator of that mean."""
     if estimate is None:
         estimate = estimators.ht_mean(pop, sample)
-    return _centred_covariance(estimate.linearized, sample.design,
+    return _centred_covariance(_linearized(estimate), sample.design,
                                sample.indices)
 

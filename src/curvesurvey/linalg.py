@@ -1,11 +1,15 @@
-"""Small dense symmetric linear algebra for the bands, and the thread
-policy of every product.
+"""The thread policy of every product, and small dense symmetric linear
+algebra.
 
-Covers PSD projection, the Cholesky-first PSD repair of a covariance
-estimate and a PSD-tolerant Cholesky factorization for Gaussian simulation.
 Every command multiplies on one BLAS thread (_one_blas_thread), so its
 outputs do not depend on the thread count, and normal_blocks draws the
 standard normals of the next block on a helper thread meanwhile.
+
+The bands factor a covariance from its rows (``bands._scaled_factor``)
+and need no PSD repair.  PSD projection and a PSD-tolerant Cholesky
+factorization, which no command calls, stay while ``perfbench/spans.py``
+traces them; the eigh-first twin of the band's factor
+(``oracle.eigh_first_psd_repair``) shares their eigen repair.
 """
 
 from __future__ import annotations
@@ -53,29 +57,6 @@ def psd_project(m: np.ndarray) -> np.ndarray:
     Returns the input unchanged when it is already PSD; idempotent.
     """
     return _eigen_repair(check_symmetric(m))[0]
-
-
-def psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R, F) with F F' = R, R the PSD repair of the symmetrized m.
-
-    Cholesky of the symmetrized m runs first: when it succeeds, m is
-    positive definite, R is m itself and F its lower Cholesky factor, with
-    no eigendecomposition.  Otherwise R = psd_project(m), from one eigh,
-    and F is the Cholesky factor of R when that exists, else v sqrt(max(w,
-    0)) from the same eigendecomposition.  Equal bit for bit to the
-    eigh-first form (oracle.eigh_first_psd_repair) whenever that form
-    leaves m unclipped or Cholesky fails on m.
-    """
-    m = check_symmetric(m)
-    try:
-        return m, np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        pass
-    repaired, w, v = _eigen_repair(m)
-    try:
-        return repaired, np.linalg.cholesky(repaired)
-    except np.linalg.LinAlgError:
-        return repaired, v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def cholesky_psd(m: np.ndarray) -> np.ndarray:

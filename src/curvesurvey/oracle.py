@@ -9,8 +9,8 @@ which also compares the closed-form exact covariances kept here
 (`ht_covariance_exact`, `ma_covariance_approx`, built like the estimators
 of ``covariance.py``) against the dense u' Delta u formulas, the dense
 pi_kl matrix (`second_order_matrix`) against the enumerated one, the
-blocked sup kernel of ``bands.py`` against its one-shot form, the
-Cholesky-first PSD repair against its eigh-first form, and the SVD fit of
+blocked sup kernel of ``bands.py`` against its one-shot form, the band's
+Cholesky-or-QR factor against an eigh-first PSD repair, and the SVD fit of
 ``estimators.py`` against an lstsq calibration-weight twin and the
 eigenvalue-floored inverse of the moment matrix.
 """
@@ -156,20 +156,22 @@ def one_shot_sup_sample(
     n_sims: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """max_t |(F Z)(t)| / sigma(t) from one (n_sims, D) standard normal draw.
+    """max_t |(F Z)(t)| / sigma(t) from one (n_sims, r) standard normal
+    draw, F of shape (D, r).
 
     One-shot reference twin of the tiled ``bands._band_sups``, which takes
     F / sigma[:, None] and draws the same stream in SIM_BLOCK tiles.
     """
-    draws = rng.standard_normal((n_sims, factor.shape[0]))
+    draws = rng.standard_normal((n_sims, factor.shape[1]))
     return (np.abs(draws @ factor.T) / sigma).max(axis=1)
 
 
 def eigh_first_psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(psd_project(m), F) with F F' = psd_project(m), from one eigh.
 
-    Eigh-first twin of the Cholesky-first ``linalg.psd_repair``: F is the
-    lower Cholesky factor of the repaired matrix when that exists, else
+    Eigh-first twin of the band's factor (``bands._scaled_factor``, the
+    Cholesky factor of n C'C, else sqrt(n) R' from the thin QR of C): F is
+    the lower Cholesky factor of the repaired matrix when that exists, else
     v sqrt(max(w, 0)) from the same eigendecomposition.
     """
     repaired, w, v = _eigen_repair(check_symmetric(m))

@@ -16,14 +16,20 @@ import pytest
 
 from curvesurvey import (
     SamplingDesign,
+    build_band,
     heteroscedastic_study_population,
     model_assisted_mean,
     run_campaign,
     study_population,
 )
-from curvesurvey.bands import simulate_sup_quantile
+from curvesurvey.covariance import CovarianceEstimate
 from curvesurvey.designs import draw
-from curvesurvey.estimators import difference_mean, hajek_mean, ht_mean
+from curvesurvey.estimators import (
+    MeanEstimate,
+    difference_mean,
+    hajek_mean,
+    ht_mean,
+)
 from curvesurvey.grids import TimeGrid, population_mean
 from curvesurvey.oracle import (
     calibrated_weights,
@@ -233,7 +239,10 @@ def test_criterion_07_band_coverage(big_population):
 
 
 def test_criterion_08_univariate_quantile():
-    c = simulate_sup_quantile(np.array([[1.0]]), alpha=0.05, n_sims=200_000, seed=3)
+    # the band at n = 1 of the estimate C'C = [[1]], from the row C = [[1]]
+    estimate = MeanEstimate(curve=np.zeros(1), estimator_kind="ModelAssisted")
+    c = build_band(estimate, CovarianceEstimate(np.array([[1.0]])), n=1,
+                   alpha=0.05, n_sims=200_000, seed=3).c_alpha
     _check("C08 univariate-quantile", 1.945 <= c <= 1.975, f"c_alpha {c:.4f}")
 
 

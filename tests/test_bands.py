@@ -5,100 +5,105 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesurvey import DegenerateVarianceError, ValidationError, build_band
-from curvesurvey import bands, linalg
-from curvesurvey.bands import (
-    ConfidenceBand,
-    contains,
-    covers,
-    simulate_sup_quantile,
+from curvesurvey import (
+    DegenerateVarianceError,
+    NumericalError,
+    ValidationError,
+    build_band,
 )
+from curvesurvey import bands, linalg
+from curvesurvey.bands import ConfidenceBand, contains, covers
 from curvesurvey.covariance import CovarianceEstimate
 from curvesurvey.estimators import MeanEstimate
-from curvesurvey.linalg import cholesky_psd, psd_project, psd_repair
-from curvesurvey.oracle import one_shot_sup_sample
+from curvesurvey.oracle import eigh_first_psd_repair, one_shot_sup_sample
 
 Z_975 = 1.959963984540054  # standard normal 97.5% quantile
 Z_75 = 0.6744897501960817
 
 
-def cov_est(matrix):
-    """A covariance estimate holding the given, possibly indefinite, matrix:
-    the bands read only its `matrix`."""
-    cov = CovarianceEstimate.__new__(CovarianceEstimate)
-    cov.matrix = np.asarray(matrix, dtype=float)
-    return cov
+def factored(matrix):
+    """The covariance estimate whose rows C are the transposed lower
+    Cholesky factor of the definite `matrix`, so that C'C = matrix up to
+    rounding."""
+    return CovarianceEstimate(np.linalg.cholesky(np.asarray(matrix, dtype=float)).T)
+
+
+def _zero_estimate(d):
+    return MeanEstimate(curve=np.zeros(d), estimator_kind="ModelAssisted")
+
+
+def _c_alpha(cov, alpha, n_sims, seed):
+    """c_alpha of the band on cov at n = 1, so that n C'C = C'C."""
+    band = build_band(_zero_estimate(cov.variance.size), cov, n=1,
+                      alpha=alpha, n_sims=n_sims, seed=seed)
+    return band.c_alpha
 
 
 class TestSupQuantile:
     def test_univariate_gaussian_quantile(self):
-        c = simulate_sup_quantile(np.array([[1.0]]), 0.05, 50_000, seed=0)
+        c = _c_alpha(factored([[1.0]]), 0.05, 50_000, seed=0)
         assert abs(c - Z_975) < 0.03
 
     def test_rank_one_collapses_to_univariate(self):
         # perfectly correlated components: sup of identical copies
-        perfect = np.ones((6, 6))
-        c_multi = simulate_sup_quantile(perfect, 0.05, 50_000, seed=1)
-        c_uni = simulate_sup_quantile(np.array([[1.0]]), 0.05, 50_000, seed=2)
+        perfect = CovarianceEstimate(np.ones((1, 6)))
+        c_multi = _c_alpha(perfect, 0.05, 50_000, seed=1)
+        c_uni = _c_alpha(factored([[1.0]]), 0.05, 50_000, seed=2)
         assert abs(c_multi - c_uni) < 0.04
 
     def test_median_alpha(self):
-        c = simulate_sup_quantile(np.array([[1.0]]), 0.5, 100_000, seed=3)
+        c = _c_alpha(factored([[1.0]]), 0.5, 100_000, seed=3)
         assert abs(c - Z_75) < 0.01
 
     def test_monotone_in_alpha_with_shared_draws(self):
-        cov = np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))
+        cov = factored(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4)))
         cs = [
-            simulate_sup_quantile(cov, alpha, 5000, seed=4)
+            _c_alpha(cov, alpha, 5000, seed=4)
             for alpha in (0.01, 0.05, 0.2, 0.5)
         ]
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
     def test_dominates_univariate_quantile(self):
-        cov = np.diag([1.0, 2.0, 0.5, 1.5])
-        c = simulate_sup_quantile(cov, 0.05, 50_000, seed=5)
+        cov = factored(np.diag([1.0, 2.0, 0.5, 1.5]))
+        c = _c_alpha(cov, 0.05, 50_000, seed=5)
         assert c >= Z_975 - 0.03
 
     def test_deterministic_given_seed(self):
-        cov = np.eye(3)
-        a = simulate_sup_quantile(cov, 0.1, 2000, seed=42)
-        b = simulate_sup_quantile(cov, 0.1, 2000, seed=42)
+        cov = factored(np.eye(3))
+        a = _c_alpha(cov, 0.1, 2000, seed=42)
+        b = _c_alpha(cov, 0.1, 2000, seed=42)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            simulate_sup_quantile(np.eye(2), 1.5, 1000, seed=0)
+            _c_alpha(factored(np.eye(2)), 1.5, 1000, seed=0)
         with pytest.raises(ValidationError):
-            simulate_sup_quantile(np.eye(2), 0.05, 50, seed=0)
+            _c_alpha(factored(np.eye(2)), 0.05, 50, seed=0)
 
     def test_degenerate_variance_refused(self):
         with pytest.raises(DegenerateVarianceError):
-            simulate_sup_quantile(np.diag([1.0, 0.0]), 0.05, 1000, seed=0)
+            _c_alpha(CovarianceEstimate(np.diag([1.0, 0.0])), 0.05, 1000, seed=0)
 
 
 class TestBuildBand:
-    def make_band(self, cov_matrix, seed=7, n=100):
-        est = MeanEstimate(
-            curve=np.zeros(cov_matrix.shape[0]), estimator_kind="ModelAssisted"
-        )
-        return build_band(est, cov_est(cov_matrix), n=n, alpha=0.05,
-                          n_sims=2000, seed=seed)
+    def make_band(self, cov, seed=7, n=100):
+        return build_band(_zero_estimate(cov.variance.size), cov, n=n,
+                          alpha=0.05, n_sims=2000, seed=seed)
 
     def test_zero_covariance_rejected(self):
         with pytest.raises(DegenerateVarianceError):
-            self.make_band(np.zeros((3, 3)))
+            self.make_band(CovarianceEstimate(np.zeros((3, 3))))
 
     def test_doubling_cov_scales_half_width(self):
-        cov = np.eye(3) * 0.02 + 0.01
-        band1 = self.make_band(cov, seed=8)
-        band2 = self.make_band(2 * cov, seed=8)
+        rows = factored(np.eye(3) * 0.02 + 0.01).rows
+        band1 = self.make_band(CovarianceEstimate(rows), seed=8)
+        band2 = self.make_band(CovarianceEstimate(np.sqrt(2.0) * rows), seed=8)
         assert np.allclose(band2.half_width, np.sqrt(2.0) * band1.half_width,
                            rtol=1e-10)
         assert band2.c_alpha == pytest.approx(band1.c_alpha, rel=1e-12)
 
     def test_half_width_formula(self):
-        cov = np.diag([0.04, 0.09])
-        band = self.make_band(cov, n=400)
+        band = self.make_band(factored(np.diag([0.04, 0.09])), n=400)
         # half width = c_alpha * sqrt(gamma(t,t)) regardless of n
         assert np.allclose(band.half_width, band.c_alpha * np.array([0.2, 0.3]))
 
@@ -130,23 +135,110 @@ def _pd_cov(d=12, seed=0):
     return a @ a.T / d + 0.1 * np.eye(d)
 
 
-def _indefinite_cov(d=12, seed=5):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
-    w = np.linspace(2.0, 0.1, d)
-    w[-1] = -0.05
-    return (q * w) @ q.T
+def _rank_deficient_rows(rows=20, rank=5, d=12, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d)) / d
 
 
-def _semidefinite_cov():
-    # rank 2 of 3: the first two grid points move together
-    return np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-
-
-COVS = {
-    "definite": _pd_cov(),
-    "indefinite": _indefinite_cov(),
-    "semidefinite": _semidefinite_cov(),
+# The rows C of three covariance estimates C'C on D = 12 points: one whose
+# n C'C has a Cholesky factor, and two whose C'C is singular, so the band
+# factors C by a thin QR
+ROWS = {
+    "definite": factored(_pd_cov()).rows,
+    "fewer rows than points": _rank_deficient_rows(rows=5, rank=5),
+    "rank-deficient": _rank_deficient_rows(),
 }
+SINGULAR = ["fewer rows than points", "rank-deficient"]
+
+
+def _cov(name):
+    return CovarianceEstimate(ROWS[name])
+
+
+def _cholesky_fails(matrix):
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+class TestScaledFactor:
+    """The band's factor F, F F' = n C'C: Cholesky of n C'C, else
+    sqrt(n) R' from the thin QR of C."""
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_the_cholesky_factor_of_a_definite_estimate(self, n):
+        cov = _cov("definite")
+        scaled, sigma = bands._scaled_factor(cov, n)
+        # bit for bit the eigh-first twin's, which leaves n C'C unclipped
+        repaired, factor = eigh_first_psd_repair(n * cov.matrix)
+        assert np.array_equal(repaired, n * cov.matrix)
+        assert np.array_equal(sigma, np.sqrt(np.diag(n * cov.matrix)))
+        assert np.array_equal(scaled, factor / sigma[:, None])
+
+    @pytest.mark.parametrize("n", [1, 200])
+    @pytest.mark.parametrize("name", SINGULAR)
+    def test_the_qr_factor_of_a_singular_estimate(self, name, n):
+        cov = _cov(name)
+        target = n * cov.matrix
+        assert _cholesky_fails(target)
+        scaled, sigma = bands._scaled_factor(cov, n)
+        factor = scaled * sigma[:, None]
+        d, rows = cov.variance.size, ROWS[name].shape[0]
+        assert factor.shape == (d, min(rows, d))
+        scale = np.abs(target).max()
+        assert np.abs(factor @ factor.T - target).max() <= 1e-13 * scale
+        repaired, _ = eigh_first_psd_repair(target)
+        assert np.abs(factor @ factor.T - repaired).max() <= 1e-13 * scale
+        assert np.array_equal(sigma, np.sqrt(np.diag(target)))
+        assert np.all(sigma[cov.variance > 0.0] > 0.0)
+        # the band's tiles of r-wide normals against one one-shot draw
+        expected = one_shot_sup_sample(factor, sigma, 3000,
+                                       np.random.default_rng(4))
+        sups = bands._band_sups(scaled, 3000, np.random.default_rng(4))
+        assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_no_eigh_and_qr_only_when_cholesky_fails(self, monkeypatch, name):
+        # the band and covers factor C'C or C as they are: an eigh would be
+        # a repair, and the thin QR runs only where Cholesky refuses n C'C
+        def refused_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        qrs = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            qrs.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refused_eigh)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        cov = _cov(name)
+        d = cov.variance.size
+        build_band(_zero_estimate(d), cov, n=50, alpha=0.05, n_sims=500, seed=1)
+        covers(_zero_estimate(d), cov, 50, 0.05, 500, 1, np.zeros(d))
+        assert len(qrs) == (2 if name in SINGULAR else 0)
+
+    def test_zero_variance_raises(self):
+        rows = np.random.default_rng(1).standard_normal((30, 4))
+        rows[:, 2] = 0.0
+        cov = CovarianceEstimate(rows)
+        with pytest.raises(DegenerateVarianceError, match="grid index 2"):
+            bands._scaled_factor(cov, 10)
+
+    def test_n_times_an_overflowing_variance_raises(self):
+        # each variance is finite, about 5e306, but 200 times it is not:
+        # the band refuses it rather than returning NaN half-widths
+        rows = 1e153 * np.random.default_rng(2).standard_normal((5, 4))
+        cov = CovarianceEstimate(rows)
+        assert np.isfinite(cov.variance).all()
+        args = (_zero_estimate(4), cov, 200, 0.05, 500, 0)
+        with pytest.raises(NumericalError, match="overflows"):
+            build_band(*args)
+        with pytest.raises(NumericalError, match="overflows"):
+            covers(*args, np.zeros(4))
 
 
 class TestSupKernel:
@@ -157,62 +249,28 @@ class TestSupKernel:
         [100, bands.SIM_BLOCK - 1, bands.SIM_BLOCK, bands.SIM_BLOCK + 1, 5000],
     )
     def test_matches_one_shot_sampler(self, n_sims):
-        # the whole one-shot pipeline: repair, Cholesky, one draw, full sort
-        cov = COVS["definite"]
-        projected = psd_project(cov)
-        sigma = np.sqrt(np.diag(projected))
+        # the whole one-shot pipeline: Cholesky, one draw, full sort
+        cov = _cov("definite")
+        sigma = np.sqrt(np.diag(cov.matrix))
         expected = one_shot_sup_sample(
-            cholesky_psd(projected), sigma, n_sims, np.random.default_rng(11)
+            np.linalg.cholesky(cov.matrix), sigma, n_sims,
+            np.random.default_rng(11)
         )
-        scaled, _ = bands._scaled_factor(cov)
+        scaled, _ = bands._scaled_factor(cov, 1)
         sups = bands._band_sups(scaled, n_sims, np.random.default_rng(11))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
         k = int(np.ceil(0.95 * n_sims))
-        c_alpha = simulate_sup_quantile(cov, 0.05, n_sims, seed=11)
+        c_alpha = _c_alpha(cov, 0.05, n_sims, seed=11)
         assert c_alpha == pytest.approx(np.sort(expected)[k - 1], rel=1e-12)
-
-    @pytest.mark.parametrize("name", ["indefinite", "semidefinite"])
-    def test_matches_one_shot_sampler_on_eigen_factor(self, name):
-        projected, factor = psd_repair(COVS[name])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(projected)
-        sigma = np.sqrt(np.diag(projected))
-        scaled, band_sigma = bands._scaled_factor(COVS[name])
-        assert np.array_equal(band_sigma, sigma)
-        assert np.array_equal(scaled, factor / sigma[:, None])
-        expected = one_shot_sup_sample(
-            factor, sigma, 3000, np.random.default_rng(4)
-        )
-        sups = bands._band_sups(scaled, 3000, np.random.default_rng(4))
-        assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
-
-    @pytest.mark.parametrize("name", sorted(COVS))
-    def test_one_eigh_per_band(self, monkeypatch, name):
-        # Cholesky of n * cov runs first; only a matrix it refuses gets the
-        # eigen repair, once, whether the band is built or only tested
-        eighs = 0 if name == "definite" else 1
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        cov = COVS[name]
-        est = MeanEstimate(curve=np.zeros(cov.shape[0]), estimator_kind="ModelAssisted")
-        build_band(est, cov_est(cov), n=50, alpha=0.05, n_sims=500, seed=1)
-        assert len(calls) == eighs
-        covers(est, cov_est(cov), 50, 0.05, 500, 1, np.zeros(cov.shape[0]))
-        assert len(calls) == 2 * eighs
 
 
 def _filled_sups(scaled, n_sims, rng):
     """A band's sups from covers' loop: SIM_BLOCK tiles drawn and
     multiplied on the calling thread."""
-    sups, product = np.empty(n_sims), np.empty(bands.SIM_BLOCK * scaled.shape[0])
+    d, r = scaled.shape
+    sups, product = np.empty(n_sims), np.empty(bands.SIM_BLOCK * d)
     for lo in range(0, n_sims, bands.SIM_BLOCK):
-        z = rng.standard_normal((min(bands.SIM_BLOCK, n_sims - lo), scaled.shape[0]))
+        z = rng.standard_normal((min(bands.SIM_BLOCK, n_sims - lo), r))
         bands._tile_sups(scaled, z, sups[lo:lo + len(z)], product)
     return sups
 
@@ -221,17 +279,18 @@ class TestTileSups:
     """The one sup product that the band and covers share."""
 
     @pytest.mark.parametrize("m", [1, 7, bands.SIM_BLOCK])
-    @pytest.mark.parametrize("name", sorted(COVS))
+    @pytest.mark.parametrize("name", sorted(ROWS))
     def test_a_reused_buffer_gives_a_fresh_buffers_sups(self, name, m):
-        # covers and the band reuse one product buffer of a whole tile,
-        # also for a short last tile: what it held before must not leak
-        scaled, _ = bands._scaled_factor(COVS[name])
-        d = scaled.shape[0]
+        # covers and the band reuse one D x SIM_BLOCK product buffer, also
+        # for a short last tile and for a factor narrower than D: what it
+        # held before must not leak
+        scaled, _ = bands._scaled_factor(_cov(name), 1)
+        d, r = scaled.shape
         rng = np.random.default_rng(m)
         product = np.full(bands.SIM_BLOCK * d, np.nan)
-        bands._tile_sups(scaled, rng.standard_normal((bands.SIM_BLOCK, d)),
+        bands._tile_sups(scaled, rng.standard_normal((bands.SIM_BLOCK, r)),
                          np.empty(bands.SIM_BLOCK), product)
-        z = rng.standard_normal((m, d))
+        z = rng.standard_normal((m, r))
         out = np.full(m + 2, -1.0)
         tile = bands._tile_sups(scaled, z, out[1:-1], product)
         assert np.shares_memory(tile, out) and out[0] == out[-1] == -1.0
@@ -247,9 +306,9 @@ class TestBandSups:
 
     @pytest.mark.parametrize(
         "n_sims", [100, bands.SIM_BLOCK, bands.SIM_BLOCK + 1, 3 * bands.SIM_BLOCK - 5])
-    @pytest.mark.parametrize("name", sorted(COVS))
+    @pytest.mark.parametrize("name", sorted(ROWS))
     def test_equal_to_the_sequential_loop(self, n_sims, name):
-        scaled, _ = bands._scaled_factor(COVS[name])
+        scaled, _ = bands._scaled_factor(_cov(name), 1)
         rng = np.random.default_rng(21)
         before = threading.active_count()
         sups = bands._band_sups(scaled, n_sims, rng)
@@ -257,15 +316,15 @@ class TestBandSups:
         assert np.array_equal(sups, _filled_sups(scaled, n_sims,
                                                  np.random.default_rng(21)))
         reference = np.random.default_rng(21)
-        reference.standard_normal((n_sims, scaled.shape[0]))
+        reference.standard_normal((n_sims, scaled.shape[1]))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_c_alpha_at_336_points_does_not_depend_on_the_callers_count(
             self, caller_at_two_blas_threads):
-        # a Gram matrix of rank 200 < D, as from a sample of n = 200: its
-        # Cholesky fails, so the band's factor comes from eigh
+        # 200 rows, as from a sample of n = 200: the Gram matrix has rank
+        # 200 < D, its Cholesky fails, and the band's factor comes from QR
         rows = np.random.default_rng(3).standard_normal((200, 336))
-        est, cov = _zero_estimate(336), cov_est(rows.T @ rows / 200)
+        est, cov = _zero_estimate(336), CovarianceEstimate(rows / np.sqrt(200))
         built = []
         for threads in (1, 2):
             linalg._set_blas_threads(threads)
@@ -291,10 +350,6 @@ class TestBandSups:
             assert covers(est, cov, 200, 0.05, 1000, seed, truth) is inside
 
 
-def _zero_estimate(d):
-    return MeanEstimate(curve=np.zeros(d), estimator_kind="ModelAssisted")
-
-
 def _oracle_covers(estimate, cov, n, alpha, n_sims, seed, truth):
     band = build_band(estimate, cov, n=n, alpha=alpha, n_sims=n_sims, seed=seed)
     return contains(band, truth)
@@ -313,7 +368,7 @@ class TestCovers:
     @given(
         d=st.integers(1, 8),
         cov_seed=st.integers(0, 2**32 - 1),
-        ridge=st.sampled_from([-0.2, 0.0, 0.05, 1.0]),
+        rows=st.integers(1, 12),
         n=st.integers(1, 500),
         alpha=st.floats(0.001, 0.6),
         n_sims=st.integers(100, 2500),
@@ -323,15 +378,14 @@ class TestCovers:
             [None, "center", "inf", "-inf", "nan", "overflow", "huge"]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_matches_oracle(self, d, cov_seed, ridge, n, alpha, n_sims,
+    def test_matches_oracle(self, d, cov_seed, rows, n, alpha, n_sims,
                             spread, seed, special):
-        # a negative ridge makes some covariances indefinite
+        # fewer rows than points make some covariances singular
         rng = np.random.default_rng(cov_seed)
-        a = rng.standard_normal((d, d))
-        matrix = a @ a.T / d + ridge * np.eye(d)
+        c = rng.standard_normal((rows, d)) / np.sqrt(d)
         center = rng.standard_normal(d)
-        # the band's half-width is c_alpha * sqrt(diag), whatever n is
-        truth = center + spread * np.sqrt(np.abs(np.diag(matrix))) * \
+        # the band's half-width is c_alpha * sqrt(variance), whatever n is
+        truth = center + spread * np.sqrt((c * c).sum(axis=0)) * \
             rng.uniform(-1.0, 1.0, d)
         j = int(rng.integers(d))
         if special == "center":  # a zero deviation everywhere
@@ -339,12 +393,12 @@ class TestCovers:
         elif special in ("inf", "-inf", "nan"):
             truth[j] = float(special)
         elif special == "overflow":  # deviation / sigma_hat overflows
-            matrix *= 1e-300
+            c *= 1e-150
             truth[j] = center[j] + 1e300
         elif special == "huge":  # deviation * sqrt(n) overflows
             truth[j] = center[j] - 1.5e308
         estimate = MeanEstimate(curve=center, estimator_kind="ModelAssisted")
-        args = (estimate, cov_est(matrix), n, alpha, n_sims, seed, truth)
+        args = (estimate, CovarianceEstimate(c), n, alpha, n_sims, seed, truth)
         try:
             expected = _oracle_covers(*args)
         except DegenerateVarianceError:
@@ -360,10 +414,10 @@ class TestCovers:
         [(100, 0.05), (bands.SIM_BLOCK - 1, 0.05), (bands.SIM_BLOCK, 0.05),
          (bands.SIM_BLOCK + 1, 0.05), (5000, 0.05), (bands.SIM_BLOCK + 1, 1e-4)],
     )
-    @pytest.mark.parametrize("name", sorted(COVS))
+    @pytest.mark.parametrize("name", sorted(ROWS))
     def test_truth_on_and_around_the_band_edge(self, name, n_sims, alpha):
-        cov = cov_est(COVS[name])
-        d = cov.matrix.shape[0]
+        cov = _cov(name)
+        d = cov.variance.size
         estimate = _zero_estimate(d)
         band = build_band(estimate, cov, n=50, alpha=alpha, n_sims=n_sims, seed=9)
         edge = band.half_width[d - 1]
@@ -382,15 +436,14 @@ class TestCovers:
         n_sims, alpha = bands.SIM_BLOCK + 1, 1e-4
         assert bands._quantile_rank(alpha, n_sims) == n_sims
 
-    @pytest.mark.parametrize("name", ["indefinite", "semidefinite"])
-    def test_eigen_factor_path(self, name):
-        # n = 1, so n * cov is the matrix whose repair Cholesky refuses
-        cov = cov_est(COVS[name])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(psd_repair(cov.matrix)[0])
-        d = cov.matrix.shape[0]
+    @pytest.mark.parametrize("name", SINGULAR)
+    def test_qr_factor_path(self, name):
+        # n = 1, so n C'C is the matrix whose Cholesky fails
+        cov = _cov(name)
+        assert _cholesky_fails(cov.matrix)
+        d = cov.variance.size
         rng = np.random.default_rng(2)
-        sigma = np.sqrt(np.abs(np.diag(cov.matrix)))
+        sigma = np.sqrt(cov.variance)
         outcomes = {
             _assert_covers_matches_oracle(
                 _zero_estimate(d), cov, 1, 0.05, 3000, 5,
@@ -400,7 +453,7 @@ class TestCovers:
         assert outcomes == {True, False}
 
     def test_zero_variance_raises_in_both(self):
-        cov = cov_est(np.diag([1.0, 0.0]))
+        cov = CovarianceEstimate(np.diag([1.0, 0.0]))
         args = (_zero_estimate(2), cov, 10, 0.05, 1000, 0, np.zeros(2))
         with pytest.raises(DegenerateVarianceError):
             _oracle_covers(*args)
@@ -413,7 +466,7 @@ class TestCovers:
          (10, 0.05, 99, 3), (10, 0.05, 1000, 4)],
     )
     def test_same_validation_errors(self, n, alpha, n_sims, truth_size):
-        args = (_zero_estimate(3), cov_est(np.eye(3)), n, alpha, n_sims, 0,
+        args = (_zero_estimate(3), factored(np.eye(3)), n, alpha, n_sims, 0,
                 np.zeros(truth_size))
         with pytest.raises(ValidationError) as oracle_error:
             _oracle_covers(*args)
@@ -424,8 +477,8 @@ class TestCovers:
     def test_stops_after_one_block_when_truth_is_the_center(self):
         # every sup covers, so the first tile of 256 holds the
         # n_sims - k + 1 = 251 sups a "covered" needs (k = 4750)
-        cov = cov_est(COVS["definite"])
-        d = cov.matrix.shape[0]
+        cov = _cov("definite")
+        d = cov.variance.size
         rng = np.random.default_rng(21)
         assert covers(_zero_estimate(d), cov, 50, 0.05, 5000, rng, np.zeros(d))
         reference = np.random.default_rng(21)
@@ -444,8 +497,8 @@ class TestCovers:
         # "covered" needs, rounded up to whole tiles
         need = n_sims - bands._quantile_rank(alpha, n_sims) + 1
         assert drawn == min(n_sims, -(-need // bands.SIM_BLOCK) * bands.SIM_BLOCK)
-        cov = cov_est(COVS["definite"])
-        d = cov.matrix.shape[0]
+        cov = _cov("definite")
+        d = cov.variance.size
         rng = np.random.default_rng(22)
         assert covers(_zero_estimate(d), cov, 50, alpha, n_sims, rng, np.zeros(d))
         reference = np.random.default_rng(22)
@@ -471,9 +524,9 @@ class TestCovers:
         # truth sits on the edge of the band built on a chosen sup of the
         # first tile, so that tile's count is known; covers draws whole tiles
         n_sims, n, seed = 2048, 50, 13
-        cov = cov_est(COVS["definite"])
-        d = cov.matrix.shape[0]
-        scaled, sigma = bands._scaled_factor(n * cov.matrix)
+        cov = _cov("definite")
+        d = cov.variance.size
+        scaled, sigma = bands._scaled_factor(cov, n)
         sups = bands._band_sups(scaled, n_sims, np.random.default_rng(seed))
         k = bands._quantile_rank(alpha, n_sims)
         assert bands.SIM_BLOCK in (n_sims - k + 1, k)

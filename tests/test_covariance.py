@@ -143,6 +143,25 @@ class TestMaCovarianceEstimate:
         cov = ma_covariance_estimate(small_pop, sample, a=0.0).matrix
         assert np.array_equal(cov, cov.T)
 
+    @pytest.mark.parametrize("estimator", [ht_covariance_estimate,
+                                           ma_covariance_estimate])
+    def test_an_estimate_without_linearized_rows_is_refused(
+            self, small_pop, small_design, estimator):
+        # the census-fit difference estimate carries no linearized rows
+        sample = draw(small_design, replicate_rng(1, 1))
+        estimate = difference_mean(small_pop, sample)
+        with pytest.raises(ValidationError, match="Difference estimate has "
+                                                  "no linearized rows"):
+            estimator(small_pop, sample, estimate=estimate)
+
+    def test_the_rows_are_kept_after_the_matrix_is_read(self, small_pop,
+                                                        small_design):
+        sample = draw(small_design, replicate_rng(1, 1))
+        cov = ma_covariance_estimate(small_pop, sample, a=0.0)
+        rows = cov.rows
+        assert np.array_equal(cov.matrix, rows.T @ rows)
+        assert cov.rows is rows and rows.shape == (small_design.n, small_pop.grid.size)
+
 
 class TestScaling:
     def test_n_scaled_variance_bounded_in_nested_sequence(self):

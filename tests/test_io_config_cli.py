@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvesurvey
 from curvesurvey import ValidationError, linalg, study_population
 from curvesurvey.cli import main
 from curvesurvey.config import build_design, build_population, load_config
@@ -334,6 +336,15 @@ a = 0
         seed = json.loads((out / "estimate.meta.json").read_text())["seed"]
         assert isinstance(seed, int) and 0 <= seed < 2**32
 
+    def test_the_package_exports_its_names_and_no_module(self):
+        namespace = {}
+        exec("from curvesurvey import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(curvesurvey.__all__)
+        assert len(curvesurvey.__all__) == 15
+        assert not any(isinstance(getattr(curvesurvey, name), types.ModuleType)
+                       for name in curvesurvey.__all__)
+
     def test_import_loads_neither_the_pool_nor_the_oracle(self):
         # a fresh interpreter: multiprocessing and the oracle are imported
         # by the commands that use them, not by every command
@@ -355,6 +366,19 @@ a = 0
         for row in rows:
             _, center, lower, upper, sigma = map(float, row.split(","))
             assert lower < center < upper and sigma > 0
+
+    @pytest.mark.parametrize("kind", ["ma", "ht"])
+    def test_band_meta_records_the_estimate_it_was_built_on(self, tmp_path,
+                                                            kind):
+        # bands builds the model-assisted band whatever [estimator] kind
+        # says, and its meta file says so, as estimate.meta.json does
+        cfg = write_config(tmp_path, SYNTH.format(n=25, kind=kind))
+        out = tmp_path / "out"
+        assert main(["bands", "--config", str(cfg), "--seed", "11",
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "band.meta.json").read_text())
+        assert meta["estimator_kind"] == "ModelAssisted"
+        assert meta["a"] == 0.0
 
     def test_bands_alpha_monotone(self, tmp_path):
         widths = {}

@@ -14,10 +14,8 @@ from curvesurvey.linalg import (
     cholesky_psd,
     normal_blocks,
     psd_project,
-    psd_repair,
 )
 from curvesurvey.oracle import (
-    eigh_first_psd_repair,
     regularized_inverse,
     spectral_norm_sym,
     sym_eigen,
@@ -248,42 +246,6 @@ class TestCholeskyPsd:
     def test_rejects_indefinite(self):
         with pytest.raises(NumericalError):
             cholesky_psd(np.diag([1.0, -1.0]))
-
-
-class TestPsdRepair:
-    def test_keeps_the_cholesky_factor(self, rng):
-        m = random_symmetric(rng, 6, psd=True) + 0.1 * np.eye(6)
-        repaired, factor = psd_repair(m)
-        assert np.array_equal(repaired, psd_project(m))
-        assert np.array_equal(factor, cholesky_psd(psd_project(m)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_indefinite_gets_the_projection_and_a_factor(self, seed):
-        m = random_symmetric(np.random.default_rng(seed), 6)
-        repaired, factor = psd_repair(m)
-        assert np.array_equal(repaired, psd_project(m))
-        assert np.abs(factor @ factor.T - repaired).max() < 1e-12
-
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_equals_the_eigh_first_twin_on_definite_input(self, seed):
-        m = random_symmetric(np.random.default_rng(seed), 8, psd=True)
-        m += 0.05 * np.eye(8)
-        m[0, 1] += 1e-15  # asymmetric within tolerance: both symmetrize
-        for got, want in zip(psd_repair(m), eigh_first_psd_repair(m)):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("m", [
-        np.diag([1.0, -0.5, 2.0]),
-        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
-        np.zeros((3, 3)),
-        *(random_symmetric(np.random.default_rng(seed), 6) for seed in range(5)),
-    ])
-    def test_equals_the_eigh_first_twin_on_the_eigen_path(self, m):
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(m)
-        for got, want in zip(psd_repair(m), eigh_first_psd_repair(m)):
-            assert np.array_equal(got, want)
 
 
 class TestEigenvalueLipschitz:
