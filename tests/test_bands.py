@@ -199,6 +199,38 @@ class TestScaledFactor:
         sups = bands._band_sups(scaled, 3000, np.random.default_rng(4))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_eigh_first_twin_on_definite_input(self, seed):
+        rng = np.random.default_rng(seed)
+        cov = CovarianceEstimate(rng.standard_normal((30, 8))
+                                 + 0.5 * rng.standard_normal(8))
+        scaled, sigma = bands._scaled_factor(cov, 40)
+        repaired, factor = eigh_first_psd_repair(40 * cov.matrix)
+        assert np.array_equal(repaired, 40 * cov.matrix)
+        assert np.array_equal(scaled, factor / sigma[:, None])
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[1.0, -0.5, 2.0]]),
+        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+        np.array([[3.0, 0.0, 1.0, -1.0], [0.0, 2.0, 1.0, 1.0]]),
+        *(np.random.default_rng(seed).standard_normal((3, 6))
+          for seed in range(5)),
+    ])
+    def test_equals_the_eigh_first_twin_on_the_qr_path(self, rows):
+        # where Cholesky refuses n C'C, the twin clips an eigendecomposition
+        # and the band factors C: both reproduce n C'C to rounding
+        cov = CovarianceEstimate(rows)
+        target = 40 * cov.matrix
+        assert _cholesky_fails(target)
+        scaled, sigma = bands._scaled_factor(cov, 40)
+        factor = scaled * sigma[:, None]
+        assert factor.shape == (rows.shape[1], min(rows.shape))
+        repaired, twin = eigh_first_psd_repair(target)
+        scale = np.abs(target).max()
+        for want in (target, repaired, twin @ twin.T):
+            assert np.abs(factor @ factor.T - want).max() <= 1e-13 * scale
+        assert np.array_equal(sigma, np.sqrt(np.diag(target)))
+
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_no_eigh_and_qr_only_when_cholesky_fails(self, monkeypatch, name):
         # the band and covers factor C'C or C as they are: an eigh would be
