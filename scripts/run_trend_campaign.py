@@ -13,7 +13,7 @@ from curvesurvey import (
     run_campaign,
     study_population,
 )
-from curvesurvey.estimators import CAMPAIGN_ESTIMATORS
+from curvesurvey.estimators import ESTIMATORS
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--n-points", type=int, default=48)
     ap.add_argument("--replicates", type=int, default=1000)
     ap.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 300])
-    ap.add_argument("--estimator", choices=CAMPAIGN_ESTIMATORS, default="ma")
+    ap.add_argument("--estimator", choices=ESTIMATORS, default="ma")
     ap.add_argument("--seed", type=int, default=90)
     ap.add_argument("--pop-seed", type=int, default=100)
     ap.add_argument("--workers", type=int, default=1)

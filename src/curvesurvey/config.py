@@ -93,6 +93,8 @@ def _sizes(key, raw):
             raise ConfigurationError("[campaign] n_list entries must be "
                                      f"integers, got {part.strip()!r}") from None
         _require(sizes[-1] >= 1, "[campaign] n_list entries must be >= 1")
+        _require(sizes[-1] not in sizes[:-1],
+                 f"[campaign] n_list repeats n = {sizes[-1]}")
     return tuple(sizes)
 
 
@@ -152,6 +154,9 @@ class DesignConfig:
 
     def __post_init__(self):
         _require(self.n is not None, "missing integer option 'n'")
+        _require(self.kind == "stratified"
+                 or (self.ranges is None and self.n_per_stratum is None),
+                 "[design] 'ranges' and 'n_per_stratum' need kind = stratified")
         if self.kind == "stratified":
             _require(self.n_per_stratum is not None,
                      "a stratified design needs 'n_per_stratum'")

@@ -1,22 +1,23 @@
 """Mean-curve estimators and the one table of estimator kinds.
 
-Horvitz-Thompson, Hajek, the generalized difference estimator (population
-regression fit, an oracle for testing) and the model-assisted estimator
-with an eigenvalue-floored design matrix.  `ESTIMATORS` maps each kind to
-its mean function.  Every estimate but the difference estimator's carries
-its linearized rows, whose HT covariance estimator
-(``covariance.ht_covariance_estimate``) is the estimate's covariance
-estimator, so those kinds can run a campaign.
+Horvitz-Thompson, Hajek and the model-assisted estimator with an
+eigenvalue-floored design matrix.  `ESTIMATORS` maps each kind to its mean
+function; it is the only table of kinds that the config, the CLI and the
+campaigns read.  Every estimate carries its linearized rows, whose HT
+covariance estimator (``covariance.ht_covariance_estimate``) is the
+estimate's covariance estimator, so every kind runs every command.  The
+generalized difference estimator fits beta on every unit's curve, which a
+survey never has, so it is an oracle in ``oracle.py``.
 
-Both regression fits, the census one and the design-weighted sampled one,
-come from one thin SVD of the weighted design (`_fit`), never from the
-moment matrix x'x / pi, so a fit loses cond(x / sqrt(pi)) digits, not its
-square.  At a = 0 the model-assisted mean is the calibration estimator
-(Deville & Sarndal 1992): the mean under the weights closest to 1/pi that
-reproduce the auxiliary totals.  The MA estimate and those calibration
-weights therefore come from the same SVD fit; ``oracle.py`` keeps an
-independent lstsq twin of the weights, and of the eigenvalue-floored
-inverse, for the tests and ``oracle-check``.
+Every regression fit, the sampled design-weighted one here and the census
+one of ``oracle.py``, comes from one thin SVD of the weighted design
+(`_fit`), never from the moment matrix x'x / pi, so a fit loses
+cond(x / sqrt(pi)) digits, not its square.  At a = 0 the model-assisted
+mean is the calibration estimator (Deville & Sarndal 1992): the mean under
+the weights closest to 1/pi that reproduce the auxiliary totals.  The MA
+estimate and those calibration weights therefore come from the same SVD
+fit; ``oracle.py`` keeps an independent lstsq twin of the weights, and of
+the eigenvalue-floored inverse, for the tests and ``oracle-check``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ _SQRT_MAX = np.sqrt(np.finfo(float).max)
 class MeanEstimate:
     """Estimated mean curve on the population grid, with the linearized
     sample rows its covariance estimator reads (HT y_s, Hajek y_s - curve,
-    MA the fit residuals y_s - x_s beta)."""
+    MA the fit residuals y_s - x_s beta; None for the oracle's difference
+    estimate, which has no covariance estimator)."""
 
     curve: np.ndarray
-    estimator_kind: str  # HT | Hajek | ModelAssisted | Difference
+    estimator_kind: str  # HT | Hajek | ModelAssisted; Difference in oracle.py
     a_used: float | None = None
     linearized: np.ndarray | None = None
 
@@ -122,11 +124,6 @@ def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
     return beta, float(a), bool(floored.any()) or s.size < x.shape[1]
 
 
-def beta_population(pop: FunctionalPopulation) -> np.ndarray:
-    """Census-level OLS coefficient curves, (p, D): the unobservable fit."""
-    return _fit(pop.aux, pop.values, np.ones(pop.N), pop.N, 0.0, "population")[0]
-
-
 def _has_intercept(x_s: np.ndarray) -> bool:
     return bool(np.any(np.all(x_s == 1.0, axis=0)))
 
@@ -158,20 +155,6 @@ def model_assisted_mean(
                         a_used=a_used, linearized=y_s)
 
 
-def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
-    """Generalized difference estimator built on the census-level fit.
-
-    Requires the full population; design-unbiased, used as a testing oracle
-    and as the target the model-assisted estimator approximates.
-    """
-    _, y_s, pi = _sample_arrays(pop, sample)
-    beta = beta_population(pop)
-    pred = pop.aux @ beta
-    resid_ht = ((pred[sample.indices] - y_s) / pi[:, None]).sum(axis=0) / pop.N
-    curve = pred.mean(axis=0) - resid_ht
-    return MeanEstimate(curve=curve, estimator_kind="Difference")
-
-
 # kind -> mean(pop, sample, a).  Each looks its function up by name at the
 # call, so wrappers installed on the functions later (tracing spans) see
 # these calls.
@@ -179,9 +162,4 @@ ESTIMATORS = {
     "ht": lambda pop, s, a: ht_mean(pop, s),
     "hajek": lambda pop, s, a: hajek_mean(pop, s),
     "ma": lambda pop, s, a: model_assisted_mean(pop, s, a=a),
-    "difference": lambda pop, s, a: difference_mean(pop, s),
 }
-
-# the kinds with linearized rows, so a covariance estimator: all but the
-# census-fit difference estimator
-CAMPAIGN_ESTIMATORS = ("ht", "hajek", "ma")

@@ -16,7 +16,7 @@ from .bands import covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
 from .designs import SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
-from .estimators import CAMPAIGN_ESTIMATORS, ESTIMATORS
+from .estimators import ESTIMATORS
 from .grids import FunctionalPopulation, population_mean
 from .linalg import _one_blas_thread, _set_blas_threads
 
@@ -35,7 +35,6 @@ class MonteCarloReport:
     coverage: float | None
     coverage_bands: int  # bands the coverage rate averages; 0 without it
     n_errors: int
-    seed: int
     mean_curve: np.ndarray  # average of replicate estimates
     mean_gamma_diag: np.ndarray
 
@@ -120,9 +119,9 @@ def run_campaign(
 ) -> MonteCarloReport:
     """Full replication campaign; deterministic given master_seed, and
     independent of the worker count (streams are keyed per replicate)."""
-    if estimator not in CAMPAIGN_ESTIMATORS:
-        raise ValidationError(f"campaigns support estimators "
-                              f"{', '.join(CAMPAIGN_ESTIMATORS)}, not {estimator!r}")
+    if estimator not in ESTIMATORS:
+        raise ValidationError(f"estimator must be one of "
+                              f"{', '.join(ESTIMATORS)}, not {estimator!r}")
     if replicates < 2:
         raise ValidationError("need at least 2 replicates")
     if workers < 1:
@@ -193,7 +192,6 @@ def run_campaign(
         coverage=coverage,
         coverage_bands=0 if coverage is None else len(flags),
         n_errors=failures,
-        seed=master_seed,
         mean_curve=mus.mean(axis=0),
         mean_gamma_diag=mean_gdiag,
     )

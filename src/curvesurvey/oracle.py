@@ -1,6 +1,14 @@
 """Exhaustive-enumeration identity checks for tiny populations, and the
 twins the production paths are tested against.
 
+The census-level regression fit (`beta_population`) and the generalized
+difference estimator built on it (`difference_mean`, Sarndal, Swensson &
+Wretman 1992) live here, not among the estimators: they read every unit's
+curve, which a survey never has.  The difference estimator is the target
+the model-assisted estimator approximates.  Its covariance is
+`ma_covariance_approx`, and `oracle_check` checks its unbiasedness and
+covariance by enumeration.
+
 Every identity that holds exactly by design-based algebra is recomputed two
 ways: once from the closed-form inclusion probabilities and once by summing
 over all possible samples (`enumerate_samples`) with their exact
@@ -31,10 +39,10 @@ from .designs import (
     joint_probs_submatrix,
 )
 from .estimators import (
+    MeanEstimate,
     _check_match,
+    _fit,
     _sample_arrays,
-    beta_population,
-    difference_mean,
     hajek_mean,
     ht_mean,
     model_assisted_mean,
@@ -95,6 +103,25 @@ def second_order_matrix(design: SamplingDesign) -> np.ndarray:
     be jointly sampled, so the joint probability is genuinely zero.
     """
     return joint_probs_submatrix(design, np.arange(design.N))
+
+
+def beta_population(pop: FunctionalPopulation) -> np.ndarray:
+    """Census-level OLS coefficient curves, (p, D): the unobservable fit."""
+    return _fit(pop.aux, pop.values, np.ones(pop.N), pop.N, 0.0, "population")[0]
+
+
+def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
+    """Generalized difference estimator built on the census-level fit.
+
+    Requires the full population; design-unbiased, used as a testing oracle
+    and as the target the model-assisted estimator approximates.
+    """
+    _, y_s, pi = _sample_arrays(pop, sample)
+    beta = beta_population(pop)
+    pred = pop.aux @ beta
+    resid_ht = ((pred[sample.indices] - y_s) / pi[:, None]).sum(axis=0) / pop.N
+    curve = pred.mean(axis=0) - resid_ht
+    return MeanEstimate(curve=curve, estimator_kind="Difference")
 
 
 def ht_covariance_exact(

@@ -24,15 +24,11 @@ from curvesurvey import (
 )
 from curvesurvey.covariance import CovarianceEstimate
 from curvesurvey.designs import draw
-from curvesurvey.estimators import (
-    MeanEstimate,
-    difference_mean,
-    hajek_mean,
-    ht_mean,
-)
+from curvesurvey.estimators import MeanEstimate, hajek_mean, ht_mean
 from curvesurvey.grids import TimeGrid, population_mean
 from curvesurvey.oracle import (
     calibrated_weights,
+    difference_mean,
     enumerate_samples,
     ht_covariance_exact,
     ma_covariance_approx,

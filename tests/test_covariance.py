@@ -18,15 +18,12 @@ from curvesurvey.designs import (
     replicate_rng,
 )
 from curvesurvey.errors import ValidationError
-from curvesurvey.estimators import (
-    beta_population,
-    difference_mean,
-    hajek_mean,
-    ht_mean,
-)
+from curvesurvey.estimators import hajek_mean, ht_mean
 from curvesurvey.grids import FunctionalPopulation, TimeGrid
 from curvesurvey.oracle import (
+    beta_population,
     dense_ht_covariance,
+    difference_mean,
     enumerate_samples,
     ht_covariance_exact,
     ma_covariance_approx,
@@ -147,7 +144,7 @@ class TestMaCovarianceEstimate:
                                            ma_covariance_estimate])
     def test_an_estimate_without_linearized_rows_is_refused(
             self, small_pop, small_design, estimator):
-        # the census-fit difference estimate carries no linearized rows
+        # the oracle's census-fit difference estimate carries no linearized rows
         sample = draw(small_design, replicate_rng(1, 1))
         estimate = difference_mean(small_pop, sample)
         with pytest.raises(ValidationError, match="Difference estimate has "

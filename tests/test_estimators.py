@@ -10,16 +10,13 @@ from curvesurvey import (
 )
 from curvesurvey import estimators
 from curvesurvey.designs import Sample, first_order_probs, replicate_rng
-from curvesurvey.estimators import (
-    beta_population,
-    difference_mean,
-    hajek_mean,
-    ht_mean,
-)
+from curvesurvey.estimators import hajek_mean, ht_mean
 from curvesurvey.grids import FunctionalPopulation, TimeGrid, population_mean
 from curvesurvey.oracle import (
+    beta_population,
     calibrated_weights,
     default_fixture,
+    difference_mean,
     enumerate_samples,
     oracle_check,
     regularized_inverse,

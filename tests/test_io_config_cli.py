@@ -219,6 +219,12 @@ n_per_stratum = a:1,b:1
             "[campaign]\nreplicates = 1\n",
             "[estimator]\na = -1\n",
             "[estimator]\nkind = difference\nalpha = 0.1\n",
+            # strata options on an SRSWOR design
+            "[design]\nn = 20\nkind = srswor\nranges = 0-99,100-199\n"
+            "n_per_stratum = 5,15\n",
+            "[design]\nn = 4\nranges = 0-9,10-19\n",
+            "[design]\nn = 4\nn_per_stratum = a:2,b:2\n",
+            "[campaign]\nn_list = 10,10,20\n",
             "[oracle]\nn_units = 9\n",
             "[oracle]\ntol = 0\n",
             "[population]\ncsv = %(missing)s\n",
@@ -355,6 +361,18 @@ a = 0
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("command", ["estimate", "bands", "montecarlo"])
+    def test_the_census_fit_difference_kind_exits_2(self, tmp_path, capsys,
+                                                    command):
+        # the difference estimator is an oracle, not a kind a config names
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="difference"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "must be one of ht, hajek, ma" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bands_deterministic_and_ordered(self, tmp_path):
         cfg = write_config(tmp_path, SYNTH.format(n=25, kind="ma"))
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -443,6 +461,11 @@ class TestCliRejectsBadNumbers:
              "'t_max' must be finite"),
             ("montecarlo", "n_list = 10,20", "n_list = 5,abc",
              "n_list entries must be integers, got 'abc'"),
+            # the n = 10 campaign would run twice and write two rows
+            ("montecarlo", "n_list = 10,20", "n_list = 10,20,10",
+             "n_list repeats n = 10"),
+            ("estimate", "kind = srswor", "kind = srswor\nranges = 0-29,30-59\n"
+             "n_per_stratum = 5,5", "need kind = stratified"),
             ("estimate", "kind = srswor", "kind = stratified\nranges = 0-29,30-59",
              "needs 'n_per_stratum'"),
             ("estimate", "kind = srswor",
@@ -711,7 +734,7 @@ FUZZ_VALUES = {
         "kind": ("srswor", "stratified"), "n": ("4", "10"),
         "ranges": ("0-5,6-11", "0-19,20-39"), "n_per_stratum": ("2,2", "5,5", "a:2,b:2"),
     },
-    "estimator": {"kind": ("ht", "hajek", "ma", "difference"), "a": ("0", "auto", "1e-3")},
+    "estimator": {"kind": ("ht", "hajek", "ma"), "a": ("0", "auto", "1e-3")},
     "band": {"alpha": ("0.05", "0.3"), "n_sims": ("100", "500")},
     "campaign": {"replicates": ("2", "5"), "n_list": ("4,8", "10"), "coverage": ("true", "no")},
     "oracle": {
@@ -720,7 +743,7 @@ FUZZ_VALUES = {
     },
 }
 FUZZ_JUNK = ("nan", "inf", "-inf", "-1", "0", "1e308", "1e-300", "", "abc", "5-",
-             "0-x", "a:", ":3", "a:b", "3,,x", "%(x)s")
+             "0-x", "a:", ":3", "a:b", "3,,x", "%(x)s", "difference")
 FUZZ_BASE = {
     "population": {"synthetic": "true", "n_units": "40", "n_points": "5"},
     "design": {"kind": "srswor", "n": "10"},
