@@ -6,9 +6,12 @@ should fall with n while its squared-bias share stays small.
 """
 
 import argparse
+import sys
 
 from curvesurvey import (
+    NumericalError,
     SamplingDesign,
+    ValidationError,
     heteroscedastic_study_population,
     run_campaign,
     study_population,
@@ -60,4 +63,12 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    # as the CLI: a message and exit code 2 (bad input) or 3 (degeneracy)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        raise SystemExit(3)

@@ -273,9 +273,16 @@ def build_design(
         strata = tuple(np.arange(lo, hi + 1) for lo, hi in d.ranges)
     elif labels is not None:
         allocation = sorted(allocation)  # strata in label order
+        named = [label for label, _ in allocation]
+        for label, following in zip(named, named[1:]):
+            _require(label != following,
+                     f"n_per_stratum names stratum label {label!r} twice")
+        missing = sorted(set(labels).difference(named))
+        _require(not missing, "n_per_stratum has no count for stratum label "
+                 + ", ".join(map(repr, missing)))
         arr = np.asarray(labels)
-        strata = tuple(np.flatnonzero(arr == label) for label, _ in allocation)
-        for (label, _), members in zip(allocation, strata):
+        strata = tuple(np.flatnonzero(arr == label) for label in named)
+        for label, members in zip(named, strata):
             _require(members.size > 0, f"no units carry stratum label {label!r}")
     else:
         raise ConfigurationError(

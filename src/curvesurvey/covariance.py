@@ -22,6 +22,11 @@ itself by a thin QR, so the estimate keeps C as `rows`.  The variance
 function costs O(rows * D) and the D x D matrix O(rows * D^2); no n x n
 or N x N matrix is built.  The dense u' W u formulas live in
 ``oracle.py`` as the reference the tests compare against.
+
+The estimator takes the linearized rows of one sample or of a (B, n)
+stack of samples: each sample's rows are put in stratum order and centred
+on their own, along the last two axes, so the stacked C, variance and
+C'C equal their single-sample values bit for bit.
 """
 
 from __future__ import annotations
@@ -42,11 +47,13 @@ class CovarianceEstimate:
     `rows`.  The `variance` function, C's column sums of squares, is
     computed here at O(rows * D); the D x D `matrix` is formed when first
     read.  A variance that overflows float64 raises NumericalError; a
-    finite one bounds every entry of C'C (Cauchy-Schwarz)."""
+    finite one bounds every entry of C'C (Cauchy-Schwarz).  A (B, rows, D)
+    stack holds the B estimates of a stack of samples; `variance` and
+    `matrix` then carry the leading B too."""
 
     def __init__(self, rows: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
-            self.variance = np.einsum("ij,ij->j", rows, rows)
+            self.variance = np.einsum("...ij,...ij->...j", rows, rows)
         if not np.isfinite(self.variance).all():
             raise NumericalError("covariance overflows float64 (a variance "
                                  "is not finite)")
@@ -54,15 +61,16 @@ class CovarianceEstimate:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.rows.T @ self.rows
+        return self.rows.swapaxes(-1, -2) @ self.rows
 
 
 def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
                         indices: np.ndarray | None = None):
     """CovarianceEstimate of the population curves (oracle.py's exact
-    covariances), or of the linearized rows of the sampled units `indices`:
-    one gather puts the rows in stratum order (a copy when they already
-    are), then each stratum's slice is centred and scaled in place (module
+    covariances), or of the linearized rows of the sampled units `indices`,
+    one sample (n,) or a stack (B, n) with rows (B, n, D): one gather puts
+    each sample's rows in stratum order (a copy when they already are),
+    then each stratum's slice is centred and scaled in place (module
     docstring)."""
     strata, n_h = design.allocation
     labels = design.stratum_of()
@@ -70,18 +78,19 @@ def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
         sizes = [s.size for s in strata]
     else:
         labels, sizes = labels[indices], n_h
-    if np.all(labels[:-1] <= labels[1:]):  # already in stratum order
+    if np.all(labels[..., :-1] <= labels[..., 1:]):  # already in stratum order
         c = rows.copy()
     else:
-        c = rows[np.argsort(labels, kind="stable")]
+        order = np.argsort(labels, axis=-1, kind="stable")
+        c = np.take_along_axis(rows, order[..., None], axis=-2)
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for s, n, m in zip(strata, n_h, sizes):
-            block = c[start:start + m]
+            block = c[..., start:start + m, :]
             start += m
             weight = s.size**2 * (1.0 - n / s.size) / n
             if m > 1:
-                block -= block.sum(axis=0) / m
+                block -= block.sum(axis=-2, keepdims=True) / m
                 weight /= m - 1
             else:  # the uncentred n_h = 1 convention
                 weight /= n

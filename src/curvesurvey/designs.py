@@ -114,28 +114,43 @@ def _indices(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """A drawn sample: sorted distinct unit indices, n_h of them in stratum h."""
+    """A drawn sample: sorted distinct unit indices, n_h of them in stratum
+    h.  Indices of shape (n,) hold one sample; a (B, n) stack holds B
+    samples of the design, each row sorted and checked on its own, which
+    the estimators and the covariance take as one batch."""
 
     indices: np.ndarray
     design: SamplingDesign
 
     def __post_init__(self):
-        idx = np.sort(_indices(self.indices, "sample indices"))
-        if idx.size != self.design.n:
+        idx = _indices(self.indices, "sample indices")
+        if idx.ndim not in (1, 2) or (idx.ndim == 2 and len(idx) == 0):
+            raise ValidationError("sample indices must be one sample (n,) or "
+                                  f"a stack (B >= 1, n), got shape {idx.shape}")
+        idx = np.sort(idx, axis=-1)
+        if idx.shape[-1] != self.design.n:
             raise ValidationError(
-                f"sample size {idx.size} != design size {self.design.n}"
+                f"sample size {idx.shape[-1]} != design size {self.design.n}"
             )
-        if np.any(idx[1:] == idx[:-1]):  # sorted, so repeats are neighbours
+        if (idx[..., 1:] == idx[..., :-1]).any():  # sorted: repeats are neighbours
             raise ValidationError("sample indices must be distinct")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.design.N):
+        if idx[..., 0].min() < 0 or idx[..., -1].max() >= self.design.N:
             raise ValidationError("sample indices out of 0..N-1")
         n_h = self.design.allocation[1]
-        counts = np.bincount(self.design.stratum_of()[idx], minlength=len(n_h))
-        if tuple(counts.tolist()) != n_h:
-            raise ValidationError(
-                f"sample has {tuple(counts.tolist())} units per stratum, "
-                f"the design draws n_h = {n_h}"
-            )
+        if len(n_h) > 1:  # a sample of size n has n units in one stratum
+            # units per stratum of each sample, from one bincount of the
+            # labels offset by len(n_h) per sample
+            labels = self.design.stratum_of()[idx].reshape(-1, idx.shape[-1])
+            offsets = len(n_h) * np.arange(len(labels))[:, None]
+            counts = np.bincount((labels + offsets).ravel(),
+                                 minlength=len(labels) * len(n_h))
+            counts = counts.reshape(-1, len(n_h))
+            wrong = np.flatnonzero((counts != n_h).any(axis=1))
+            if wrong.size:
+                raise ValidationError(
+                    f"sample has {tuple(counts[wrong[0]].tolist())} units per "
+                    f"stratum, the design draws n_h = {n_h}"
+                )
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -163,14 +178,26 @@ def joint_probs_submatrix(design: SamplingDesign, idx: np.ndarray) -> np.ndarray
     return mat
 
 
-def draw(design: SamplingDesign, rng: np.random.Generator) -> Sample:
-    """Draw one sample; every admissible sample equiprobable for SRSWOR and
-    within each stratum.  Deterministic given the generator state."""
-    parts = [
+def _draw_indices(design: SamplingDesign,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The unit indices of one sample drawn from rng, stratum by stratum
+    (unsorted: Sample sorts them)."""
+    return np.concatenate([
         s[rng.choice(s.size, size=m, replace=False)]
         for s, m in zip(*design.allocation)
-    ]
-    return Sample(indices=np.sort(np.concatenate(parts)), design=design)
+    ])
+
+
+def draw(design: SamplingDesign,
+         rng: np.random.Generator | list[np.random.Generator]) -> Sample:
+    """Draw one sample from the generator rng, or, given a list of
+    generators, the (B, n) stack of one sample from each, validated once.
+    Every admissible sample is equiprobable for SRSWOR and within each
+    stratum, and each sample depends only on its own generator's state."""
+    if isinstance(rng, (list, tuple)):
+        return Sample(np.array([_draw_indices(design, r) for r in rng]),
+                      design)
+    return Sample(_draw_indices(design, rng), design)
 
 
 def replicate_rng(master_seed: int, *key: int) -> np.random.Generator:

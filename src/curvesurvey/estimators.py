@@ -18,6 +18,12 @@ the weights closest to 1/pi that reproduce the auxiliary totals.  The MA
 estimate and those calibration weights therefore come from the same SVD
 fit; ``oracle.py`` keeps an independent lstsq twin of the weights, and of
 the eigenvalue-floored inverse, for the tests and ``oracle-check``.
+
+Every mean takes one sample or a (B, n) stack of samples (a campaign's
+block of replicates) through the same code: sums run over axis -2,
+products over the last two axes and the fit is one stacked SVD, so each
+stacked curve equals its single-sample curve bit for bit.  A stack fails
+as a whole when any of its samples fails.
 """
 
 from __future__ import annotations
@@ -56,7 +62,9 @@ def _check_match(pop: FunctionalPopulation, design: SamplingDesign):
 
 
 def _sample_arrays(pop: FunctionalPopulation, sample: Sample):
-    """(x_s, y_s, pi) of the sampled units, once the sizes are checked."""
+    """(x_s, y_s, pi) of the sampled units, once the sizes are checked:
+    (n, p), (n, D) and (n,) for one sample, with a leading B for a stack,
+    gathered by one fancy index each."""
     _check_match(pop, sample.design)
     pi = first_order_probs(sample.design)[sample.indices]
     return pop.aux[sample.indices], pop.values[sample.indices], pi
@@ -65,7 +73,7 @@ def _sample_arrays(pop: FunctionalPopulation, sample: Sample):
 def ht_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Horvitz-Thompson estimator: inverse-probability-weighted mean."""
     _, y_s, pi = _sample_arrays(pop, sample)
-    curve = (y_s / pi[:, None]).sum(axis=0) / pop.N
+    curve = (y_s / pi[..., None]).sum(axis=-2) / pop.N
     return MeanEstimate(curve=curve, estimator_kind="HT", linearized=y_s)
 
 
@@ -73,15 +81,23 @@ def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Hajek estimator: HT total divided by the HT-estimated population size."""
     _, y_s, pi = _sample_arrays(pop, sample)
     w = 1.0 / pi
-    curve = (y_s * w[:, None]).sum(axis=0) / w.sum()
-    return MeanEstimate(curve=curve, estimator_kind="Hajek",
-                        linearized=y_s - curve)
+    curve = (y_s * w[..., None]).sum(axis=-2) / w.sum(axis=-1, keepdims=True)
+    y_s -= curve[..., None, :]  # the linearized rows, over the gathered rows
+    return MeanEstimate(curve=curve, estimator_kind="Hajek", linearized=y_s)
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The value of the first sample of a batch flagged bad, for a message."""
+    return float(np.broadcast_to(values, bad.shape)[bad].flat[0])
 
 
 def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
     """(beta, a_used, floored): the (p, D) coefficient curves of the
     regression of y on x weighted by 1/pi, with the moment matrix
     G = sum x x' / (pi N) floored at a, and whether the floor fired.
+    x, y and pi may carry a leading batch axis, one independent fit per
+    sample (one stacked SVD); a_used and floored then have the batch
+    shape, and the call fails when any fit of the batch fails.
 
     With the thin SVD x / sqrt(pi) = U S V', G = V diag(S^2 / N) V' and
     b = sum x y / (pi N) = V diag(S / N) U' (y / sqrt(pi)), so
@@ -94,38 +110,43 @@ def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
     """
     if a is not None and a < 0:
         raise ValidationError("regularization floor a must be >= 0")
-    root_pi = np.sqrt(pi)[:, None]
+    root_pi = np.sqrt(pi)[..., None]
     u, s, vt = np.linalg.svd(x / root_pi, full_matrices=False)
     # eigenvalues of G over the largest; those missing when n < p are 0
-    ratio = np.zeros(x.shape[1])
-    if s[0] > 0:
-        ratio[: s.size] = (s / s[0]) ** 2
-    mean_ratio = ratio.mean()  # trace(G) / p over the largest eigenvalue
+    ratio = np.zeros(s.shape[:-1] + x.shape[-1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio[..., : s.shape[-1]] = np.where(s[..., :1] > 0,
+                                             (s / s[..., :1]) ** 2, 0.0)
+    mean_ratio = ratio.mean(axis=-1)  # trace(G) / p over the largest eigenvalue
     root_eig = s / np.sqrt(N)  # square roots of the eigenvalues of G
     if a is None:
-        if not root_eig[0] < _SQRT_MAX:
+        overflow = ~(root_eig[..., 0] < _SQRT_MAX)
+        if np.any(overflow):
             raise NumericalError(
                 f"{label} moment matrix overflows float64 (largest eigenvalue "
-                f"{root_eig[0]:g}^2), so its relative floor is undefined"
+                f"{_first(root_eig[..., 0], overflow):g}^2), so its relative "
+                "floor is undefined"
             )
-        a = DEFAULT_FLOOR_REL * mean_ratio * root_eig[0] ** 2
-    if a == 0.0:
-        threshold = SINGULARITY_REL * mean_ratio
-        if ratio.min() <= threshold:
-            raise NumericalError(
-                f"{label} moment matrix is singular (eigenvalue ratio min/max "
-                f"{ratio.min():g} <= threshold {threshold:g})"
-            )
-    floored = root_eig < np.sqrt(a)
-    scale = np.empty_like(s)
-    scale[~floored] = 1.0 / s[~floored]
-    scale[floored] = s[floored] / (N * a)
-    beta = vt.T @ (scale[:, None] * ((u / root_pi).T @ y))
-    return beta, float(a), bool(floored.any()) or s.size < x.shape[1]
+        a = DEFAULT_FLOOR_REL * mean_ratio * root_eig[..., 0] ** 2
+    a = np.asarray(a, dtype=float)
+    threshold = SINGULARITY_REL * mean_ratio
+    singular = (a == 0.0) & (ratio.min(axis=-1) <= threshold)
+    if np.any(singular):
+        raise NumericalError(
+            f"{label} moment matrix is singular (eigenvalue ratio min/max "
+            f"{_first(ratio.min(axis=-1), singular):g} <= threshold "
+            f"{_first(threshold, singular):g})"
+        )
+    floored = root_eig < np.sqrt(a)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(floored, s / (N * a[..., None]), 1.0 / s)
+    beta = vt.swapaxes(-1, -2) @ (
+        scale[..., None] * ((u / root_pi).swapaxes(-1, -2) @ y))
+    return beta, a, floored.any(axis=-1) | (s.shape[-1] < x.shape[-1])
 
 
-def _has_intercept(x_s: np.ndarray) -> bool:
-    return bool(np.any(np.all(x_s == 1.0, axis=0)))
+def _has_intercept(x_s: np.ndarray) -> np.ndarray:
+    return np.any(np.all(x_s == 1.0, axis=-2), axis=-1)
 
 
 def model_assisted_mean(
@@ -135,24 +156,26 @@ def model_assisted_mean(
 
     beta is the sampled fit floored at a and e_s = y_s - x_s beta its
     residuals, the linearized rows.  Nothing outside the sample enters
-    beyond the auxiliary population totals t_x.
+    beyond the auxiliary population totals t_x.  For a (B, n) stack of
+    samples a_used is a float, or a list of B floats when a = None.
     """
     x_s, y_s, pi = _sample_arrays(pop, sample)
     beta, a_used, floored = _fit(x_s, y_s, pi, pop.N, a)
-    y_max = max(y_s.max(), -y_s.min())
+    y_max = np.maximum(y_s.max(axis=(-2, -1)), -y_s.min(axis=(-2, -1)))
     y_s -= x_s @ beta  # the residuals, over the gathered rows
-    resid_ht = (1.0 / pi) @ y_s / pop.N
-    if _has_intercept(x_s) and not floored:
-        # with an intercept the HT sum of estimated residuals must vanish
-        tol = 1e-8 * max(1.0, float(y_max))
-        if np.abs(resid_ht).max() > tol:
-            raise NumericalError(
-                "intercept residual cancellation violated "
-                f"(max |HT residual| = {np.abs(resid_ht).max():g})"
-            )
+    resid_ht = ((1.0 / pi)[..., None, :] @ y_s)[..., 0, :] / pop.N
+    # with an intercept the HT sum of estimated residuals must vanish
+    worst = np.abs(resid_ht).max(axis=-1)
+    broken = (_has_intercept(x_s) & ~floored
+              & (worst > 1e-8 * np.maximum(1.0, y_max)))
+    if np.any(broken):
+        raise NumericalError(
+            "intercept residual cancellation violated "
+            f"(max |HT residual| = {_first(worst, broken):g})"
+        )
     curve = pop.aux_totals() @ beta / pop.N + resid_ht
     return MeanEstimate(curve=curve, estimator_kind="ModelAssisted",
-                        a_used=a_used, linearized=y_s)
+                        a_used=a_used.tolist(), linearized=y_s)
 
 
 # kind -> mean(pop, sample, a).  Each looks its function up by name at the

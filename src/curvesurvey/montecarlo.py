@@ -4,6 +4,17 @@ Draws many independent samples, re-estimates the mean curve and its
 covariance on each, and summarizes variance-estimation accuracy (relative
 error, RMSE split into squared relative bias plus a variance term) and,
 optionally, simultaneous band coverage.
+
+Replicates run in blocks of B = max(1, BLOCK_FLOATS // (n * D))
+consecutive indices, so each stacked (B, n, D) array of a block holds at
+most BLOCK_FLOATS floats.  Replicate i draws its sample from its own
+stream replicate_rng(seed, i, 0); the block's B index rows form one
+(B, n) Sample, validated once, and the estimator and the covariance run
+once on the whole stack, through the same functions as a single sample.
+The band stays per replicate: covers reads replicate i's slice of the
+block's curve and rows, with the stream replicate_rng(seed, i, 1).  A
+block in which any estimate raises is re-run one replicate at a time, so
+errors are counted and reported per replicate.  A pool task is a block.
 """
 
 from __future__ import annotations
@@ -12,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import covers
+from .bands import _check_sims, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
 from .designs import SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
-from .estimators import ESTIMATORS
+from .estimators import ESTIMATORS, MeanEstimate
 from .grids import FunctionalPopulation, population_mean
 from .linalg import _one_blas_thread, _set_blas_threads
 
@@ -49,6 +60,22 @@ def empirical_covariance(estimates: np.ndarray) -> CovarianceEstimate:
     return CovarianceEstimate(rows)
 
 
+# Floats in each stacked (B, n, D) array of a replicate block: a campaign
+# runs B = max(1, BLOCK_FLOATS // (n * D)) replicates per block, so a
+# block's temporaries stay near 1 MB; at the load-curve scale
+# (n * D = 672 000) blocks hold one replicate.  Measured on a 2-core Xeon
+# at one BLAS thread, CPU time of three 1000-replicate Hajek campaigns at
+# N = 2000, D = 48, n = 50 / 100 / 300: blocks of one replicate 0.64 s,
+# 2**14 floats 0.45-0.49 s, 2**15 (B = 13 / 6 / 2) 0.37-0.43 s and 2**16
+# 0.33-0.38 s, for twice the memory.
+BLOCK_FLOATS = 2**15
+
+
+def block_size(n: int, d: int) -> int:
+    """Replicates per block of a campaign drawing n units on D points."""
+    return max(1, BLOCK_FLOATS // (n * d))
+
+
 @dataclass(frozen=True, eq=False)
 class _Campaign:
     """What every replicate of one campaign reads; sent to each pool worker
@@ -65,30 +92,60 @@ class _Campaign:
     truth: np.ndarray
 
 
-def _run_replicate(campaign: _Campaign, i: int):
-    """(mean curve, variance curve, band covers truth) of replicate i.
+def _block(c: _Campaign, lo: int, hi: int):
+    """(curves, variances, flags, []) of replicates lo..hi-1, run as one
+    stack; raises the CurveSurveyError of any replicate's estimate.  flags
+    holds 1 where a replicate's band covers the truth, 0 where it misses
+    and -1 where no band was built (coverage off, or the band failed)."""
+    replicates = range(lo, hi)
+    sample = draw(c.design, [replicate_rng(c.seed, i, 0) for i in replicates])
+    estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
+    gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
+    flags = np.full(len(replicates), -1, dtype=np.int8)
+    for j, i in enumerate(replicates if c.coverage else ()):
+        try:
+            flags[j] = covers(
+                MeanEstimate(estimate.curve[j], estimate.estimator_kind),
+                CovarianceEstimate(gamma.rows[j]), n=c.design.n,
+                alpha=c.alpha, n_sims=c.sims, seed=replicate_rng(c.seed, i, 1),
+                truth=c.truth)
+        except CurveSurveyError:
+            pass  # counted as an error, its estimate kept
+    return estimate.curve, gamma.variance, flags, []
 
-    When the estimate failed the mean curve is None and the variance slot
-    holds the error message; covered is None without coverage or when the
-    band failed.
-    """
-    c = campaign
-    sample = draw(c.design, replicate_rng(c.seed, i, 0))
+
+def _concat(parts):
+    """The results of consecutive replicate blocks as one result."""
+    curves, variances, flags, errors = zip(*parts)
+    return (np.concatenate(curves), np.concatenate(variances),
+            np.concatenate(flags), sum(errors, []))
+
+
+def _solo(c: _Campaign, i: int):
+    """Replicate i as a block of one; when its estimate fails, no curve and
+    the error message."""
     try:
-        estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
-        gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
+        return _block(c, i, i + 1)
     except CurveSurveyError as exc:
-        return None, str(exc), None
-    gdiag = gamma.variance  # covers alone reads the D x D matrix
-    if not c.coverage:
-        return estimate.curve, gdiag, None
-    try:
-        covered = covers(estimate, gamma, n=c.design.n, alpha=c.alpha,
-                         n_sims=c.sims, seed=replicate_rng(c.seed, i, 1),
-                         truth=c.truth)
-    except CurveSurveyError:
-        return estimate.curve, gdiag, None
-    return estimate.curve, gdiag, covered
+        empty = np.empty((0, c.truth.size))
+        return empty, empty, np.empty(0, dtype=np.int8), [str(exc)]
+
+
+def _run_replicate(campaign: _Campaign, lo: int, hi: int):
+    """(curves, variances, flags, errors) of replicates lo..hi-1: curves and
+    variances (k, D) and flags (k,) of the k replicates whose estimate
+    succeeded, in replicate order, and the messages of those that failed.
+
+    The block runs as one stack; when any of its estimates raises
+    CurveSurveyError it is re-run one replicate at a time, so every failure
+    is counted and reported as that replicate's own, as for blocks of one.
+    """
+    if hi - lo > 1:
+        try:
+            return _block(campaign, lo, hi)
+        except CurveSurveyError:
+            pass
+    return _concat([_solo(campaign, i) for i in range(lo, hi)])
 
 
 _WORKER_CAMPAIGN: _Campaign | None = None
@@ -101,8 +158,8 @@ def _start_worker(campaign: _Campaign) -> None:
     _set_blas_threads(1)
 
 
-def _worker_replicate(i: int):
-    return _run_replicate(_WORKER_CAMPAIGN, i)
+def _worker_replicate(block: tuple[int, int]):
+    return _run_replicate(_WORKER_CAMPAIGN, *block)
 
 
 def run_campaign(
@@ -126,42 +183,37 @@ def run_campaign(
         raise ValidationError("need at least 2 replicates")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    if compute_coverage:
+        _check_sims(alpha, band_sims)
     campaign = _Campaign(pop, design, estimator, a, master_seed,
                          compute_coverage, alpha, band_sims, population_mean(pop))
-    workers = min(workers, replicates)  # a fork pool starts every worker at once
+    size = block_size(design.n, pop.grid.size)
+    blocks = [(lo, min(lo + size, replicates))
+              for lo in range(0, replicates, size)]
+    workers = min(workers, len(blocks))  # a fork pool starts every worker at once
     if workers == 1:
         with _one_blas_thread():
-            results = [_run_replicate(campaign, i) for i in range(replicates)]
+            results = [_run_replicate(campaign, *b) for b in blocks]
     else:
         # imported for a pool only: it loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, replicates // (workers * 4))
+        chunksize = max(1, len(blocks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(campaign,)) as pool:
-            results = list(pool.map(_worker_replicate, range(replicates),
+            results = list(pool.map(_worker_replicate, blocks,
                                     chunksize=chunksize))
 
-    mus, gdiags, flags, failures, first_error = [], [], [], 0, None
-    for mu, gdiag, covered in results:
-        if mu is None:
-            failures += 1
-            first_error = first_error or gdiag
-            continue
-        mus.append(mu)
-        gdiags.append(gdiag)
-        if compute_coverage:
-            if covered is None:
-                failures += 1  # estimate succeeded but the band step failed
-            else:
-                flags.append(covered)
+    mus, gdiags, flags, errors = _concat(results)
+    failures = len(errors)
+    if compute_coverage:
+        failures += int(np.count_nonzero(flags < 0))  # estimate kept, band failed
+    flags = flags[flags >= 0]  # one per band built
     if len(mus) < 2:
         raise NumericalError(
             f"only {len(mus)} of {replicates} replicates produced estimates "
-            f"(first failure: {first_error})"
+            f"(first failure: {errors[0] if errors else None})"
         )
-    mus = np.asarray(mus)
-    gdiags = np.asarray(gdiags)
     gamma_emp = empirical_covariance(mus)
     emp_diag = gamma_emp.variance
     mean_gdiag = gdiags.mean(axis=0)
@@ -180,7 +232,7 @@ def run_campaign(
         vr = rmse - rb2
         qs = np.quantile(ers, [0.05, 0.25, 0.5, 0.75, 0.95])
         quantiles = dict(zip(quantile_keys, map(float, qs)))
-        coverage = float(np.mean(flags)) if flags else None
+        coverage = float(np.mean(flags)) if flags.size else None
     return MonteCarloReport(
         n=design.n,
         replicates=replicates,

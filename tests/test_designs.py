@@ -138,6 +138,48 @@ class TestDraw:
         assert s.indices.size == 2
         assert s.indices[0] in (0, 1) and s.indices[1] in (2, 3)
 
+    @pytest.mark.parametrize("design", [
+        SamplingDesign(N=50, n=10),
+        SamplingDesign(N=30, n=9, strata=tuple(np.arange(h, 30, 3)
+                                                for h in range(3)),
+                       n_h=(2, 3, 4)),
+    ])
+    def test_a_list_of_streams_draws_the_stack_of_their_samples(self, design):
+        stack = draw(design, [replicate_rng(7, i, 0) for i in range(5)])
+        assert stack.indices.shape == (5, design.n)
+        for i, row in enumerate(stack.indices):
+            assert np.array_equal(row, draw(design, replicate_rng(7, i, 0)).indices)
+
+
+class TestSampleStack:
+    """A (B, n) Sample checks each of its rows as a sample of its own."""
+
+    def test_rows_are_sorted_and_read_only(self):
+        d = stratified_2x2()
+        s = Sample([[3, 1], [0, 2]], d)
+        assert s.indices.tolist() == [[1, 3], [0, 2]]
+        assert not s.indices.flags.writeable
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 2], [1, 1]], "must be distinct"),
+        ([[1, 2], [0, 4]], "out of 0..N-1"),
+        ([[1, 2], [0, 1]], r"sample has \(2, 0\) units per stratum"),
+        ([[1, 2, 3], [0, 2, 3]], "sample size 3 != design size 2"),
+        ([[[1, 2]]], r"one sample \(n,\) or a stack \(B >= 1, n\)"),
+        (np.empty((0, 2), dtype=int), "got shape \\(0, 2\\)"),
+        (3, "got shape \\(\\)"),
+    ])
+    def test_one_bad_row_refuses_the_stack(self, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            Sample(rows, stratified_2x2())
+
+    def test_the_message_names_the_first_bad_row(self):
+        d = SamplingDesign(N=6, n=3, strata=(np.array([0, 1]),
+                                             np.array([2, 3, 4, 5])),
+                           n_h=(1, 2))
+        with pytest.raises(ValidationError, match=r"\(0, 3\) units"):
+            Sample([[0, 2, 3], [2, 3, 4], [0, 1, 2]], d)
+
 
 class TestEnumeration:
     def test_srswor_4_2(self):

@@ -190,6 +190,18 @@ n_per_stratum = a:1,b:1
         design = build_design(cfg, 4, ["a", "b", "a", "b"])
         assert design.n_h == (1, 1)
 
+    @pytest.mark.parametrize("allocation, message", [
+        ("a:2,b:2", "no count for stratum label 'c'"),
+        ("a:2,b:2,d:2", "no count for stratum label 'c'"),
+        ("b:1,a:2,a:1,c:2", "names stratum label 'a' twice"),
+    ])
+    def test_label_allocation_must_match_the_strata_column(
+            self, tmp_path, allocation, message):
+        cfg = load_config(write_config(tmp_path, "[design]\nkind = stratified\n"
+                                       f"n = 4\nn_per_stratum = {allocation}\n"))
+        with pytest.raises(ValidationError, match=message):
+            build_design(cfg, 6, list("abcabc"))
+
     @pytest.mark.parametrize("n_list, largest", [("10,50", 50), ("51,10", 51)])
     def test_n_list_bounded_by_the_population(self, tmp_path, n_list, largest):
         # every entry is checked against N before any campaign runs

@@ -8,13 +8,19 @@ import pytest
 
 from curvesurvey import estimators, linalg, montecarlo
 from curvesurvey import (
+    CurveSurveyError,
     NumericalError,
     SamplingDesign,
     ValidationError,
+    draw,
     run_campaign,
     study_population,
 )
-from curvesurvey.grids import FunctionalPopulation
+from curvesurvey.bands import covers
+from curvesurvey.covariance import ht_covariance_estimate
+from curvesurvey.designs import replicate_rng
+from curvesurvey.estimators import ESTIMATORS
+from curvesurvey.grids import FunctionalPopulation, TimeGrid, population_mean
 from curvesurvey.montecarlo import empirical_covariance
 
 
@@ -129,9 +135,15 @@ def _stratified(pop):
                           n_h=(25, 15))
 
 
+def _blocks(replicates, design, pop):
+    """The number of replicate blocks a campaign runs, ceil(R / B)."""
+    return -(-replicates // montecarlo.block_size(design.n, pop.grid.size))
+
+
 class TestReplicateWork:
-    """A replicate computes what the report reads: the variance curve, from
-    one gather and one fit; the D x D matrix only for a coverage band."""
+    """A replicate block computes what the report reads: the variance
+    curves, from one gather and one fit per block; the D x D matrix only
+    for a coverage band, once per replicate."""
 
     @pytest.fixture(params=["srswor", "stratified"])
     def design(self, request, mc_pop):
@@ -144,7 +156,7 @@ class TestReplicateWork:
                                         estimator):
         run_campaign(mc_pop, design, replicates=6, estimator=estimator)
         assert covariance_work["grams"] == 0
-        assert covariance_work["rows"] == 6
+        assert covariance_work["rows"] == _blocks(6, design, mc_pop) == 1
 
     @pytest.mark.parametrize("coverage", [False, True])
     def test_ma_gathers_and_fits_once(self, mc_pop, design, monkeypatch,
@@ -153,7 +165,8 @@ class TestReplicateWork:
         fits = _count_calls(monkeypatch, estimators, "_fit")
         run_campaign(mc_pop, design, replicates=5, compute_coverage=coverage,
                      band_sims=200)
-        assert (len(gathers), len(fits)) == (5, 5)
+        blocks = _blocks(5, design, mc_pop)
+        assert (len(gathers), len(fits)) == (blocks, blocks) == (1, 1)
 
     def test_coverage_forms_the_matrix_once(self, mc_pop, design,
                                             covariance_work):
@@ -161,7 +174,174 @@ class TestReplicateWork:
                               compute_coverage=True, band_sims=200)
         assert report.coverage_bands == 5
         assert covariance_work["grams"] == 5
-        assert covariance_work["rows"] == 5
+        assert covariance_work["rows"] == _blocks(5, design, mc_pop) == 1
+
+
+def _label_strata(pop):
+    """Three interleaved strata, unit k in stratum k % 3, so a sorted sample
+    is not in stratum order."""
+    return SamplingDesign(N=pop.N, n=30,
+                          strata=tuple(np.arange(h, pop.N, 3) for h in range(3)),
+                          n_h=(8, 10, 12))
+
+
+def _replicate_twin(pop, design, replicates, kind, a, coverage, seed,
+                    alpha=0.1, sims=200):
+    """Per replicate, on single samples: (mean curve, variance curve, covers
+    flag or None, error message or None)."""
+    out = []
+    for i in range(replicates):
+        sample = draw(design, replicate_rng(seed, i, 0))
+        try:
+            estimate = ESTIMATORS[kind](pop, sample, a)
+            gamma = ht_covariance_estimate(pop, sample, estimate=estimate)
+        except CurveSurveyError as exc:
+            out.append((None, None, None, str(exc)))
+            continue
+        flag = None
+        if coverage:
+            flag = covers(estimate, gamma, n=design.n, alpha=alpha,
+                          n_sims=sims, seed=replicate_rng(seed, i, 1),
+                          truth=population_mean(pop))
+        out.append((estimate.curve, gamma.variance, flag, None))
+    return out
+
+
+def _record_campaign(monkeypatch):
+    """Record the per-replicate results run_campaign aggregates: the last
+    value montecarlo._concat returns in this process."""
+    seen, concat = [], montecarlo._concat
+
+    def recording(parts):
+        seen.append(concat(parts))
+        return seen[-1]
+
+    monkeypatch.setattr(montecarlo, "_concat", recording)
+    return seen
+
+
+class TestBlocks:
+    """Replicates run in stacked blocks, and each equals the single-sample
+    draw, estimate, covariance and band of its own streams, bit for bit."""
+
+    DESIGNS = {
+        "srswor": lambda pop: SamplingDesign(N=pop.N, n=30),
+        "ranges": _stratified,
+        "labels": _label_strata,
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("coverage", [False, True])
+    @pytest.mark.parametrize("layout", ["srswor", "ranges", "labels"])
+    @pytest.mark.parametrize("kind, a", [("ht", 0.0), ("hajek", 0.0),
+                                         ("ma", 0.0), ("ma", None)])
+    def test_equals_the_single_sample_loop(self, mc_pop, monkeypatch, kind,
+                                           a, layout, coverage, workers):
+        design = self.DESIGNS[layout](mc_pop)
+        # blocks of 3, so 7 replicates run as 3 + 3 + 1
+        monkeypatch.setattr(montecarlo, "BLOCK_FLOATS",
+                            3 * design.n * mc_pop.grid.size)
+        assert montecarlo.block_size(design.n, mc_pop.grid.size) == 3
+        seen = _record_campaign(monkeypatch)
+        report = run_campaign(mc_pop, design, replicates=7, estimator=kind,
+                              a=a, compute_coverage=coverage, alpha=0.1,
+                              band_sims=200, master_seed=8, workers=workers)
+        twin = _replicate_twin(mc_pop, design, 7, kind, a, coverage, seed=8)
+        curves, variances, flags, errors = seen[-1]
+        assert errors == [] and report.n_errors == 0
+        assert np.array_equal(curves, [t[0] for t in twin])
+        assert np.array_equal(variances, [t[1] for t in twin])
+        assert np.array_equal(report.mean_curve, curves.mean(axis=0))
+        assert np.array_equal(report.mean_gamma_diag, variances.mean(axis=0))
+        if coverage:
+            assert flags.tolist() == [int(t[2]) for t in twin]
+            assert report.coverage == np.mean([t[2] for t in twin])
+            assert report.coverage_bands == 7
+        else:
+            assert flags.tolist() == [-1] * 7
+            assert report.coverage is None and report.coverage_bands == 0
+
+    @staticmethod
+    def dummy_population(dummies):
+        """aux = (1, z, 1 on the first `dummies` units): a sample missing
+        every dummy unit has a singular design at a = 0."""
+        rng = np.random.default_rng(5)
+        n_units = 60
+        aux = np.column_stack([np.ones(n_units), rng.normal(3, 1, n_units),
+                               (np.arange(n_units) < dummies).astype(float)])
+        values = (aux[:, :2] @ rng.standard_normal((2, 4))
+                  + rng.standard_normal((n_units, 4)))
+        return FunctionalPopulation(grid=TimeGrid(np.linspace(0, 1, 4)),
+                                    values=values, aux=aux)
+
+    def test_one_singular_replicate_in_a_block(self, monkeypatch):
+        pop = self.dummy_population(15)
+        design = SamplingDesign(N=pop.N, n=10)
+        assert montecarlo.block_size(10, 4) >= 12  # one block of 12
+        twin = _replicate_twin(pop, design, 12, "ma", 0.0, False, seed=2)
+        failed = [t[3] for t in twin if t[3] is not None]
+        assert len(failed) == 1 and "singular" in failed[0]
+        seen = _record_campaign(monkeypatch)
+        report = run_campaign(pop, design, replicates=12, estimator="ma",
+                              a=0.0, master_seed=2)
+        curves, variances, _, errors = seen[-1]
+        assert report.n_errors == 1 and errors == failed
+        assert np.array_equal(curves, [t[0] for t in twin if t[3] is None])
+        assert np.array_equal(variances, [t[1] for t in twin if t[3] is None])
+
+    def test_the_first_failure_is_the_first_replicate_s(self):
+        pop = self.dummy_population(1)
+        design = SamplingDesign(N=pop.N, n=10)
+        twin = _replicate_twin(pop, design, 6, "ma", 0.0, False, seed=1)
+        failed = [t[3] for t in twin if t[3] is not None]
+        assert len(failed) == 5
+        message = (f"only 1 of 6 replicates produced estimates "
+                   f"(first failure: {failed[0]})")
+        with pytest.raises(NumericalError) as info:
+            run_campaign(pop, design, replicates=6, estimator="ma", a=0.0,
+                         master_seed=1)
+        assert str(info.value) == message
+
+    def test_block_size_comes_from_the_float_budget(self, mc_pop, monkeypatch):
+        assert montecarlo.BLOCK_FLOATS == 2**15
+        # readme-trend's sizes at D = 48, and loadcurve's blocks of one
+        assert [montecarlo.block_size(n, 48) for n in (50, 100, 300)] == [13, 6, 2]
+        assert montecarlo.block_size(2000, 336) == 1
+        assert montecarlo.block_size(2**15, 2) == 1
+        drawn, streams = [], []
+
+        def recording_draw(design, rngs):
+            drawn.append(len(rngs))
+            return draw(design, rngs)
+
+        def recording_rng(*key):
+            streams.append(key)
+            return replicate_rng(*key)
+
+        monkeypatch.setattr(montecarlo, "draw", recording_draw)
+        monkeypatch.setattr(montecarlo, "replicate_rng", recording_rng)
+        design = SamplingDesign(N=mc_pop.N, n=200)
+        assert montecarlo.block_size(200, 12) == 13
+        run_campaign(mc_pop, design, replicates=30, master_seed=3)
+        assert drawn == [13, 13, 4]
+        assert streams == [(3, i, 0) for i in range(30)]  # one per replicate
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"band_sims": 50}, "at least 100 simulations"),
+    ({"alpha": 1.5}, r"alpha must be in \(0, 1\)"),
+    ({"alpha": 0.0}, r"alpha must be in \(0, 1\)"),
+])
+def test_bad_band_settings_are_refused_before_any_replicate(
+        mc_pop, monkeypatch, setting, message):
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(montecarlo, "_run_replicate", no_replicate)
+    design = SamplingDesign(N=mc_pop.N, n=40)
+    with pytest.raises(ValidationError, match=message):
+        run_campaign(mc_pop, design, replicates=10, compute_coverage=True,
+                     **setting)
 
 
 class TestCoverageBands:
@@ -224,19 +404,20 @@ class TestCallerBlasThreads:
         seen = []
         replicate = montecarlo._run_replicate
 
-        def recording(campaign, i):
+        def recording(campaign, lo, hi):
             seen.append(_blas_threads())
-            return replicate(campaign, i)
+            return replicate(campaign, lo, hi)
 
         monkeypatch.setattr(montecarlo, "_run_replicate", recording)
+        monkeypatch.setattr(montecarlo, "BLOCK_FLOATS", 2 * 40 * 12)
         design = SamplingDesign(N=mc_pop.N, n=40)
         run_campaign(mc_pop, design, replicates=6, master_seed=1)
-        assert seen == [1] * 6
+        assert seen == [1] * _blocks(6, design, mc_pop) == [1] * 3
         assert _blas_threads() == 2
 
     def test_count_restored_when_a_replicate_raises(
             self, mc_pop, monkeypatch, caller_at_two_blas_threads):
-        def broken(campaign, i):
+        def broken(campaign, lo, hi):
             raise RuntimeError("not a CurveSurveyError")
 
         monkeypatch.setattr(montecarlo, "_run_replicate", broken)
@@ -281,8 +462,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return [montecarlo._run_replicate(self.campaign, i) for i in items]
+    def map(self, fn, blocks, chunksize=1):
+        return [montecarlo._run_replicate(self.campaign, *b) for b in blocks]
 
 
 def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
@@ -290,11 +471,15 @@ def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     design = SamplingDesign(N=mc_pop.N, n=40)
-    capped = run_campaign(mc_pop, design, replicates=10, master_seed=3,
-                          workers=500)
-    run_campaign(mc_pop, design, replicates=10, master_seed=3, workers=3)
+    replicates = 9 * montecarlo.block_size(40, 12) + 1  # ten blocks
+    assert _blocks(replicates, design, mc_pop) == 10
+    capped = run_campaign(mc_pop, design, replicates=replicates,
+                          master_seed=3, workers=500)
+    run_campaign(mc_pop, design, replicates=replicates, master_seed=3,
+                 workers=3)
     assert _RecordingPool.sizes == [10, 3]
-    serial = run_campaign(mc_pop, design, replicates=10, master_seed=3)
+    serial = run_campaign(mc_pop, design, replicates=replicates,
+                          master_seed=3)
     assert _RecordingPool.sizes == [10, 3]
     assert np.array_equal(capped.gamma_emp.matrix, serial.gamma_emp.matrix)
 
@@ -307,7 +492,8 @@ def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
     # three GEN_BLOCKs: the normals are drawn on a helper thread
     pop = study_population(3000, 8, seed=2)
     design = SamplingDesign(N=pop.N, n=40)
-    run_campaign(pop, design, replicates=4, master_seed=1, workers=2)
+    replicates = montecarlo.block_size(40, 8) + 1  # two blocks, so a pool
+    run_campaign(pop, design, replicates=replicates, master_seed=1, workers=2)
     assert _RecordingPool.threads == [before]
 
 

@@ -35,6 +35,8 @@ def test_campaign_layers_are_traced(estimator):
     finally:
         tracer.uninstall()
     recorded = spans.SpanStats(tracer.spans)
-    assert recorded.count("montecarlo.replicate") == 3
-    for name in ("estimators.mean", "covariance.estimate"):
-        assert recorded.count(name, under="montecarlo.replicate") == 3, name
+    # one span per block of replicates, ceil(3 / B)
+    blocks = -(-3 // montecarlo.block_size(design.n, pop.grid.size))
+    assert recorded.count("montecarlo.replicate") == blocks == 1
+    for name in ("designs.draw", "estimators.mean", "covariance.estimate"):
+        assert recorded.count(name, under="montecarlo.replicate") == blocks, name
