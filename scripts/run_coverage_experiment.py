@@ -6,15 +6,9 @@ contain the true population mean curve everywhere on the grid.
 """
 
 import argparse
-import sys
 
-from curvesurvey import (
-    NumericalError,
-    SamplingDesign,
-    ValidationError,
-    run_campaign,
-    study_population,
-)
+from curvesurvey import SamplingDesign, run_campaign, study_population
+from curvesurvey.cli import report_errors
 
 
 def main():
@@ -56,12 +50,5 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    # as the CLI: a message and exit code 2 (bad input) or 3 (degeneracy)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        raise SystemExit(3)
+    # a library error: one line on stderr and the CLI's exit code
+    raise SystemExit(report_errors(main))

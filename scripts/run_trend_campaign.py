@@ -6,16 +6,14 @@ should fall with n while its squared-bias share stays small.
 """
 
 import argparse
-import sys
 
 from curvesurvey import (
-    NumericalError,
     SamplingDesign,
-    ValidationError,
     heteroscedastic_study_population,
     run_campaign,
     study_population,
 )
+from curvesurvey.cli import report_errors
 from curvesurvey.estimators import ESTIMATORS
 
 
@@ -63,12 +61,5 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    # as the CLI: a message and exit code 2 (bad input) or 3 (degeneracy)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        raise SystemExit(3)
+    # a library error: one line on stderr and the CLI's exit code
+    raise SystemExit(report_errors(main))

@@ -254,11 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def report_errors(run, *args) -> int | None:
+    """run(*args), with a library error printed as one line on stderr and
+    returned as its exit code (module docstring); the experiment scripts
+    exit through it too."""
     try:
-        with _one_blas_thread():  # so no output depends on the thread count
-            return args.handler(args)
+        return run(*args)
     except (ValidationError, MemoryError) as exc:  # bad or too large input
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -268,6 +269,15 @@ def main(argv=None) -> int:
     except OracleFailure as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 4
+
+
+@_one_blas_thread()  # so no output depends on the thread count
+def _run_command(args) -> int:
+    return args.handler(args)
+
+
+def main(argv=None) -> int:
+    return report_errors(_run_command, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -289,7 +289,7 @@ class TestBlocks:
         assert np.array_equal(curves, [t[0] for t in twin if t[3] is None])
         assert np.array_equal(variances, [t[1] for t in twin if t[3] is None])
 
-    def test_the_first_failure_is_the_first_replicate_s(self):
+    def test_a_failed_campaign_names_the_first_failed_replicate(self):
         pop = self.dummy_population(1)
         design = SamplingDesign(N=pop.N, n=10)
         twin = _replicate_twin(pop, design, 6, "ma", 0.0, False, seed=1)
