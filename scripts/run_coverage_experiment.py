@@ -29,9 +29,9 @@ def main():
         args.n_units, args.n_points, corr=args.corr, seed=args.pop_seed
     )
     design = SamplingDesign(N=pop.N, n=args.n)
-    report = run_campaign(
+    [report] = run_campaign(
         pop,
-        design,
+        [design],
         replicates=args.replicates,
         a=0.0,
         compute_coverage=True,

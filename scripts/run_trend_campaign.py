@@ -2,7 +2,9 @@
 """Replicated-sampling campaign across several sample sizes.
 
 Reproduces the accuracy-trend experiment: RMSE of the variance estimator
-should fall with n while its squared-bias share stays small.
+should fall with n while its squared-bias share stays small.  Every size
+runs in one run_campaign call, so --workers starts one pool for the whole
+trend, and its rows are printed once every size has its report.
 """
 
 import argparse
@@ -43,19 +45,18 @@ def main():
         )
     header = f"{'n':>5}  {'rmse':>10}  {'rb^2':>10}  {'vr':>10}  {'median E_r':>10}"
     print(header)
-    for n in args.sizes:
-        design = SamplingDesign(N=pop.N, n=n)
-        r = run_campaign(
-            pop,
-            design,
-            replicates=args.replicates,
-            estimator=args.estimator,
-            a=0.0,
-            master_seed=args.seed,
-            workers=args.workers,
-        )
+    reports = run_campaign(
+        pop,
+        [SamplingDesign(N=pop.N, n=n) for n in args.sizes],
+        replicates=args.replicates,
+        estimator=args.estimator,
+        a=0.0,
+        master_seed=args.seed,
+        workers=args.workers,
+    )
+    for r in reports:
         print(
-            f"{n:>5}  {r.rmse:>10.5f}  {r.rb_squared:>10.5f}  {r.vr:>10.5f}"
+            f"{r.n:>5}  {r.rmse:>10.5f}  {r.rb_squared:>10.5f}  {r.vr:>10.5f}"
             f"  {r.er_quantiles['median']:>10.5f}"
         )
 

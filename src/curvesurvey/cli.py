@@ -175,24 +175,24 @@ def _fmt_cell(v):
 def cmd_montecarlo(args) -> int:
     cfg, seed, out, pop, design = _setup(args)
     campaign = cfg.campaign
+    reports = run_campaign(  # every size before any file is written
+        pop,
+        [design if n == design.n else dataclasses.replace(design, n=n)
+         for n in campaign.n_list or (design.n,)],
+        replicates=campaign.replicates,
+        estimator=cfg.estimator.kind,
+        a=cfg.estimator.a,
+        compute_coverage=campaign.coverage,
+        alpha=cfg.band.alpha,
+        band_sims=cfg.band.n_sims or 5000,
+        master_seed=seed,
+        workers=args.workers,
+    )
     rows = []
-    for n in campaign.n_list or (design.n,):
-        design_n = design if n == design.n else dataclasses.replace(design, n=n)
-        report = run_campaign(
-            pop,
-            design_n,
-            replicates=campaign.replicates,
-            estimator=cfg.estimator.kind,
-            a=cfg.estimator.a,
-            compute_coverage=campaign.coverage,
-            alpha=cfg.band.alpha,
-            band_sims=cfg.band.n_sims or 5000,
-            master_seed=seed,
-            workers=args.workers,
-        )
+    for report in reports:
         rows.append(_report_row(report))
         write_covariance_csv(
-            out / f"gamma_emp_n{n}.csv", pop.grid, report.gamma_emp.matrix
+            out / f"gamma_emp_n{report.n}.csv", pop.grid, report.gamma_emp.matrix
         )
     header = list(_REPORT_COLUMNS)
     text_lines = ["  ".join(f"{h:>10}" for h in header)]

@@ -14,7 +14,13 @@ once on the whole stack, through the same functions as a single sample.
 The band stays per replicate: covers reads replicate i's slice of the
 block's curve and rows, with the stream replicate_rng(seed, i, 1).  A
 block in which any estimate raises is re-run one replicate at a time, so
-errors are counted and reported per replicate.  A pool task is a block.
+errors are counted and reported per replicate.
+
+run_campaign runs the campaigns of every sample size of a command in one
+call: one task list of (size index, lo, hi) blocks spans all sizes, and
+at most one pool runs it, its initializer receiving every size's campaign
+once.  The serial path walks the same list.  Each size's report is reduced
+as soon as its last block's result arrives, in the order of the sizes.
 """
 
 from __future__ import annotations
@@ -148,23 +154,25 @@ def _run_replicate(campaign: _Campaign, lo: int, hi: int):
     return _concat([_solo(campaign, i) for i in range(lo, hi)])
 
 
-_WORKER_CAMPAIGN: _Campaign | None = None
+_WORKER_CAMPAIGNS: tuple[_Campaign, ...] = ()
 
 
-def _start_worker(campaign: _Campaign) -> None:
-    """Pool initializer: keep the campaign, run BLAS on one thread for good."""
-    global _WORKER_CAMPAIGN
-    _WORKER_CAMPAIGN = campaign
+def _start_worker(campaigns: tuple[_Campaign, ...]) -> None:
+    """Pool initializer: keep every size's campaign, run BLAS on one thread
+    for good."""
+    global _WORKER_CAMPAIGNS
+    _WORKER_CAMPAIGNS = campaigns
     _set_blas_threads(1)
 
 
-def _worker_replicate(block: tuple[int, int]):
-    return _run_replicate(_WORKER_CAMPAIGN, *block)
+def _worker_replicate(task: tuple[int, int, int]):
+    k, lo, hi = task
+    return _run_replicate(_WORKER_CAMPAIGNS[k], lo, hi)
 
 
 def run_campaign(
     pop: FunctionalPopulation,
-    design: SamplingDesign,
+    designs: list[SamplingDesign],
     replicates: int,
     estimator: str = "ma",
     a: float | None = 0.0,
@@ -173,9 +181,11 @@ def run_campaign(
     band_sims: int = 5000,
     master_seed: int = 0,
     workers: int = 1,
-) -> MonteCarloReport:
-    """Full replication campaign; deterministic given master_seed, and
-    independent of the worker count (streams are keyed per replicate)."""
+) -> list[MonteCarloReport]:
+    """One replication campaign per design (a sample size), all run through
+    one task stream: one report per design, in order.  Deterministic given
+    master_seed, and independent of the worker count (streams are keyed
+    per replicate, so a size's report does not depend on the other sizes)."""
     if estimator not in ESTIMATORS:
         raise ValidationError(f"estimator must be one of "
                               f"{', '.join(ESTIMATORS)}, not {estimator!r}")
@@ -185,34 +195,57 @@ def run_campaign(
         raise ValidationError("workers must be >= 1")
     if compute_coverage:
         _check_sims(alpha, band_sims)
-    campaign = _Campaign(pop, design, estimator, a, master_seed,
-                         compute_coverage, alpha, band_sims, population_mean(pop))
-    size = block_size(design.n, pop.grid.size)
-    blocks = [(lo, min(lo + size, replicates))
-              for lo in range(0, replicates, size)]
-    workers = min(workers, len(blocks))  # a fork pool starts every worker at once
-    if workers == 1:
+    truth = population_mean(pop)
+    campaigns = tuple(_Campaign(pop, design, estimator, a, master_seed,
+                                compute_coverage, alpha, band_sims, truth)
+                      for design in designs)
+    tasks = []  # (campaign index, lo, hi), one per block, in report order
+    for k, c in enumerate(campaigns):
+        size = block_size(c.design.n, pop.grid.size)
+        tasks += [(k, lo, min(lo + size, replicates))
+                  for lo in range(0, replicates, size)]
+    workers = min(workers, len(tasks))  # a fork pool starts every worker at once
+    if workers <= 1:
         with _one_blas_thread():
-            results = [_run_replicate(campaign, *b) for b in blocks]
-    else:
-        # imported for a pool only: it loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+            return _reports(campaigns, tasks, replicates, (
+                _run_replicate(campaigns[k], lo, hi) for k, lo, hi in tasks))
+    # imported for a pool only: it loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(blocks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(campaign,)) as pool:
-            results = list(pool.map(_worker_replicate, blocks,
-                                    chunksize=chunksize))
+    # near one size's share, so few finished blocks wait to be reduced
+    chunksize = max(1, len(tasks) // (workers * 4 * len(campaigns)))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(campaigns,)) as pool:
+        return _reports(campaigns, tasks, replicates,
+                        pool.map(_worker_replicate, tasks, chunksize=chunksize))
 
-    mus, gdiags, flags, errors = _concat(results)
+
+def _reports(campaigns, tasks, replicates, results) -> list[MonteCarloReport]:
+    """Each campaign's report, reduced as soon as its last block's result
+    arrives; results come in task order."""
+    reports, parts = [], []
+    for (k, _, hi), result in zip(tasks, results):
+        parts.append(result)
+        if hi == replicates:
+            # free the blocks before the report's temporaries exist, and
+            # the stacked arrays before the next size's blocks arrive
+            done, parts = _concat(parts), []
+            reports.append(_report(campaigns[k], replicates, done))
+            del done
+    return reports
+
+
+def _report(c: _Campaign, replicates: int, results) -> MonteCarloReport:
+    """The summary of one campaign's replicate results, in replicate order."""
+    mus, gdiags, flags, errors = results
     failures = len(errors)
-    if compute_coverage:
+    if c.coverage:
         failures += int(np.count_nonzero(flags < 0))  # estimate kept, band failed
     flags = flags[flags >= 0]  # one per band built
     if len(mus) < 2:
         raise NumericalError(
-            f"only {len(mus)} of {replicates} replicates produced estimates "
-            f"(first failure: {errors[0] if errors else None})"
+            f"only {len(mus)} of {replicates} replicates at n = {c.design.n} "
+            f"produced estimates (first failure: {errors[0] if errors else None})"
         )
     gamma_emp = empirical_covariance(mus)
     emp_diag = gamma_emp.variance
@@ -234,7 +267,7 @@ def run_campaign(
         quantiles = dict(zip(quantile_keys, map(float, qs)))
         coverage = float(np.mean(flags)) if flags.size else None
     return MonteCarloReport(
-        n=design.n,
+        n=c.design.n,
         replicates=replicates,
         gamma_emp=gamma_emp,
         rmse=rmse,

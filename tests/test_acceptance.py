@@ -194,7 +194,8 @@ def test_criterion_06_variance_estimator_consistency(big_population):
     pop = big_population
     design = SamplingDesign(N=pop.N, n=400)
     start = time.perf_counter()
-    report = run_campaign(pop, design, replicates=1000, a=0.0, master_seed=90)
+    [report] = run_campaign(pop, [design], replicates=1000, a=0.0,
+                            master_seed=90)
     elapsed = time.perf_counter() - start
     target = np.diag(ma_covariance_approx(pop, design).matrix)
     rel = np.abs(report.mean_gamma_diag - target) / target
@@ -209,9 +210,9 @@ def test_criterion_07_band_coverage(big_population):
     pop = big_population
     design = SamplingDesign(N=pop.N, n=200)
     start = time.perf_counter()
-    report = run_campaign(
+    [report] = run_campaign(
         pop,
-        design,
+        [design],
         replicates=2000,
         a=0.0,
         compute_coverage=True,
@@ -244,12 +245,9 @@ def test_criterion_08_univariate_quantile():
 
 def test_criterion_09_accuracy_trend():
     pop = heteroscedastic_study_population(2000, 48, seed=100)
-    reports = []
-    for n in (50, 100, 300):
-        design = SamplingDesign(N=pop.N, n=n)
-        reports.append(
-            run_campaign(pop, design, replicates=1000, a=0.0, master_seed=90)
-        )
+    designs = [SamplingDesign(N=pop.N, n=n) for n in (50, 100, 300)]
+    reports = run_campaign(pop, designs, replicates=1000, a=0.0,
+                           master_seed=90)
     rmses = [r.rmse for r in reports]
     medians = [r.er_quantiles["median"] for r in reports]
     ratios = [r.rb_squared / r.rmse for r in reports]
@@ -275,8 +273,8 @@ def test_criterion_10_variance_reduction(big_population):
     truth = population_mean(pop)
     mse = {}
     for kind in ("ma", "ht"):
-        report = run_campaign(pop, design, 2000, estimator=kind, a=0.0,
-                              master_seed=21)
+        [report] = run_campaign(pop, [design], 2000, estimator=kind, a=0.0,
+                                master_seed=21)
         # integrated MSE = squared bias + variance, averaged over the grid
         mse[kind] = float(np.mean((report.mean_curve - truth) ** 2
                                   + np.diag(report.gamma_emp.matrix)))

@@ -611,6 +611,23 @@ class TestCliRejectsBadNumbers:
         assert "covariance overflows float64" in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_failing_later_size_writes_nothing(self, tmp_path, capsys,
+                                                 workers):
+        # n = 20 succeeds; no replicate can fit the regression at n = 1
+        cfg = write_config(tmp_path, "[population]\nsynthetic = true\n"
+                           "n_units = 200\nn_points = 12\n\n[design]\n"
+                           "kind = srswor\nn = 20\n\n[estimator]\nkind = ma\n"
+                           "a = 0\n\n[campaign]\nreplicates = 10\n"
+                           "n_list = 20,1\n")
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(cfg), "--seed", "1",
+                     "--workers", workers, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "only 0 of 10 replicates at n = 1 produced estimates" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
 
 class TestCliRejectsUndecodableFiles:
     def _exits_2_naming(self, tmp_path, capsys, body, path):

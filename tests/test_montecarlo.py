@@ -55,7 +55,8 @@ def mc_pop():
 class TestRunCampaign:
     def test_rmse_decomposition_identity(self, mc_pop):
         design = SamplingDesign(N=mc_pop.N, n=40)
-        report = run_campaign(mc_pop, design, replicates=100, master_seed=5)
+        [report] = run_campaign(mc_pop, [design], replicates=100,
+                                master_seed=5)
         assert report.rmse == pytest.approx(
             report.rb_squared + report.vr, abs=1e-10
         )
@@ -65,23 +66,25 @@ class TestRunCampaign:
 
     def test_reproducible_and_worker_independent(self, mc_pop):
         design = SamplingDesign(N=mc_pop.N, n=40)
-        r1 = run_campaign(mc_pop, design, replicates=40, master_seed=9, workers=1)
-        r2 = run_campaign(mc_pop, design, replicates=40, master_seed=9, workers=2)
+        [r1] = run_campaign(mc_pop, [design], replicates=40, master_seed=9,
+                            workers=1)
+        [r2] = run_campaign(mc_pop, [design], replicates=40, master_seed=9,
+                            workers=2)
         assert r1.rmse == r2.rmse
         assert np.array_equal(r1.gamma_emp.matrix, r2.gamma_emp.matrix)
         assert np.array_equal(r1.mean_gamma_diag, r2.mean_gamma_diag)
 
     def test_census_campaign_degenerate(self, mc_pop):
         design = SamplingDesign(N=mc_pop.N, n=mc_pop.N)
-        report = run_campaign(mc_pop, design, replicates=10, master_seed=1)
+        [report] = run_campaign(mc_pop, [design], replicates=10, master_seed=1)
         assert report.rmse == 0.0
         assert report.coverage is None
         assert report.n_errors == 10
 
     def test_coverage_flag_produces_rate(self, mc_pop):
         design = SamplingDesign(N=mc_pop.N, n=60)
-        report = run_campaign(
-            mc_pop, design, replicates=60, compute_coverage=True,
+        [report] = run_campaign(
+            mc_pop, [design], replicates=60, compute_coverage=True,
             alpha=0.05, band_sims=500, master_seed=2,
         )
         assert report.coverage is not None
@@ -89,8 +92,8 @@ class TestRunCampaign:
 
     def test_ht_estimator_campaign(self, mc_pop):
         design = SamplingDesign(N=mc_pop.N, n=40)
-        report = run_campaign(
-            mc_pop, design, replicates=60, estimator="ht", master_seed=3
+        [report] = run_campaign(
+            mc_pop, [design], replicates=60, estimator="ht", master_seed=3
         )
         assert report.rmse > 0
 
@@ -100,9 +103,9 @@ class TestRunCampaign:
 
         monkeypatch.setattr(montecarlo, "covers", no_band)
         design = SamplingDesign(N=mc_pop.N, n=40)
-        failed = run_campaign(mc_pop, design, replicates=20, compute_coverage=True,
-                              master_seed=4)
-        plain = run_campaign(mc_pop, design, replicates=20, master_seed=4)
+        [failed] = run_campaign(mc_pop, [design], replicates=20,
+                                compute_coverage=True, master_seed=4)
+        [plain] = run_campaign(mc_pop, [design], replicates=20, master_seed=4)
         assert failed.n_errors == 20 and failed.coverage is None
         assert plain.n_errors == 0
         assert np.array_equal(failed.mean_curve, plain.mean_curve)
@@ -110,7 +113,7 @@ class TestRunCampaign:
     def test_unknown_estimator(self, mc_pop):
         design = SamplingDesign(N=mc_pop.N, n=40)
         with pytest.raises(ValidationError):
-            run_campaign(mc_pop, design, replicates=10, estimator="magic")
+            run_campaign(mc_pop, [design], replicates=10, estimator="magic")
 
 
 def _count_calls(monkeypatch, module, name):
@@ -154,7 +157,7 @@ class TestReplicateWork:
     @pytest.mark.parametrize("estimator", ["ma", "ht", "hajek"])
     def test_no_matrix_without_coverage(self, mc_pop, design, covariance_work,
                                         estimator):
-        run_campaign(mc_pop, design, replicates=6, estimator=estimator)
+        run_campaign(mc_pop, [design], replicates=6, estimator=estimator)
         assert covariance_work["grams"] == 0
         assert covariance_work["rows"] == _blocks(6, design, mc_pop) == 1
 
@@ -163,15 +166,15 @@ class TestReplicateWork:
                                       coverage):
         gathers = _count_calls(monkeypatch, estimators, "_sample_arrays")
         fits = _count_calls(monkeypatch, estimators, "_fit")
-        run_campaign(mc_pop, design, replicates=5, compute_coverage=coverage,
+        run_campaign(mc_pop, [design], replicates=5, compute_coverage=coverage,
                      band_sims=200)
         blocks = _blocks(5, design, mc_pop)
         assert (len(gathers), len(fits)) == (blocks, blocks) == (1, 1)
 
     def test_coverage_forms_the_matrix_once(self, mc_pop, design,
                                             covariance_work):
-        report = run_campaign(mc_pop, design, replicates=5,
-                              compute_coverage=True, band_sims=200)
+        [report] = run_campaign(mc_pop, [design], replicates=5,
+                                compute_coverage=True, band_sims=200)
         assert report.coverage_bands == 5
         assert covariance_work["grams"] == 5
         assert covariance_work["rows"] == _blocks(5, design, mc_pop) == 1
@@ -243,9 +246,9 @@ class TestBlocks:
                             3 * design.n * mc_pop.grid.size)
         assert montecarlo.block_size(design.n, mc_pop.grid.size) == 3
         seen = _record_campaign(monkeypatch)
-        report = run_campaign(mc_pop, design, replicates=7, estimator=kind,
-                              a=a, compute_coverage=coverage, alpha=0.1,
-                              band_sims=200, master_seed=8, workers=workers)
+        [report] = run_campaign(mc_pop, [design], replicates=7, estimator=kind,
+                                a=a, compute_coverage=coverage, alpha=0.1,
+                                band_sims=200, master_seed=8, workers=workers)
         twin = _replicate_twin(mc_pop, design, 7, kind, a, coverage, seed=8)
         curves, variances, flags, errors = seen[-1]
         assert errors == [] and report.n_errors == 0
@@ -282,8 +285,8 @@ class TestBlocks:
         failed = [t[3] for t in twin if t[3] is not None]
         assert len(failed) == 1 and "singular" in failed[0]
         seen = _record_campaign(monkeypatch)
-        report = run_campaign(pop, design, replicates=12, estimator="ma",
-                              a=0.0, master_seed=2)
+        [report] = run_campaign(pop, [design], replicates=12, estimator="ma",
+                                a=0.0, master_seed=2)
         curves, variances, _, errors = seen[-1]
         assert report.n_errors == 1 and errors == failed
         assert np.array_equal(curves, [t[0] for t in twin if t[3] is None])
@@ -295,10 +298,10 @@ class TestBlocks:
         twin = _replicate_twin(pop, design, 6, "ma", 0.0, False, seed=1)
         failed = [t[3] for t in twin if t[3] is not None]
         assert len(failed) == 5
-        message = (f"only 1 of 6 replicates produced estimates "
+        message = (f"only 1 of 6 replicates at n = 10 produced estimates "
                    f"(first failure: {failed[0]})")
         with pytest.raises(NumericalError) as info:
-            run_campaign(pop, design, replicates=6, estimator="ma", a=0.0,
+            run_campaign(pop, [design], replicates=6, estimator="ma", a=0.0,
                          master_seed=1)
         assert str(info.value) == message
 
@@ -322,7 +325,7 @@ class TestBlocks:
         monkeypatch.setattr(montecarlo, "replicate_rng", recording_rng)
         design = SamplingDesign(N=mc_pop.N, n=200)
         assert montecarlo.block_size(200, 12) == 13
-        run_campaign(mc_pop, design, replicates=30, master_seed=3)
+        run_campaign(mc_pop, [design], replicates=30, master_seed=3)
         assert drawn == [13, 13, 4]
         assert streams == [(3, i, 0) for i in range(30)]  # one per replicate
 
@@ -340,7 +343,7 @@ def test_bad_band_settings_are_refused_before_any_replicate(
     monkeypatch.setattr(montecarlo, "_run_replicate", no_replicate)
     design = SamplingDesign(N=mc_pop.N, n=40)
     with pytest.raises(ValidationError, match=message):
-        run_campaign(mc_pop, design, replicates=10, compute_coverage=True,
+        run_campaign(mc_pop, [design], replicates=10, compute_coverage=True,
                      **setting)
 
 
@@ -357,9 +360,9 @@ class TestCoverageBands:
 
         monkeypatch.setattr(montecarlo, "covers", third_band_fails)
         design = SamplingDesign(N=mc_pop.N, n=40)
-        report = run_campaign(mc_pop, design, replicates=12,
-                              compute_coverage=True, band_sims=400,
-                              master_seed=4)
+        [report] = run_campaign(mc_pop, [design], replicates=12,
+                                compute_coverage=True, band_sims=400,
+                                master_seed=4)
         built = [f for f in flags if f is not None]
         assert len(flags) == 12 and len(built) == 11
         assert report.coverage_bands == 11
@@ -368,7 +371,7 @@ class TestCoverageBands:
 
     def test_zero_without_coverage(self, mc_pop):
         design = SamplingDesign(N=mc_pop.N, n=40)
-        report = run_campaign(mc_pop, design, replicates=4)
+        [report] = run_campaign(mc_pop, [design], replicates=4)
         assert report.coverage is None and report.coverage_bands == 0
 
 
@@ -391,7 +394,7 @@ class TestPoolBlasThreads:
     def test_parent_keeps_its_blas_threads(self, mc_pop):
         before = _blas_threads()
         design = SamplingDesign(N=mc_pop.N, n=40)
-        run_campaign(mc_pop, design, replicates=8, master_seed=1, workers=2)
+        run_campaign(mc_pop, [design], replicates=8, master_seed=1, workers=2)
         assert _blas_threads() == before
 
 
@@ -411,7 +414,7 @@ class TestCallerBlasThreads:
         monkeypatch.setattr(montecarlo, "_run_replicate", recording)
         monkeypatch.setattr(montecarlo, "BLOCK_FLOATS", 2 * 40 * 12)
         design = SamplingDesign(N=mc_pop.N, n=40)
-        run_campaign(mc_pop, design, replicates=6, master_seed=1)
+        run_campaign(mc_pop, [design], replicates=6, master_seed=1)
         assert seen == [1] * _blocks(6, design, mc_pop) == [1] * 3
         assert _blas_threads() == 2
 
@@ -423,7 +426,7 @@ class TestCallerBlasThreads:
         monkeypatch.setattr(montecarlo, "_run_replicate", broken)
         design = SamplingDesign(N=mc_pop.N, n=40)
         with pytest.raises(RuntimeError):
-            run_campaign(mc_pop, design, replicates=6, master_seed=1)
+            run_campaign(mc_pop, [design], replicates=6, master_seed=1)
         assert _blas_threads() == 2
 
     def test_results_do_not_depend_on_the_callers_count(
@@ -432,9 +435,9 @@ class TestCallerBlasThreads:
         reports = []
         for threads in (1, 2):
             linalg._set_blas_threads(threads)
-            reports.append(run_campaign(
-                mc_pop, design, replicates=12, compute_coverage=True,
-                band_sims=300, master_seed=6))
+            reports += run_campaign(
+                mc_pop, [design], replicates=12, compute_coverage=True,
+                band_sims=300, master_seed=6)
         one, two = reports
         assert one.coverage is not None and one.coverage == two.coverage
         assert one.n_errors == two.n_errors
@@ -454,7 +457,7 @@ class _RecordingPool:
     def __init__(self, max_workers, initializer, initargs):
         type(self).sizes.append(max_workers)
         type(self).threads.append(threading.active_count())
-        self.campaign = initargs[0]
+        self.campaigns = initargs[0]
 
     def __enter__(self):
         return self
@@ -462,8 +465,9 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, blocks, chunksize=1):
-        return [montecarlo._run_replicate(self.campaign, *b) for b in blocks]
+    def map(self, fn, tasks, chunksize=1):
+        return [montecarlo._run_replicate(self.campaigns[k], lo, hi)
+                for k, lo, hi in tasks]
 
 
 def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
@@ -473,13 +477,13 @@ def test_pool_is_no_larger_than_the_campaign(mc_pop, monkeypatch):
     design = SamplingDesign(N=mc_pop.N, n=40)
     replicates = 9 * montecarlo.block_size(40, 12) + 1  # ten blocks
     assert _blocks(replicates, design, mc_pop) == 10
-    capped = run_campaign(mc_pop, design, replicates=replicates,
-                          master_seed=3, workers=500)
-    run_campaign(mc_pop, design, replicates=replicates, master_seed=3,
+    [capped] = run_campaign(mc_pop, [design], replicates=replicates,
+                            master_seed=3, workers=500)
+    run_campaign(mc_pop, [design], replicates=replicates, master_seed=3,
                  workers=3)
     assert _RecordingPool.sizes == [10, 3]
-    serial = run_campaign(mc_pop, design, replicates=replicates,
-                          master_seed=3)
+    [serial] = run_campaign(mc_pop, [design], replicates=replicates,
+                            master_seed=3)
     assert _RecordingPool.sizes == [10, 3]
     assert np.array_equal(capped.gamma_emp.matrix, serial.gamma_emp.matrix)
 
@@ -493,7 +497,8 @@ def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
     pop = study_population(3000, 8, seed=2)
     design = SamplingDesign(N=pop.N, n=40)
     replicates = montecarlo.block_size(40, 8) + 1  # two blocks, so a pool
-    run_campaign(pop, design, replicates=replicates, master_seed=1, workers=2)
+    run_campaign(pop, [design], replicates=replicates, master_seed=1,
+                 workers=2)
     assert _RecordingPool.threads == [before]
 
 
@@ -511,7 +516,56 @@ def test_pool_receives_the_population_once_per_worker(mc_pop):
     pop = _CountedPopulation(grid=mc_pop.grid, values=mc_pop.values, aux=mc_pop.aux)
     design = SamplingDesign(N=pop.N, n=40)
     _CountedPopulation.pickles = 0
-    pooled = run_campaign(pop, design, replicates=40, master_seed=9, workers=2)
+    [pooled] = run_campaign(pop, [design], replicates=40, master_seed=9,
+                            workers=2)
     assert _CountedPopulation.pickles <= 2
-    serial = run_campaign(mc_pop, design, replicates=40, master_seed=9)
+    [serial] = run_campaign(mc_pop, [design], replicates=40, master_seed=9)
     assert np.array_equal(pooled.gamma_emp.matrix, serial.gamma_emp.matrix)
+
+
+def _sizes(pop):
+    """Three sample sizes of one campaign, smallest first."""
+    return [SamplingDesign(N=pop.N, n=n) for n in (20, 40, 60)]
+
+
+def test_one_pool_runs_every_size(mc_pop, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    designs = _sizes(mc_pop)
+    blocks = sum(_blocks(100, d, mc_pop) for d in designs)
+    assert blocks == 1 + 2 + 3
+    capped = run_campaign(mc_pop, designs, replicates=100, master_seed=3,
+                          workers=500)
+    assert _RecordingPool.sizes == [blocks]
+    run_campaign(mc_pop, designs, replicates=100, master_seed=3, workers=4)
+    assert _RecordingPool.sizes == [blocks, 4]
+    serial = run_campaign(mc_pop, designs, replicates=100, master_seed=3)
+    assert _RecordingPool.sizes == [blocks, 4]
+    assert [r.n for r in capped] == [20, 40, 60]
+    for pooled, alone in zip(capped, serial):
+        assert np.array_equal(pooled.gamma_emp.matrix, alone.gamma_emp.matrix)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("coverage", [False, True])
+@pytest.mark.parametrize("kind", ["ma", "hajek"])
+def test_each_size_equals_its_own_campaign(mc_pop, monkeypatch, kind,
+                                           coverage, workers):
+    # blocks of 6, 3 and 2 replicates, so every size runs several tasks
+    monkeypatch.setattr(montecarlo, "BLOCK_FLOATS", 3 * 40 * mc_pop.grid.size)
+    settings = dict(replicates=12, estimator=kind, a=0.0,
+                    compute_coverage=coverage, alpha=0.1, band_sims=200,
+                    master_seed=7)
+    designs = _sizes(mc_pop)
+    reports = run_campaign(mc_pop, designs, workers=workers, **settings)
+    assert len(reports) == len(designs)
+    for design, report in zip(designs, reports):
+        [alone] = run_campaign(mc_pop, [design], **settings)
+        assert report.n == design.n
+        for name in ("rmse", "rb_squared", "vr", "er_quantiles", "coverage",
+                     "coverage_bands", "n_errors"):
+            assert getattr(report, name) == getattr(alone, name), name
+        assert (report.coverage is not None) == coverage
+        for name in ("mean_curve", "mean_gamma_diag"):
+            assert np.array_equal(getattr(report, name), getattr(alone, name))
+        assert np.array_equal(report.gamma_emp.matrix, alone.gamma_emp.matrix)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from curvesurvey import SamplingDesign, montecarlo, study_population
+from curvesurvey import SamplingDesign, cli, montecarlo, study_population
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 spans = importlib.import_module("spans")
@@ -31,7 +31,8 @@ def test_campaign_layers_are_traced(estimator):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        montecarlo.run_campaign(pop, design, replicates=3, estimator=estimator)
+        montecarlo.run_campaign(pop, [design], replicates=3,
+                                estimator=estimator)
     finally:
         tracer.uninstall()
     recorded = spans.SpanStats(tracer.spans)
@@ -40,3 +41,28 @@ def test_campaign_layers_are_traced(estimator):
     assert recorded.count("montecarlo.replicate") == blocks == 1
     for name in ("designs.draw", "estimators.mean", "covariance.estimate"):
         assert recorded.count(name, under="montecarlo.replicate") == blocks, name
+
+
+def test_a_multi_size_cli_campaign_is_one_run_campaign_span(tmp_path):
+    # the benchmark reads run_campaign's self time and pool overhead from
+    # the one span of the CLI's whole campaign
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[population]\nsynthetic = true\nn_units = 200\n"
+                   "n_points = 48\n\n[design]\nkind = srswor\nn = 50\n\n"
+                   "[campaign]\nreplicates = 30\nn_list = 50,100\n",
+                   encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["montecarlo", "--config", str(cfg), "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = spans.SpanStats(tracer.spans)
+    assert recorded.count("montecarlo.run_campaign") == 1
+    replicates = recorded.count("montecarlo.replicate")
+    # blocks of 13 and 6 replicates: 3 + 5 spans
+    assert replicates == sum(-(-30 // montecarlo.block_size(n, 48))
+                             for n in (50, 100)) == 8
+    assert recorded.count("montecarlo.replicate",
+                          under="montecarlo.run_campaign") == replicates
