@@ -7,8 +7,8 @@ contain the true population mean curve everywhere on the grid.
 
 import argparse
 
+from curvesurvey.cli import report_errors  # first: it starts BLAS on one thread
 from curvesurvey import SamplingDesign, run_campaign, study_population
-from curvesurvey.cli import report_errors
 
 
 def main():

@@ -9,13 +9,13 @@ trend, and its rows are printed once every size has its report.
 
 import argparse
 
+from curvesurvey.cli import report_errors  # first: it starts BLAS on one thread
 from curvesurvey import (
     SamplingDesign,
     heteroscedastic_study_population,
     run_campaign,
     study_population,
 )
-from curvesurvey.cli import report_errors
 from curvesurvey.estimators import ESTIMATORS
 
 

@@ -4,7 +4,10 @@ Subcommands: estimate, bands, montecarlo, oracle-check.  All randomness
 flows from --seed; when it is absent a fresh seed is generated and recorded
 in the output metadata so every run can be reproduced.  Every command
 runs its BLAS on one thread, so its outputs depend only on the config, the
-seed and the numpy/BLAS build.
+seed and the numpy/BLAS build.  A process that imports this module before
+numpy starts OpenBLAS with one thread, whatever OPENBLAS_NUM_THREADS says;
+one that loaded numpy first keeps its count, and each command pins one
+thread while it runs.
 
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy,
 4 oracle failure.
@@ -17,6 +20,12 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when numpy loads it, and starts that
+# many threads.  A command multiplies on one (_one_blas_thread), and the idle
+# others spin: they cost CPU time and do no work.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -3,7 +3,8 @@ algebra.
 
 Every command multiplies on one BLAS thread (_one_blas_thread), so its
 outputs do not depend on the thread count, and normal_blocks draws the
-standard normals of the next block on a helper thread meanwhile.
+standard normals of the next block on a helper thread meanwhile.  A CLI
+process already starts OpenBLAS with one thread (see ``cli``).
 
 The bands factor a covariance from its rows (``bands._scaled_factor``)
 and need no PSD repair.  PSD projection and a PSD-tolerant Cholesky
@@ -135,7 +136,9 @@ def _one_blas_thread():
     A product's last bits can change with the thread count, so every
     command, population generator, band and coverage test runs its
     products here; a replicate's D x D and SIM_BLOCK x D products gain
-    nothing from a second thread.  With MKL or Accelerate this is a no-op.
+    nothing from a second thread.  It is for library callers, whose count
+    is restored on exit: a CLI process starts OpenBLAS on one thread, so
+    there it sets 1 over 1.  With MKL or Accelerate this is a no-op.
     Usable as a decorator, `@_one_blas_thread()`.
     """
     before = _set_blas_threads(1)

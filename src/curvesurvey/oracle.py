@@ -19,7 +19,7 @@ of ``covariance.py``) against the dense u' Delta u formulas, the dense
 pi_kl matrix (`second_order_matrix`) against the enumerated one, the
 blocked sup kernel of ``bands.py`` against its one-shot form, the band's
 Cholesky-or-QR factor against an eigh-first PSD repair, and the SVD fit of
-``estimators.py`` against an lstsq calibration-weight twin and the
+``estimators.py`` against exact calibration weights and the
 eigenvalue-floored inverse of the moment matrix.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -257,20 +258,48 @@ def regularized_inverse(m: np.ndarray, a: float) -> RegularizedInverse:
     )
 
 
-def calibrated_weights(pop: FunctionalPopulation, sample) -> np.ndarray:
+def exact_calibrated_weights(pop: FunctionalPopulation, sample) -> list[Fraction]:
     """Weights of the sampled units closest (chi-square distance) to 1/pi_k
-    that reproduce the auxiliary population totals t_x: w = 1/pi + v /
-    sqrt(pi), with v the minimum-norm solution of (x_s / sqrt(pi))' v =
-    t_x - sum_s x_k / pi_k.
-
-    lstsq twin of the SVD fit in ``estimators``: at a = 0 the model-assisted
-    mean is w @ y_s / N (Deville & Sarndal 1992).
-    """
+    that reproduce the auxiliary population totals t_x, in exact rational
+    arithmetic on the float inputs: w_k = (1 + x_k' lam) / pi_k, with lam
+    solving (sum_s x_k x_k' / pi_k) lam = t_x - sum_s x_k / pi_k.  A
+    singular moment matrix is refused, as the fit at a = 0 refuses it."""
     x_s, _, pi = _sample_arrays(pop, sample)
-    root_pi = np.sqrt(pi)
-    gap = pop.aux_totals() - (x_s / pi[:, None]).sum(axis=0)
-    v = np.linalg.lstsq((x_s / root_pi[:, None]).T, gap, rcond=None)[0]
-    return 1.0 / pi + v / root_pi
+    x = [[Fraction(v) for v in row] for row in x_s.tolist()]
+    inv_pi = [1 / Fraction(v) for v in pi.tolist()]
+    p = x_s.shape[1]
+    moments = [[sum(xk[i] * xk[j] * w for xk, w in zip(x, inv_pi))
+                for j in range(p)] for i in range(p)]
+    gap = [Fraction(t) - sum(xk[i] * w for xk, w in zip(x, inv_pi))
+           for i, t in enumerate(pop.aux_totals().tolist())]
+    lam = _solve_exact(moments, gap)
+    return [(1 + sum(a * b for a, b in zip(xk, lam))) * w
+            for xk, w in zip(x, inv_pi)]
+
+
+def _solve_exact(m: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """x with m x = b, by Gauss-Jordan elimination on Fractions."""
+    rows = [row + [rhs] for row, rhs in zip(m, b)]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            raise NumericalError("sampled moment matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(len(rows)):
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [v - factor * u for v, u in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def calibrated_weights(pop: FunctionalPopulation, sample) -> np.ndarray:
+    """The exact calibration weights, each rounded once to float.  At a = 0
+    the model-assisted mean is w @ y_s / N (Deville & Sarndal 1992), so
+    this is the twin of the SVD fit in ``estimators``, with an error far
+    below the fit's."""
+    return np.array([float(w) for w in exact_calibrated_weights(pop, sample)])
 
 
 def spectral_norm_sym(m: np.ndarray) -> float:  # bounds inverses in tests

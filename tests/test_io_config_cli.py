@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -363,15 +364,38 @@ a = 0
         assert not any(isinstance(getattr(curvesurvey, name), types.ModuleType)
                        for name in curvesurvey.__all__)
 
+    @staticmethod
+    def fresh_interpreter(code: str, **env: str) -> str:
+        """What `code` prints in a fresh interpreter, with env set."""
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, **env})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
     def test_import_loads_neither_the_pool_nor_the_oracle(self):
-        # a fresh interpreter: multiprocessing and the oracle are imported
-        # by the commands that use them, not by every command
+        # multiprocessing and the oracle are imported by the commands that
+        # use them, not by every command
         code = ("import sys, curvesurvey.cli; print(sorted("
                 "{'multiprocessing', 'curvesurvey.oracle'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert self.fresh_interpreter(code) == "[]"
+
+    def test_the_package_import_loads_no_numpy(self):
+        # so curvesurvey.cli runs before numpy loads OpenBLAS
+        code = "import sys, curvesurvey; print('numpy' in sys.modules)"
+        assert self.fresh_interpreter(code) == "False"
+
+    @pytest.mark.parametrize("imports, threads", [
+        ("curvesurvey.cli", 1),  # a CLI process starts OpenBLAS on one thread
+        ("numpy, curvesurvey.cli", 2),  # a caller's numpy keeps its count
+    ])
+    def test_the_cli_starts_openblas_on_one_thread(self, imports, threads):
+        # OpenBLAS caps its thread count at the core count
+        if linalg.blas_threads() is None or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs OpenBLAS and two cores")
+        code = (f"import {imports}, curvesurvey.linalg as linalg; "
+                "print(linalg.blas_threads())")
+        assert self.fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == str(threads)
 
     @pytest.mark.parametrize("command", ["estimate", "bands", "montecarlo"])
     def test_the_census_fit_difference_kind_exits_2(self, tmp_path, capsys,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import curvesurvey
 from curvesurvey import SamplingDesign, cli, montecarlo, study_population
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -22,6 +23,23 @@ spans = importlib.import_module("spans")
 @pytest.mark.parametrize("module, attr", sorted(spans.TRACED))
 def test_traced_name_exists(module, attr):
     assert callable(getattr(importlib.import_module(f"curvesurvey.{module}"), attr))
+
+
+def test_uninstall_leaves_no_wrapper_in_the_package():
+    # the package resolves its exports on use and keeps none, so a traced
+    # call through `curvesurvey.run_campaign` is seen, and the name reads
+    # the original again once the tracer is gone
+    pop = study_population(40, 5, seed=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        curvesurvey.run_campaign(pop, [SamplingDesign(N=pop.N, n=10)],
+                                 replicates=3)
+    finally:
+        tracer.uninstall()
+    assert spans.SpanStats(tracer.spans).count("montecarlo.run_campaign") == 1
+    assert curvesurvey.run_campaign is montecarlo.run_campaign
+    assert "run_campaign" not in vars(curvesurvey)
 
 
 @pytest.mark.parametrize("estimator", ["ma", "ht", "hajek"])
