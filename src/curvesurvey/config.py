@@ -21,7 +21,7 @@ from .designs import SamplingDesign
 from .errors import ConfigurationError
 from .estimators import ESTIMATORS
 from .io import read_population_csv
-from .synthetic import study_population
+from .synthetic import KERNEL_KINDS, study_population
 
 
 def _require(ok: bool, message: str) -> None:
@@ -132,7 +132,7 @@ class PopulationConfig:
     n_points: int = _option(48, _int(2))
     corr: float = _option(0.95, _float(0.0, 1.0))
     t_max: float = _option(1.0, _float())
-    kernel: str = _option("exponential", _text)
+    kernel: str = _option("exponential", _choice(*KERNEL_KINDS))
     length_scale: float = _option(0.2, _float())
 
     def __post_init__(self):
@@ -140,6 +140,10 @@ class PopulationConfig:
                  "[population] needs exactly one of 'csv' or 'synthetic = true'")
         _require(not self.synthetic or self.n_units is not None,
                  "missing integer option 'n_units'")
+        _require(self.csv is not None or self.strata_column is None,
+                 "[population] 'strata_column' is read only with 'csv'")
+        _require(self.csv is None or self.n_units is None,
+                 "[population] 'n_units' is read only with 'synthetic = true'")
 
 
 @dataclass(frozen=True)

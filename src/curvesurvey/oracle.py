@@ -51,7 +51,7 @@ from .estimators import (
 from .errors import EnumerationCapError, NumericalError, ValidationError
 from .grids import FunctionalPopulation, TimeGrid, population_mean
 from .linalg import _eigen_repair, check_symmetric
-from .synthetic import AuxSpec, ResidualKernel, SuperpopulationConfig, generate_population
+from .synthetic import ResidualKernel, generate_population
 
 DEFAULT_TOL = 1e-10
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -312,15 +312,9 @@ def default_fixture(
 ):
     """Tiny population + SRSWOR design for exhaustive checking."""
     grid = TimeGrid(np.linspace(0.0, 1.0, n_points))
-    cfg = SuperpopulationConfig(
-        beta_curves=np.vstack(
-            [1.0 + grid.points, 2.0 - 0.5 * grid.points]
-        ),
-        kernel=ResidualKernel(kind="white", sigma2=0.5),
-        aux=AuxSpec(kind="gaussian", mean=3.0, sd=1.0),
-        seed=seed,
-    )
-    pop = generate_population(cfg, n_units, grid)
+    beta = np.vstack([1.0 + grid.points, 2.0 - 0.5 * grid.points])
+    kernel = ResidualKernel(kind="white", sigma2=0.5)
+    pop = generate_population(n_units, grid, beta, kernel, seed=seed, aux_mean=3.0)
     design = SamplingDesign(N=n_units, n=n)
     return pop, design
 

@@ -1,9 +1,19 @@
-"""Synthetic population generator under a linear working model.
+"""Synthetic populations under a linear working model.
 
-Curves follow Y_k(t_i) = x_k' beta(t_i) + eps_k(t_i), with eps_k a centered
-Gaussian vector whose covariance is a kernel evaluated on the grid.  The
-kernel and the auxiliary-variable distribution are our own choices; the
-working model only requires centered, continuous residuals.
+Curves follow Y_k(t_i) = x_k' beta(t_i) + s_k eps_k(t_i), with eps_k a
+centered Gaussian vector whose covariance is a kernel evaluated on the grid
+and s_k a unit scale (1 unless scale_sd is given).  The kernel and the aux
+distribution are our own choices; the working model only requires centered,
+continuous residuals.
+
+One generator, `generate_population`, draws every population: the config's
+(`study_population`), the trend script's (`heteroscedastic_study_population`)
+and the oracle's (`oracle.default_fixture`).  Its draws, from one generator
+seeded with `seed`, come in this order: (1) the n_units covariates z_k, if
+any; (2) the (n_units, D) residual normals, GEN_BLOCK rows at a time, each
+block multiplied by the kernel factor on one BLAS thread; (3) with scale_sd
+only, the n_units unit-scale normals.  Every population's bits rest on that
+order: a change to it changes every population and every output built on one.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from .grids import FunctionalPopulation, TimeGrid
 from .linalg import _one_blas_thread, normal_blocks
 
 KERNEL_KINDS = ("white", "exponential", "periodic_exponential")
-AUX_KINDS = ("intercept_only", "gaussian", "past_mean")
 
 
 @dataclass(frozen=True)
@@ -29,7 +38,7 @@ class ResidualKernel:
       white:                 sigma2 * 1{t == r}
       exponential:           sigma2 * exp(-|t - r| / length_scale)
       periodic_exponential:  sigma2 * (exp(-|t-r|/length_scale)
-                             + cos(2*pi*(t-r)/period)) / 2, clipped to PSD
+                             + cos(2*pi*(t-r)/period)) / 2
     """
 
     kind: str = "exponential"
@@ -48,7 +57,7 @@ class ResidualKernel:
             raise ConfigurationError("period must be > 0")
 
     def matrix(self, grid: TimeGrid) -> np.ndarray:
-        """Kernel evaluated at all grid-point pairs, (D, D) symmetric PSD."""
+        """Kernel evaluated at all grid-point pairs, (D, D) symmetric."""
         t = grid.points
         lag = np.abs(t[:, None] - t[None, :])
         if self.kind == "white":
@@ -60,59 +69,9 @@ class ResidualKernel:
         return self.sigma2 * 0.5 * (base + periodic)
 
 
-@dataclass(frozen=True)
-class AuxSpec:
-    """How unit-level auxiliary vectors x_k are generated.
-
-    intercept_only: x_k = (1,), p = 1.
-    gaussian:       x_k = (1, z_k), z_k ~ N(mean, sd^2).
-    past_mean:      x_k = (1, z_k), z_k = time-mean of a "previous period"
-                    curve z0_k + eps (same residual kernel), mimicking a
-                    highly correlated past-consumption covariate.
-    """
-
-    kind: str = "past_mean"
-    mean: float = 5.0
-    sd: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in AUX_KINDS:
-            raise ConfigurationError(f"unknown aux kind {self.kind!r}")
-        if self.sd < 0:
-            raise ConfigurationError("sd must be >= 0")
-
-    @property
-    def p(self) -> int:
-        return 1 if self.kind == "intercept_only" else 2
-
-
-@dataclass(frozen=True, eq=False)
-class SuperpopulationConfig:
-    """Full description of the synthetic model: beta curves (p, D) on the
-    grid, residual kernel, auxiliary distribution, RNG seed."""
-
-    beta_curves: np.ndarray
-    kernel: ResidualKernel
-    aux: AuxSpec
-    seed: int = 0
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta_curves, dtype=float)
-        if beta.ndim != 2:
-            raise ConfigurationError("beta_curves must be a (p, D) matrix")
-        if beta.shape[0] != self.aux.p:
-            raise ConfigurationError(
-                f"beta_curves has {beta.shape[0]} rows but the aux spec "
-                f"produces {self.aux.p} covariates"
-            )
-        if not np.all(np.isfinite(beta)):
-            raise ConfigurationError("beta_curves must be finite")
-        object.__setattr__(self, "beta_curves", beta)
-
-
 def _residual_factor(kernel: ResidualKernel, grid: TimeGrid) -> np.ndarray:
-    """Factor F with F F' = kernel matrix, via eigendecomposition with
-    negative eigenvalues clipped (robust to numerically semidefinite kernels)."""
+    """Factor F with F F' = kernel matrix, by eigendecomposition: eigenvalues
+    down to -1e-8 * scale are clipped to 0, and one below that is refused."""
     mat = kernel.matrix(grid)
     w, v = np.linalg.eigh(mat)
     scale = max(1.0, float(np.abs(w).max()))
@@ -126,50 +85,49 @@ def _residual_factor(kernel: ResidualKernel, grid: TimeGrid) -> np.ndarray:
 GEN_BLOCK = 1024  # rows drawn at a time: the population is the one N x D array
 
 
-def _draw_aux(spec: AuxSpec, factor, count, rng) -> np.ndarray:
-    ones = np.ones(count)
-    if spec.kind == "intercept_only":
-        return ones[:, None]
-    base = rng.normal(spec.mean, spec.sd, count)
-    if spec.kind == "gaussian":
-        return np.column_stack([ones, base])
-    # the time-means of the past curves base + z @ factor.T, z one
-    # (count, D) draw, formed GEN_BLOCK rows at a time
-    past = np.empty(count)
-    curves = np.empty((min(GEN_BLOCK, count), len(factor)))
-    with closing(normal_blocks(rng, count, len(factor), GEN_BLOCK)) as blocks:
-        for lo, z in blocks:
-            rows = np.matmul(z, factor.T, out=curves[: len(z)])
-            rows += base[lo:lo + len(z), None]
-            rows.mean(axis=1, out=past[lo:lo + len(z)])
-    return np.column_stack([ones, past])
-
-
 def generate_population(
-    cfg: SuperpopulationConfig, n_units: int, grid: TimeGrid
+    n_units: int,
+    grid: TimeGrid,
+    beta_curves,
+    kernel: ResidualKernel,
+    seed: int = 0,
+    aux_mean: float | None = None,
+    scale_sd: float | None = None,
 ) -> FunctionalPopulation:
     """Draw a finite population of n_units curves from the working model.
 
-    Deterministic given cfg.seed, on one BLAS thread whatever the caller's
-    count; aux and residuals are independent across units.
+    x_k = (1,) when aux_mean is None, else (1, z_k) with z_k ~ N(aux_mean, 1);
+    beta_curves is the (p, D) matrix of their coefficient curves.  With
+    scale_sd, s_k is lognormal(0, scale_sd^2), normalized so the average
+    squared scale is 1.  Deterministic given seed, in the draw order of the
+    module docstring, on one BLAS thread whatever the caller's count.
     """
+    beta = np.asarray(beta_curves, dtype=float)
+    p = 1 if aux_mean is None else 2
+    if beta.shape != (p, grid.size) or not np.all(np.isfinite(beta)):
+        raise ConfigurationError(f"beta_curves must be a finite ({p}, "
+                                 f"{grid.size}) matrix, got shape {beta.shape}")
     if n_units < 1:
         raise ConfigurationError("need at least one unit")
-    if cfg.beta_curves.shape[1] != grid.size:
-        raise ConfigurationError(
-            f"beta_curves has {cfg.beta_curves.shape[1]} columns, grid has "
-            f"{grid.size} points"
-        )
-    rng = np.random.default_rng(cfg.seed)
+    if scale_sd is not None and scale_sd < 0:
+        raise ConfigurationError("scale_sd must be >= 0")
+    rng = np.random.default_rng(seed)
+    aux = np.ones((n_units, p))
+    if aux_mean is not None:
+        aux[:, 1] = rng.normal(aux_mean, 1.0, n_units)
     values = np.empty((n_units, grid.size))
     with _one_blas_thread():
-        factor = _residual_factor(cfg.kernel, grid)
-        aux = _draw_aux(cfg.aux, factor, n_units, rng)
-        # aux @ beta + z @ factor.T, z one (n_units, D) draw
+        factor = _residual_factor(kernel, grid)
+        # z @ factor.T, z one (n_units, D) draw
         with closing(normal_blocks(rng, n_units, grid.size, GEN_BLOCK)) as blocks:
             for lo, z in blocks:
-                rows = np.matmul(z, factor.T, out=values[lo:lo + len(z)])
-                rows += aux[lo:lo + len(z)] @ cfg.beta_curves
+                np.matmul(z, factor.T, out=values[lo:lo + len(z)])
+        if scale_sd is not None:
+            scales = np.exp(scale_sd * rng.standard_normal(n_units))
+            scales /= np.sqrt(np.mean(scales**2))
+            values *= scales[:, None]
+        for lo in range(0, n_units, GEN_BLOCK):
+            values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ beta
     return FunctionalPopulation(grid=grid, values=values, aux=aux)
 
 
@@ -193,28 +151,20 @@ def study_population(
     """Convenience population with a tunable aux-response correlation.
 
     The slope curve is nearly flat, so the pointwise correlation between the
-    scalar covariate and Y(t) stays close to `corr` across the grid.
+    scalar covariate (sd 1) and Y(t) stays close to `corr` across the grid.
     """
     if not 0.0 < corr < 1.0:
         raise ConfigurationError("corr must be in (0, 1)")
     grid, beta = _study_trend(n_points, t_max)
-    sd_z = 1.0
-    slope = float(beta[1].mean()) * sd_z
+    slope = float(beta[1].mean())
     # corr**2 underflows to 0 below about 1e-154
     sigma2 = slope**2 * (1.0 / corr**2 - 1.0) if corr**2 > 0.0 else np.inf
     if not np.isfinite(sigma2):
         raise ConfigurationError(
             f"corr = {corr:g} is too small: the residual variance is not finite"
         )
-    cfg = SuperpopulationConfig(
-        beta_curves=beta,
-        kernel=ResidualKernel(
-            kind=kernel_kind, sigma2=sigma2, length_scale=length_scale
-        ),
-        aux=AuxSpec(kind="gaussian", mean=5.0, sd=sd_z),
-        seed=seed,
-    )
-    return generate_population(cfg, n_units, grid)
+    kernel = ResidualKernel(kind=kernel_kind, sigma2=sigma2, length_scale=length_scale)
+    return generate_population(n_units, grid, beta, kernel, seed=seed, aux_mean=5.0)
 
 
 def heteroscedastic_study_population(
@@ -234,21 +184,7 @@ def heteroscedastic_study_population(
     where a few units dominate dispersion, which makes variance estimates
     fluctuate much more across samples than any residual bias in them.
     """
-    if scale_sd < 0:
-        raise ConfigurationError("scale_sd must be >= 0")
-    rng = np.random.default_rng(seed)
     grid, beta = _study_trend(n_points, t_max)
-    aux = np.column_stack([np.ones(n_units), rng.normal(5.0, 1.0, n_units)])
     kernel = ResidualKernel("exponential", sigma2, length_scale)
-    values = np.empty((n_units, grid.size))
-    with _one_blas_thread():
-        factor = _residual_factor(kernel, grid)
-        with closing(normal_blocks(rng, n_units, grid.size, GEN_BLOCK)) as blocks:
-            for lo, z in blocks:
-                np.matmul(z, factor.T, out=values[lo:lo + len(z)])
-        scales = np.exp(scale_sd * rng.standard_normal(n_units))
-        scales /= np.sqrt(np.mean(scales**2))
-        values *= scales[:, None]
-        for lo in range(0, n_units, GEN_BLOCK):
-            values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ beta
-    return FunctionalPopulation(grid=grid, values=values, aux=aux)
+    return generate_population(n_units, grid, beta, kernel, seed=seed,
+                               aux_mean=5.0, scale_sd=scale_sd)

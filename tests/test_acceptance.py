@@ -35,12 +35,7 @@ from curvesurvey.oracle import (
     regularized_inverse,
     spectral_norm_sym,
 )
-from curvesurvey.synthetic import (
-    AuxSpec,
-    ResidualKernel,
-    SuperpopulationConfig,
-    generate_population,
-)
+from curvesurvey.synthetic import ResidualKernel, generate_population
 
 
 def _check(label: str, ok: bool, detail: str = ""):
@@ -51,13 +46,10 @@ def _check(label: str, ok: bool, detail: str = ""):
 def _tiny_population(n_units: int, seed: int):
     """N <= 8 population with an intercept + one covariate, D = 4."""
     grid = TimeGrid(np.linspace(0.0, 1.0, 4))
-    cfg = SuperpopulationConfig(
-        beta_curves=np.vstack([1.0 + grid.points, 2.0 - 0.5 * grid.points]),
-        kernel=ResidualKernel(kind="white", sigma2=0.5),
-        aux=AuxSpec(kind="gaussian", mean=5.0, sd=1.0),
-        seed=seed,
+    return generate_population(
+        n_units, grid, np.vstack([1.0 + grid.points, 2.0 - 0.5 * grid.points]),
+        ResidualKernel(kind="white", sigma2=0.5), seed=seed, aux_mean=5.0,
     )
-    return generate_population(cfg, n_units, grid)
 
 
 SMALL_CONFIGS = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4), (6, 4)]
@@ -118,13 +110,12 @@ def test_criterion_03_hajek_reduction():
     rng = np.random.default_rng(42)
     worst, total = 0.0, 0
     for seed in (1, 2, 3):
-        cfg = SuperpopulationConfig(
-            beta_curves=(2.0 + np.sin(3.0 * grid.points))[None, :],
-            kernel=ResidualKernel(kind="exponential", sigma2=1.0, length_scale=0.3),
-            aux=AuxSpec(kind="intercept_only"),
+        # aux_mean None: the intercept-only model x_k = (1,)
+        pop = generate_population(
+            40, grid, (2.0 + np.sin(3.0 * grid.points))[None, :],
+            ResidualKernel(kind="exponential", sigma2=1.0, length_scale=0.3),
             seed=seed,
         )
-        pop = generate_population(cfg, 40, grid)
         design = SamplingDesign(N=40, n=10)
         for _ in range(34):
             sample = draw(design, rng)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvesurvey
-from curvesurvey import ValidationError, linalg, study_population
+from curvesurvey import ConfigurationError, ValidationError, linalg, study_population
 from curvesurvey.cli import main
 from curvesurvey.config import build_design, build_population, load_config
 from curvesurvey.grids import FunctionalPopulation, TimeGrid
@@ -246,6 +246,30 @@ n_per_stratum = a:1,b:1
     def test_rejects_invalid(self, tmp_path, body):
         with pytest.raises(ValidationError):
             load_config(write_config(tmp_path, body))
+
+    def test_kernel_kind_checked_at_load(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[population]\nsynthetic = true\n"
+                            "n_units = 10\nkernel = nope\n")
+        with pytest.raises(ConfigurationError, match="'kernel' must be one of "
+                           "white, exponential, periodic_exponential, got 'nope'"):
+            load_config(path)
+        # oracle-check builds no config population, so only the load sees it
+        assert main(["oracle-check", "--config", str(path), "--seed", "0"]) == 2
+        assert "'kernel' must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, message", [
+        # a stratified design on it would fail later, naming neither key
+        ("synthetic = true\nn_units = 10\nstrata_column = region\n",
+         "'strata_column' is read only with 'csv'"),
+        ("csv = pop.csv\nn_units = 10\n",
+         "'n_units' is read only with 'synthetic = true'"),
+    ])
+    def test_rejects_an_option_the_source_does_not_read(
+            self, tmp_path, options, message):
+        path = write_config(tmp_path, f"[population]\n{options}[design]\n"
+                            "kind = stratified\nn = 2\nn_per_stratum = a:1,b:1\n")
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(path)
 
 
 SYNTH = """
