@@ -1,12 +1,15 @@
 """Simultaneous confidence bands via Gaussian-process simulation.
 
-A centered Gaussian vector with the n-scaled estimated covariance n C'C is
-drawn repeatedly; the (1 - alpha) quantile of the sup of
-|Z(t)| / sigma_hat(t) gives the band constant c_alpha.  Z = F z with
-F F' = n C'C: the Cholesky factor of n C'C, else, when Cholesky refuses a
-singular C'C (as when n - H < D), sqrt(n) R' from the thin QR C = QR.
-Either factor comes from C'C or C as they are, with no repair and no
-clip.
+The band is mu_hat(t) +- c_alpha sigma_hat(t) / sqrt(n), with
+sigma_hat^2(t) = n gamma_hat(t, t) and c_alpha the (1 - alpha) quantile
+of sup_t |Z(t)| / sigma_hat(t) for a centered Gaussian Z with covariance
+n C'C.  The n cancels from both: c_alpha is the quantile of the same sup
+for Z with covariance C'C, scaled by sqrt(gamma_hat(t, t)), and the
+half-width is c_alpha sqrt(gamma_hat(t, t)).  So the band reads C and
+C'C as the covariance estimate stores them.  Z = F z with F F' = C'C:
+the Cholesky factor of C'C, else, when Cholesky refuses a singular C'C
+(as when n - H < D), R' from the thin QR C = QR.  Either factor comes
+from C'C or C as they are, with no repair and no clip.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from math import ceil
 import numpy as np
 
 from .covariance import CovarianceEstimate
-from .errors import DegenerateVarianceError, NumericalError, ValidationError
+from .errors import DegenerateVarianceError, ValidationError
 from .estimators import MeanEstimate
 from .linalg import _one_blas_thread, normal_blocks
 
 
 @dataclass(frozen=True, eq=False)
 class ConfidenceBand:
-    """Band center plus pointwise half-widths c_alpha * sigma_hat(t) / sqrt(n)."""
+    """Band center plus pointwise half-widths c_alpha * sqrt(gamma_hat(t, t)),
+    which is c_alpha * sigma_hat(t) / sqrt(n)."""
 
     center: np.ndarray
     half_width: np.ndarray
@@ -40,32 +44,27 @@ class ConfidenceBand:
 SIM_BLOCK = 256
 
 
-def _scaled_factor(cov: CovarianceEstimate,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F / sigma[:, None], sigma) with F F' = n C'C, C = cov.rows, and
-    sigma = sqrt(diag(n C'C)).
+def _scaled_factor(cov: CovarianceEstimate) -> tuple[np.ndarray, np.ndarray]:
+    """(F / sigma[:, None], sigma) with F F' = C'C, C = cov.rows, and
+    sigma = sqrt(cov.variance), the square root of the diagonal of C'C.
 
-    F is the lower Cholesky factor of n C'C (D x D) when that exists, else
-    sqrt(n) R' (D x min(rows, D)) from the thin QR of C: R'R = C'C of any
-    rank (Golub & Van Loan, Matrix Computations, section 5.2).
+    F is the lower Cholesky factor of C'C (D x D) when that exists, else
+    R' (D x min(rows, D)) from the thin QR of C: R'R = C'C of any rank
+    (Golub & Van Loan, Matrix Computations, section 5.2).  The variance is
+    finite (CovarianceEstimate refuses it otherwise), and it bounds every
+    entry of C'C.
     """
-    with np.errstate(over="ignore"):
-        scaled = n * cov.matrix
-    diag = np.diag(scaled)
-    if not np.isfinite(diag).all():
-        raise NumericalError("n times the covariance overflows float64; no "
-                             "band can be built")
-    if np.any(diag <= 0.0):
-        worst = int(np.argmin(diag))
+    if np.any(cov.variance <= 0.0):
+        worst = int(np.argmin(cov.variance))
         raise DegenerateVarianceError(
             f"estimated variance is not strictly positive at grid index "
-            f"{worst} (value {diag[worst]:g}); no band can be built"
+            f"{worst} (value {cov.variance[worst]:g}); no band can be built"
         )
     try:
-        factor = np.linalg.cholesky(scaled)
+        factor = np.linalg.cholesky(cov.matrix)
     except np.linalg.LinAlgError:
-        factor = np.sqrt(n) * np.linalg.qr(cov.rows, mode="r").T
-    sigma = np.sqrt(diag)
+        factor = np.linalg.qr(cov.rows, mode="r").T
+    sigma = np.sqrt(cov.variance)
     return factor / sigma[:, None], sigma
 
 
@@ -115,7 +114,6 @@ def _band_sups(scaled_factor: np.ndarray, n_sims: int,
 def build_band(
     estimate: MeanEstimate,
     cov: CovarianceEstimate,
-    n: int,
     alpha: float,
     n_sims: int = 10_000,
     seed=None,
@@ -123,18 +121,15 @@ def build_band(
     """Simultaneous band around an estimated mean curve, built on one BLAS
     thread whatever the caller's count; deterministic given the seed.
 
-    `cov` is the unscaled covariance estimate; sigma_hat(t) =
-    sqrt(n * gamma_hat(t, t)), so the half-width reduces to
-    c_alpha * sqrt(gamma_hat(t, t)).
+    `cov` is the unscaled covariance estimate C'C; the half-width is
+    c_alpha * sqrt(gamma_hat(t, t)) (module docstring).
     """
-    if n < 1:
-        raise ValidationError("sample size n must be >= 1")
     _check_sims(alpha, n_sims)
-    scaled_factor, sigma = _scaled_factor(cov, n)
+    scaled_factor, sigma = _scaled_factor(cov)
     sups = _band_sups(scaled_factor, n_sims, np.random.default_rng(seed))
     k = _quantile_rank(alpha, n_sims)
     c_alpha = float(np.partition(sups, k - 1)[k - 1])
-    half_width = c_alpha * sigma / np.sqrt(n)
+    half_width = c_alpha * sigma
     return ConfidenceBand(center=np.asarray(estimate.curve, dtype=float),
                           half_width=half_width, c_alpha=c_alpha)
 
@@ -154,29 +149,28 @@ def contains(band: ConfidenceBand, truth: np.ndarray) -> bool:
     return bool(np.all(np.abs(truth - band.center) <= band.half_width))
 
 
-def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray,
-                        root_n) -> float:
-    """The smallest float s >= 0 with
-    P(s) = all(deviation <= s * sigma / root_n), or inf when no finite s
-    satisfies P (e.g. a NaN or infinite deviation).
+def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray) -> float:
+    """The smallest float s >= 0 with P(s) = all(deviation <= s * sigma),
+    or inf when no finite s satisfies P (e.g. a NaN or infinite
+    deviation).
 
     P is monotone in s (see covers), so the floats satisfying it are those
-    from this threshold up.  The search starts at deviation * root_n /
-    sigma, which is exact or a few ulps off, and walks the floats in bit
-    order (non-negative floats order as their bit patterns), doubling its
-    step until P changes and then bisecting, so a far start (an overflow)
-    costs a few dozen evaluations, not a walk.
+    from this threshold up.  The search starts at max(deviation / sigma),
+    which is exact or an ulp off, and walks the floats in bit order
+    (non-negative floats order as their bit patterns), doubling its step
+    until P changes and then bisecting, so a far start (an overflow) costs
+    a few dozen evaluations, not a walk.
     """
 
     def holds(bits: int) -> bool:
         s = np.int64(bits).view(np.float64)
-        return bool(np.all(deviation <= s * sigma / root_n))
+        return bool(np.all(deviation <= s * sigma))
 
     inf = int(np.float64(np.inf).view(np.int64))
     with np.errstate(over="ignore"):
         if not holds(inf):
             return np.inf
-        start = float(np.max(deviation * root_n / sigma))
+        start = float(np.max(deviation / sigma))
         hi = int(np.float64(start).view(np.int64))
         step = 1
         if holds(hi):  # walk down to a failing lo; -1 stands for "below 0"
@@ -204,20 +198,18 @@ def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray,
 def covers(
     estimate: MeanEstimate,
     cov: CovarianceEstimate,
-    n: int,
     alpha: float,
     n_sims: int,
     seed,
     truth: np.ndarray,
 ) -> bool:
-    """contains(build_band(estimate, cov, n, alpha, n_sims, seed), truth),
+    """contains(build_band(estimate, cov, alpha, n_sims, seed), truth),
     drawing simulations only until the answer is settled.
 
     Same checks and errors as that pair.  Why stopping early is exact: let
-    P(s) = all(|truth - center| <= s * sigma / sqrt(n)), the float
-    expression of build_band's half-width and of contains' test.  IEEE
-    multiplication and division by positive numbers are monotone, so P is
-    monotone in s: a sup satisfies it iff it is at least the threshold s*
+    P(s) = all(|truth - center| <= s * sigma), the float expression of
+    build_band's half-width and of contains' test.  IEEE multiplication by
+    a positive number is monotone, so P is monotone in s: a sup satisfies it iff it is at least the threshold s*
     of _coverage_threshold, one scalar per band.  The band covers truth iff
     P(c_alpha), with c_alpha the k-th smallest of the n_sims sups,
     k = ceil((1 - alpha) * n_sims).  By monotonicity that holds iff at
@@ -227,13 +219,11 @@ def covers(
     tile that reaches either count (a sequential Monte Carlo test, Besag &
     Clifford 1991).
     """
-    if n < 1:
-        raise ValidationError("sample size n must be >= 1")
     _check_sims(alpha, n_sims)
-    scaled_factor, sigma = _scaled_factor(cov, n)
+    scaled_factor, sigma = _scaled_factor(cov)
     center = np.asarray(estimate.curve, dtype=float)
     deviation = np.abs(_truth_array(truth, center) - center)
-    threshold = _coverage_threshold(deviation, sigma, np.sqrt(n))
+    threshold = _coverage_threshold(deviation, sigma)
     k = _quantile_rank(alpha, n_sims)
     need_in = n_sims - k + 1  # sups reaching s* that make the band cover
     # allocated before any draw, so an n_sims beyond memory fails at once

@@ -119,11 +119,10 @@ def cmd_bands(args) -> int:
     gamma = ma_covariance_estimate(pop, sample, a=a, estimate=estimate)
     alpha = cfg.band.alpha
     n_sims = cfg.band.n_sims or 10_000
-    band = build_band(
-        estimate, gamma, n=design.n, alpha=alpha, n_sims=n_sims,
-        seed=replicate_rng(seed, 0, 1),
-    )
-    sigma_hat = band.half_width * np.sqrt(design.n) / band.c_alpha
+    band = build_band(estimate, gamma, alpha=alpha, n_sims=n_sims,
+                      seed=replicate_rng(seed, 0, 1))
+    # sqrt(n gamma_hat(t, t)) as a product, finite where n gamma_hat is not
+    sigma_hat = np.sqrt(design.n) * np.sqrt(gamma.variance)
     write_curve_csv(
         out / "band.csv",
         pop.grid,
@@ -257,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=nonnegative_int, default=None,
                        help="master RNG seed")
-        p.add_argument("--workers", type=positive_int, default=1, help="pool size")
+        p.add_argument("--workers", type=positive_int, default=1,
+                       help="montecarlo's pool size; the other commands ignore it")
         p.add_argument("--out", default=".", help="output directory")
         p.set_defaults(handler=handler)
     return parser

@@ -129,11 +129,12 @@ class PopulationConfig:
     strata_column: str | None = _option(None, _text)
     synthetic: bool = _option(False, _bool)
     n_units: int | None = _option(None, _int(1))  # required when synthetic
-    n_points: int = _option(48, _int(2))
-    corr: float = _option(0.95, _float(0.0, 1.0))
-    t_max: float = _option(1.0, _float())
-    kernel: str = _option("exponential", _choice(*KERNEL_KINDS))
-    length_scale: float = _option(0.2, _float())
+    # None: study_population's default
+    n_points: int | None = _option(None, _int(2))
+    corr: float | None = _option(None, _float(0.0, 1.0))
+    t_max: float | None = _option(None, _float(0.0))
+    kernel: str | None = _option(None, _choice(*KERNEL_KINDS))
+    length_scale: float | None = _option(None, _float(0.0))
 
     def __post_init__(self):
         _require((self.csv is not None) != self.synthetic,
@@ -142,8 +143,10 @@ class PopulationConfig:
                  "missing integer option 'n_units'")
         _require(self.csv is not None or self.strata_column is None,
                  "[population] 'strata_column' is read only with 'csv'")
-        _require(self.csv is None or self.n_units is None,
-                 "[population] 'n_units' is read only with 'synthetic = true'")
+        for key in ("n_units", "n_points", "corr", "t_max", "kernel",
+                    "length_scale"):  # the options of a synthetic population
+            _require(self.csv is None or getattr(self, key) is None,
+                     f"[population] {key!r} is read only with 'synthetic = true'")
 
 
 @dataclass(frozen=True)
@@ -249,14 +252,11 @@ def build_population(cfg: RunConfig, seed: int):
     _require(pop is not None, "config needs a [population] section")
     if pop.csv is not None:
         return read_population_csv(pop.csv, strata_column=pop.strata_column)
+    options = dict(n_points=pop.n_points, corr=pop.corr, t_max=pop.t_max,
+                   kernel_kind=pop.kernel, length_scale=pop.length_scale)
     population = study_population(
-        n_units=pop.n_units,
-        n_points=pop.n_points,
-        corr=pop.corr,
-        t_max=pop.t_max,
-        kernel_kind=pop.kernel,
-        length_scale=pop.length_scale,
-        seed=seed,
+        n_units=pop.n_units, seed=seed,
+        **{key: value for key, value in options.items() if value is not None},
     )
     return population, None
 

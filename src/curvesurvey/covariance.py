@@ -3,8 +3,8 @@
 The paper estimates each estimator's covariance the same way: the sample
 Horvitz-Thompson covariance estimator of its linearized rows (y_s for HT,
 y_s - mu_hat for Hajek, the regression residuals for MA), which every
-`MeanEstimate` carries.  Matrices are stored unscaled (no factor n); the
-bands layer applies the sqrt(n)/n scalings.
+`MeanEstimate` carries.  Matrices are stored unscaled (no factor n), and
+the bands layer reads them so: n cancels from the band.
 
 Every design here is stratified SRSWOR (SRSWOR is one stratum), whose HT
 covariance is (1/N^2) sum_h N_h^2 (1 - f_h) / n_h S_h, with f_h = n_h / N_h

@@ -112,9 +112,8 @@ def _block(c: _Campaign, lo: int, hi: int):
         try:
             flags[j] = covers(
                 MeanEstimate(estimate.curve[j], estimate.estimator_kind),
-                CovarianceEstimate(gamma.rows[j]), n=c.design.n,
-                alpha=c.alpha, n_sims=c.sims, seed=replicate_rng(c.seed, i, 1),
-                truth=c.truth)
+                CovarianceEstimate(gamma.rows[j]), alpha=c.alpha,
+                n_sims=c.sims, seed=replicate_rng(c.seed, i, 1), truth=c.truth)
         except CurveSurveyError:
             pass  # counted as an error, its estimate kept
     return estimate.curve, gamma.variance, flags, []

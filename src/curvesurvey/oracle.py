@@ -188,7 +188,9 @@ def one_shot_sup_sample(
     draw, F of shape (D, r).
 
     One-shot reference twin of the tiled ``bands._band_sups``, which takes
-    F / sigma[:, None] and draws the same stream in SIM_BLOCK tiles.
+    the band's factor F / sigma[:, None], with F F' = C'C and sigma the
+    square root of its diagonal, and draws the same stream in SIM_BLOCK
+    tiles.
     """
     draws = rng.standard_normal((n_sims, factor.shape[1]))
     return (np.abs(draws @ factor.T) / sigma).max(axis=1)
@@ -198,8 +200,8 @@ def eigh_first_psd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(psd_project(m), F) with F F' = psd_project(m), from one eigh.
 
     Eigh-first twin of the band's factor (``bands._scaled_factor``, the
-    Cholesky factor of n C'C, else sqrt(n) R' from the thin QR of C): F is
-    the lower Cholesky factor of the repaired matrix when that exists, else
+    Cholesky factor of C'C, else R' from the thin QR of C): F is the lower
+    Cholesky factor of the repaired matrix when that exists, else
     v sqrt(max(w, 0)) from the same eigendecomposition.
     """
     repaired, w, v = _eigen_repair(check_symmetric(m))

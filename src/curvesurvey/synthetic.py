@@ -141,7 +141,7 @@ def _study_trend(n_points: int, t_max: float) -> tuple[TimeGrid, np.ndarray]:
 
 def study_population(
     n_units: int,
-    n_points: int,
+    n_points: int = 48,
     corr: float = 0.95,
     t_max: float = 1.0,
     kernel_kind: str = "exponential",

@@ -227,9 +227,9 @@ def test_criterion_07_band_coverage(big_population):
 
 
 def test_criterion_08_univariate_quantile():
-    # the band at n = 1 of the estimate C'C = [[1]], from the row C = [[1]]
+    # the band of the estimate C'C = [[1]], from the row C = [[1]]
     estimate = MeanEstimate(curve=np.zeros(1), estimator_kind="ModelAssisted")
-    c = build_band(estimate, CovarianceEstimate(np.array([[1.0]])), n=1,
+    c = build_band(estimate, CovarianceEstimate(np.array([[1.0]])),
                    alpha=0.05, n_sims=200_000, seed=3).c_alpha
     _check("C08 univariate-quantile", 1.945 <= c <= 1.975, f"c_alpha {c:.4f}")
 

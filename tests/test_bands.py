@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from curvesurvey import (
     DegenerateVarianceError,
-    NumericalError,
     ValidationError,
     build_band,
 )
@@ -33,9 +32,9 @@ def _zero_estimate(d):
 
 
 def _c_alpha(cov, alpha, n_sims, seed):
-    """c_alpha of the band on cov at n = 1, so that n C'C = C'C."""
-    band = build_band(_zero_estimate(cov.variance.size), cov, n=1,
-                      alpha=alpha, n_sims=n_sims, seed=seed)
+    """c_alpha of the band on cov."""
+    band = build_band(_zero_estimate(cov.variance.size), cov, alpha=alpha,
+                      n_sims=n_sims, seed=seed)
     return band.c_alpha
 
 
@@ -86,9 +85,9 @@ class TestSupQuantile:
 
 
 class TestBuildBand:
-    def make_band(self, cov, seed=7, n=100):
-        return build_band(_zero_estimate(cov.variance.size), cov, n=n,
-                          alpha=0.05, n_sims=2000, seed=seed)
+    def make_band(self, cov, seed=7):
+        return build_band(_zero_estimate(cov.variance.size), cov, alpha=0.05,
+                          n_sims=2000, seed=seed)
 
     def test_zero_covariance_rejected(self):
         with pytest.raises(DegenerateVarianceError):
@@ -103,8 +102,8 @@ class TestBuildBand:
         assert band2.c_alpha == pytest.approx(band1.c_alpha, rel=1e-12)
 
     def test_half_width_formula(self):
-        band = self.make_band(factored(np.diag([0.04, 0.09])), n=400)
-        # half width = c_alpha * sqrt(gamma(t,t)) regardless of n
+        band = self.make_band(factored(np.diag([0.04, 0.09])))
+        # half width = c_alpha * sqrt(gamma(t,t))
         assert np.allclose(band.half_width, band.c_alpha * np.array([0.2, 0.3]))
 
 
@@ -141,7 +140,7 @@ def _rank_deficient_rows(rows=20, rank=5, d=12, seed=5):
 
 
 # The rows C of three covariance estimates C'C on D = 12 points: one whose
-# n C'C has a Cholesky factor, and two whose C'C is singular, so the band
+# C'C has a Cholesky factor, and two whose C'C is singular, so the band
 # factors C by a thin QR
 ROWS = {
     "definite": factored(_pd_cov()).rows,
@@ -164,26 +163,26 @@ def _cholesky_fails(matrix):
 
 
 class TestScaledFactor:
-    """The band's factor F, F F' = n C'C: Cholesky of n C'C, else
-    sqrt(n) R' from the thin QR of C."""
+    """The band's factor F, F F' = C'C: Cholesky of C'C, else R' from the
+    thin QR of C; sigma = sqrt(cov.variance)."""
 
-    @pytest.mark.parametrize("n", [1, 50])
-    def test_the_cholesky_factor_of_a_definite_estimate(self, n):
-        cov = _cov("definite")
-        scaled, sigma = bands._scaled_factor(cov, n)
-        # bit for bit the eigh-first twin's, which leaves n C'C unclipped
-        repaired, factor = eigh_first_psd_repair(n * cov.matrix)
-        assert np.array_equal(repaired, n * cov.matrix)
-        assert np.array_equal(sigma, np.sqrt(np.diag(n * cov.matrix)))
+    @pytest.mark.parametrize("scale", [1, 50])
+    def test_the_cholesky_factor_of_a_definite_estimate(self, scale):
+        cov = CovarianceEstimate(np.sqrt(scale) * ROWS["definite"])
+        scaled, sigma = bands._scaled_factor(cov)
+        # bit for bit the eigh-first twin's, which leaves C'C unclipped
+        repaired, factor = eigh_first_psd_repair(cov.matrix)
+        assert np.array_equal(repaired, cov.matrix)
+        assert np.array_equal(sigma, np.sqrt(cov.variance))
         assert np.array_equal(scaled, factor / sigma[:, None])
 
-    @pytest.mark.parametrize("n", [1, 200])
+    @pytest.mark.parametrize("scale", [1, 200])
     @pytest.mark.parametrize("name", SINGULAR)
-    def test_the_qr_factor_of_a_singular_estimate(self, name, n):
-        cov = _cov(name)
-        target = n * cov.matrix
+    def test_the_qr_factor_of_a_singular_estimate(self, name, scale):
+        cov = CovarianceEstimate(np.sqrt(scale) * ROWS[name])
+        target = cov.matrix
         assert _cholesky_fails(target)
-        scaled, sigma = bands._scaled_factor(cov, n)
+        scaled, sigma = bands._scaled_factor(cov)
         factor = scaled * sigma[:, None]
         d, rows = cov.variance.size, ROWS[name].shape[0]
         assert factor.shape == (d, min(rows, d))
@@ -191,7 +190,7 @@ class TestScaledFactor:
         assert np.abs(factor @ factor.T - target).max() <= 1e-13 * scale
         repaired, _ = eigh_first_psd_repair(target)
         assert np.abs(factor @ factor.T - repaired).max() <= 1e-13 * scale
-        assert np.array_equal(sigma, np.sqrt(np.diag(target)))
+        assert np.array_equal(sigma, np.sqrt(cov.variance))
         assert np.all(sigma[cov.variance > 0.0] > 0.0)
         # the band's tiles of r-wide normals against one one-shot draw
         expected = one_shot_sup_sample(factor, sigma, 3000,
@@ -204,9 +203,9 @@ class TestScaledFactor:
         rng = np.random.default_rng(seed)
         cov = CovarianceEstimate(rng.standard_normal((30, 8))
                                  + 0.5 * rng.standard_normal(8))
-        scaled, sigma = bands._scaled_factor(cov, 40)
-        repaired, factor = eigh_first_psd_repair(40 * cov.matrix)
-        assert np.array_equal(repaired, 40 * cov.matrix)
+        scaled, sigma = bands._scaled_factor(cov)
+        repaired, factor = eigh_first_psd_repair(cov.matrix)
+        assert np.array_equal(repaired, cov.matrix)
         assert np.array_equal(scaled, factor / sigma[:, None])
 
     @pytest.mark.parametrize("rows", [
@@ -217,24 +216,24 @@ class TestScaledFactor:
           for seed in range(5)),
     ])
     def test_equals_the_eigh_first_twin_on_the_qr_path(self, rows):
-        # where Cholesky refuses n C'C, the twin clips an eigendecomposition
-        # and the band factors C: both reproduce n C'C to rounding
+        # where Cholesky refuses C'C, the twin clips an eigendecomposition
+        # and the band factors C: both reproduce C'C to rounding
         cov = CovarianceEstimate(rows)
-        target = 40 * cov.matrix
+        target = cov.matrix
         assert _cholesky_fails(target)
-        scaled, sigma = bands._scaled_factor(cov, 40)
+        scaled, sigma = bands._scaled_factor(cov)
         factor = scaled * sigma[:, None]
         assert factor.shape == (rows.shape[1], min(rows.shape))
         repaired, twin = eigh_first_psd_repair(target)
         scale = np.abs(target).max()
         for want in (target, repaired, twin @ twin.T):
             assert np.abs(factor @ factor.T - want).max() <= 1e-13 * scale
-        assert np.array_equal(sigma, np.sqrt(np.diag(target)))
+        assert np.array_equal(sigma, np.sqrt(cov.variance))
 
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_no_eigh_and_qr_only_when_cholesky_fails(self, monkeypatch, name):
         # the band and covers factor C'C or C as they are: an eigh would be
-        # a repair, and the thin QR runs only where Cholesky refuses n C'C
+        # a repair, and the thin QR runs only where Cholesky refuses C'C
         def refused_eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called")
 
@@ -249,8 +248,8 @@ class TestScaledFactor:
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         cov = _cov(name)
         d = cov.variance.size
-        build_band(_zero_estimate(d), cov, n=50, alpha=0.05, n_sims=500, seed=1)
-        covers(_zero_estimate(d), cov, 50, 0.05, 500, 1, np.zeros(d))
+        build_band(_zero_estimate(d), cov, alpha=0.05, n_sims=500, seed=1)
+        covers(_zero_estimate(d), cov, 0.05, 500, 1, np.zeros(d))
         assert len(qrs) == (2 if name in SINGULAR else 0)
 
     def test_zero_variance_raises(self):
@@ -258,19 +257,25 @@ class TestScaledFactor:
         rows[:, 2] = 0.0
         cov = CovarianceEstimate(rows)
         with pytest.raises(DegenerateVarianceError, match="grid index 2"):
-            bands._scaled_factor(cov, 10)
+            bands._scaled_factor(cov)
 
-    def test_n_times_an_overflowing_variance_raises(self):
-        # each variance is finite, about 5e306, but 200 times it is not:
-        # the band refuses it rather than returning NaN half-widths
-        rows = 1e153 * np.random.default_rng(2).standard_normal((5, 4))
-        cov = CovarianceEstimate(rows)
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_a_variance_near_overflow_builds_a_finite_band(self, name):
+        # each variance is finite, near 1e307, but 200 times it is not:
+        # the band reads C'C as it is, so on both factor paths it is finite
+        unit = _cov(name)
+        cov = CovarianceEstimate(ROWS[name] * np.sqrt(1e307 / unit.variance.max()))
         assert np.isfinite(cov.variance).all()
-        args = (_zero_estimate(4), cov, 200, 0.05, 500, 0)
-        with pytest.raises(NumericalError, match="overflows"):
-            build_band(*args)
-        with pytest.raises(NumericalError, match="overflows"):
-            covers(*args, np.zeros(4))
+        assert cov.variance.max() > np.finfo(float).max / 200
+        band = build_band(_zero_estimate(12), cov, 0.05, 500, 0)
+        assert np.isfinite(band.c_alpha) and np.isfinite(band.half_width).all()
+        # the band's sup is unchanged by the scale of C, up to rounding
+        unit_band = build_band(_zero_estimate(12), unit, 0.05, 500, 0)
+        assert band.c_alpha == pytest.approx(unit_band.c_alpha, rel=1e-12)
+        edge = band.half_width
+        assert covers(_zero_estimate(12), cov, 0.05, 500, 0, edge)
+        assert not covers(_zero_estimate(12), cov, 0.05, 500, 0,
+                          np.nextafter(edge, np.inf))
 
 
 class TestSupKernel:
@@ -288,7 +293,7 @@ class TestSupKernel:
             np.linalg.cholesky(cov.matrix), sigma, n_sims,
             np.random.default_rng(11)
         )
-        scaled, _ = bands._scaled_factor(cov, 1)
+        scaled, _ = bands._scaled_factor(cov)
         sups = bands._band_sups(scaled, n_sims, np.random.default_rng(11))
         assert np.abs(sups - expected).max() <= 1e-12 * expected.max()
         k = int(np.ceil(0.95 * n_sims))
@@ -316,7 +321,7 @@ class TestTileSups:
         # covers and the band reuse one D x SIM_BLOCK product buffer, also
         # for a short last tile and for a factor narrower than D: what it
         # held before must not leak
-        scaled, _ = bands._scaled_factor(_cov(name), 1)
+        scaled, _ = bands._scaled_factor(_cov(name))
         d, r = scaled.shape
         rng = np.random.default_rng(m)
         product = np.full(bands.SIM_BLOCK * d, np.nan)
@@ -340,7 +345,7 @@ class TestBandSups:
         "n_sims", [100, bands.SIM_BLOCK, bands.SIM_BLOCK + 1, 3 * bands.SIM_BLOCK - 5])
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_equal_to_the_sequential_loop(self, n_sims, name):
-        scaled, _ = bands._scaled_factor(_cov(name), 1)
+        scaled, _ = bands._scaled_factor(_cov(name))
         rng = np.random.default_rng(21)
         before = threading.active_count()
         sups = bands._band_sups(scaled, n_sims, rng)
@@ -361,7 +366,7 @@ class TestBandSups:
         for threads in (1, 2):
             linalg._set_blas_threads(threads)
             before = threading.active_count()
-            built.append(build_band(est, cov, n=200, alpha=0.05, n_sims=3000,
+            built.append(build_band(est, cov, alpha=0.05, n_sims=3000,
                                     seed=17))
             assert threading.active_count() == before
         one, two = built
@@ -375,21 +380,21 @@ class TestBandSups:
         # truth on the band's edge, or one float beyond it, gets its flag
         rows = np.random.default_rng(seed).standard_normal((200, 336)) / 200
         est, cov = _zero_estimate(336), CovarianceEstimate(rows)
-        band = build_band(est, cov, n=200, alpha=0.05, n_sims=1000, seed=seed)
+        band = build_band(est, cov, alpha=0.05, n_sims=1000, seed=seed)
         edge = band.center + band.half_width
         for truth, inside in ((edge, True), (np.nextafter(edge, np.inf), False)):
             assert contains(band, truth) is inside
-            assert covers(est, cov, 200, 0.05, 1000, seed, truth) is inside
+            assert covers(est, cov, 0.05, 1000, seed, truth) is inside
 
 
-def _oracle_covers(estimate, cov, n, alpha, n_sims, seed, truth):
-    band = build_band(estimate, cov, n=n, alpha=alpha, n_sims=n_sims, seed=seed)
+def _oracle_covers(estimate, cov, alpha, n_sims, seed, truth):
+    band = build_band(estimate, cov, alpha=alpha, n_sims=n_sims, seed=seed)
     return contains(band, truth)
 
 
-def _assert_covers_matches_oracle(estimate, cov, n, alpha, n_sims, seed, truth):
-    expected = _oracle_covers(estimate, cov, n, alpha, n_sims, seed, truth)
-    assert covers(estimate, cov, n, alpha, n_sims, seed, truth) is expected
+def _assert_covers_matches_oracle(estimate, cov, alpha, n_sims, seed, truth):
+    expected = _oracle_covers(estimate, cov, alpha, n_sims, seed, truth)
+    assert covers(estimate, cov, alpha, n_sims, seed, truth) is expected
     return expected
 
 
@@ -401,7 +406,6 @@ class TestCovers:
         d=st.integers(1, 8),
         cov_seed=st.integers(0, 2**32 - 1),
         rows=st.integers(1, 12),
-        n=st.integers(1, 500),
         alpha=st.floats(0.001, 0.6),
         n_sims=st.integers(100, 2500),
         spread=st.floats(0.0, 6.0),
@@ -410,13 +414,13 @@ class TestCovers:
             [None, "center", "inf", "-inf", "nan", "overflow", "huge"]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_matches_oracle(self, d, cov_seed, rows, n, alpha, n_sims,
-                            spread, seed, special):
+    def test_matches_oracle(self, d, cov_seed, rows, alpha, n_sims, spread,
+                            seed, special):
         # fewer rows than points make some covariances singular
         rng = np.random.default_rng(cov_seed)
         c = rng.standard_normal((rows, d)) / np.sqrt(d)
         center = rng.standard_normal(d)
-        # the band's half-width is c_alpha * sqrt(variance), whatever n is
+        # the band's half-width is c_alpha * sqrt(variance)
         truth = center + spread * np.sqrt((c * c).sum(axis=0)) * \
             rng.uniform(-1.0, 1.0, d)
         j = int(rng.integers(d))
@@ -427,10 +431,11 @@ class TestCovers:
         elif special == "overflow":  # deviation / sigma_hat overflows
             c *= 1e-150
             truth[j] = center[j] + 1e300
-        elif special == "huge":  # deviation * sqrt(n) overflows
+        elif special == "huge":  # deviation / sigma_hat overflows
+            c *= 1e-3
             truth[j] = center[j] - 1.5e308
         estimate = MeanEstimate(curve=center, estimator_kind="ModelAssisted")
-        args = (estimate, CovarianceEstimate(c), n, alpha, n_sims, seed, truth)
+        args = (estimate, CovarianceEstimate(c), alpha, n_sims, seed, truth)
         try:
             expected = _oracle_covers(*args)
         except DegenerateVarianceError:
@@ -451,7 +456,7 @@ class TestCovers:
         cov = _cov(name)
         d = cov.variance.size
         estimate = _zero_estimate(d)
-        band = build_band(estimate, cov, n=50, alpha=alpha, n_sims=n_sims, seed=9)
+        band = build_band(estimate, cov, alpha=alpha, n_sims=n_sims, seed=9)
         edge = band.half_width[d - 1]
         outcomes = []
         # with a zero center, truth = half_width is exactly on the edge (a
@@ -461,7 +466,7 @@ class TestCovers:
             truth = np.zeros(d)
             truth[d - 1] = value
             outcomes.append(_assert_covers_matches_oracle(
-                estimate, cov, 50, alpha, n_sims, 9, truth))
+                estimate, cov, alpha, n_sims, 9, truth))
         assert outcomes == [True, True, True, False, False]
 
     def test_alpha_with_k_equal_to_n_sims(self):
@@ -470,7 +475,7 @@ class TestCovers:
 
     @pytest.mark.parametrize("name", SINGULAR)
     def test_qr_factor_path(self, name):
-        # n = 1, so n C'C is the matrix whose Cholesky fails
+        # C'C is the matrix whose Cholesky fails
         cov = _cov(name)
         assert _cholesky_fails(cov.matrix)
         d = cov.variance.size
@@ -478,7 +483,7 @@ class TestCovers:
         sigma = np.sqrt(cov.variance)
         outcomes = {
             _assert_covers_matches_oracle(
-                _zero_estimate(d), cov, 1, 0.05, 3000, 5,
+                _zero_estimate(d), cov, 0.05, 3000, 5,
                 3.0 * sigma * rng.uniform(-1.0, 1.0, d))
             for _ in range(20)
         }
@@ -486,19 +491,18 @@ class TestCovers:
 
     def test_zero_variance_raises_in_both(self):
         cov = CovarianceEstimate(np.diag([1.0, 0.0]))
-        args = (_zero_estimate(2), cov, 10, 0.05, 1000, 0, np.zeros(2))
+        args = (_zero_estimate(2), cov, 0.05, 1000, 0, np.zeros(2))
         with pytest.raises(DegenerateVarianceError):
             _oracle_covers(*args)
         with pytest.raises(DegenerateVarianceError):
             covers(*args)
 
     @pytest.mark.parametrize(
-        "n, alpha, n_sims, truth_size",
-        [(0, 0.05, 1000, 3), (10, 0.0, 1000, 3), (10, 1.5, 1000, 3),
-         (10, 0.05, 99, 3), (10, 0.05, 1000, 4)],
+        "alpha, n_sims, truth_size",
+        [(0.0, 1000, 3), (1.5, 1000, 3), (0.05, 99, 3), (0.05, 1000, 4)],
     )
-    def test_same_validation_errors(self, n, alpha, n_sims, truth_size):
-        args = (_zero_estimate(3), factored(np.eye(3)), n, alpha, n_sims, 0,
+    def test_same_validation_errors(self, alpha, n_sims, truth_size):
+        args = (_zero_estimate(3), factored(np.eye(3)), alpha, n_sims, 0,
                 np.zeros(truth_size))
         with pytest.raises(ValidationError) as oracle_error:
             _oracle_covers(*args)
@@ -512,7 +516,7 @@ class TestCovers:
         cov = _cov("definite")
         d = cov.variance.size
         rng = np.random.default_rng(21)
-        assert covers(_zero_estimate(d), cov, 50, 0.05, 5000, rng, np.zeros(d))
+        assert covers(_zero_estimate(d), cov, 0.05, 5000, rng, np.zeros(d))
         reference = np.random.default_rng(21)
         reference.standard_normal((bands.SIM_BLOCK, d))
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -532,7 +536,7 @@ class TestCovers:
         cov = _cov("definite")
         d = cov.variance.size
         rng = np.random.default_rng(22)
-        assert covers(_zero_estimate(d), cov, 50, alpha, n_sims, rng, np.zeros(d))
+        assert covers(_zero_estimate(d), cov, alpha, n_sims, rng, np.zeros(d))
         reference = np.random.default_rng(22)
         reference.standard_normal((drawn, d))
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -555,10 +559,10 @@ class TestCovers:
     def test_decided_at_a_block_boundary(self, alpha, edge_of, drawn, covered):
         # truth sits on the edge of the band built on a chosen sup of the
         # first tile, so that tile's count is known; covers draws whole tiles
-        n_sims, n, seed = 2048, 50, 13
+        n_sims, seed = 2048, 13
         cov = _cov("definite")
         d = cov.variance.size
-        scaled, sigma = bands._scaled_factor(cov, n)
+        scaled, sigma = bands._scaled_factor(cov)
         sups = bands._band_sups(scaled, n_sims, np.random.default_rng(seed))
         k = bands._quantile_rank(alpha, n_sims)
         assert bands.SIM_BLOCK in (n_sims - k + 1, k)
@@ -575,11 +579,11 @@ class TestCovers:
         inside = np.count_nonzero(sups[:drawn] >= edge)
         assert (inside >= n_sims - k + 1 if covered else drawn - inside >= k)
         truth = np.zeros(d)
-        truth[0] = edge * sigma[0] / np.sqrt(n)
+        truth[0] = edge * sigma[0]
         assert _assert_covers_matches_oracle(
-            _zero_estimate(d), cov, n, alpha, n_sims, seed, truth) is covered
+            _zero_estimate(d), cov, alpha, n_sims, seed, truth) is covered
         rng = np.random.default_rng(seed)
-        covers(_zero_estimate(d), cov, n, alpha, n_sims, rng, truth)
+        covers(_zero_estimate(d), cov, alpha, n_sims, rng, truth)
         reference = np.random.default_rng(seed)
         reference.standard_normal((drawn, d))
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -593,37 +597,35 @@ class TestCoverageThreshold:
     """_coverage_threshold is the smallest float whose band covers."""
 
     @staticmethod
-    def _holds(s, deviation, sigma, root_n):
+    def _holds(s, deviation, sigma):
         with np.errstate(over="ignore"):
-            return bool(np.all(deviation <= s * sigma / root_n))
+            return bool(np.all(deviation <= s * sigma))
 
-    def _assert_smallest(self, deviation, sigma, n):
-        root_n = np.sqrt(n)
-        s = bands._coverage_threshold(deviation, sigma, root_n)
+    def _assert_smallest(self, deviation, sigma):
+        s = bands._coverage_threshold(deviation, sigma)
         if s == np.inf:
-            assert not self._holds(np.finfo(float).max, deviation, sigma, root_n)
+            assert not self._holds(np.finfo(float).max, deviation, sigma)
             return
-        assert s >= 0.0 and self._holds(s, deviation, sigma, root_n)
+        assert s >= 0.0 and self._holds(s, deviation, sigma)
         if s > 0.0:
-            assert not self._holds(_float_after(s, 0.0), deviation, sigma, root_n)
+            assert not self._holds(_float_after(s, 0.0), deviation, sigma)
 
     @given(
         d=st.integers(1, 6),
         exponent=st.integers(-320, 308),
         sigma_exponent=st.integers(-160, 150),
-        n=st.integers(1, 10**6),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_is_the_smallest_float_that_covers(self, d, exponent,
-                                               sigma_exponent, n, seed):
+                                               sigma_exponent, seed):
         # deviations from subnormal to near overflow, so that the start
-        # deviation * sqrt(n) / sigma can underflow or overflow
+        # deviation / sigma can underflow or overflow
         rng = np.random.default_rng(seed)
         deviation = rng.uniform(0.0, 1.7, d) * 10.0 ** exponent
         deviation[rng.uniform(size=d) < 0.2] = 0.0
         sigma = rng.uniform(0.1, 3.0, d) * 10.0 ** sigma_exponent
-        self._assert_smallest(deviation, sigma, n)
+        self._assert_smallest(deviation, sigma)
 
     @pytest.mark.parametrize("deviation, expected", [
         ([0.0, 0.0], 0.0),
@@ -634,6 +636,6 @@ class TestCoverageThreshold:
     @pytest.mark.parametrize("sigma", [[1.0, 1.0], [1e-150, 1e150]])
     def test_edge_deviations(self, deviation, expected, sigma):
         deviation, sigma = np.array(deviation), np.array(sigma)
-        self._assert_smallest(deviation, sigma, 50)
+        self._assert_smallest(deviation, sigma)
         if expected is not None:
-            assert bands._coverage_threshold(deviation, sigma, np.sqrt(50)) == expected
+            assert bands._coverage_threshold(deviation, sigma) == expected

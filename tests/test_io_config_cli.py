@@ -271,6 +271,24 @@ n_per_stratum = a:1,b:1
         with pytest.raises(ConfigurationError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize("command", ["estimate", "oracle-check"])
+    @pytest.mark.parametrize("option", [
+        "n_units = 10", "n_points = 99", "corr = 0.5", "t_max = 2",
+        "kernel = white", "length_scale = 0.3",
+    ])
+    def test_a_synthetic_option_next_to_csv_exits_2(
+            self, tmp_path, capsys, pop_csv, command, option):
+        # the csv population would be returned as if the option were unset
+        key = option.partition(" = ")[0]
+        cfg = write_config(tmp_path, f"[population]\ncsv = {pop_csv[0]}\n"
+                           f"{option}\n[design]\nkind = srswor\nn = 4\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' is read only with 'synthetic = true'" in err
+        assert not out.exists()
+
 
 SYNTH = """
 [population]
@@ -572,6 +590,22 @@ class TestCliRejectsBadNumbers:
         assert message in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["estimate", "bands", "montecarlo",
+                                         "oracle-check"])
+    @pytest.mark.parametrize("option", ["t_max = 0", "t_max = -2",
+                                        "length_scale = -1"])
+    def test_a_nonpositive_scale_exits_2(self, tmp_path, capsys, command,
+                                         option):
+        key = option.partition(" = ")[0]
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma").replace(
+            "n_points = 5", f"n_points = 5\n{option}"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"option '{key}' must lie in (0, inf)" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_small_corr_still_runs(self, tmp_path):
         cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma").replace(
             "n_points = 5", "n_points = 5\ncorr = 0.01"))
@@ -658,6 +692,30 @@ class TestCliRejectsBadNumbers:
         err = capsys.readouterr().err
         assert "covariance overflows float64" in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
+
+    def test_a_variance_near_overflow_gives_a_finite_band(self, tmp_path):
+        # curve values near +-5e154: each gamma_hat(t, t) is finite, n times
+        # the largest is not, and sigma_hat = sqrt(n) sqrt(gamma_hat) is
+        pop = study_population(30, 5, corr=0.9, seed=2)
+        values = 5e154 * np.random.default_rng(0).uniform(-1.0, 1.0, (30, 5))
+        path = tmp_path / "pop.csv"
+        write_population_csv(path, FunctionalPopulation(pop.grid, values, pop.aux),
+                             aux_names=["intercept", "past_mean"])
+        cfg = write_config(tmp_path, f"[population]\ncsv = {path}\n\n[design]\n"
+                           "kind = srswor\nn = 12\n\n[band]\nn_sims = 500\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bands", "--config", str(cfg), "--seed", "1",
+                         "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        gamma = np.loadtxt(out / "covariance.csv", delimiter=",", skiprows=1)
+        variance = np.diag(gamma[:, 1:])
+        assert variance.max() > np.finfo(float).max / 12
+        band = np.loadtxt(out / "band.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(band).all()
+        assert np.allclose(band[:, 4], np.sqrt(12.0) * np.sqrt(variance),
+                           rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_a_failing_later_size_writes_nothing(self, tmp_path, capsys,

@@ -1,10 +1,14 @@
 import concurrent.futures
+import dataclasses
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvesurvey import estimators, linalg, montecarlo
 from curvesurvey import (
@@ -17,7 +21,7 @@ from curvesurvey import (
     study_population,
 )
 from curvesurvey.bands import covers
-from curvesurvey.covariance import ht_covariance_estimate
+from curvesurvey.covariance import CovarianceEstimate, ht_covariance_estimate
 from curvesurvey.designs import replicate_rng
 from curvesurvey.estimators import ESTIMATORS
 from curvesurvey.grids import FunctionalPopulation, TimeGrid, population_mean
@@ -203,8 +207,8 @@ def _replicate_twin(pop, design, replicates, kind, a, coverage, seed,
             continue
         flag = None
         if coverage:
-            flag = covers(estimate, gamma, n=design.n, alpha=alpha,
-                          n_sims=sims, seed=replicate_rng(seed, i, 1),
+            flag = covers(estimate, gamma, alpha=alpha, n_sims=sims,
+                          seed=replicate_rng(seed, i, 1),
                           truth=population_mean(pop))
         out.append((estimate.curve, gamma.variance, flag, None))
     return out
@@ -328,6 +332,167 @@ class TestBlocks:
         run_campaign(mc_pop, [design], replicates=30, master_seed=3)
         assert drawn == [13, 13, 4]
         assert streams == [(3, i, 0) for i in range(30)]  # one per replicate
+
+
+def _loop_reports(pop, designs, replicates, kind, a, coverage, alpha, sims,
+                  seed):
+    """run_campaign's reports from a plain loop over each size's
+    replicates: draw, estimate, covariance and covers flag of one sample at
+    a time, then montecarlo._report of the size; it raises the
+    NumericalError of the first size that fails, as run_campaign does."""
+    truth, d = population_mean(pop), pop.grid.size
+    reports = []
+    for design in designs:
+        curves, variances, flags, errors = [], [], [], []
+        for i in range(replicates):
+            sample = draw(design, replicate_rng(seed, i, 0))
+            try:
+                estimate = ESTIMATORS[kind](pop, sample, a)
+                gamma = ht_covariance_estimate(pop, sample, estimate=estimate)
+            except CurveSurveyError as exc:
+                errors.append(str(exc))
+                continue
+            flag = -1  # no band: coverage off, or the band failed
+            try:
+                if coverage:
+                    flag = int(covers(estimate, gamma, alpha, sims,
+                                      replicate_rng(seed, i, 1), truth))
+            except CurveSurveyError:
+                pass
+            curves.append(estimate.curve)
+            variances.append(gamma.variance)
+            flags.append(flag)
+        campaign = montecarlo._Campaign(pop, design, kind, a, seed, coverage,
+                                        alpha, sims, truth)
+        results = (np.reshape(curves, (-1, d)), np.reshape(variances, (-1, d)),
+                   np.array(flags, dtype=np.int8), errors)
+        reports.append(montecarlo._report(campaign, replicates, results))
+    return reports
+
+
+def _recorded(run):
+    """(the results montecarlo._report reduced, size by size; run()'s
+    reports, or the message of the NumericalError it raised)."""
+    seen, report = [], montecarlo._report
+
+    def recording(campaign, replicates, results):
+        seen.append(results)
+        return report(campaign, replicates, results)
+
+    with mock.patch.object(montecarlo, "_report", recording):
+        try:
+            return seen, run()
+        except NumericalError as exc:
+            return seen, str(exc)
+
+
+def _assert_same_outcome(got, want):
+    (got_results, got), (want_results, want) = got, want
+    # per replicate: curves, variances, flags and error messages
+    assert len(got_results) == len(want_results)
+    for results, expected in zip(got_results, want_results):
+        assert results[3] == expected[3]
+        for value, other in zip(results[:3], expected[:3]):
+            assert value.dtype == other.dtype and value.shape == other.shape
+            assert np.array_equal(value, other)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for report, expected in zip(got, want):
+        for field in dataclasses.fields(report):
+            value, other = (getattr(r, field.name) for r in (report, expected))
+            if isinstance(value, CovarianceEstimate):
+                value, other = value.rows, other.rows
+            if isinstance(value, np.ndarray):
+                assert value.shape == other.shape, field.name
+                assert np.array_equal(value, other), field.name
+            else:
+                assert value == other, field.name
+
+
+@st.composite
+def _campaigns(draw_from):
+    """A population with a dummy covariate, the designs of 1-3 sample sizes
+    (SRSWOR, two range strata or three interleaved label strata), and the
+    campaign's settings, with BLOCK_FLOATS such that a block holds from
+    one replicate to all of them."""
+    n_units = draw_from(st.integers(12, 40))
+    d = draw_from(st.integers(2, 5))
+    layout = draw_from(st.sampled_from(["srswor", "ranges", "labels"]))
+    strata = {"srswor": 1, "ranges": 2, "labels": 3}[layout]
+    # a size of a few units often misses every dummy unit, and then its MA
+    # fit at a = 0 is singular
+    small = draw_from(st.integers(3, 5))
+    others = draw_from(st.lists(st.integers(strata, n_units // 2),
+                                max_size=2, unique=True))
+    sizes = draw_from(st.permutations([small] + [n for n in others
+                                                 if n != small]))
+    replicates = draw_from(st.integers(2, 8))
+    return dict(
+        pop_seed=draw_from(st.integers(0, 2**16)), n_units=n_units, d=d,
+        layout=layout, sizes=sizes, replicates=replicates,
+        kind=draw_from(st.sampled_from(["ma", "hajek", "ht"])),
+        a=draw_from(st.sampled_from([0.0, None])),
+        coverage=draw_from(st.booleans()),
+        # 0.5 first, as hypothesis favours the first: the flags vary most
+        alpha=draw_from(st.sampled_from([0.5, 0.1, 0.05])),
+        sims=draw_from(st.integers(100, 300)),
+        seed=draw_from(st.integers(0, 2**16)),
+        block_floats=draw_from(st.integers(1, replicates * max(sizes) * d)),
+    )
+
+
+def _campaign_inputs(case):
+    """(population, designs) of a _campaigns case: aux = (1, z, 1 on the
+    first quarter of the units)."""
+    rng = np.random.default_rng(case["pop_seed"])
+    n_units, d = case["n_units"], case["d"]
+    aux = np.column_stack([np.ones(n_units), rng.normal(3, 1, n_units),
+                           (np.arange(n_units) < n_units // 4).astype(float)])
+    values = (aux @ rng.standard_normal((3, d))
+              + rng.standard_normal((n_units, d)))
+    pop = FunctionalPopulation(grid=TimeGrid(np.linspace(0, 1, d)),
+                               values=values, aux=aux)
+    half = n_units // 2
+    layouts = {
+        "srswor": lambda n: SamplingDesign(N=n_units, n=n),
+        "ranges": lambda n: SamplingDesign(
+            N=n_units, n=n, strata=(np.arange(half), np.arange(half, n_units)),
+            n_h=(n - n // 2, n // 2)),
+        "labels": lambda n: SamplingDesign(
+            N=n_units, n=n,
+            strata=tuple(np.arange(h, n_units, 3) for h in range(3)),
+            n_h=tuple(n // 3 + (h < n % 3) for h in range(3))),
+    }
+    return pop, [layouts[case["layout"]](n) for n in case["sizes"]]
+
+
+def _check_against_the_loop(case, workers):
+    pop, designs = _campaign_inputs(case)
+    # run_campaign's positional order, which _loop_reports shares
+    args = [case[key] for key in ("replicates", "kind", "a", "coverage",
+                                  "alpha", "sims", "seed")]
+    with mock.patch.object(montecarlo, "BLOCK_FLOATS", case["block_floats"]):
+        engine = _recorded(lambda: run_campaign(pop, designs, *args,
+                                                workers=workers))
+    loop = _recorded(lambda: _loop_reports(pop, designs, *args))
+    _assert_same_outcome(engine, loop)
+
+
+class TestEngineAgainstTheLoop:
+    """run_campaign, with its blocks, its solo re-runs and its one task
+    stream over the sizes, equals a per-replicate loop bit for bit."""
+
+    @given(case=_campaigns())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_a_per_replicate_loop(self, case):
+        _check_against_the_loop(case, workers=1)
+
+    @given(case=_campaigns())
+    @settings(max_examples=3, deadline=None)
+    def test_equals_a_per_replicate_loop_in_a_pool(self, case):
+        _check_against_the_loop(case, workers=2)
 
 
 @pytest.mark.parametrize("setting, message", [
