@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -185,7 +184,7 @@ def cmd_montecarlo(args) -> int:
     campaign = cfg.campaign
     reports = run_campaign(  # every size before any file is written
         pop,
-        [design if n == design.n else dataclasses.replace(design, n=n)
+        [design if n == design.n else SamplingDesign(design.N, n)
          for n in campaign.n_list or (design.n,)],
         replicates=campaign.replicates,
         estimator=cfg.estimator.kind,

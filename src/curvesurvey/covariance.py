@@ -72,8 +72,7 @@ def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
     each sample's rows in stratum order (a copy when they already are),
     then each stratum's slice is centred and scaled in place (module
     docstring)."""
-    strata, n_h = design.allocation
-    labels = design.stratum_of()
+    strata, n_h, labels = design.strata, design.n_h, design.labels
     if indices is None:
         sizes = [s.size for s in strata]
     else:

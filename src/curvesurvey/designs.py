@@ -1,15 +1,15 @@
-"""Fixed-size sampling designs: stratified SRSWOR, with SRSWOR as the one
-stratum 0..N-1.
+"""Fixed-size sampling designs: stratified SRSWOR, with SRSWOR as its one
+stratum 0..N-1.  A design is one record: its strata, n_h, first-order
+probabilities pi and unit stratum labels are read-only, set when it is made.
 
-Unit indices are 0-based throughout.  Inclusion probabilities have closed
-forms; the exhaustive enumeration of every sample, for small populations,
-lives in ``oracle.py`` beside the checks that read it.
+Unit indices are 0-based throughout.  The exhaustive enumeration of every
+sample, for small populations, lives in ``oracle.py`` beside the checks
+that read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,82 +18,60 @@ from .errors import ValidationError
 
 @dataclass(frozen=True, eq=False)
 class SamplingDesign:
-    """A fixed-size design on a population of N units.
-
-    Without strata, SRSWOR: every n-subset of 0..N-1 equiprobable.  With
-    strata, a tuple of disjoint index arrays partitioning 0..N-1, and n_h,
-    independent SRSWOR of size n_h within each stratum.
+    """A fixed-size design on a population of N units: independent SRSWOR
+    of size n_h within each stratum h, the strata a tuple of disjoint
+    sorted index arrays partitioning 0..N-1.  Without strata, SRSWOR: the
+    one stratum arange(N) with n_h = (n,).  pi[k] = n_h / N_h and
+    labels[k] = h for the stratum h of unit k.
     """
 
     N: int
     n: int
     strata: tuple | None = None
     n_h: tuple | None = None
+    pi: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         N, n = _indices((self.N, self.n), "N and n").tolist()
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "n", n)
-        if self.N < 1:
+        if N < 1:
             raise ValidationError("population size must be >= 1")
-        if not 1 <= self.n <= self.N:
-            raise ValidationError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
+        if not 1 <= n <= N:
+            raise ValidationError(f"need 1 <= n <= N, got n={n}, N={N}")
         if (self.strata is None) != (self.n_h is None):
             raise ValidationError("a stratified design needs strata and n_h")
         if self.strata is None:
-            return
-        strata = tuple(_read_only(np.sort(_indices(s, "stratum members")))
-                       for s in self.strata)
-        n_h = tuple(_indices(self.n_h, "n_h").tolist())
-        if len(strata) != len(n_h) or not strata:
-            raise ValidationError("strata and n_h must align and be nonempty")
-        flat = np.concatenate(strata)
-        if flat.size != self.N or not np.array_equal(
-            np.sort(flat), np.arange(self.N)
-        ):
-            raise ValidationError("strata must partition 0..N-1")
-        for s, m in zip(strata, n_h):
-            if not 1 <= m <= s.size:
-                raise ValidationError(
-                    f"need 1 <= n_h <= N_h, got n_h={m}, N_h={s.size}"
-                )
-        if sum(n_h) != self.n:
-            raise ValidationError("sum of n_h must equal n")
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "n_h", n_h)
+            strata, n_h = (np.arange(N),), (n,)
+        else:
+            strata = tuple(np.sort(_indices(s, "stratum members"))
+                           for s in self.strata)
+            n_h = tuple(_indices(self.n_h, "n_h").tolist())
+            if len(strata) != len(n_h) or not strata:
+                raise ValidationError("strata and n_h must align and be nonempty")
+            flat = np.concatenate(strata)
+            if flat.size != N or not np.array_equal(np.sort(flat), np.arange(N)):
+                raise ValidationError("strata must partition 0..N-1")
+            for s, m in zip(strata, n_h):
+                if not 1 <= m <= s.size:
+                    raise ValidationError(
+                        f"need 1 <= n_h <= N_h, got n_h={m}, N_h={s.size}"
+                    )
+            if sum(n_h) != n:
+                raise ValidationError("sum of n_h must equal n")
+        pi, labels = np.empty(N), np.empty(N, dtype=int)
+        for h, (s, m) in enumerate(zip(strata, n_h)):
+            pi[s], labels[s] = m / s.size, h
+        for name, value in zip(("N", "n", "strata", "n_h", "pi", "labels"),
+                               (N, n, tuple(map(_read_only, strata)), n_h,
+                                _read_only(pi), _read_only(labels))):
+            object.__setattr__(self, name, value)
 
-    # The cached arrays below depend only on the design, are computed once
-    # per instance, are read-only, and are left out of the pickled state
-    # (a worker receiving the design recomputes them).
-    _CACHED = ("allocation", "_inclusion_probs", "_stratum_labels")
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in self._CACHED}
-
-    @cached_property
-    def allocation(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
-        """(strata, n_h); SRSWOR is the single stratum 0..N-1 with n_h = (n,)."""
-        if self.strata is None:
-            return (_read_only(np.arange(self.N)),), (self.n,)
-        return self.strata, self.n_h
-
-    @cached_property
-    def _inclusion_probs(self) -> np.ndarray:
-        pi = np.empty(self.N)
-        for s, m in zip(*self.allocation):
-            pi[s] = m / s.size
-        return _read_only(pi)
-
-    @cached_property
-    def _stratum_labels(self) -> np.ndarray:
-        labels = np.empty(self.N, dtype=int)
-        for h, s in enumerate(self.allocation[0]):
-            labels[s] = h
-        return _read_only(labels)
-
-    def stratum_of(self) -> np.ndarray:
-        """Stratum id per unit (all zeros for srswor); read-only."""
-        return self._stratum_labels
+    def __reduce__(self):
+        """Pickle the constructor's arguments (SRSWOR without its N-length
+        stratum); the copy is rebuilt, checked and read-only like any other."""
+        if len(self.n_h) == 1:
+            return SamplingDesign, (self.N, self.n)
+        return SamplingDesign, (self.N, self.n, self.strata, self.n_h)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -136,11 +114,11 @@ class Sample:
             raise ValidationError("sample indices must be distinct")
         if idx[..., 0].min() < 0 or idx[..., -1].max() >= self.design.N:
             raise ValidationError("sample indices out of 0..N-1")
-        n_h = self.design.allocation[1]
+        n_h = self.design.n_h
         if len(n_h) > 1:  # a sample of size n has n units in one stratum
             # units per stratum of each sample, from one bincount of the
             # labels offset by len(n_h) per sample
-            labels = self.design.stratum_of()[idx].reshape(-1, idx.shape[-1])
+            labels = self.design.labels[idx].reshape(-1, idx.shape[-1])
             offsets = len(n_h) * np.arange(len(labels))[:, None]
             counts = np.bincount((labels + offsets).ravel(),
                                  minlength=len(labels) * len(n_h))
@@ -151,13 +129,12 @@ class Sample:
                     f"sample has {tuple(counts[wrong[0]].tolist())} units per "
                     f"stratum, the design draws n_h = {n_h}"
                 )
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _read_only(idx))
 
 
 def first_order_probs(design: SamplingDesign) -> np.ndarray:
-    """Vector of pi_k for all N units; read-only, computed once per design."""
-    return design._inclusion_probs
+    """Vector of pi_k for all N units; read-only, set when the design is made."""
+    return design.pi
 
 
 def joint_prob_within(N_h: int, n_h: int) -> float:
@@ -168,10 +145,10 @@ def joint_prob_within(N_h: int, n_h: int) -> float:
 def joint_probs_submatrix(design: SamplingDesign, idx: np.ndarray) -> np.ndarray:
     """pi_kl restricted to the units in idx (dense; a reference for tests)."""
     idx = np.asarray(idx, dtype=int)
-    pi = first_order_probs(design)[idx]
+    pi = design.pi[idx]
     mat = np.outer(pi, pi)
-    labels = design.stratum_of()[idx]
-    for h, (s, m) in enumerate(zip(*design.allocation)):
+    labels = design.labels[idx]
+    for h, (s, m) in enumerate(zip(design.strata, design.n_h)):
         members = np.flatnonzero(labels == h)
         mat[np.ix_(members, members)] = joint_prob_within(s.size, m)
     np.fill_diagonal(mat, pi)
@@ -184,7 +161,7 @@ def _draw_indices(design: SamplingDesign,
     (unsorted: Sample sorts them)."""
     return np.concatenate([
         s[rng.choice(s.size, size=m, replace=False)]
-        for s, m in zip(*design.allocation)
+        for s, m in zip(design.strata, design.n_h)
     ])
 
 

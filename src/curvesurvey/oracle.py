@@ -70,7 +70,7 @@ class CheckResult:
 
 def _count_samples(design: SamplingDesign) -> int:
     total = 1
-    for s, m in zip(*design.allocation):
+    for s, m in zip(design.strata, design.n_h):
         total *= math.comb(s.size, m)
     return total
 
@@ -88,7 +88,7 @@ def enumerate_samples(
     prob = 1.0 / total
     per_stratum = [
         list(itertools.combinations(s.tolist(), m))
-        for s, m in zip(*design.allocation)
+        for s, m in zip(design.strata, design.n_h)
     ]
     out = []
     for parts in itertools.product(*per_stratum):

@@ -55,33 +55,52 @@ class TestFirstOrder:
             first_order_probs(d)[4]
 
 
-class TestCachedInvariants:
-    @pytest.mark.parametrize(
-        "design", [SamplingDesign(N=6, n=2), stratified_2x2()],
-        ids=["srswor", "stratified"],
+def stratified_2_3():
+    return SamplingDesign(
+        N=5, n=3,
+        strata=(np.array([3, 1, 0]), np.array([2, 4])), n_h=(2, 1),
     )
-    def test_cached_arrays_refuse_writes(self, design):
-        arrays = [first_order_probs(design), design.stratum_of(),
-                  *design.allocation[0]]
-        for a in arrays:
+
+
+DESIGNS = [SamplingDesign(N=6, n=2), stratified_2_3()]
+
+
+class TestDesignFields:
+    def test_srswor_is_its_one_stratum(self):
+        design = SamplingDesign(N=6, n=2)
+        assert len(design.strata) == 1
+        assert np.array_equal(design.strata[0], np.arange(6))
+        assert design.n_h == (2,)
+        assert design.pi.tolist() == [1 / 3] * 6
+        assert design.labels.tolist() == [0] * 6
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=["srswor", "stratified"])
+    def test_arrays_refuse_writes(self, design):
+        for a in (design.pi, design.labels, *design.strata):
             with pytest.raises(ValueError):
                 a[0] = 0
-        assert first_order_probs(design) is first_order_probs(design)
-        assert design.stratum_of() is design.stratum_of()
+        assert first_order_probs(design) is design.pi
+        assert design.pi is design.pi and design.labels is design.labels
 
-    def test_pickled_design_recomputes_its_caches(self):
-        design = SamplingDesign(
-            N=5, n=3,
-            strata=(np.array([0, 1]), np.array([2, 3, 4])), n_h=(1, 2),
-        )
-        expected = [0.5, 0.5, 2 / 3, 2 / 3, 2 / 3]
-        assert np.allclose(first_order_probs(design), expected)  # fills the cache
+    @pytest.mark.parametrize("design", DESIGNS, ids=["srswor", "stratified"])
+    def test_pickled_copy_equals_the_original(self, design):
         copy = pickle.loads(pickle.dumps(design))
-        assert not first_order_probs(copy).flags.writeable
-        assert np.array_equal(copy.stratum_of(), [0, 0, 1, 1, 1])
+        assert (copy.N, copy.n, copy.n_h) == (design.N, design.n, design.n_h)
+        arrays = [(copy.pi, design.pi), (copy.labels, design.labels),
+                  *zip(copy.strata, design.strata, strict=True)]
+        for got, expected in arrays:
+            assert np.array_equal(got, expected)
+            assert not got.flags.writeable
+
+    def test_srswor_pickle_holds_no_unit_array(self):
+        assert len(pickle.dumps(SamplingDesign(N=20000, n=2000))) < 200
+
+    def test_pool_worker_computes_the_same_pi(self):
+        design = stratified_2_3()
+        assert np.array_equal(design.labels, [0, 0, 1, 0, 1])
         with ProcessPoolExecutor(max_workers=1) as pool:
             pi = pool.submit(first_order_probs, design).result(timeout=60)
-        assert np.allclose(pi, expected)
+        assert np.array_equal(pi, [2 / 3, 2 / 3, 1 / 2, 2 / 3, 1 / 2])
 
 
 class TestSecondOrder:
