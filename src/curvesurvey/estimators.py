@@ -16,8 +16,9 @@ cond(x / sqrt(pi)) digits, not its square.  At a = 0 the model-assisted
 mean is the calibration estimator (Deville & Sarndal 1992): the mean under
 the weights closest to 1/pi that reproduce the auxiliary totals.  The MA
 estimate and those calibration weights therefore come from the same SVD
-fit; ``oracle.py`` keeps an independent lstsq twin of the weights, and of
-the eigenvalue-floored inverse, for the tests and ``oracle-check``.
+fit; ``oracle.py`` keeps independent twins of the weights (exact rational
+arithmetic) and of the eigenvalue-floored inverse (an eigendecomposition),
+for the tests and ``oracle-check``.
 
 Every mean takes one sample or a (B, n) stack of samples (a campaign's
 block of replicates) through the same code: sums run over axis -2,
@@ -92,12 +93,12 @@ def _first(values: np.ndarray, bad: np.ndarray) -> float:
 
 
 def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
-    """(beta, a_used, floored): the (p, D) coefficient curves of the
+    """(beta, e, a_used, floored): the (p, D) coefficient curves of the
     regression of y on x weighted by 1/pi, with the moment matrix
-    G = sum x x' / (pi N) floored at a, and whether the floor fired.
-    x, y and pi may carry a leading batch axis, one independent fit per
-    sample (one stacked SVD); a_used and floored then have the batch
-    shape, and the call fails when any fit of the batch fails.
+    G = sum x x' / (pi N) floored at a, the residuals e = y - x beta and
+    whether the floor fired.  x, y and pi may carry a leading batch axis,
+    one independent fit per sample (one stacked SVD); a_used and floored
+    then have the batch shape, and the call fails when any fit of it fails.
 
     With the thin SVD x / sqrt(pi) = U S V', G = V diag(S^2 / N) V' and
     b = sum x y / (pi N) = V diag(S / N) U' (y / sqrt(pi)), so
@@ -107,6 +108,10 @@ def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
     trace(G) / p); a = None asks for the floor DEFAULT_FLOOR_REL
     trace(G) / p.  Both tests read the eigenvalues relative to the largest,
     (S / S_max)^2, so no step squares the design.
+
+    One step of iterative refinement through the same SVD (Bjorck 1967),
+    beta += inv(M) (x' e / pi - (M - N G) beta) with M = N G floored and e
+    the residuals, takes the solve's error down to the residuals' rounding.
     """
     if a is not None and a < 0:
         raise ValidationError("regularization floor a must be >= 0")
@@ -138,11 +143,21 @@ def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
             f"{_first(threshold, singular):g})"
         )
     floored = root_eig < np.sqrt(a)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(floored, s / (N * a[..., None]), 1.0 / s)
-    beta = vt.swapaxes(-1, -2) @ (
-        scale[..., None] * ((u / root_pi).swapaxes(-1, -2) @ y))
-    return beta, a, floored.any(axis=-1) | (s.shape[-1] < x.shape[-1])
+    floor = N * a[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.where(floored, s / floor, 1.0 / s)
+        inverse = np.where(floored, 1.0 / floor, scale / s)  # of M, per V
+        lift = np.where(floored, floor - s * s, 0.0)  # M - N G, per V
+    v = vt.swapaxes(-1, -2)
+    beta = v @ (scale[..., None] * ((u / root_pi).swapaxes(-1, -2) @ y))
+    resid = x @ beta
+    np.subtract(y, resid, out=resid)
+    r = vt @ ((x / pi[..., None]).swapaxes(-1, -2) @ resid)
+    r -= lift[..., None] * (vt @ beta)
+    beta += v @ (inverse[..., None] * r)
+    np.matmul(x, beta, out=resid)
+    np.subtract(y, resid, out=resid)
+    return beta, resid, a, floored.any(axis=-1) | (s.shape[-1] < x.shape[-1])
 
 
 def _has_intercept(x_s: np.ndarray) -> np.ndarray:
@@ -160,10 +175,9 @@ def model_assisted_mean(
     samples a_used is a float, or a list of B floats when a = None.
     """
     x_s, y_s, pi = _sample_arrays(pop, sample)
-    beta, a_used, floored = _fit(x_s, y_s, pi, pop.N, a)
     y_max = np.maximum(y_s.max(axis=(-2, -1)), -y_s.min(axis=(-2, -1)))
-    y_s -= x_s @ beta  # the residuals, over the gathered rows
-    resid_ht = ((1.0 / pi)[..., None, :] @ y_s)[..., 0, :] / pop.N
+    beta, resid, a_used, floored = _fit(x_s, y_s, pi, pop.N, a)
+    resid_ht = ((1.0 / pi)[..., None, :] @ resid)[..., 0, :] / pop.N
     # with an intercept the HT sum of estimated residuals must vanish
     worst = np.abs(resid_ht).max(axis=-1)
     broken = (_has_intercept(x_s) & ~floored
@@ -175,7 +189,7 @@ def model_assisted_mean(
         )
     curve = pop.aux_totals() @ beta / pop.N + resid_ht
     return MeanEstimate(curve=curve, estimator_kind="ModelAssisted",
-                        a_used=a_used.tolist(), linearized=y_s)
+                        a_used=a_used.tolist(), linearized=resid)
 
 
 # kind -> mean(pop, sample, a).  Each looks its function up by name at the

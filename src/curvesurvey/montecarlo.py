@@ -234,6 +234,16 @@ def _reports(campaigns, tasks, replicates, results) -> list[MonteCarloReport]:
     return reports
 
 
+def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(values, q), numpy's 'linear' method step for step, without
+    the numpy.ma import of a process's first np.quantile (10-16 ms)."""
+    v = np.sort(values)
+    index = (len(v) - 1) * q  # >= 0, so astype(int) is its floor
+    k, t = index.astype(int), index - np.floor(index)
+    lo, hi = v[k], v[np.minimum(k + 1, len(v) - 1)]
+    return np.where(t < 0.5, lo + (hi - lo) * t, hi - (hi - lo) * (1 - t))
+
+
 def _report(c: _Campaign, replicates: int, results) -> MonteCarloReport:
     """The summary of one campaign's replicate results, in replicate order."""
     mus, gdiags, flags, errors = results
@@ -262,7 +272,7 @@ def _report(c: _Campaign, replicates: int, results) -> MonteCarloReport:
         rmse = float(ers.mean())
         rb2 = float(np.mean(((mean_gdiag - emp_diag) / emp_diag) ** 2))
         vr = rmse - rb2
-        qs = np.quantile(ers, [0.05, 0.25, 0.5, 0.75, 0.95])
+        qs = _quantiles(ers, np.array([0.05, 0.25, 0.5, 0.75, 0.95]))
         quantiles = dict(zip(quantile_keys, map(float, qs)))
         coverage = float(np.mean(flags)) if flags.size else None
     return MonteCarloReport(

@@ -427,6 +427,16 @@ a = 0
         code = "import sys, curvesurvey; print('numpy' in sys.modules)"
         assert self.fresh_interpreter(code) == "False"
 
+    def test_montecarlo_loads_no_numpy_ma(self, tmp_path):
+        # the first np.quantile of a process imports numpy.ma (10-16 ms);
+        # the campaign report computes its quantiles without it
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
+        argv = ["montecarlo", "--config", str(cfg), "--seed", "1",
+                "--out", str(tmp_path / "out")]
+        code = ("import sys; from curvesurvey.cli import main; "
+                f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
+        assert self.fresh_interpreter(code).splitlines()[-1] == "0 False"
+
     @pytest.mark.parametrize("imports, threads", [
         ("curvesurvey.cli", 1),  # a CLI process starts OpenBLAS on one thread
         ("numpy, curvesurvey.cli", 2),  # a caller's numpy keeps its count

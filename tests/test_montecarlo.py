@@ -334,6 +334,35 @@ class TestBlocks:
         assert streams == [(3, i, 0) for i in range(30)]  # one per replicate
 
 
+    def test_each_replicate_draws_from_its_own_two_streams(self, mc_pop,
+                                                           monkeypatch):
+        keys = []
+
+        def recording_rng(*key):
+            keys.append(key)
+            return replicate_rng(*key)
+
+        monkeypatch.setattr(montecarlo, "replicate_rng", recording_rng)
+        design = SamplingDesign(N=mc_pop.N, n=200)
+        assert montecarlo.block_size(200, 12) == 13  # blocks of 13, 13 and 4
+        [report] = run_campaign(mc_pop, [design], replicates=30,
+                                compute_coverage=True, band_sims=150,
+                                master_seed=3)
+        assert report.coverage_bands == 30 and len(keys) == 60
+        assert [k for k in keys if k[-1] == 0] == [(3, i, 0) for i in range(30)]
+        assert [k for k in keys if k[-1] == 1] == [(3, i, 1) for i in range(30)]
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=2000)))
+def test_quantiles_equal_numpy_bit_for_bit(values):
+    values = np.array(values)  # non-negative, with ties
+    q = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+    got = montecarlo._quantiles(values, q)
+    assert got.tobytes() == np.quantile(values, q).tobytes()
+
+
 def _loop_reports(pop, designs, replicates, kind, a, coverage, alpha, sims,
                   seed):
     """run_campaign's reports from a plain loop over each size's
