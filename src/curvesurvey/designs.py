@@ -133,7 +133,7 @@ class Sample:
 
 
 def first_order_probs(design: SamplingDesign) -> np.ndarray:
-    """Vector of pi_k for all N units; read-only, set when the design is made."""
+    """Vector of pi_k for all N units; read-only, set with the design."""
     return design.pi
 
 

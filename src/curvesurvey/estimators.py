@@ -146,8 +146,8 @@ def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
     floor = N * a[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(floored, s / floor, 1.0 / s)
-        inverse = np.where(floored, 1.0 / floor, scale / s)  # of M, per V
-        lift = np.where(floored, floor - s * s, 0.0)  # M - N G, per V
+        inverse = np.where(floored, 1.0 / floor, scale / s)  # inv(M) on V
+        lift = np.where(floored, floor - s * s, 0.0)  # M - N G on V
     v = vt.swapaxes(-1, -2)
     beta = v @ (scale[..., None] * ((u / root_pi).swapaxes(-1, -2) @ y))
     resid = x @ beta

@@ -236,7 +236,7 @@ def _reports(campaigns, tasks, replicates, results) -> list[MonteCarloReport]:
 
 def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
     """np.quantile(values, q), numpy's 'linear' method step for step, without
-    the numpy.ma import of a process's first np.quantile (10-16 ms)."""
+    the numpy.ma import that a process's first np.quantile pays."""
     v = np.sort(values)
     index = (len(v) - 1) * q  # >= 0, so astype(int) is its floor
     k, t = index.astype(int), index - np.floor(index)

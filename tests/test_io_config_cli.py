@@ -428,8 +428,8 @@ a = 0
         assert self.fresh_interpreter(code) == "False"
 
     def test_montecarlo_loads_no_numpy_ma(self, tmp_path):
-        # the first np.quantile of a process imports numpy.ma (10-16 ms);
-        # the campaign report computes its quantiles without it
+        # the first np.quantile of a process imports numpy.ma; the campaign
+        # report computes its quantiles without it
         cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma"))
         argv = ["montecarlo", "--config", str(cfg), "--seed", "1",
                 "--out", str(tmp_path / "out")]
