@@ -1,7 +1,7 @@
 """Exhaustive-enumeration identity checks for tiny populations, and the
 twins the production paths are tested against.
 
-The census-level regression fit (`beta_population`) and the generalized
+The census-level regression fit (`census_fit`) and the generalized
 difference estimator built on it (`difference_mean`, Sarndal, Swensson &
 Wretman 1992) live here, not among the estimators: they read every unit's
 curve, which a survey never has.  The difference estimator is the target
@@ -15,9 +15,9 @@ over all possible samples (`enumerate_samples`) with their exact
 probabilities.  Used by the ``oracle-check`` command and by the test suite,
 which also compares the closed-form exact covariances kept here
 (`ht_covariance_exact`, `ma_covariance_approx`, built like the estimators
-of ``covariance.py``) against the dense u' Delta u formulas, the dense
-pi_kl matrix (`second_order_matrix`) against the enumerated one, the
-blocked sup kernel of ``bands.py`` against its one-shot form, the band's
+of ``covariance.py``) against the dense u' Delta u formulas (the sampled
+model-assisted one in exact rational arithmetic), the dense pi_kl matrix
+(`second_order_matrix`) against the enumerated one, the blocked sup kernel of ``bands.py`` against its one-shot form, the band's
 Cholesky-or-QR factor against an eigh-first PSD repair, and the SVD fit of
 ``estimators.py`` against exact calibration weights and the
 eigenvalue-floored inverse of the moment matrix.
@@ -106,9 +106,11 @@ def second_order_matrix(design: SamplingDesign) -> np.ndarray:
     return joint_probs_submatrix(design, np.arange(design.N))
 
 
-def beta_population(pop: FunctionalPopulation) -> np.ndarray:
-    """Census-level OLS coefficient curves, (p, D): the unobservable fit."""
-    return _fit(pop.aux, pop.values, np.ones(pop.N), pop.N, 0.0, "population")[0]
+def census_fit(pop: FunctionalPopulation) -> tuple[np.ndarray, np.ndarray]:
+    """Census-level OLS coefficient curves (p, D) and residuals (N, D): the
+    unobservable fit."""
+    return _fit(pop.aux, pop.values, np.ones(pop.N), pop.N, 0.0,
+                "population")[:2]
 
 
 def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
@@ -118,7 +120,7 @@ def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     and as the target the model-assisted estimator approximates.
     """
     _, y_s, pi = _sample_arrays(pop, sample)
-    beta = beta_population(pop)
+    beta, _ = census_fit(pop)
     pred = pop.aux @ beta
     resid_ht = ((pred[sample.indices] - y_s) / pi[:, None]).sum(axis=0) / pop.N
     curve = pred.mean(axis=0) - resid_ht
@@ -140,8 +142,7 @@ def ma_covariance_approx(
     of the model-assisted estimator (exactly the covariance of the difference
     estimator)."""
     _check_match(pop, design)
-    residuals = pop.values - pop.aux @ beta_population(pop)
-    return _centred_covariance(residuals, design)
+    return _centred_covariance(census_fit(pop)[1], design)
 
 
 def dense_ht_covariance(
@@ -176,6 +177,34 @@ def residual_ht_covariance_estimate(
     u = residuals / pi[:, None]
     cov = u.T @ weight @ u / N**2
     return 0.5 * (cov + cov.T)
+
+
+def exact_ht_covariance_estimate(
+    residuals: np.ndarray, design: SamplingDesign, indices: np.ndarray
+) -> np.ndarray:
+    """`residual_ht_covariance_estimate` of the sampled units `indices` in
+    exact rational arithmetic, rounded once to float: pi_k = n_h / N_h and
+    pi_kl = n_h (n_h - 1) / (N_h (N_h - 1)) within a stratum (pi_k pi_l,
+    so no term, across strata) as fractions, each float residual as exact.
+    Rows equal within every stratum give exactly 0, as the closed form's
+    centring does, where the float twin leaves its own rounding."""
+    sizes = [s.size for s in design.strata]
+    strata = design.labels[indices].tolist()
+    pi = [Fraction(design.n_h[h], sizes[h]) for h in strata]
+    u = [[Fraction(v) / p for v in row]
+         for row, p in zip(residuals.tolist(), pi)]
+    d = residuals.shape[1]
+    cov = [[Fraction(0)] * d for _ in range(d)]
+    for k, l in itertools.product(range(len(strata)), repeat=2):
+        h = strata[k]
+        if h != strata[l]:
+            continue
+        m, size = design.n_h[h], sizes[h]
+        w = 1 - pi[k] if k == l else \
+            1 - pi[k] * pi[l] / Fraction(m * (m - 1), size * (size - 1))
+        for i, j in itertools.product(range(d), repeat=2):
+            cov[i][j] += w * u[k][i] * u[l][j]
+    return np.array([[float(c / design.N**2) for c in row] for row in cov])
 
 
 def one_shot_sup_sample(
@@ -397,7 +426,7 @@ def oracle_check(
         "HT covariance formula matches enumeration",
         np.abs(formula_cov(pop.values) - ht_cov_enum).max(),
     )
-    residuals = pop.values - pop.aux @ beta_population(pop)
+    residuals = census_fit(pop)[1]
     add(
         "residual covariance formula matches enumerated difference-estimator "
         "covariance",

@@ -9,7 +9,6 @@ from curvesurvey import (
     ma_covariance_estimate,
     model_assisted_mean,
 )
-from curvesurvey import estimators
 from curvesurvey.covariance import ht_covariance_estimate
 from curvesurvey.designs import (
     Sample,
@@ -21,10 +20,11 @@ from curvesurvey.errors import ValidationError
 from curvesurvey.estimators import hajek_mean, ht_mean
 from curvesurvey.grids import FunctionalPopulation, TimeGrid
 from curvesurvey.oracle import (
-    beta_population,
+    census_fit,
     dense_ht_covariance,
     difference_mean,
     enumerate_samples,
+    exact_ht_covariance_estimate,
     ht_covariance_exact,
     ma_covariance_approx,
     residual_ht_covariance_estimate,
@@ -77,7 +77,7 @@ class TestMaCovarianceApprox:
         assert np.abs(ma_covariance_approx(pop, design).matrix).max() < 1e-12
 
     def test_dual_path_residual_population(self, small_pop, small_design):
-        residuals = small_pop.values - small_pop.aux @ beta_population(small_pop)
+        residuals = census_fit(small_pop)[1]
         resid_pop = FunctionalPopulation(
             small_pop.grid, residuals, small_pop.aux
         )
@@ -120,7 +120,7 @@ class TestMaCovarianceEstimate:
             + 0.5 * rng.standard_normal((5, 3))
         pop = FunctionalPopulation(grid, values, aux)
         design = SamplingDesign(N=5, n=3)
-        residuals = pop.values - pop.aux @ beta_population(pop)
+        residuals = census_fit(pop)[1]
         resid_pop = FunctionalPopulation(grid, residuals, aux)
         expectation = np.zeros((3, 3))
         for s, p in enumerate_samples(design):
@@ -195,18 +195,17 @@ def random_population(N, D, seed):
     return FunctionalPopulation(grid, values, aux)
 
 
-def assert_rel_close(closed, dense, rel=1e-12, scale=0.0):
-    scale = max(np.abs(dense).max(), scale)
+def assert_rel_close(closed, dense, rel=1e-12):
+    scale = np.abs(dense).max()
     assert np.abs(closed - dense).max() <= rel * scale
 
 
-def assert_matches_dense(cov, dense, scale=0.0):
+def assert_matches_dense(cov, dense):
     """The closed form's matrix and its O(n D) variance function equal the
-    dense twin, to rel of its largest entry or of `scale` if larger; the
-    variance is also the matrix's own diagonal."""
-    assert_rel_close(cov.matrix, dense, scale=scale)
-    assert_rel_close(cov.variance, np.diag(dense), scale=scale)
-    assert_rel_close(cov.variance, np.diag(cov.matrix), scale=scale)
+    dense twin; the variance is also the matrix's own diagonal."""
+    assert_rel_close(cov.matrix, dense)
+    assert_rel_close(cov.variance, np.diag(dense))
+    assert_rel_close(cov.variance, np.diag(cov.matrix))
 
 
 def check_against_dense(design, seed, D=3):
@@ -218,7 +217,7 @@ def check_against_dense(design, seed, D=3):
         ht_covariance_exact(pop, design),
         dense_ht_covariance(pop.values, pi, pi2, design.N),
     )
-    residuals = pop.values - pop.aux @ beta_population(pop)
+    residuals = census_fit(pop)[1]
     assert_matches_dense(
         ma_covariance_approx(pop, design),
         dense_ht_covariance(residuals, pi, pi2, design.N),
@@ -238,21 +237,14 @@ def check_against_dense(design, seed, D=3):
         ht_covariance_estimate(pop, sample, estimate=hajek),
         dense(pop.values[idx] - hajek.curve),
     )
-    beta = estimators._fit(pop.aux[idx], pop.values[idx], pi[idx], design.N,
-                           None)[0]
-    residuals = pop.values[idx] - pop.aux[idx] @ beta
-    # when a stratum's residuals are (nearly) equal, as after an exact fit
-    # of n_h = p units, the dense twin's u' W u cancels to its rounding,
-    # which is eps times the largest entry of |u|' |W| |u| / N^2
-    u = np.abs(residuals) / pi[idx, None]
-    pi2_s = joint_probs_submatrix(design, idx)
-    weight = np.abs(pi2_s - np.outer(pi[idx], pi[idx])) / pi2_s
-    magnitude = np.abs(u.T @ weight @ u).max() / design.N**2
+    # an exact fit of n_h = p units can leave a stratum's residuals equal,
+    # where the closed form is exactly 0 and a float twin only its rounding
     ma = model_assisted_mean(pop, sample, a=None)
+    exact = exact_ht_covariance_estimate(ma.linearized, design, idx)
     for estimate in (None, ma):
         assert_matches_dense(
             ma_covariance_estimate(pop, sample, a=None, estimate=estimate),
-            dense(residuals), scale=magnitude,
+            exact,
         )
 
 

@@ -15,7 +15,7 @@ from curvesurvey.designs import Sample, first_order_probs, replicate_rng
 from curvesurvey.estimators import hajek_mean, ht_mean
 from curvesurvey.grids import FunctionalPopulation, TimeGrid, population_mean
 from curvesurvey.oracle import (
-    beta_population,
+    census_fit,
     calibrated_weights,
     default_fixture,
     difference_mean,
@@ -96,13 +96,13 @@ class TestBetaPopulation:
         aux = np.column_stack([np.ones(30), rng.normal(2, 1, 30)])
         beta = np.vstack([grid.points, 1.0 - grid.points])
         pop = FunctionalPopulation(grid, aux @ beta, aux)
-        assert np.abs(beta_population(pop) - beta).max() < 1e-8
+        assert np.abs(census_fit(pop)[0] - beta).max() < 1e-8
 
     def test_intercept_only_is_mean(self, small_pop):
         intercept = FunctionalPopulation(
             small_pop.grid, small_pop.values, np.ones((small_pop.N, 1))
         )
-        est = beta_population(intercept)
+        est = census_fit(intercept)[0]
         assert np.allclose(est[0], population_mean(small_pop))
 
     def test_matches_normal_equations_oracle(self, rng):
@@ -110,7 +110,7 @@ class TestBetaPopulation:
         aux = rng.standard_normal((6, 2)) + [0.0, 3.0]
         values = rng.standard_normal((6, 4))
         pop = FunctionalPopulation(grid, values, aux)
-        est = beta_population(pop)
+        est = census_fit(pop)[0]
         # naive per-time-point 2x2 solve
         g = np.zeros((2, 2))
         for k in range(6):
@@ -126,7 +126,7 @@ class TestBetaPopulation:
         aux = np.ones((4, 2))  # duplicated column
         pop = FunctionalPopulation(grid, np.zeros((4, 2)), aux)
         with pytest.raises(NumericalError):
-            beta_population(pop)
+            census_fit(pop)[0]
 
 
 def fitted_beta(monkeypatch, pop, sample, a):
@@ -159,7 +159,7 @@ class TestSampledFit:
     def test_census_matches_population(self, small_pop, monkeypatch):
         _, beta = fitted_beta(monkeypatch, small_pop, census_sample(small_pop),
                               a=1e-12)
-        assert np.abs(beta - beta_population(small_pop)).max() < 1e-10
+        assert np.abs(beta - census_fit(small_pop)[0]).max() < 1e-10
 
     @pytest.mark.parametrize("floor, fires", [
         (0.0, False), (None, False), ("half-min", False), ("half-max", True),

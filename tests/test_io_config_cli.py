@@ -179,7 +179,7 @@ ranges = 0-9,10-19
 n_per_stratum = 2,2
 """))
         design = build_design(cfg, 20, None)
-        assert design.strata is not None and design.n_h == (2, 2)
+        assert len(design.strata) == 2 and design.n_h == (2, 2)
 
     def test_label_strata(self, tmp_path):
         cfg = load_config(write_config(tmp_path, """
