@@ -17,8 +17,9 @@ which also compares the closed-form exact covariances kept here
 (`ht_covariance_exact`, `ma_covariance_approx`, built like the estimators
 of ``covariance.py``) against the dense u' Delta u formulas (the sampled
 model-assisted one in exact rational arithmetic), the dense pi_kl matrix
-(`second_order_matrix`) against the enumerated one, the blocked sup kernel of ``bands.py`` against its one-shot form, the band's
-Cholesky-or-QR factor against an eigh-first PSD repair, and the SVD fit of
+(`second_order_matrix`) against the enumerated one, the blocked sup
+kernel of ``bands.py`` against its one-shot form, the band's Cholesky-or-QR
+factor against an eigh-first PSD repair, and the SVD fit of
 ``estimators.py`` against exact calibration weights and the
 eigenvalue-floored inverse of the moment matrix.
 """
