@@ -68,30 +68,33 @@ def _centred_covariance(rows: np.ndarray, design: SamplingDesign,
                         indices: np.ndarray | None = None):
     """CovarianceEstimate of the population curves (oracle.py's exact
     covariances), or of the linearized rows of the sampled units `indices`,
-    one sample (n,) or a stack (B, n) with rows (B, n, D): one gather puts
-    each sample's rows in stratum order (a copy when they already are),
-    then each stratum's slice is centred and scaled in place (module
-    docstring)."""
+    one sample (n,) or a stack (B, n) with rows (B, n, D): each stratum's
+    rows are centred into one new array, straight from `rows` when they are
+    in stratum order, else in place in the one gather that orders them,
+    and then scaled in place (module docstring)."""
     strata, n_h, labels = design.strata, design.n_h, design.labels
     if indices is None:
         sizes = [s.size for s in strata]
     else:
         labels, sizes = labels[indices], n_h
     if np.all(labels[..., :-1] <= labels[..., 1:]):  # already in stratum order
-        c = rows.copy()
+        c = np.empty(rows.shape, dtype=rows.dtype)
     else:
         order = np.argsort(labels, axis=-1, kind="stable")
-        c = np.take_along_axis(rows, order[..., None], axis=-2)
+        rows = c = np.take_along_axis(rows, order[..., None], axis=-2)
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for s, n, m in zip(strata, n_h, sizes):
+            source = rows[..., start:start + m, :]
             block = c[..., start:start + m, :]
             start += m
             weight = s.size**2 * (1.0 - n / s.size) / n
             if m > 1:
-                block -= block.sum(axis=-2, keepdims=True) / m
+                np.subtract(source, source.sum(axis=-2, keepdims=True) / m,
+                            out=block)
                 weight /= m - 1
             else:  # the uncentred n_h = 1 convention
+                block[...] = source
                 weight /= n
             block *= np.sqrt(weight) / design.N
     return CovarianceEstimate(c)

@@ -63,24 +63,24 @@ def _check_match(pop: FunctionalPopulation, design: SamplingDesign):
 
 
 def _sample_arrays(pop: FunctionalPopulation, sample: Sample):
-    """(x_s, y_s, pi) of the sampled units, once the sizes are checked:
-    (n, p), (n, D) and (n,) for one sample, with a leading B for a stack,
-    gathered by one fancy index each."""
+    """(y_s, pi) of the sampled units, once the sizes are checked: (n, D)
+    and (n,) for one sample, with a leading B for a stack, gathered by one
+    fancy index each.  Only the MA mean gathers x_s as well."""
     _check_match(pop, sample.design)
     pi = first_order_probs(sample.design)[sample.indices]
-    return pop.aux[sample.indices], pop.values[sample.indices], pi
+    return pop.values[sample.indices], pi
 
 
 def ht_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Horvitz-Thompson estimator: inverse-probability-weighted mean."""
-    _, y_s, pi = _sample_arrays(pop, sample)
+    y_s, pi = _sample_arrays(pop, sample)
     curve = (y_s / pi[..., None]).sum(axis=-2) / pop.N
     return MeanEstimate(curve=curve, estimator_kind="HT", linearized=y_s)
 
 
 def hajek_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     """Hajek estimator: HT total divided by the HT-estimated population size."""
-    _, y_s, pi = _sample_arrays(pop, sample)
+    y_s, pi = _sample_arrays(pop, sample)
     w = 1.0 / pi
     curve = (y_s * w[..., None]).sum(axis=-2) / w.sum(axis=-1, keepdims=True)
     y_s -= curve[..., None, :]  # the linearized rows, over the gathered rows
@@ -174,7 +174,8 @@ def model_assisted_mean(
     beyond the auxiliary population totals t_x.  For a (B, n) stack of
     samples a_used is a float, or a list of B floats when a = None.
     """
-    x_s, y_s, pi = _sample_arrays(pop, sample)
+    y_s, pi = _sample_arrays(pop, sample)
+    x_s = pop.aux[sample.indices]
     y_max = np.maximum(y_s.max(axis=(-2, -1)), -y_s.min(axis=(-2, -1)))
     beta, resid, a_used, floored = _fit(x_s, y_s, pi, pop.N, a)
     resid_ht = ((1.0 / pi)[..., None, :] @ resid)[..., 0, :] / pop.N

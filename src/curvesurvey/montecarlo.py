@@ -19,8 +19,14 @@ errors are counted and reported per replicate.
 run_campaign runs the campaigns of every sample size of a command in one
 call: one task list of (size index, lo, hi) blocks spans all sizes, and
 at most one pool runs it, its initializer receiving every size's campaign
-once.  The serial path walks the same list.  Each size's report is reduced
-as soon as its last block's result arrives, in the order of the sizes.
+once.  The serial path walks the same list.  The call seeds the streams
+once, for every size: designs.ReplicateStreams computes the PCG64 seed
+words of every replicate_rng(seed, i, j) in one vectorized pass, 32 bytes
+a stream, which the pool's initializer sends with the campaigns.  A block
+then restates one Generator, the call's own or its pool worker's copy, to
+each replicate's stream in turn; the streams, and so the reports, are
+replicate_rng's bit for bit.  Each size's report is reduced as soon as its
+last block's result arrives, in the order of the sizes.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from .bands import _check_sims, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
-from .designs import SamplingDesign, draw, replicate_rng
+from .designs import ReplicateStreams, SamplingDesign, draw
 from .errors import CurveSurveyError, NumericalError, ValidationError
 from .estimators import ESTIMATORS, MeanEstimate
 from .grids import FunctionalPopulation, population_mean
@@ -91,7 +97,7 @@ class _Campaign:
     design: SamplingDesign
     estimator: str
     a: float | None
-    seed: int
+    streams: ReplicateStreams  # the call's own, shared by all its sizes
     coverage: bool
     alpha: float
     sims: int
@@ -104,7 +110,7 @@ def _block(c: _Campaign, lo: int, hi: int):
     holds 1 where a replicate's band covers the truth, 0 where it misses
     and -1 where no band was built (coverage off, or the band failed)."""
     replicates = range(lo, hi)
-    sample = draw(c.design, [replicate_rng(c.seed, i, 0) for i in replicates])
+    sample = draw(c.design, (c.streams.rng(i, 0) for i in replicates))
     estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
     gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
     flags = np.full(len(replicates), -1, dtype=np.int8)
@@ -113,7 +119,7 @@ def _block(c: _Campaign, lo: int, hi: int):
             flags[j] = covers(
                 MeanEstimate(estimate.curve[j], estimate.estimator_kind),
                 CovarianceEstimate(gamma.rows[j]), alpha=c.alpha,
-                n_sims=c.sims, seed=replicate_rng(c.seed, i, 1), truth=c.truth)
+                n_sims=c.sims, seed=c.streams.rng(i, 1), truth=c.truth)
         except CurveSurveyError:
             pass  # counted as an error, its estimate kept
     return estimate.curve, gamma.variance, flags, []
@@ -194,8 +200,10 @@ def run_campaign(
         raise ValidationError("workers must be >= 1")
     if compute_coverage:
         _check_sims(alpha, band_sims)
+    streams = ReplicateStreams(master_seed, replicates,
+                               2 if compute_coverage else 1)
     truth = population_mean(pop)
-    campaigns = tuple(_Campaign(pop, design, estimator, a, master_seed,
+    campaigns = tuple(_Campaign(pop, design, estimator, a, streams,
                                 compute_coverage, alpha, band_sims, truth)
                       for design in designs)
     tasks = []  # (campaign index, lo, hi), one per block, in report order

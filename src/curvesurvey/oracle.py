@@ -120,7 +120,7 @@ def difference_mean(pop: FunctionalPopulation, sample: Sample) -> MeanEstimate:
     Requires the full population; design-unbiased, used as a testing oracle
     and as the target the model-assisted estimator approximates.
     """
-    _, y_s, pi = _sample_arrays(pop, sample)
+    y_s, pi = _sample_arrays(pop, sample)
     beta, _ = census_fit(pop)
     pred = pop.aux @ beta
     resid_ht = ((pred[sample.indices] - y_s) / pi[:, None]).sum(axis=0) / pop.N
@@ -296,7 +296,8 @@ def exact_calibrated_weights(pop: FunctionalPopulation, sample) -> list[Fraction
     arithmetic on the float inputs: w_k = (1 + x_k' lam) / pi_k, with lam
     solving (sum_s x_k x_k' / pi_k) lam = t_x - sum_s x_k / pi_k.  A
     singular moment matrix is refused, as the fit at a = 0 refuses it."""
-    x_s, _, pi = _sample_arrays(pop, sample)
+    _, pi = _sample_arrays(pop, sample)
+    x_s = pop.aux[sample.indices]
     x = [[Fraction(v) for v in row] for row in x_s.tolist()]
     inv_pi = [1 / Fraction(v) for v in pi.tolist()]
     p = x_s.shape[1]

@@ -4,7 +4,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvesurvey import designs
 from curvesurvey import (
     EnumerationCapError,
     SamplingDesign,
@@ -12,6 +15,7 @@ from curvesurvey import (
     draw,
 )
 from curvesurvey.designs import (
+    ReplicateStreams,
     Sample,
     first_order_probs,
     joint_probs_submatrix,
@@ -168,6 +172,69 @@ class TestDraw:
         assert stack.indices.shape == (5, design.n)
         for i, row in enumerate(stack.indices):
             assert np.array_equal(row, draw(design, replicate_rng(7, i, 0)).indices)
+
+
+def _assert_same_stream(got, want):
+    """Two generators in the same state, which draw the same sample and the
+    same normals."""
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.choice(1000, size=20, replace=False),
+                          want.choice(1000, size=20, replace=False))
+    assert got.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+
+
+def _twin_streams(seed, keys, stream):
+    """The twin's generator of stream (i, stream) for each i in keys, from
+    one vectorized pass over the keys."""
+    words = designs._seed_words(seed, np.array(keys, dtype=np.uint32), stream)
+    return [designs._restate(np.random.default_rng(0), row) for row in words]
+
+
+class TestReplicateStreams:
+    """The vectorized twin of SeedSequence and PCG64 seeding is the stream
+    of replicate_rng, for every master seed size and key word."""
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1204, 2**32 - 1, 2**32, 2**64 + 5,
+                                      2**128 + 3])
+    def test_equals_replicate_rng(self, seed, stream):
+        keys = [0, 1, 2**31, 2**32 - 1]
+        for i, twin in zip(keys, _twin_streams(seed, keys, stream)):
+            _assert_same_stream(twin, replicate_rng(seed, i, stream))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**200),
+           keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+           stream=st.integers(0, 2**32 - 1))
+    def test_sweep(self, seed, keys, stream):
+        for i, twin in zip(keys, _twin_streams(seed, keys, stream)):
+            _assert_same_stream(twin, replicate_rng(seed, i, stream))
+
+    def test_restates_one_generator_per_stream(self):
+        streams = ReplicateStreams(2**64 + 5, 6, 2)
+        assert streams.words.shape == (6, 2, 8)
+        assert streams.words.nbytes == 6 * 64  # 32 bytes a stream
+        assert streams.rng(0, 0) is streams.rng(5, 1)
+        for i in range(6):
+            for j in range(2):
+                _assert_same_stream(streams.rng(i, j),
+                                    replicate_rng(2**64 + 5, i, j))
+
+    def test_a_stack_drawn_from_restated_streams(self):
+        design = SamplingDesign(N=50, n=10)
+        streams = ReplicateStreams(7, 5, 1)
+        stack = draw(design, (streams.rng(i, 0) for i in range(5)))
+        want = draw(design, [replicate_rng(7, i, 0) for i in range(5)])
+        assert np.array_equal(stack.indices, want.indices)
+
+    @pytest.mark.parametrize("seed, replicates, message", [
+        (-1, 5, "seed must be >= 0"),
+        # keys beyond one 32-bit word; refused before any table exists
+        (0, 2**32 + 1, "at most 2\\*\\*32 replicates"),
+    ])
+    def test_refused(self, seed, replicates, message):
+        with pytest.raises(ValidationError, match=message):
+            ReplicateStreams(seed, replicates, 2)
 
 
 class TestSampleStack:

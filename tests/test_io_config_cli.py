@@ -584,6 +584,10 @@ class TestCliRejectsBadNumbers:
             # 10^14 simulations need a 728 TiB buffer, beyond any address
             # space, so the allocation fails at once
             ("bands", "n_sims = 500", "n_sims = 100000000000000", "Unable to allocate"),
+            # a replicate key beyond one 32-bit word, refused before the
+            # campaign's streams are seeded
+            ("montecarlo", "replicates = 30", "replicates = 4294967297",
+             "at most 2**32 replicates, got 4294967297"),
             # the coverage flag allocates the same buffer before any draw
             ("montecarlo", "n_sims = 500\n\n[campaign]",
              "n_sims = 100000000000000\n\n[campaign]\ncoverage = true",

@@ -315,42 +315,56 @@ class TestBlocks:
         assert [montecarlo.block_size(n, 48) for n in (50, 100, 300)] == [13, 6, 2]
         assert montecarlo.block_size(2000, 336) == 1
         assert montecarlo.block_size(2**15, 2) == 1
-        drawn, streams = [], []
-
-        def recording_draw(design, rngs):
-            drawn.append(len(rngs))
-            return draw(design, rngs)
-
-        def recording_rng(*key):
-            streams.append(key)
-            return replicate_rng(*key)
-
-        monkeypatch.setattr(montecarlo, "draw", recording_draw)
-        monkeypatch.setattr(montecarlo, "replicate_rng", recording_rng)
+        drawn = _record_draw_states(monkeypatch)
         design = SamplingDesign(N=mc_pop.N, n=200)
         assert montecarlo.block_size(200, 12) == 13
         run_campaign(mc_pop, [design], replicates=30, master_seed=3)
-        assert drawn == [13, 13, 4]
-        assert streams == [(3, i, 0) for i in range(30)]  # one per replicate
-
+        assert [len(block) for block in drawn] == [13, 13, 4]
+        assert sum(drawn, []) == _states(3, range(30), 0)  # one per replicate
 
     def test_each_replicate_draws_from_its_own_two_streams(self, mc_pop,
                                                            monkeypatch):
-        keys = []
+        drawn, banded = _record_draw_states(monkeypatch), []
 
-        def recording_rng(*key):
-            keys.append(key)
-            return replicate_rng(*key)
+        def recording_covers(*args, seed, **kwargs):
+            banded.append(seed.bit_generator.state)
+            return covers(*args, seed=seed, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "replicate_rng", recording_rng)
+        monkeypatch.setattr(montecarlo, "covers", recording_covers)
         design = SamplingDesign(N=mc_pop.N, n=200)
         assert montecarlo.block_size(200, 12) == 13  # blocks of 13, 13 and 4
         [report] = run_campaign(mc_pop, [design], replicates=30,
                                 compute_coverage=True, band_sims=150,
                                 master_seed=3)
-        assert report.coverage_bands == 30 and len(keys) == 60
-        assert [k for k in keys if k[-1] == 0] == [(3, i, 0) for i in range(30)]
-        assert [k for k in keys if k[-1] == 1] == [(3, i, 1) for i in range(30)]
+        assert report.coverage_bands == 30
+        assert sum(drawn, []) == _states(3, range(30), 0)
+        assert banded == _states(3, range(30), 1)
+
+
+def _states(seed, replicates, stream):
+    """The generator state of replicate_rng(seed, i, stream), i in order."""
+    return [replicate_rng(seed, i, stream).bit_generator.state
+            for i in replicates]
+
+
+def _record_draw_states(monkeypatch):
+    """Record, block by block, the state of each generator montecarlo.draw
+    reads, as the generator is taken; returns the list of blocks."""
+    blocks = []
+
+    def recording_draw(design, rngs):
+        block = []
+        blocks.append(block)
+
+        def taken():
+            for rng in rngs:
+                block.append(rng.bit_generator.state)
+                yield rng
+
+        return draw(design, taken())
+
+    monkeypatch.setattr(montecarlo, "draw", recording_draw)
+    return blocks
 
 
 @settings(deadline=None)
@@ -391,7 +405,8 @@ def _loop_reports(pop, designs, replicates, kind, a, coverage, alpha, sims,
             curves.append(estimate.curve)
             variances.append(gamma.variance)
             flags.append(flag)
-        campaign = montecarlo._Campaign(pop, design, kind, a, seed, coverage,
+        # _report reads no stream
+        campaign = montecarlo._Campaign(pop, design, kind, a, None, coverage,
                                         alpha, sims, truth)
         results = (np.reshape(curves, (-1, d)), np.reshape(variances, (-1, d)),
                    np.array(flags, dtype=np.int8), errors)
@@ -467,7 +482,8 @@ def _campaigns(draw_from):
         # 0.5 first, as hypothesis favours the first: the flags vary most
         alpha=draw_from(st.sampled_from([0.5, 0.1, 0.05])),
         sims=draw_from(st.integers(100, 300)),
-        seed=draw_from(st.integers(0, 2**16)),
+        # beyond 2**64, so seeds of one to three 32-bit words run
+        seed=draw_from(st.integers(0, 2**70)),
         block_floats=draw_from(st.integers(1, replicates * max(sizes) * d)),
     )
 
@@ -738,6 +754,33 @@ def test_one_pool_runs_every_size(mc_pop, monkeypatch):
     assert [r.n for r in capped] == [20, 40, 60]
     for pooled, alone in zip(capped, serial):
         assert np.array_equal(pooled.gamma_emp.matrix, alone.gamma_emp.matrix)
+
+
+def test_two_threads_get_the_reports_of_two_sequential_calls(
+        mc_pop, caller_at_two_blas_threads):
+    # each call restates a Generator of its own, so neither thread moves
+    # the other's streams; the fixture gives the caller its BLAS thread
+    # count back, which two concurrent calls can leave at 1
+    designs = _sizes(mc_pop)
+    settings = [dict(master_seed=5, compute_coverage=True, band_sims=300),
+                dict(master_seed=2**64 + 5, estimator="hajek")]
+    sequential = [run_campaign(mc_pop, designs, replicates=40, **s)
+                  for s in settings]
+    start = threading.Barrier(2)
+
+    def run(s):
+        start.wait(timeout=60)
+        return run_campaign(mc_pop, designs, replicates=40, **s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads take turns between most calls
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as threads:
+            together = list(threads.map(run, settings, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(together, sequential):
+        _assert_same_outcome(([], got), ([], want))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
