@@ -288,8 +288,8 @@ class ReplicateStreams:
     rng(i, j) restates this object's one Generator to stream (i, j): 6 us,
     against 22 us for a SeedSequence and a PCG64 (shared 2-core Xeon).  The
     Generator is stream (i, j) only until the next call, so each stream is
-    used up before the next is asked for, and no two threads share one
-    ReplicateStreams."""
+    used up before the next is asked for, and no two threads share it.  A
+    second thread restates Generators of its own: rng(i, j, generator)."""
 
     def __init__(self, master_seed: int, replicates: int, streams: int):
         if master_seed < 0:
@@ -302,5 +302,9 @@ class ReplicateStreams:
                                for j in range(streams)], axis=1)
         self._rng = np.random.Generator(np.random.PCG64(0))
 
-    def rng(self, i: int, j: int) -> np.random.Generator:
-        return _restate(self._rng, self.words[i, j])
+    def rng(self, i: int, j: int, generator: np.random.Generator | None = None
+            ) -> np.random.Generator:
+        """`generator`, by default this object's own, restated to stream
+        (i, j)."""
+        return _restate(self._rng if generator is None else generator,
+                        self.words[i, j])

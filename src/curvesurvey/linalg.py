@@ -2,9 +2,11 @@
 algebra.
 
 Every command multiplies on one BLAS thread (_one_blas_thread), so its
-outputs do not depend on the thread count, and normal_blocks draws the
-standard normals of the next block on a helper thread meanwhile.  A CLI
-process already starts OpenBLAS with one thread (see ``cli``).
+outputs do not depend on the thread count, and prefetch draws standard
+normals on one helper thread meanwhile: the next block of a population or
+a band (normal_blocks), and the heads of the next replicates' band streams
+in a serial coverage campaign (``montecarlo``).  A CLI process already
+starts OpenBLAS with one thread (see ``cli``).
 
 The bands factor a covariance from its rows (``bands._scaled_factor``)
 and need no PSD repair.  PSD projection and a PSD-tolerant Cholesky
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import os
 import queue
 import threading
 
@@ -129,6 +132,23 @@ def _set_blas_threads(count: int) -> int | None:
     return before
 
 
+# _one_blas_thread's nesting depth over all threads, and the count the
+# first block in saw; the last one out restores it
+_BLAS_LOCK = threading.Lock()
+_blas_depth = 0
+_blas_saved: int | None = None
+
+
+def _new_blas_lock() -> None:
+    """A forked child (a pool worker) gets a lock of its own: the parent's
+    may have been held by a thread that the child does not have."""
+    global _BLAS_LOCK
+    _BLAS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_blas_lock)
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with BLAS on one thread, then restore the count.
@@ -138,14 +158,74 @@ def _one_blas_thread():
     products here; a replicate's D x D and SIM_BLOCK x D products gain
     nothing from a second thread.  It is for library callers, whose count
     is restored on exit: a CLI process starts OpenBLAS on one thread, so
-    there it sets 1 over 1.  With MKL or Accelerate this is a no-op.
-    Usable as a decorator, `@_one_blas_thread()`.
+    there it sets 1 over 1.  The count is one per process, so blocks that
+    overlap, nested or on other threads, share one pin under a lock: the
+    first block in saves the count and the last one out restores it.  With
+    MKL or Accelerate this is a no-op.  Usable as a decorator,
+    `@_one_blas_thread()`.
     """
-    before = _set_blas_threads(1)
+    global _blas_depth, _blas_saved
+    with _BLAS_LOCK:
+        if _blas_depth == 0:
+            _blas_saved = _set_blas_threads(1)
+        _blas_depth += 1
     try:
         yield
     finally:
-        _set_blas_threads(before)  # a no-op without an OpenBLAS
+        with _BLAS_LOCK:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                _set_blas_threads(_blas_saved)  # a no-op without an OpenBLAS
+
+
+_END = object()  # prefetch's helper has filled its last item
+
+
+def prefetch(fill, items, buffers):
+    """Yield fill(item, buffer) for each item in turn, every fill called on
+    one helper thread ahead of the caller.
+
+    The buffers go round in turn: the helper fills the free ones, and the
+    caller hands one back when it asks for the next result, so the helper
+    runs up to len(buffers) - 1 items ahead and a result is valid only
+    until the next is asked for.  The helper is the only thread that runs
+    fill and iterates items; what fill writes to (a Generator, a buffer)
+    must be read by no other thread until its result is yielded.  An
+    exception in fill is re-raised on the caller's thread.  The helper is
+    joined before the iterator returns or raises; wrap it in
+    contextlib.closing so that a consumer that stops early or raises joins
+    it at once, after at most the fill under way.
+    """
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    stop = threading.Event()
+    for buffer in buffers:
+        free.put(buffer)
+
+    def run():
+        try:
+            for item in items:
+                buffer = free.get()
+                if stop.is_set():  # the caller stopped early
+                    return
+                filled.put((fill(item, buffer), buffer))
+            filled.put(_END)
+        except BaseException as exc:  # re-raised on the caller's thread
+            filled.put(exc)
+
+    helper = threading.Thread(target=run, name="curvesurvey-prefetch",
+                              daemon=True)
+    helper.start()
+    try:
+        while (item := filled.get()) is not _END:
+            if isinstance(item, BaseException):
+                raise item
+            result, buffer = item
+            yield result
+            free.put(buffer)
+    finally:
+        stop.set()
+        free.put(None)  # wakes a helper waiting for a buffer
+        helper.join()
 
 
 def normal_blocks(rng: np.random.Generator, rows: int, width: int,
@@ -153,41 +233,20 @@ def normal_blocks(rng: np.random.Generator, rows: int, width: int,
     """Yield (lo, z): rows lo..lo+len(z)-1 of one
     rng.standard_normal((rows, width)) draw, `block` rows at a time.
 
-    One helper thread draws block k + 1 while the caller uses block k, in
-    two reused buffers, so z is valid only until the next block is asked
-    for.  The helper is the only user of rng from the first block to the
-    last and draws nothing past the last block, so afterwards rng is where
-    the one-shot draw leaves it.  The helper is joined before the iterator
-    returns or raises; wrap it in contextlib.closing so that a consumer
-    that stops early or raises joins it at once.
+    The blocks are prefetched: one helper thread draws block k + 1 while
+    the caller uses block k, in two reused buffers, so z is valid only
+    until the next block is asked for.  The helper is the only user of rng
+    from the first block to the last and draws nothing past the last
+    block, so afterwards rng is where the one-shot draw leaves it.  Wrap it
+    in contextlib.closing, as prefetch says.
     """
     starts = range(0, rows, block)
-    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(min(2, len(starts))):
-        free.put(np.empty((min(block, rows), width)))
 
-    def draw():
-        try:
-            for lo in starts:
-                buffer = free.get()
-                if buffer is None:  # the caller stopped early
-                    return
-                z = buffer[: min(block, rows - lo)]
-                rng.standard_normal(out=z)
-                filled.put((lo, z))
-        except BaseException as exc:  # re-raised on the caller's thread
-            filled.put(exc)
+    def draw(lo, buffer):
+        z = buffer[: min(block, rows - lo)]
+        rng.standard_normal(out=z)
+        return lo, z
 
-    helper = threading.Thread(target=draw, name="curvesurvey-normals",
-                              daemon=True)
-    helper.start()
-    try:
-        for _ in starts:
-            item = filled.get()
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-            free.put(item[1].base)  # the buffer z is a view of
-    finally:
-        free.put(None)
-        helper.join()
+    buffers = [np.empty((min(block, rows), width))
+               for _ in range(min(2, len(starts)))]
+    return prefetch(draw, starts, buffers)

@@ -27,21 +27,31 @@ then restates one Generator, the call's own or its pool worker's copy, to
 each replicate's stream in turn; the streams, and so the reports, are
 replicate_rng's bit for bit.  Each size's report is reduced as soon as its
 last block's result arrives, in the order of the sizes.
+
+A serial coverage campaign also draws ahead: one helper thread
+(_band_heads, on linalg.prefetch) draws the head of each replicate's band
+stream, the first min(HEAD_SIMS, sims) * D normals, up to HEADS_AHEAD
+replicates ahead of the band under way, with Generators of its own.  covers
+reads its first tiles from the head and draws the rest itself, so its sups
+are those of the whole stream, and the helper is joined before
+run_campaign returns or raises.  A pool runs no helper: every core already
+runs a worker, and no thread may be alive when the pool forks.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _check_sims, covers
+from .bands import HEAD_SIMS, _check_sims, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
 from .designs import ReplicateStreams, SamplingDesign, draw
 from .errors import CurveSurveyError, NumericalError, ValidationError
 from .estimators import ESTIMATORS, MeanEstimate
 from .grids import FunctionalPopulation, population_mean
-from .linalg import _one_blas_thread, _set_blas_threads
+from .linalg import _one_blas_thread, _set_blas_threads, prefetch
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,22 +114,65 @@ class _Campaign:
     truth: np.ndarray
 
 
-def _block(c: _Campaign, lo: int, hi: int):
+# Band-stream heads that a serial coverage campaign's helper thread may
+# hold drawn ahead of the band under way (_band_heads).  In the measurement
+# of bands.HEAD_SIMS, one head ahead took 0.397 s and three 0.362 s,
+# against 0.337 s for two.
+HEADS_AHEAD = 2
+
+
+def _band_heads(c: _Campaign, tasks):
+    """The heads of the band streams that a serial campaign's covers calls
+    read, in task order: (i, head, rng) per replicate i, with head the first
+    min(HEAD_SIMS, c.sims) * D normals of stream (i, 1), drawn as one flat
+    draw on one helper thread (linalg.prefetch), and rng a Generator just
+    after them.  The head and rng are valid until the next head is asked
+    for.  Each of the HEADS_AHEAD + 1 buffers, allocated here, holds its
+    own Generator, so the helper and the caller never share one.  Without
+    coverage there is nothing to draw, and no helper ever starts."""
+    replicates = ([i for _, lo, hi in tasks for i in range(lo, hi)]
+                  if c.coverage else [])
+    slots = [(np.empty(min(HEAD_SIMS, c.sims) * c.truth.size),
+              np.random.Generator(np.random.PCG64(0)))
+             for _ in range(HEADS_AHEAD + 1 if replicates else 0)]
+
+    def fill(i, slot):
+        head, rng = slot
+        c.streams.rng(i, 1, rng).standard_normal(out=head)
+        return i, head, rng
+
+    return prefetch(fill, replicates, slots)
+
+
+def _band_stream(c: _Campaign, i: int, heads):
+    """(rng, head) for replicate i's covers: with heads (_band_heads), the
+    next head of replicate i, passing over those of replicates whose
+    estimate failed (a head depends on i alone, not on the size); else the
+    whole stream (i, 1) and no head."""
+    if heads is None:
+        return c.streams.rng(i, 1), None
+    return next((rng, head) for j, head, rng in heads if j == i)
+
+
+def _block(c: _Campaign, lo: int, hi: int, heads=None):
     """(curves, variances, flags, []) of replicates lo..hi-1, run as one
     stack; raises the CurveSurveyError of any replicate's estimate.  flags
     holds 1 where a replicate's band covers the truth, 0 where it misses
-    and -1 where no band was built (coverage off, or the band failed)."""
+    and -1 where no band was built (coverage off, or the band failed).
+    heads, when given, are the prefetched band-stream heads
+    (_band_heads)."""
     replicates = range(lo, hi)
     sample = draw(c.design, (c.streams.rng(i, 0) for i in replicates))
     estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
     gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
     flags = np.full(len(replicates), -1, dtype=np.int8)
     for j, i in enumerate(replicates if c.coverage else ()):
+        rng, head = _band_stream(c, i, heads)
         try:
             flags[j] = covers(
                 MeanEstimate(estimate.curve[j], estimate.estimator_kind),
                 CovarianceEstimate(gamma.rows[j]), alpha=c.alpha,
-                n_sims=c.sims, seed=c.streams.rng(i, 1), truth=c.truth)
+                n_sims=c.sims, seed=rng, truth=c.truth, head=head)
         except CurveSurveyError:
             pass  # counted as an error, its estimate kept
     return estimate.curve, gamma.variance, flags, []
@@ -132,17 +185,17 @@ def _concat(parts):
             np.concatenate(flags), sum(errors, []))
 
 
-def _solo(c: _Campaign, i: int):
+def _solo(c: _Campaign, i: int, heads=None):
     """Replicate i as a block of one; when its estimate fails, no curve and
     the error message."""
     try:
-        return _block(c, i, i + 1)
+        return _block(c, i, i + 1, heads)
     except CurveSurveyError as exc:
         empty = np.empty((0, c.truth.size))
         return empty, empty, np.empty(0, dtype=np.int8), [str(exc)]
 
 
-def _run_replicate(campaign: _Campaign, lo: int, hi: int):
+def _run_replicate(campaign: _Campaign, lo: int, hi: int, heads=None):
     """(curves, variances, flags, errors) of replicates lo..hi-1: curves and
     variances (k, D) and flags (k,) of the k replicates whose estimate
     succeeded, in replicate order, and the messages of those that failed.
@@ -150,13 +203,14 @@ def _run_replicate(campaign: _Campaign, lo: int, hi: int):
     The block runs as one stack; when any of its estimates raises
     CurveSurveyError it is re-run one replicate at a time, so every failure
     is counted and reported as that replicate's own, as for blocks of one.
+    heads, when given, are the prefetched band-stream heads (_band_heads).
     """
     if hi - lo > 1:
         try:
-            return _block(campaign, lo, hi)
+            return _block(campaign, lo, hi, heads)
         except CurveSurveyError:
             pass
-    return _concat([_solo(campaign, i) for i in range(lo, hi)])
+    return _concat([_solo(campaign, i, heads) for i in range(lo, hi)])
 
 
 _WORKER_CAMPAIGNS: tuple[_Campaign, ...] = ()
@@ -213,9 +267,11 @@ def run_campaign(
                   for lo in range(0, replicates, size)]
     workers = min(workers, len(tasks))  # a fork pool starts every worker at once
     if workers <= 1:
-        with _one_blas_thread():
+        heads = _band_heads(campaigns[0], tasks)  # every size reads stream i
+        with _one_blas_thread(), closing(heads):
             return _reports(campaigns, tasks, replicates, (
-                _run_replicate(campaigns[k], lo, hi) for k, lo, hi in tasks))
+                _run_replicate(campaigns[k], lo, hi, heads)
+                for k, lo, hi in tasks))
     # imported for a pool only: it loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -589,6 +589,71 @@ class TestCovers:
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
+def _head_length(kind, n_sims, d, r, data):
+    """The length of a head of the stream of a band on n_sims sims whose
+    factor is r wide on D points: its tiles read SIM_BLOCK * r normals
+    each, n_sims * r in all."""
+    tile, used = bands.SIM_BLOCK * r, n_sims * r
+    if kind == "empty":
+        return 0
+    if kind == "ends mid-tile":
+        return data.draw(st.integers(1, used - 1).filter(lambda n: n % tile))
+    if kind == "whole tiles":  # past the last tile when n_sims < SIM_BLOCK
+        return tile * data.draw(st.integers(1, -(-n_sims // bands.SIM_BLOCK)))
+    if kind == "longer than used":
+        return used + data.draw(st.integers(1, 3 * d))
+    return min(bands.HEAD_SIMS, n_sims) * d  # a serial campaign's head
+
+
+class TestCoversWithAHead:
+    """covers reading the start of its stream from a head drawn ahead, as
+    a serial coverage campaign hands it, and the rest from a Generator just
+    after the head, against covers without a head and against
+    contains(build_band(...))."""
+
+    @given(
+        name=st.sampled_from(sorted(ROWS)),
+        kind=st.sampled_from(["empty", "ends mid-tile", "whole tiles",
+                              "longer than used", "campaign"]),
+        n_sims=st.integers(100, 1300),
+        alpha=st.floats(0.01, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+        truth_at=st.sampled_from(["edge", "beyond the edge", "spread"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_flag_as_without_a_head_and_as_the_band(
+            self, name, kind, n_sims, alpha, seed, truth_at, data):
+        # r = D on the definite and the rank-deficient rows (Cholesky and
+        # QR), r = 5 < D on the fewer rows than points (QR)
+        cov = _cov(name)
+        d = cov.variance.size
+        r = bands._scaled_factor(cov)[0].shape[1]
+        assert r == (5 if name == "fewer rows than points" else d)
+        est = _zero_estimate(d)
+        band = build_band(est, cov, alpha=alpha, n_sims=n_sims, seed=seed)
+        # with a zero center, truth on the band's edge at one point is a
+        # flag that every sup decides: the edge is covered, one float
+        # beyond it is not
+        j = data.draw(st.integers(0, d - 1))
+        truth = np.zeros(d)
+        if truth_at == "spread":
+            truth = band.half_width * np.random.default_rng(seed).uniform(
+                -1.2, 1.2, d)
+        else:
+            truth[j] = band.half_width[j]
+            if truth_at == "beyond the edge":
+                truth[j] = np.nextafter(truth[j], np.inf)
+        expected = contains(band, truth)
+        if truth_at != "spread":
+            assert expected is (truth_at == "edge")
+        rng = np.random.default_rng(seed)
+        head = rng.standard_normal(_head_length(kind, n_sims, d, r, data))
+        assert covers(est, cov, alpha, n_sims, seed, truth) is expected
+        assert covers(est, cov, alpha, n_sims, rng, truth,
+                      head=head) is expected
+
+
 def _float_after(s, direction):
     return float(np.nextafter(s, direction))
 

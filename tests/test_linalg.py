@@ -1,3 +1,5 @@
+import os
+import signal
 import sys
 import threading
 import time
@@ -8,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesurvey import NumericalError, ValidationError
+from curvesurvey import NumericalError, ValidationError, linalg
 from curvesurvey.linalg import (
     check_symmetric,
     cholesky_psd,
     normal_blocks,
+    prefetch,
     psd_project,
 )
 from curvesurvey.oracle import (
@@ -212,6 +215,78 @@ class TestNormalBlocks:
         with pytest.raises(RuntimeError, match="draw failed"):
             next(blocks)
         assert threading.active_count() == before
+
+
+class TestPrefetch:
+    def test_runs_at_most_one_buffer_short_of_all_ahead(self):
+        # three buffers: while the caller holds result k, the helper may
+        # have filled k + 1 and k + 2, never k + 3
+        filled = []
+
+        def fill(item, buffer):
+            filled.append(item)
+            buffer[:] = [item]
+            return buffer
+
+        got = []
+        for k, buffer in enumerate(prefetch(fill, range(12),
+                                            [[None] for _ in range(3)])):
+            time.sleep(0.002)  # time for the helper to run ahead
+            assert max(filled) <= k + 2
+            assert buffer == [k]
+            got.append(buffer[0])
+        assert got == list(range(12))
+
+
+class TestOneBlasThread:
+    """Overlapping _one_blas_thread blocks on two threads share one pin:
+    the caller's count holds until the last block ends, then comes back."""
+
+    def test_overlapping_blocks_restore_the_callers_count(
+            self, caller_at_two_blas_threads):
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def first():
+            with linalg._one_blas_thread():
+                a_in.set()
+                b_in.wait(timeout=60)
+            a_out.set()
+
+        def second():
+            a_in.wait(timeout=60)
+            with linalg._one_blas_thread():
+                b_in.set()
+                a_out.wait(timeout=60)
+                seen["inside after the first left"] = linalg.blas_threads()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert seen == {"inside after the first left": 1}
+        assert linalg.blas_threads() == 2
+
+    def test_a_child_forked_while_the_lock_is_held_can_pin(self):
+        # as a pool worker forked while another thread of the parent is in
+        # a block's lock: the child's first block must not wait forever
+        with linalg._BLAS_LOCK:
+            pid = os.fork()
+            if pid == 0:
+                with linalg._one_blas_thread():
+                    pass
+                os._exit(0)
+        for _ in range(1000):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited on the parent's lock")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestPsdProject:

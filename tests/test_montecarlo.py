@@ -20,7 +20,7 @@ from curvesurvey import (
     run_campaign,
     study_population,
 )
-from curvesurvey.bands import covers
+from curvesurvey.bands import HEAD_SIMS, covers
 from curvesurvey.covariance import CovarianceEstimate, ht_covariance_estimate
 from curvesurvey.designs import replicate_rng
 from curvesurvey.estimators import ESTIMATORS
@@ -324,13 +324,8 @@ class TestBlocks:
 
     def test_each_replicate_draws_from_its_own_two_streams(self, mc_pop,
                                                            monkeypatch):
-        drawn, banded = _record_draw_states(monkeypatch), []
-
-        def recording_covers(*args, seed, **kwargs):
-            banded.append(seed.bit_generator.state)
-            return covers(*args, seed=seed, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "covers", recording_covers)
+        drawn, banded = (_record_draw_states(monkeypatch),
+                         _record_band_streams(monkeypatch))
         design = SamplingDesign(N=mc_pop.N, n=200)
         assert montecarlo.block_size(200, 12) == 13  # blocks of 13, 13 and 4
         [report] = run_campaign(mc_pop, [design], replicates=30,
@@ -338,7 +333,54 @@ class TestBlocks:
                                 master_seed=3)
         assert report.coverage_bands == 30
         assert sum(drawn, []) == _states(3, range(30), 0)
-        assert banded == _states(3, range(30), 1)
+        assert [head.size for head, _ in banded] == [150 * 12] * 30
+        _assert_own_band_streams(banded, 3, range(30))
+
+    def test_a_failed_replicate_passes_its_band_head_over(self, monkeypatch):
+        # replicates 0 and 11 fail at n = 8 and replicate 0 at n = 10, in
+        # blocks re-run one replicate at a time: their heads are drawn but
+        # never read, the last of one size's just before the next size's
+        banded = _record_band_streams(monkeypatch)
+        pop = self.dummy_population(15)
+        designs = [SamplingDesign(N=pop.N, n=n) for n in (8, 10)]
+        ok = [[t[3] is None for t in _replicate_twin(pop, d, 12, "ma", 0.0,
+                                                     False, seed=8)]
+              for d in designs]
+        assert [[i for i, good in enumerate(row) if not good]
+                for row in ok] == [[0, 11], [0]]
+        reports = run_campaign(pop, designs, replicates=12, estimator="ma",
+                               a=0.0, compute_coverage=True, band_sims=1000,
+                               master_seed=8)
+        assert [r.n_errors for r in reports] == [2, 1]
+        # heads of HEAD_SIMS sims, so each covers may draw on after them
+        assert [h.size for h, _ in banded] == [HEAD_SIMS * pop.grid.size] * 21
+        _assert_own_band_streams(banded, 8, [i for row in ok
+                                             for i, good in enumerate(row)
+                                             if good])
+
+
+def _record_band_streams(monkeypatch):
+    """Record, per covers call of a serial coverage campaign, the head of
+    the band stream it is handed and the state of the Generator after it;
+    returns the list of (head, state)."""
+    banded = []
+
+    def recording_covers(*args, seed, head, **kwargs):
+        banded.append((head.copy(), seed.bit_generator.state))
+        return covers(*args, seed=seed, head=head, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "covers", recording_covers)
+    return banded
+
+
+def _assert_own_band_streams(banded, seed, replicates):
+    """Each recorded head is the start of its replicate's band stream
+    replicate_rng(seed, i, 1), and its Generator is just after it."""
+    assert len(banded) == len(replicates)
+    for i, (head, state) in zip(replicates, banded):
+        twin = replicate_rng(seed, i, 1)
+        assert np.array_equal(head, twin.standard_normal(head.size)), i
+        assert state == twin.bit_generator.state, i
 
 
 def _states(seed, replicates, stream):
@@ -481,7 +523,9 @@ def _campaigns(draw_from):
         coverage=draw_from(st.booleans()),
         # 0.5 first, as hypothesis favours the first: the flags vary most
         alpha=draw_from(st.sampled_from([0.5, 0.1, 0.05])),
-        sims=draw_from(st.integers(100, 300)),
+        # past HEAD_SIMS too, so a band reads its head and draws on
+        sims=draw_from(st.one_of(st.integers(100, 300),
+                                 st.integers(HEAD_SIMS + 1, HEAD_SIMS + 300))),
         # beyond 2**64, so seeds of one to three 32-bit words run
         seed=draw_from(st.integers(0, 2**70)),
         block_floats=draw_from(st.integers(1, replicates * max(sizes) * d)),
@@ -617,9 +661,9 @@ class TestCallerBlasThreads:
         seen = []
         replicate = montecarlo._run_replicate
 
-        def recording(campaign, lo, hi):
+        def recording(campaign, lo, hi, heads):
             seen.append(_blas_threads())
-            return replicate(campaign, lo, hi)
+            return replicate(campaign, lo, hi, heads)
 
         monkeypatch.setattr(montecarlo, "_run_replicate", recording)
         monkeypatch.setattr(montecarlo, "BLOCK_FLOATS", 2 * 40 * 12)
@@ -630,7 +674,7 @@ class TestCallerBlasThreads:
 
     def test_count_restored_when_a_replicate_raises(
             self, mc_pop, monkeypatch, caller_at_two_blas_threads):
-        def broken(campaign, lo, hi):
+        def broken(campaign, lo, hi, heads):
             raise RuntimeError("not a CurveSurveyError")
 
         monkeypatch.setattr(montecarlo, "_run_replicate", broken)
@@ -707,9 +751,56 @@ def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
     pop = study_population(3000, 8, seed=2)
     design = SamplingDesign(N=pop.N, n=40)
     replicates = montecarlo.block_size(40, 8) + 1  # two blocks, so a pool
-    run_campaign(pop, [design], replicates=replicates, master_seed=1,
-                 workers=2)
+    # with coverage, as a serial campaign draws its band heads on a helper
+    [report] = run_campaign(pop, [design], replicates=replicates,
+                            compute_coverage=True, band_sims=100,
+                            master_seed=1, workers=2)
+    assert report.coverage_bands == replicates
     assert _RecordingPool.threads == [before]
+    assert threading.active_count() == before
+
+
+class TestNoThreadOutlivesTheCampaign:
+    """A serial coverage campaign draws its band heads on a helper thread,
+    joined before run_campaign returns or raises."""
+
+    @staticmethod
+    def _recording_covers(monkeypatch):
+        """Record, per covers call, whether it got a head and the threads
+        alive during it."""
+        calls = []
+
+        def recording(*args, head, **kwargs):
+            calls.append((head is not None, threading.active_count()))
+            return covers(*args, head=head, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "covers", recording)
+        return calls
+
+    def test_when_it_returns(self, mc_pop, monkeypatch):
+        calls = self._recording_covers(monkeypatch)
+        before = threading.active_count()
+        design = SamplingDesign(N=mc_pop.N, n=40)
+        run_campaign(mc_pop, [design], replicates=10, compute_coverage=True,
+                     band_sims=300, master_seed=4)
+        # the helper ends once it has drawn the last head
+        assert [head for head, _ in calls] == [True] * 10
+        assert calls[0] == (True, before + 1)
+        assert threading.active_count() == before
+
+    def test_when_it_raises(self, monkeypatch):
+        # only replicate 0 of six gets an estimate, so fewer than two do;
+        # its covers holds one head, the helper holds the next two and
+        # waits for a buffer, and no other covers call hands one back
+        calls = self._recording_covers(monkeypatch)
+        pop = TestBlocks.dummy_population(1)
+        design = SamplingDesign(N=pop.N, n=10)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="only 1 of 6 replicates"):
+            run_campaign(pop, [design], replicates=6, estimator="ma", a=0.0,
+                         compute_coverage=True, band_sims=300, master_seed=29)
+        assert calls == [(True, before + 1)]
+        assert threading.active_count() == before
 
 
 class _CountedPopulation(FunctionalPopulation):
@@ -758,9 +849,9 @@ def test_one_pool_runs_every_size(mc_pop, monkeypatch):
 
 def test_two_threads_get_the_reports_of_two_sequential_calls(
         mc_pop, caller_at_two_blas_threads):
-    # each call restates a Generator of its own, so neither thread moves
-    # the other's streams; the fixture gives the caller its BLAS thread
-    # count back, which two concurrent calls can leave at 1
+    # each call restates Generators of its own, so neither thread moves
+    # the other's streams, and the two share one BLAS pin, so the caller
+    # gets its count back
     designs = _sizes(mc_pop)
     settings = [dict(master_seed=5, compute_coverage=True, band_sims=300),
                 dict(master_seed=2**64 + 5, estimator="hajek")]
@@ -781,6 +872,7 @@ def test_two_threads_get_the_reports_of_two_sequential_calls(
         sys.setswitchinterval(interval)
     for got, want in zip(together, sequential):
         _assert_same_outcome(([], got), ([], want))
+    assert _blas_threads() == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
