@@ -10,6 +10,10 @@ C'C as the covariance estimate stores them.  Z = F z with F F' = C'C:
 the Cholesky factor of C'C, else, when Cholesky refuses a singular C'C
 (as when n - H < D), R' from the thin QR C = QR.  Either factor comes
 from C'C or C as they are, with no repair and no clip.
+
+covers decides whether the band on a given (n_sims, D) matrix of normals
+covers a curve, without c_alpha; a coverage campaign (``montecarlo``)
+gives every replicate's covers one shared matrix.
 """
 
 from __future__ import annotations
@@ -42,17 +46,6 @@ class ConfidenceBand:
 # boundary, still takes about 1.6 ms per README-scale call, and the best
 # time of a 5000-sim band at D = 336 fell from 36-42 to 33-37 ms.
 SIM_BLOCK = 256
-
-# Simulations in the head of a band stream that a serial coverage campaign
-# draws ahead on a helper thread (montecarlo._band_heads), D normals each.
-# Measured on a shared 2-core Xeon, the serial README-scale campaign in
-# process (median of 8 alternating best-of-3 runs) took 0.413 s wall with
-# no head, and 0.371 / 0.337 / 0.349 s with heads of 2 / 3 / 4 tiles.
-# There covers reads 4.7 tiles a replicate on average, and 95 of 200
-# replicates stop after two, so a 3-tile head draws about half a tile a
-# replicate that is never read.
-HEAD_SIMS = 3 * SIM_BLOCK
-
 
 def _scaled_factor(cov: CovarianceEstimate) -> tuple[np.ndarray, np.ndarray]:
     """(F / sigma[:, None], sigma) with F F' = C'C, C = cov.rows, and
@@ -209,13 +202,12 @@ def covers(
     estimate: MeanEstimate,
     cov: CovarianceEstimate,
     alpha: float,
-    n_sims: int,
-    seed,
+    normals: np.ndarray,
     truth: np.ndarray,
-    head: np.ndarray | None = None,
 ) -> bool:
-    """contains(build_band(estimate, cov, alpha, n_sims, seed), truth),
-    drawing simulations only until the answer is settled.
+    """contains(build_band(estimate, cov, alpha, n_sims, seed), truth) for
+    normals = default_rng(seed).standard_normal((n_sims, D)), reading
+    simulations only until the answer is settled; normals is not written.
 
     Same checks and errors as that pair.  Why stopping early is exact: let
     P(s) = all(|truth - center| <= s * sigma), the float expression of
@@ -225,44 +217,36 @@ def covers(
     scalar per band.  The band covers truth iff P(c_alpha), with c_alpha
     the k-th smallest of the n_sims sups, k = ceil((1 - alpha) * n_sims).
     By monotonicity that holds iff at least n_sims - k + 1 sups reach s*,
-    and fails iff at least k sups fall short.  covers draws the band's
-    tiles of the band's stream, so its sups are the band's, and stops at
-    the first tile that reaches either count (a sequential Monte Carlo
-    test, Besag & Clifford 1991).
+    and fails iff at least k sups fall short.  covers reads the band's
+    tiles and stops at the first tile that reaches either count (a
+    sequential Monte Carlo test, Besag & Clifford 1991).
 
-    `head`, when given, is the start of that stream drawn ahead as one flat
-    array of any length, and `seed` is a Generator positioned just after
-    it: the first tiles are read from the head, a tile that runs past its
-    end is completed from the Generator, and later tiles are drawn from the
-    Generator on the calling thread.  A tile of m sims reads m * r normals
-    of the stream in order either way, so the sups are the same.
+    The band fills its r-wide tiles (r = D, or fewer on the QR path) from
+    one stream in order, so tile lo of m sims is the m * r normals after
+    the first lo * r of the stream: a contiguous view of the flat prefix
+    of normals, whatever r is, and the sups are the band's bit for bit.
     """
+    normals = np.asarray(normals, dtype=float)
+    n_sims = len(normals)
     _check_sims(alpha, n_sims)
     scaled_factor, sigma = _scaled_factor(cov)
+    d, r = scaled_factor.shape
+    if normals.shape != (n_sims, d):
+        raise ValidationError(f"band normals have shape {normals.shape}, "
+                              f"not ({n_sims}, {d})")
     center = np.asarray(estimate.curve, dtype=float)
     deviation = np.abs(_truth_array(truth, center) - center)
     threshold = _coverage_threshold(deviation, sigma)
     k = _quantile_rank(alpha, n_sims)
     need_in = n_sims - k + 1  # sups reaching s* that make the band cover
-    # allocated before any draw, so an n_sims beyond memory fails at once
-    d, r = scaled_factor.shape
+    flat = normals.reshape(-1)
     tile_sims = min(SIM_BLOCK, n_sims)
-    draws, product = np.empty(tile_sims * r), np.empty(tile_sims * d)
-    sups = np.empty(n_sims)
-    rng = np.random.default_rng(seed)
-    head = np.empty(0) if head is None else head
+    sups, product = np.empty(tile_sims), np.empty(tile_sims * d)
     inside = 0
     for lo in range(0, n_sims, SIM_BLOCK):
         m = min(SIM_BLOCK, n_sims - lo)
-        start, stop = lo * r, (lo + m) * r
-        if stop <= head.size:
-            z = head[start:stop]
-        else:
-            z, taken = draws[: stop - start], head[start:]
-            z[:taken.size] = taken
-            rng.standard_normal(out=z[taken.size:])
-        tile = _tile_sups(scaled_factor, z.reshape(m, r), sups[lo:lo + m],
-                          product)
+        z = flat[lo * r:(lo + m) * r].reshape(m, r)
+        tile = _tile_sups(scaled_factor, z, sups[:m], product)
         inside += int(np.count_nonzero(tile >= threshold))
         if inside >= need_in or lo + m - inside >= k:
             break

@@ -281,30 +281,25 @@ def _restate(rng: np.random.Generator, words) -> np.random.Generator:
 
 
 class ReplicateStreams:
-    """The streams replicate_rng(master_seed, i, j) of every replicate
-    i < replicates and stream j < streams, seeded in one vectorized pass.
+    """The sample streams replicate_rng(master_seed, i, 0) of every
+    replicate i < replicates, seeded in one vectorized pass.
 
     `words` holds each stream's eight PCG64 seed words, 32 bytes, and
-    rng(i, j) restates this object's one Generator to stream (i, j): 6 us,
+    rng(i) restates this object's one Generator to stream (i, 0): 6 us,
     against 22 us for a SeedSequence and a PCG64 (shared 2-core Xeon).  The
-    Generator is stream (i, j) only until the next call, so each stream is
-    used up before the next is asked for, and no two threads share it.  A
-    second thread restates Generators of its own: rng(i, j, generator)."""
+    Generator is stream (i, 0) only until the next call, so each stream is
+    used up before the next is asked for, and no two threads share it."""
 
-    def __init__(self, master_seed: int, replicates: int, streams: int):
+    def __init__(self, master_seed: int, replicates: int):
         if master_seed < 0:
             raise ValidationError(f"seed must be >= 0, got {master_seed}")
         if replicates > 2**32:  # a key of one 32-bit word each
             raise ValidationError(
                 f"at most 2**32 replicates, got {replicates}")
         keys = np.arange(replicates, dtype=np.uint32)
-        self.words = np.stack([_seed_words(int(master_seed), keys, j)
-                               for j in range(streams)], axis=1)
+        self.words = _seed_words(int(master_seed), keys, 0)
         self._rng = np.random.Generator(np.random.PCG64(0))
 
-    def rng(self, i: int, j: int, generator: np.random.Generator | None = None
-            ) -> np.random.Generator:
-        """`generator`, by default this object's own, restated to stream
-        (i, j)."""
-        return _restate(self._rng if generator is None else generator,
-                        self.words[i, j])
+    def rng(self, i: int) -> np.random.Generator:
+        """This object's Generator, restated to stream (i, 0)."""
+        return _restate(self._rng, self.words[i])

@@ -2,11 +2,10 @@
 algebra.
 
 Every command multiplies on one BLAS thread (_one_blas_thread), so its
-outputs do not depend on the thread count, and prefetch draws standard
-normals on one helper thread meanwhile: the next block of a population or
-a band (normal_blocks), and the heads of the next replicates' band streams
-in a serial coverage campaign (``montecarlo``).  A CLI process already
-starts OpenBLAS with one thread (see ``cli``).
+outputs do not depend on the thread count, and normal_blocks draws the
+next block of standard normals of a population or a band on one helper
+thread meanwhile.  A CLI process already starts OpenBLAS with one thread
+(see ``cli``).
 
 The bands factor a covariance from its rows (``bands._scaled_factor``)
 and need no PSD repair.  PSD projection and a PSD-tolerant Cholesky
@@ -178,54 +177,7 @@ def _one_blas_thread():
                 _set_blas_threads(_blas_saved)  # a no-op without an OpenBLAS
 
 
-_END = object()  # prefetch's helper has filled its last item
-
-
-def prefetch(fill, items, buffers):
-    """Yield fill(item, buffer) for each item in turn, every fill called on
-    one helper thread ahead of the caller.
-
-    The buffers go round in turn: the helper fills the free ones, and the
-    caller hands one back when it asks for the next result, so the helper
-    runs up to len(buffers) - 1 items ahead and a result is valid only
-    until the next is asked for.  The helper is the only thread that runs
-    fill and iterates items; what fill writes to (a Generator, a buffer)
-    must be read by no other thread until its result is yielded.  An
-    exception in fill is re-raised on the caller's thread.  The helper is
-    joined before the iterator returns or raises; wrap it in
-    contextlib.closing so that a consumer that stops early or raises joins
-    it at once, after at most the fill under way.
-    """
-    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
-    stop = threading.Event()
-    for buffer in buffers:
-        free.put(buffer)
-
-    def run():
-        try:
-            for item in items:
-                buffer = free.get()
-                if stop.is_set():  # the caller stopped early
-                    return
-                filled.put((fill(item, buffer), buffer))
-            filled.put(_END)
-        except BaseException as exc:  # re-raised on the caller's thread
-            filled.put(exc)
-
-    helper = threading.Thread(target=run, name="curvesurvey-prefetch",
-                              daemon=True)
-    helper.start()
-    try:
-        while (item := filled.get()) is not _END:
-            if isinstance(item, BaseException):
-                raise item
-            result, buffer = item
-            yield result
-            free.put(buffer)
-    finally:
-        stop.set()
-        free.put(None)  # wakes a helper waiting for a buffer
-        helper.join()
+_END = object()  # normal_blocks' helper has drawn its last block
 
 
 def normal_blocks(rng: np.random.Generator, rows: int, width: int,
@@ -233,20 +185,46 @@ def normal_blocks(rng: np.random.Generator, rows: int, width: int,
     """Yield (lo, z): rows lo..lo+len(z)-1 of one
     rng.standard_normal((rows, width)) draw, `block` rows at a time.
 
-    The blocks are prefetched: one helper thread draws block k + 1 while
-    the caller uses block k, in two reused buffers, so z is valid only
-    until the next block is asked for.  The helper is the only user of rng
-    from the first block to the last and draws nothing past the last
-    block, so afterwards rng is where the one-shot draw leaves it.  Wrap it
-    in contextlib.closing, as prefetch says.
+    One helper thread draws block k + 1 while the caller uses block k, in
+    two reused buffers: the caller hands one back when it asks for the
+    next block, so z is valid only until then.  The helper is the only
+    user of rng from the first block to the last and draws nothing past
+    the last block, so afterwards rng is where the one-shot draw leaves it.
+    An exception in a draw is re-raised on the caller's thread.  The helper
+    is joined before the iterator returns or raises; wrap it in
+    contextlib.closing so that a consumer that stops early or raises joins
+    it at once, after at most the draw under way.
     """
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    stop = threading.Event()
     starts = range(0, rows, block)
+    for _ in range(min(2, len(starts))):
+        free.put(np.empty((min(block, rows), width)))
 
-    def draw(lo, buffer):
-        z = buffer[: min(block, rows - lo)]
-        rng.standard_normal(out=z)
-        return lo, z
+    def run():
+        try:
+            for lo in starts:
+                buffer = free.get()
+                if stop.is_set():  # the caller stopped early
+                    return
+                z = buffer[: min(block, rows - lo)]
+                rng.standard_normal(out=z)
+                filled.put((lo, z, buffer))
+            filled.put(_END)
+        except BaseException as exc:  # re-raised on the caller's thread
+            filled.put(exc)
 
-    buffers = [np.empty((min(block, rows), width))
-               for _ in range(min(2, len(starts)))]
-    return prefetch(draw, starts, buffers)
+    helper = threading.Thread(target=run, name="curvesurvey-normals",
+                              daemon=True)
+    helper.start()
+    try:
+        while (item := filled.get()) is not _END:
+            if isinstance(item, BaseException):
+                raise item
+            lo, z, buffer = item
+            yield lo, z
+            free.put(buffer)
+    finally:
+        stop.set()
+        free.put(None)  # wakes a helper waiting for a buffer
+        helper.join()

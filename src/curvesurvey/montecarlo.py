@@ -12,46 +12,42 @@ stream replicate_rng(seed, i, 0); the block's B index rows form one
 (B, n) Sample, validated once, and the estimator and the covariance run
 once on the whole stack, through the same functions as a single sample.
 The band stays per replicate: covers reads replicate i's slice of the
-block's curve and rows, with the stream replicate_rng(seed, i, 1).  A
-block in which any estimate raises is re-run one replicate at a time, so
-errors are counted and reported per replicate.
+block's curve and rows.  A block in which any estimate raises is re-run
+one replicate at a time, so errors are counted and reported per
+replicate.
+
+Every band of a call reads one read-only (sims, D) matrix of standard
+normals, drawn once from replicate_rng(seed, 1) (_band_normals), so a
+flag is that of the band built on the matrix.  Each flag keeps its law;
+only the flags' joint law changes, as common random numbers do
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2003).
 
 run_campaign runs the campaigns of every sample size of a command in one
 call: one task list of (size index, lo, hi) blocks spans all sizes, and
 at most one pool runs it, its initializer receiving every size's campaign
-once.  The serial path walks the same list.  The call seeds the streams
-once, for every size: designs.ReplicateStreams computes the PCG64 seed
-words of every replicate_rng(seed, i, j) in one vectorized pass, 32 bytes
-a stream, which the pool's initializer sends with the campaigns.  A block
-then restates one Generator, the call's own or its pool worker's copy, to
-each replicate's stream in turn; the streams, and so the reports, are
-replicate_rng's bit for bit.  Each size's report is reduced as soon as its
-last block's result arrives, in the order of the sizes.
-
-A serial coverage campaign also draws ahead: one helper thread
-(_band_heads, on linalg.prefetch) draws the head of each replicate's band
-stream, the first min(HEAD_SIMS, sims) * D normals, up to HEADS_AHEAD
-replicates ahead of the band under way, with Generators of its own.  covers
-reads its first tiles from the head and draws the rest itself, so its sups
-are those of the whole stream, and the helper is joined before
-run_campaign returns or raises.  A pool runs no helper: every core already
-runs a worker, and no thread may be alive when the pool forks.
+once, and with them the band matrix, which they share.  The serial path
+walks the same list.  The call seeds the streams once, for every size:
+designs.ReplicateStreams computes the PCG64 seed words of every
+replicate_rng(seed, i, 0) in one vectorized pass, 32 bytes a replicate.
+A block then restates one Generator, the call's own or its pool worker's
+copy, to each replicate's stream in turn; the streams, and so the
+reports, are replicate_rng's bit for bit.  Each size's report is reduced
+as soon as its last block's result arrives, in the order of the sizes.
 """
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import HEAD_SIMS, _check_sims, covers
+from .bands import _check_sims, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
-from .designs import ReplicateStreams, SamplingDesign, draw
+from .designs import ReplicateStreams, SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
 from .estimators import ESTIMATORS, MeanEstimate
 from .grids import FunctionalPopulation, population_mean
-from .linalg import _one_blas_thread, _set_blas_threads, prefetch
+from .linalg import _one_blas_thread, _set_blas_threads
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,71 +104,50 @@ class _Campaign:
     estimator: str
     a: float | None
     streams: ReplicateStreams  # the call's own, shared by all its sizes
-    coverage: bool
     alpha: float
-    sims: int
+    normals: np.ndarray | None  # the call's band normals; None: no coverage
     truth: np.ndarray
 
-
-# Band-stream heads that a serial coverage campaign's helper thread may
-# hold drawn ahead of the band under way (_band_heads).  In the measurement
-# of bands.HEAD_SIMS, one head ahead took 0.397 s and three 0.362 s,
-# against 0.337 s for two.
-HEADS_AHEAD = 2
+    @property
+    def coverage(self) -> bool:
+        return self.normals is not None
 
 
-def _band_heads(c: _Campaign, tasks):
-    """The heads of the band streams that a serial campaign's covers calls
-    read, in task order: (i, head, rng) per replicate i, with head the first
-    min(HEAD_SIMS, c.sims) * D normals of stream (i, 1), drawn as one flat
-    draw on one helper thread (linalg.prefetch), and rng a Generator just
-    after them.  The head and rng are valid until the next head is asked
-    for.  Each of the HEADS_AHEAD + 1 buffers, allocated here, holds its
-    own Generator, so the helper and the caller never share one.  Without
-    coverage there is nothing to draw, and no helper ever starts."""
-    replicates = ([i for _, lo, hi in tasks for i in range(lo, hi)]
-                  if c.coverage else [])
-    slots = [(np.empty(min(HEAD_SIMS, c.sims) * c.truth.size),
-              np.random.Generator(np.random.PCG64(0)))
-             for _ in range(HEADS_AHEAD + 1 if replicates else 0)]
+def _band_normals(master_seed: int, sims: int, d: int) -> np.ndarray:
+    """The read-only (sims, D) standard normals of every band of a call:
+    replicate_rng(master_seed, 1).standard_normal((sims, d)).
 
-    def fill(i, slot):
-        head, rng = slot
-        c.streams.rng(i, 1, rng).standard_normal(out=head)
-        return i, head, rng
-
-    return prefetch(fill, replicates, slots)
+    numpy reads a spawn key as 32-bit words, so the key is one word, (1,):
+    every replicate key (i, 0) is two, and the population's empty key none.
+    (2**32,) would be the words (0, 1), the stream of the bands command's
+    band.  The buffer is allocated before any draw, so a size beyond
+    memory fails at once, as a MemoryError."""
+    try:
+        normals = np.empty((sims, d))
+    except ValueError as exc:  # a size numpy cannot even express
+        raise MemoryError(f"{sims} band simulations of {d} points: "
+                          f"{exc}") from None
+    replicate_rng(master_seed, 1).standard_normal(out=normals)
+    normals.setflags(write=False)
+    return normals
 
 
-def _band_stream(c: _Campaign, i: int, heads):
-    """(rng, head) for replicate i's covers: with heads (_band_heads), the
-    next head of replicate i, passing over those of replicates whose
-    estimate failed (a head depends on i alone, not on the size); else the
-    whole stream (i, 1) and no head."""
-    if heads is None:
-        return c.streams.rng(i, 1), None
-    return next((rng, head) for j, head, rng in heads if j == i)
-
-
-def _block(c: _Campaign, lo: int, hi: int, heads=None):
+def _block(c: _Campaign, lo: int, hi: int):
     """(curves, variances, flags, []) of replicates lo..hi-1, run as one
     stack; raises the CurveSurveyError of any replicate's estimate.  flags
     holds 1 where a replicate's band covers the truth, 0 where it misses
-    and -1 where no band was built (coverage off, or the band failed).
-    heads, when given, are the prefetched band-stream heads
-    (_band_heads)."""
+    and -1 where no band was built (coverage off, or the band failed)."""
     replicates = range(lo, hi)
-    sample = draw(c.design, (c.streams.rng(i, 0) for i in replicates))
+    sample = draw(c.design, (c.streams.rng(i) for i in replicates))
     estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
     gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
     flags = np.full(len(replicates), -1, dtype=np.int8)
-    for j, i in enumerate(replicates if c.coverage else ()):
-        rng, head = _band_stream(c, i, heads)
+    for j in range(len(replicates) if c.coverage else 0):
         try:
             flags[j] = covers(
                 MeanEstimate(estimate.curve[j], estimate.estimator_kind),
-                CovarianceEstimate(gamma.rows[j]), alpha=c.alpha,
-                n_sims=c.sims, seed=rng, truth=c.truth, head=head)
+                CovarianceEstimate(gamma.rows[j]), c.alpha,
+                normals=c.normals, truth=c.truth)
         except CurveSurveyError:
             pass  # counted as an error, its estimate kept
     return estimate.curve, gamma.variance, flags, []
@@ -185,17 +160,17 @@ def _concat(parts):
             np.concatenate(flags), sum(errors, []))
 
 
-def _solo(c: _Campaign, i: int, heads=None):
+def _solo(c: _Campaign, i: int):
     """Replicate i as a block of one; when its estimate fails, no curve and
     the error message."""
     try:
-        return _block(c, i, i + 1, heads)
+        return _block(c, i, i + 1)
     except CurveSurveyError as exc:
         empty = np.empty((0, c.truth.size))
         return empty, empty, np.empty(0, dtype=np.int8), [str(exc)]
 
 
-def _run_replicate(campaign: _Campaign, lo: int, hi: int, heads=None):
+def _run_replicate(campaign: _Campaign, lo: int, hi: int):
     """(curves, variances, flags, errors) of replicates lo..hi-1: curves and
     variances (k, D) and flags (k,) of the k replicates whose estimate
     succeeded, in replicate order, and the messages of those that failed.
@@ -203,14 +178,13 @@ def _run_replicate(campaign: _Campaign, lo: int, hi: int, heads=None):
     The block runs as one stack; when any of its estimates raises
     CurveSurveyError it is re-run one replicate at a time, so every failure
     is counted and reported as that replicate's own, as for blocks of one.
-    heads, when given, are the prefetched band-stream heads (_band_heads).
     """
     if hi - lo > 1:
         try:
-            return _block(campaign, lo, hi, heads)
+            return _block(campaign, lo, hi)
         except CurveSurveyError:
             pass
-    return _concat([_solo(campaign, i, heads) for i in range(lo, hi)])
+    return _concat([_solo(campaign, i) for i in range(lo, hi)])
 
 
 _WORKER_CAMPAIGNS: tuple[_Campaign, ...] = ()
@@ -244,7 +218,8 @@ def run_campaign(
     """One replication campaign per design (a sample size), all run through
     one task stream: one report per design, in order.  Deterministic given
     master_seed, and independent of the worker count (streams are keyed
-    per replicate, so a size's report does not depend on the other sizes)."""
+    per replicate, and the band normals per call, so a size's report does
+    not depend on the other sizes)."""
     if estimator not in ESTIMATORS:
         raise ValidationError(f"estimator must be one of "
                               f"{', '.join(ESTIMATORS)}, not {estimator!r}")
@@ -254,11 +229,12 @@ def run_campaign(
         raise ValidationError("workers must be >= 1")
     if compute_coverage:
         _check_sims(alpha, band_sims)
-    streams = ReplicateStreams(master_seed, replicates,
-                               2 if compute_coverage else 1)
+    streams = ReplicateStreams(master_seed, replicates)
     truth = population_mean(pop)
-    campaigns = tuple(_Campaign(pop, design, estimator, a, streams,
-                                compute_coverage, alpha, band_sims, truth)
+    normals = (_band_normals(master_seed, band_sims, truth.size)
+               if compute_coverage else None)
+    campaigns = tuple(_Campaign(pop, design, estimator, a, streams, alpha,
+                                normals, truth)
                       for design in designs)
     tasks = []  # (campaign index, lo, hi), one per block, in report order
     for k, c in enumerate(campaigns):
@@ -267,11 +243,9 @@ def run_campaign(
                   for lo in range(0, replicates, size)]
     workers = min(workers, len(tasks))  # a fork pool starts every worker at once
     if workers <= 1:
-        heads = _band_heads(campaigns[0], tasks)  # every size reads stream i
-        with _one_blas_thread(), closing(heads):
+        with _one_blas_thread():
             return _reports(campaigns, tasks, replicates, (
-                _run_replicate(campaigns[k], lo, hi, heads)
-                for k, lo, hi in tasks))
+                _run_replicate(campaigns[k], lo, hi) for k, lo, hi in tasks))
     # imported for a pool only: it loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -31,6 +31,12 @@ def _zero_estimate(d):
     return MeanEstimate(curve=np.zeros(d), estimator_kind="ModelAssisted")
 
 
+def _normals(n_sims, d, seed):
+    """The matrix of normals whose covers flag is that of the band built
+    with `seed`."""
+    return np.random.default_rng(seed).standard_normal((n_sims, d))
+
+
 def _c_alpha(cov, alpha, n_sims, seed):
     """c_alpha of the band on cov."""
     band = build_band(_zero_estimate(cov.variance.size), cov, alpha=alpha,
@@ -249,7 +255,8 @@ class TestScaledFactor:
         cov = _cov(name)
         d = cov.variance.size
         build_band(_zero_estimate(d), cov, alpha=0.05, n_sims=500, seed=1)
-        covers(_zero_estimate(d), cov, 0.05, 500, 1, np.zeros(d))
+        covers(_zero_estimate(d), cov, 0.05, normals=_normals(500, d, 1),
+               truth=np.zeros(d))
         assert len(qrs) == (2 if name in SINGULAR else 0)
 
     def test_zero_variance_raises(self):
@@ -272,10 +279,11 @@ class TestScaledFactor:
         # the band's sup is unchanged by the scale of C, up to rounding
         unit_band = build_band(_zero_estimate(12), unit, 0.05, 500, 0)
         assert band.c_alpha == pytest.approx(unit_band.c_alpha, rel=1e-12)
-        edge = band.half_width
-        assert covers(_zero_estimate(12), cov, 0.05, 500, 0, edge)
-        assert not covers(_zero_estimate(12), cov, 0.05, 500, 0,
-                          np.nextafter(edge, np.inf))
+        edge, normals = band.half_width, _normals(500, 12, 0)
+        assert covers(_zero_estimate(12), cov, 0.05, normals=normals,
+                      truth=edge)
+        assert not covers(_zero_estimate(12), cov, 0.05, normals=normals,
+                          truth=np.nextafter(edge, np.inf))
 
 
 class TestSupKernel:
@@ -382,9 +390,11 @@ class TestBandSups:
         est, cov = _zero_estimate(336), CovarianceEstimate(rows)
         band = build_band(est, cov, alpha=0.05, n_sims=1000, seed=seed)
         edge = band.center + band.half_width
+        normals = _normals(1000, 336, seed)
         for truth, inside in ((edge, True), (np.nextafter(edge, np.inf), False)):
             assert contains(band, truth) is inside
-            assert covers(est, cov, 0.05, 1000, seed, truth) is inside
+            assert covers(est, cov, 0.05, normals=normals,
+                          truth=truth) is inside
 
 
 def _oracle_covers(estimate, cov, alpha, n_sims, seed, truth):
@@ -392,10 +402,29 @@ def _oracle_covers(estimate, cov, alpha, n_sims, seed, truth):
     return contains(band, truth)
 
 
+def _covers(estimate, cov, alpha, n_sims, seed, truth):
+    """covers on the normals of the band that _oracle_covers builds."""
+    normals = _normals(n_sims, cov.variance.size, seed)
+    return covers(estimate, cov, alpha, normals=normals, truth=truth)
+
+
 def _assert_covers_matches_oracle(estimate, cov, alpha, n_sims, seed, truth):
     expected = _oracle_covers(estimate, cov, alpha, n_sims, seed, truth)
-    assert covers(estimate, cov, alpha, n_sims, seed, truth) is expected
+    assert _covers(estimate, cov, alpha, n_sims, seed, truth) is expected
     return expected
+
+
+def _record_tiles(monkeypatch):
+    """Record a copy of each tile of normals sent through the sup product;
+    returns the list of tiles."""
+    tiles, tile_sups = [], bands._tile_sups
+
+    def recording(scaled_factor, z, out, product):
+        tiles.append(z.copy())
+        return tile_sups(scaled_factor, z, out, product)
+
+    monkeypatch.setattr(bands, "_tile_sups", recording)
+    return tiles
 
 
 class TestCovers:
@@ -440,9 +469,9 @@ class TestCovers:
             expected = _oracle_covers(*args)
         except DegenerateVarianceError:
             with pytest.raises(DegenerateVarianceError):
-                covers(*args)
+                _covers(*args)
             return
-        assert covers(*args) is expected
+        assert _covers(*args) is expected
         if special is not None:
             assert expected is (special == "center")
 
@@ -495,7 +524,7 @@ class TestCovers:
         with pytest.raises(DegenerateVarianceError):
             _oracle_covers(*args)
         with pytest.raises(DegenerateVarianceError):
-            covers(*args)
+            _covers(*args)
 
     @pytest.mark.parametrize(
         "alpha, n_sims, truth_size",
@@ -507,19 +536,41 @@ class TestCovers:
         with pytest.raises(ValidationError) as oracle_error:
             _oracle_covers(*args)
         with pytest.raises(ValidationError) as error:
-            covers(*args)
+            _covers(*args)
         assert str(error.value) == str(oracle_error.value)
 
-    def test_stops_after_one_block_when_truth_is_the_center(self):
+    @pytest.mark.parametrize("shape", [(1000, 4), (1000, 2), (1000,)])
+    def test_normals_of_another_shape_are_refused(self, shape):
+        with pytest.raises(ValidationError, match="band normals have shape"):
+            covers(_zero_estimate(3), factored(np.eye(3)), 0.05,
+                   normals=np.zeros(shape), truth=np.zeros(3))
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_leaves_the_normals_bit_identical(self, name):
+        # a campaign's matrix is read-only, and covers reads views of it
+        cov = _cov(name)
+        d = cov.variance.size
+        normals = _normals(2000, d, 4)
+        before = normals.tobytes()
+        normals.setflags(write=False)
+        truth = 0.5 * build_band(_zero_estimate(d), cov, 0.05, 2000,
+                                 4).half_width
+        assert covers(_zero_estimate(d), cov, 0.05, normals=normals,
+                      truth=truth)
+        assert normals.tobytes() == before and not normals.flags.writeable
+
+    def test_stops_after_one_block_when_truth_is_the_center(
+            self, monkeypatch):
         # every sup covers, so the first tile of 256 holds the
         # n_sims - k + 1 = 251 sups a "covered" needs (k = 4750)
         cov = _cov("definite")
         d = cov.variance.size
-        rng = np.random.default_rng(21)
-        assert covers(_zero_estimate(d), cov, 0.05, 5000, rng, np.zeros(d))
-        reference = np.random.default_rng(21)
-        reference.standard_normal((bands.SIM_BLOCK, d))
-        assert rng.bit_generator.state == reference.bit_generator.state
+        normals = _normals(5000, d, 21)
+        tiles = _record_tiles(monkeypatch)
+        assert covers(_zero_estimate(d), cov, 0.05, normals=normals,
+                      truth=np.zeros(d))
+        assert len(tiles) == 1
+        assert np.array_equal(tiles[0], normals[: bands.SIM_BLOCK])
 
     @pytest.mark.parametrize("n_sims, alpha, drawn", [
         (2 * bands.SIM_BLOCK + 1, 0.01, 256),  # 6 needed: one tile
@@ -527,19 +578,19 @@ class TestCovers:
         (4096, 0.5, 2304),  # 2049 needed: nine tiles
         (2 * bands.SIM_BLOCK + 1, 0.999, 513),  # all: two tiles and one sim
     ])
-    def test_truth_at_the_center_draws_n_sims_minus_k_plus_1(self, n_sims,
-                                                             alpha, drawn):
-        # every sup covers, so covers draws the n_sims - k + 1 sups that
-        # "covered" needs, rounded up to whole tiles
+    def test_truth_at_the_center_draws_n_sims_minus_k_plus_1(
+            self, monkeypatch, n_sims, alpha, drawn):
+        # every sup covers, so covers reads the n_sims - k + 1 sups that
+        # "covered" needs, rounded up to whole tiles, from the matrix's top
         need = n_sims - bands._quantile_rank(alpha, n_sims) + 1
         assert drawn == min(n_sims, -(-need // bands.SIM_BLOCK) * bands.SIM_BLOCK)
         cov = _cov("definite")
         d = cov.variance.size
-        rng = np.random.default_rng(22)
-        assert covers(_zero_estimate(d), cov, alpha, n_sims, rng, np.zeros(d))
-        reference = np.random.default_rng(22)
-        reference.standard_normal((drawn, d))
-        assert rng.bit_generator.state == reference.bit_generator.state
+        normals = _normals(n_sims, d, 22)
+        tiles = _record_tiles(monkeypatch)
+        assert covers(_zero_estimate(d), cov, alpha, normals=normals,
+                      truth=np.zeros(d))
+        assert np.array_equal(np.vstack(tiles), normals[:drawn])
 
     @pytest.mark.parametrize(
         "alpha, edge_of, drawn, covered",
@@ -556,7 +607,8 @@ class TestCovers:
             (0.8752, "largest", 512, False),
         ],
     )
-    def test_decided_at_a_block_boundary(self, alpha, edge_of, drawn, covered):
+    def test_decided_at_a_block_boundary(self, monkeypatch, alpha, edge_of,
+                                         drawn, covered):
         # truth sits on the edge of the band built on a chosen sup of the
         # first tile, so that tile's count is known; covers draws whole tiles
         n_sims, seed = 2048, 13
@@ -582,76 +634,10 @@ class TestCovers:
         truth[0] = edge * sigma[0]
         assert _assert_covers_matches_oracle(
             _zero_estimate(d), cov, alpha, n_sims, seed, truth) is covered
-        rng = np.random.default_rng(seed)
-        covers(_zero_estimate(d), cov, alpha, n_sims, rng, truth)
-        reference = np.random.default_rng(seed)
-        reference.standard_normal((drawn, d))
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-
-def _head_length(kind, n_sims, d, r, data):
-    """The length of a head of the stream of a band on n_sims sims whose
-    factor is r wide on D points: its tiles read SIM_BLOCK * r normals
-    each, n_sims * r in all."""
-    tile, used = bands.SIM_BLOCK * r, n_sims * r
-    if kind == "empty":
-        return 0
-    if kind == "ends mid-tile":
-        return data.draw(st.integers(1, used - 1).filter(lambda n: n % tile))
-    if kind == "whole tiles":  # past the last tile when n_sims < SIM_BLOCK
-        return tile * data.draw(st.integers(1, -(-n_sims // bands.SIM_BLOCK)))
-    if kind == "longer than used":
-        return used + data.draw(st.integers(1, 3 * d))
-    return min(bands.HEAD_SIMS, n_sims) * d  # a serial campaign's head
-
-
-class TestCoversWithAHead:
-    """covers reading the start of its stream from a head drawn ahead, as
-    a serial coverage campaign hands it, and the rest from a Generator just
-    after the head, against covers without a head and against
-    contains(build_band(...))."""
-
-    @given(
-        name=st.sampled_from(sorted(ROWS)),
-        kind=st.sampled_from(["empty", "ends mid-tile", "whole tiles",
-                              "longer than used", "campaign"]),
-        n_sims=st.integers(100, 1300),
-        alpha=st.floats(0.01, 0.6),
-        seed=st.integers(0, 2**32 - 1),
-        truth_at=st.sampled_from(["edge", "beyond the edge", "spread"]),
-        data=st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_same_flag_as_without_a_head_and_as_the_band(
-            self, name, kind, n_sims, alpha, seed, truth_at, data):
-        # r = D on the definite and the rank-deficient rows (Cholesky and
-        # QR), r = 5 < D on the fewer rows than points (QR)
-        cov = _cov(name)
-        d = cov.variance.size
-        r = bands._scaled_factor(cov)[0].shape[1]
-        assert r == (5 if name == "fewer rows than points" else d)
-        est = _zero_estimate(d)
-        band = build_band(est, cov, alpha=alpha, n_sims=n_sims, seed=seed)
-        # with a zero center, truth on the band's edge at one point is a
-        # flag that every sup decides: the edge is covered, one float
-        # beyond it is not
-        j = data.draw(st.integers(0, d - 1))
-        truth = np.zeros(d)
-        if truth_at == "spread":
-            truth = band.half_width * np.random.default_rng(seed).uniform(
-                -1.2, 1.2, d)
-        else:
-            truth[j] = band.half_width[j]
-            if truth_at == "beyond the edge":
-                truth[j] = np.nextafter(truth[j], np.inf)
-        expected = contains(band, truth)
-        if truth_at != "spread":
-            assert expected is (truth_at == "edge")
-        rng = np.random.default_rng(seed)
-        head = rng.standard_normal(_head_length(kind, n_sims, d, r, data))
-        assert covers(est, cov, alpha, n_sims, seed, truth) is expected
-        assert covers(est, cov, alpha, n_sims, rng, truth,
-                      head=head) is expected
+        normals = _normals(n_sims, d, seed)
+        tiles = _record_tiles(monkeypatch)
+        covers(_zero_estimate(d), cov, alpha, normals=normals, truth=truth)
+        assert np.array_equal(np.vstack(tiles), normals[:drawn])
 
 
 def _float_after(s, direction):

@@ -211,19 +211,17 @@ class TestReplicateStreams:
             _assert_same_stream(twin, replicate_rng(seed, i, stream))
 
     def test_restates_one_generator_per_stream(self):
-        streams = ReplicateStreams(2**64 + 5, 6, 2)
-        assert streams.words.shape == (6, 2, 8)
-        assert streams.words.nbytes == 6 * 64  # 32 bytes a stream
-        assert streams.rng(0, 0) is streams.rng(5, 1)
+        streams = ReplicateStreams(2**64 + 5, 6)
+        assert streams.words.shape == (6, 8)
+        assert streams.words.nbytes == 6 * 32  # 32 bytes a replicate
+        assert streams.rng(0) is streams.rng(5)
         for i in range(6):
-            for j in range(2):
-                _assert_same_stream(streams.rng(i, j),
-                                    replicate_rng(2**64 + 5, i, j))
+            _assert_same_stream(streams.rng(i), replicate_rng(2**64 + 5, i, 0))
 
     def test_a_stack_drawn_from_restated_streams(self):
         design = SamplingDesign(N=50, n=10)
-        streams = ReplicateStreams(7, 5, 1)
-        stack = draw(design, (streams.rng(i, 0) for i in range(5)))
+        streams = ReplicateStreams(7, 5)
+        stack = draw(design, (streams.rng(i) for i in range(5)))
         want = draw(design, [replicate_rng(7, i, 0) for i in range(5)])
         assert np.array_equal(stack.indices, want.indices)
 
@@ -234,7 +232,7 @@ class TestReplicateStreams:
     ])
     def test_refused(self, seed, replicates, message):
         with pytest.raises(ValidationError, match=message):
-            ReplicateStreams(seed, replicates, 2)
+            ReplicateStreams(seed, replicates)
 
 
 class TestSampleStack:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import types
 import warnings
 from pathlib import Path
@@ -603,6 +604,31 @@ class TestCliRejectsBadNumbers:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not list(out.glob("*.csv"))
+
+    # 10^14 x 5 normals need 3.6 PiB, beyond any address space, and
+    # 10^30 rows are more than numpy can size an array for
+    @pytest.mark.parametrize("n_sims", ["100000000000000", "1" + "0" * 30])
+    def test_band_normals_beyond_memory_fail_before_any_replicate(
+            self, tmp_path, capsys, monkeypatch, n_sims):
+        from curvesurvey import montecarlo
+
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(montecarlo, "_run_replicate", no_replicate)
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma").replace(
+            "n_sims = 500\n\n[campaign]",
+            f"n_sims = {n_sims}\n\n[campaign]\ncoverage = true"))
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        assert main(["montecarlo", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert threading.active_count() == threads
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "Traceback" not in line
+        assert f"{n_sims} band simulations of 5 points" in line \
+            or "Unable to allocate" in line
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("command", ["estimate", "bands", "montecarlo",
                                          "oracle-check"])

@@ -15,7 +15,6 @@ from curvesurvey.linalg import (
     check_symmetric,
     cholesky_psd,
     normal_blocks,
-    prefetch,
     psd_project,
 )
 from curvesurvey.oracle import (
@@ -186,6 +185,15 @@ class TestNormalBlocks:
         expected = np.random.default_rng(8).standard_normal((3000, 2))
         assert np.array_equal(np.vstack(got), expected)
 
+    def test_runs_at_most_one_block_ahead(self):
+        # two buffers: while the caller holds block k, the helper may have
+        # drawn block k + 1, never k + 2
+        rng = _RecordingRng(4)
+        for k, (lo, _) in enumerate(normal_blocks(rng, 60, 2, 5)):
+            time.sleep(0.002)  # time for the helper to run ahead
+            assert len(rng.threads) <= k + 2
+            assert lo == 5 * k
+
     def test_drawn_on_one_helper_thread(self):
         rng = _RecordingRng(1)
         blocks = list(normal_blocks(rng, 40, 2, 8))
@@ -215,27 +223,6 @@ class TestNormalBlocks:
         with pytest.raises(RuntimeError, match="draw failed"):
             next(blocks)
         assert threading.active_count() == before
-
-
-class TestPrefetch:
-    def test_runs_at_most_one_buffer_short_of_all_ahead(self):
-        # three buffers: while the caller holds result k, the helper may
-        # have filled k + 1 and k + 2, never k + 3
-        filled = []
-
-        def fill(item, buffer):
-            filled.append(item)
-            buffer[:] = [item]
-            return buffer
-
-        got = []
-        for k, buffer in enumerate(prefetch(fill, range(12),
-                                            [[None] for _ in range(3)])):
-            time.sleep(0.002)  # time for the helper to run ahead
-            assert max(filled) <= k + 2
-            assert buffer == [k]
-            got.append(buffer[0])
-        assert got == list(range(12))
 
 
 class TestOneBlasThread:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import pickle
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesurvey import estimators, linalg, montecarlo
+from curvesurvey import designs, estimators, linalg, montecarlo
 from curvesurvey import (
     CurveSurveyError,
     NumericalError,
@@ -20,7 +21,7 @@ from curvesurvey import (
     run_campaign,
     study_population,
 )
-from curvesurvey.bands import HEAD_SIMS, covers
+from curvesurvey.bands import SIM_BLOCK, covers
 from curvesurvey.covariance import CovarianceEstimate, ht_covariance_estimate
 from curvesurvey.designs import replicate_rng
 from curvesurvey.estimators import ESTIMATORS
@@ -192,11 +193,16 @@ def _label_strata(pop):
                           n_h=(8, 10, 12))
 
 
+def _band_normals(seed, sims, d):
+    """A coverage campaign's band normals, drawn as the docs say."""
+    return replicate_rng(seed, 1).standard_normal((sims, d))
+
+
 def _replicate_twin(pop, design, replicates, kind, a, coverage, seed,
                     alpha=0.1, sims=200):
     """Per replicate, on single samples: (mean curve, variance curve, covers
     flag or None, error message or None)."""
-    out = []
+    normals, out = _band_normals(seed, sims, pop.grid.size), []
     for i in range(replicates):
         sample = draw(design, replicate_rng(seed, i, 0))
         try:
@@ -207,8 +213,7 @@ def _replicate_twin(pop, design, replicates, kind, a, coverage, seed,
             continue
         flag = None
         if coverage:
-            flag = covers(estimate, gamma, alpha=alpha, n_sims=sims,
-                          seed=replicate_rng(seed, i, 1),
+            flag = covers(estimate, gamma, alpha=alpha, normals=normals,
                           truth=population_mean(pop))
         out.append((estimate.curve, gamma.variance, flag, None))
     return out
@@ -229,7 +234,8 @@ def _record_campaign(monkeypatch):
 
 class TestBlocks:
     """Replicates run in stacked blocks, and each equals the single-sample
-    draw, estimate, covariance and band of its own streams, bit for bit."""
+    draw, estimate and covariance of its own stream, and the band on the
+    campaign's normals, bit for bit."""
 
     DESIGNS = {
         "srswor": lambda pop: SamplingDesign(N=pop.N, n=30),
@@ -322,10 +328,10 @@ class TestBlocks:
         assert [len(block) for block in drawn] == [13, 13, 4]
         assert sum(drawn, []) == _states(3, range(30), 0)  # one per replicate
 
-    def test_each_replicate_draws_from_its_own_two_streams(self, mc_pop,
-                                                           monkeypatch):
+    def test_each_replicate_draws_from_its_own_stream(self, mc_pop,
+                                                      monkeypatch):
         drawn, banded = (_record_draw_states(monkeypatch),
-                         _record_band_streams(monkeypatch))
+                         _record_band_normals(monkeypatch))
         design = SamplingDesign(N=mc_pop.N, n=200)
         assert montecarlo.block_size(200, 12) == 13  # blocks of 13, 13 and 4
         [report] = run_campaign(mc_pop, [design], replicates=30,
@@ -333,54 +339,23 @@ class TestBlocks:
                                 master_seed=3)
         assert report.coverage_bands == 30
         assert sum(drawn, []) == _states(3, range(30), 0)
-        assert [head.size for head, _ in banded] == [150 * 12] * 30
-        _assert_own_band_streams(banded, 3, range(30))
-
-    def test_a_failed_replicate_passes_its_band_head_over(self, monkeypatch):
-        # replicates 0 and 11 fail at n = 8 and replicate 0 at n = 10, in
-        # blocks re-run one replicate at a time: their heads are drawn but
-        # never read, the last of one size's just before the next size's
-        banded = _record_band_streams(monkeypatch)
-        pop = self.dummy_population(15)
-        designs = [SamplingDesign(N=pop.N, n=n) for n in (8, 10)]
-        ok = [[t[3] is None for t in _replicate_twin(pop, d, 12, "ma", 0.0,
-                                                     False, seed=8)]
-              for d in designs]
-        assert [[i for i, good in enumerate(row) if not good]
-                for row in ok] == [[0, 11], [0]]
-        reports = run_campaign(pop, designs, replicates=12, estimator="ma",
-                               a=0.0, compute_coverage=True, band_sims=1000,
-                               master_seed=8)
-        assert [r.n_errors for r in reports] == [2, 1]
-        # heads of HEAD_SIMS sims, so each covers may draw on after them
-        assert [h.size for h, _ in banded] == [HEAD_SIMS * pop.grid.size] * 21
-        _assert_own_band_streams(banded, 8, [i for row in ok
-                                             for i, good in enumerate(row)
-                                             if good])
+        # every band reads the one read-only matrix of the campaign
+        assert len(banded) == 30 and all(m is banded[0] for m in banded)
+        assert not banded[0].flags.writeable
+        assert np.array_equal(banded[0], _band_normals(3, 150, 12))
 
 
-def _record_band_streams(monkeypatch):
-    """Record, per covers call of a serial coverage campaign, the head of
-    the band stream it is handed and the state of the Generator after it;
-    returns the list of (head, state)."""
+def _record_band_normals(monkeypatch):
+    """Record the normals each covers call of a campaign is handed;
+    returns the list of matrices."""
     banded = []
 
-    def recording_covers(*args, seed, head, **kwargs):
-        banded.append((head.copy(), seed.bit_generator.state))
-        return covers(*args, seed=seed, head=head, **kwargs)
+    def recording_covers(*args, normals, **kwargs):
+        banded.append(normals)
+        return covers(*args, normals=normals, **kwargs)
 
     monkeypatch.setattr(montecarlo, "covers", recording_covers)
     return banded
-
-
-def _assert_own_band_streams(banded, seed, replicates):
-    """Each recorded head is the start of its replicate's band stream
-    replicate_rng(seed, i, 1), and its Generator is just after it."""
-    assert len(banded) == len(replicates)
-    for i, (head, state) in zip(replicates, banded):
-        twin = replicate_rng(seed, i, 1)
-        assert np.array_equal(head, twin.standard_normal(head.size)), i
-        assert state == twin.bit_generator.state, i
 
 
 def _states(seed, replicates, stream):
@@ -426,6 +401,7 @@ def _loop_reports(pop, designs, replicates, kind, a, coverage, alpha, sims,
     a time, then montecarlo._report of the size; it raises the
     NumericalError of the first size that fails, as run_campaign does."""
     truth, d = population_mean(pop), pop.grid.size
+    normals = _band_normals(seed, sims, d) if coverage else None
     reports = []
     for design in designs:
         curves, variances, flags, errors = [], [], [], []
@@ -440,16 +416,16 @@ def _loop_reports(pop, designs, replicates, kind, a, coverage, alpha, sims,
             flag = -1  # no band: coverage off, or the band failed
             try:
                 if coverage:
-                    flag = int(covers(estimate, gamma, alpha, sims,
-                                      replicate_rng(seed, i, 1), truth))
+                    flag = int(covers(estimate, gamma, alpha, normals,
+                                      truth))
             except CurveSurveyError:
                 pass
             curves.append(estimate.curve)
             variances.append(gamma.variance)
             flags.append(flag)
         # _report reads no stream
-        campaign = montecarlo._Campaign(pop, design, kind, a, None, coverage,
-                                        alpha, sims, truth)
+        campaign = montecarlo._Campaign(pop, design, kind, a, None, alpha,
+                                        normals, truth)
         results = (np.reshape(curves, (-1, d)), np.reshape(variances, (-1, d)),
                    np.array(flags, dtype=np.int8), errors)
         reports.append(montecarlo._report(campaign, replicates, results))
@@ -523,9 +499,10 @@ def _campaigns(draw_from):
         coverage=draw_from(st.booleans()),
         # 0.5 first, as hypothesis favours the first: the flags vary most
         alpha=draw_from(st.sampled_from([0.5, 0.1, 0.05])),
-        # past HEAD_SIMS too, so a band reads its head and draws on
+        # past three tiles too, so a band may read many tiles of the matrix
         sims=draw_from(st.one_of(st.integers(100, 300),
-                                 st.integers(HEAD_SIMS + 1, HEAD_SIMS + 300))),
+                                 st.integers(3 * SIM_BLOCK + 1,
+                                             3 * SIM_BLOCK + 300))),
         # beyond 2**64, so seeds of one to three 32-bit words run
         seed=draw_from(st.integers(0, 2**70)),
         block_floats=draw_from(st.integers(1, replicates * max(sizes) * d)),
@@ -661,9 +638,9 @@ class TestCallerBlasThreads:
         seen = []
         replicate = montecarlo._run_replicate
 
-        def recording(campaign, lo, hi, heads):
+        def recording(campaign, lo, hi):
             seen.append(_blas_threads())
-            return replicate(campaign, lo, hi, heads)
+            return replicate(campaign, lo, hi)
 
         monkeypatch.setattr(montecarlo, "_run_replicate", recording)
         monkeypatch.setattr(montecarlo, "BLOCK_FLOATS", 2 * 40 * 12)
@@ -674,7 +651,7 @@ class TestCallerBlasThreads:
 
     def test_count_restored_when_a_replicate_raises(
             self, mc_pop, monkeypatch, caller_at_two_blas_threads):
-        def broken(campaign, lo, hi, heads):
+        def broken(campaign, lo, hi):
             raise RuntimeError("not a CurveSurveyError")
 
         monkeypatch.setattr(montecarlo, "_run_replicate", broken)
@@ -707,11 +684,13 @@ class _RecordingPool:
 
     sizes: list = []
     threads: list = []
+    sent: list = []  # the campaigns each pool's initializer would receive
 
     def __init__(self, max_workers, initializer, initargs):
         type(self).sizes.append(max_workers)
         type(self).threads.append(threading.active_count())
         self.campaigns = initargs[0]
+        type(self).sent.append(self.campaigns)
 
     def __enter__(self):
         return self
@@ -751,7 +730,7 @@ def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
     pop = study_population(3000, 8, seed=2)
     design = SamplingDesign(N=pop.N, n=40)
     replicates = montecarlo.block_size(40, 8) + 1  # two blocks, so a pool
-    # with coverage, as a serial campaign draws its band heads on a helper
+    # with coverage, so the pool is sent the band normals too
     [report] = run_campaign(pop, [design], replicates=replicates,
                             compute_coverage=True, band_sims=100,
                             master_seed=1, workers=2)
@@ -760,47 +739,78 @@ def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
     assert threading.active_count() == before
 
 
-class TestNoThreadOutlivesTheCampaign:
-    """A serial coverage campaign draws its band heads on a helper thread,
-    joined before run_campaign returns or raises."""
+def test_a_pool_is_sent_one_read_only_band_matrix(mc_pop, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sent", [])
+    run_campaign(mc_pop, _sizes(mc_pop), replicates=12, compute_coverage=True,
+                 band_sims=300, master_seed=3, workers=2)
+    [campaigns] = _RecordingPool.sent
+    normals = campaigns[0].normals
+    assert all(c.normals is normals for c in campaigns)
+    assert not normals.flags.writeable
+    assert np.array_equal(normals, _band_normals(3, 300, mc_pop.grid.size))
+    # pickle sends the matrix, which every size shares, once
+    extra = len(pickle.dumps(campaigns)) - len(pickle.dumps(campaigns[:1]))
+    assert extra < normals.nbytes
 
-    @staticmethod
-    def _recording_covers(monkeypatch):
-        """Record, per covers call, whether it got a head and the threads
-        alive during it."""
-        calls = []
 
-        def recording(*args, head, **kwargs):
-            calls.append((head is not None, threading.active_count()))
-            return covers(*args, head=head, **kwargs)
+def _key_words(seed, key):
+    """The 32-bit words SeedSequence(seed, spawn_key=key) hashes: the
+    seed's words, padded to the pool's four when a key follows, then the
+    words of each key entry in turn."""
+    run = designs._words(seed)
+    if not key:
+        return run
+    return run + [0] * (4 - len(run)) + [w for k in key for w in designs._words(k)]
 
-        monkeypatch.setattr(montecarlo, "covers", recording)
-        return calls
 
-    def test_when_it_returns(self, mc_pop, monkeypatch):
-        calls = self._recording_covers(monkeypatch)
-        before = threading.active_count()
-        design = SamplingDesign(N=mc_pop.N, n=40)
-        run_campaign(mc_pop, [design], replicates=10, compute_coverage=True,
-                     band_sims=300, master_seed=4)
-        # the helper ends once it has drawn the last head
-        assert [head for head, _ in calls] == [True] * 10
-        assert calls[0] == (True, before + 1)
-        assert threading.active_count() == before
+class TestBandNormalsKey:
+    """The campaign's band normals come from a stream of their own: their
+    key hashes other words than any replicate's sample key (i, 0), the
+    bands command's key (0, 1) and the population draw's empty key."""
 
-    def test_when_it_raises(self, monkeypatch):
-        # only replicate 0 of six gets an estimate, so fewer than two do;
-        # its covers holds one head, the helper holds the next two and
-        # waits for a buffer, and no other covers call hands one back
-        calls = self._recording_covers(monkeypatch)
-        pop = TestBlocks.dummy_population(1)
-        design = SamplingDesign(N=pop.N, n=10)
-        before = threading.active_count()
-        with pytest.raises(NumericalError, match="only 1 of 6 replicates"):
-            run_campaign(pop, [design], replicates=6, estimator="ma", a=0.0,
-                         compute_coverage=True, band_sims=300, master_seed=29)
-        assert calls == [(True, before + 1)]
-        assert threading.active_count() == before
+    def test_a_key_past_one_word_is_another_key(self):
+        # the trap: (2**32,) hashes the words (0, 1), the bands command's
+        assert _key_words(5, (2**32,)) == _key_words(5, (0, 1))
+        assert np.array_equal(replicate_rng(5, 2**32).standard_normal(8),
+                              replicate_rng(5, 0, 1).standard_normal(8))
+
+    @pytest.mark.parametrize("seed", [0, 1204, 2**64 + 5, 2**128 + 3])
+    def test_no_other_stream_hashes_its_words(self, mc_pop, monkeypatch,
+                                              seed):
+        keys, real = [], montecarlo.replicate_rng
+
+        def recording(master_seed, *key):
+            keys.append((master_seed, key))
+            return real(master_seed, *key)
+
+        monkeypatch.setattr(montecarlo, "replicate_rng", recording)
+        run_campaign(mc_pop, [SamplingDesign(N=mc_pop.N, n=40)], replicates=3,
+                     compute_coverage=True, band_sims=100, master_seed=seed)
+        [(master_seed, key)] = keys
+        assert master_seed == seed
+        band, population = _key_words(seed, key), _key_words(seed, ())
+        # a key (i, j) of one-word entries hashes the padded seed words and
+        # two more, the empty key the seed's words alone: no length is the
+        # band's
+        padded = max(len(population), 4)
+        assert len(band) == padded + 1 != len(population)
+        for other in [(0, 0), (1, 0), (2**32 - 1, 0), (0, 1), (1, 1)]:
+            assert len(_key_words(seed, other)) == padded + 2
+
+
+def test_the_first_flags_do_not_depend_on_replicates_or_other_sizes(mc_pop):
+    settings = dict(compute_coverage=True, alpha=0.5, band_sims=300,
+                    master_seed=12)
+    design = SamplingDesign(N=mc_pop.N, n=40)
+    alone, _ = _recorded(lambda: run_campaign(mc_pop, [design],
+                                              replicates=10, **settings))
+    among, _ = _recorded(lambda: run_campaign(mc_pop, _sizes(mc_pop),
+                                              replicates=25, **settings))
+    assert [r.n for r in _sizes(mc_pop)][1] == 40
+    flags = alone[0][2]
+    assert set(flags.tolist()) == {0, 1}
+    assert np.array_equal(among[1][2][:10], flags)
 
 
 class _CountedPopulation(FunctionalPopulation):
