@@ -11,9 +11,14 @@ the Cholesky factor of C'C, else, when Cholesky refuses a singular C'C
 (as when n - H < D), R' from the thin QR C = QR.  Either factor comes
 from C'C or C as they are, with no repair and no clip.
 
-covers decides whether the band on a given (n_sims, D) matrix of normals
-covers a curve, without c_alpha; a coverage campaign (``montecarlo``)
-gives every replicate's covers one shared matrix.
+A simulation is one D-wide row of standard normals, of which a D x r
+factor reads the first r columns; every row's sup comes out of the same
+SIM_BLOCK-wide product, so it does not depend on where the row is read.
+covers decides whether the band on a given (n_sims, D) matrix of such
+rows covers a curve, without c_alpha, and in any row order; a coverage
+campaign (``montecarlo``) gives every replicate's covers one shared
+matrix, largest norm first, and a block's stack of estimates in one
+call.
 """
 
 from __future__ import annotations
@@ -47,15 +52,22 @@ class ConfidenceBand:
 # time of a 5000-sim band at D = 336 fell from 36-42 to 33-37 ms.
 SIM_BLOCK = 256
 
-def _scaled_factor(cov: CovarianceEstimate) -> tuple[np.ndarray, np.ndarray]:
-    """(F / sigma[:, None], sigma) with F F' = C'C, C = cov.rows, and
-    sigma = sqrt(cov.variance), the square root of the diagonal of C'C.
+def _factor(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """F with F F' = C'C: the lower Cholesky factor of matrix = C'C (D x D)
+    when that exists, else R' (D x min(rows, D)) from the thin QR of
+    C = rows: R'R = C'C of any rank (Golub & Van Loan, Matrix Computations,
+    section 5.2)."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(rows, mode="r").T
 
-    F is the lower Cholesky factor of C'C (D x D) when that exists, else
-    R' (D x min(rows, D)) from the thin QR of C: R'R = C'C of any rank
-    (Golub & Van Loan, Matrix Computations, section 5.2).  The variance is
-    finite (CovarianceEstimate refuses it otherwise), and it bounds every
-    entry of C'C.
+
+def _scaled_factor(cov: CovarianceEstimate) -> tuple[np.ndarray, np.ndarray]:
+    """(F / sigma[:, None], sigma) with F = _factor(C'C, C), C = cov.rows,
+    and sigma = sqrt(cov.variance), the square root of the diagonal of C'C.
+    The variance is finite (CovarianceEstimate refuses it otherwise), and
+    it bounds every entry of C'C.
     """
     if np.any(cov.variance <= 0.0):
         worst = int(np.argmin(cov.variance))
@@ -63,30 +75,61 @@ def _scaled_factor(cov: CovarianceEstimate) -> tuple[np.ndarray, np.ndarray]:
             f"estimated variance is not strictly positive at grid index "
             f"{worst} (value {cov.variance[worst]:g}); no band can be built"
         )
-    try:
-        factor = np.linalg.cholesky(cov.matrix)
-    except np.linalg.LinAlgError:
-        factor = np.linalg.qr(cov.rows, mode="r").T
     sigma = np.sqrt(cov.variance)
-    return factor / sigma[:, None], sigma
+    return _factor(cov.matrix, cov.rows) / sigma[:, None], sigma
+
+
+def _factors(cov: CovarianceEstimate) -> list:
+    """_factor of every estimate of the (B, rows, D) stack cov, None where
+    its variance is not strictly positive: the B Gram matrices and the B
+    Cholesky factors in one call each, and factors one at a time (QR where
+    Cholesky refuses) only when the stacked Cholesky refuses.  Each factor
+    equals the single estimate's bit for bit: the stacked product and
+    factorization run item by item along the leading axis."""
+    built = np.all(cov.variance > 0.0, axis=-1)
+    try:
+        factors = np.linalg.cholesky(cov.matrix)
+    except np.linalg.LinAlgError:
+        factors = [_factor(m, c) if ok else None
+                   for m, c, ok in zip(cov.matrix, cov.rows, built)]
+    return [f if ok else None for f, ok in zip(factors, built)]
+
+
+def _empty(shape, what: str) -> np.ndarray:
+    """np.empty(shape); a size numpy cannot even express raises the
+    MemoryError of a size beyond memory, naming `what`."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:
+        raise MemoryError(f"{what}: {exc}") from None
 
 
 def _tile_sups(scaled_factor: np.ndarray, z: np.ndarray, out: np.ndarray,
                product: np.ndarray) -> np.ndarray:
-    """out[i] = max_t |(F z_i)(t)| / sigma(t) for the rows z_i of one tile,
-    with scaled_factor = F / sigma[:, None] (D x r), z of width r and
-    product a reused buffer of at least D * len(z) floats.
+    """out[i] = max_t |(F z_i)(t)| / sigma(t) for the first r columns z_i
+    of each row of one tile z of at most SIM_BLOCK rows, with
+    scaled_factor = F / sigma[:, None] (D x r) and product a reused buffer
+    of at least D * SIM_BLOCK floats.
 
-    The band and covers both send their SIM_BLOCK tiles of one stream
-    through this product, so they get the same sups bit for bit; these
-    equal the sups of one rng.standard_normal((n_sims, r)) draw
-    (oracle.one_shot_sup_sample) up to rounding.
+    A shorter tile is padded to SIM_BLOCK rows, so every product has one
+    shape, (D, r) by (r, SIM_BLOCK), and a row's sup does not depend on its
+    tile or its place in it: BLAS may round a product of another width
+    (a one-row product is a GEMV) differently.  So the band and covers
+    get the same sup from a row bit for bit, in whatever order they read
+    the rows; these equal the sups of one rng.standard_normal((n_sims, D))
+    draw (oracle.one_shot_sup_sample) up to rounding.
     """
-    d = scaled_factor.shape[0]
-    p = product[: d * len(z)].reshape(d, len(z))
+    d, r = scaled_factor.shape
+    m = len(z)
+    z = z[:, :r]
+    if m < SIM_BLOCK:
+        padded = np.zeros((SIM_BLOCK, r))
+        padded[:m] = z
+        z = padded
+    p = product[: d * SIM_BLOCK].reshape(d, SIM_BLOCK)
     np.matmul(scaled_factor, z.T, out=p)
     np.abs(p, out=p)
-    return p.max(axis=0, out=out)
+    return p[:, :m].max(axis=0, out=out)
 
 
 def _quantile_rank(alpha: float, n_sims: int) -> int:
@@ -104,10 +147,13 @@ def _check_sims(alpha: float, n_sims: int) -> None:
 def _band_sups(scaled_factor: np.ndarray, n_sims: int,
                rng: np.random.Generator) -> np.ndarray:
     """The band's n_sims sups, from SIM_BLOCK tiles of one stream of
-    r-wide normals drawn on a helper thread (linalg.normal_blocks)."""
-    d, r = scaled_factor.shape
-    sups, product = np.empty(n_sims), np.empty(min(SIM_BLOCK, n_sims) * d)
-    with closing(normal_blocks(rng, n_sims, r, SIM_BLOCK)) as blocks:
+    D-wide rows of normals drawn on a helper thread
+    (linalg.normal_blocks).  A count numpy cannot size an array for fails
+    as a MemoryError, before any draw."""
+    d = scaled_factor.shape[0]
+    sups = _empty(n_sims, f"{n_sims} band simulations")
+    product = np.empty(SIM_BLOCK * d)
+    with closing(normal_blocks(rng, n_sims, d, SIM_BLOCK)) as blocks:
         for lo, z in blocks:
             _tile_sups(scaled_factor, z, sups[lo:lo + len(z)], product)
     return sups
@@ -139,9 +185,9 @@ def build_band(
 
 def _truth_array(truth, center: np.ndarray) -> np.ndarray:
     truth = np.asarray(truth, dtype=float)
-    if truth.shape != center.shape:
+    if truth.shape != center.shape[-1:]:
         raise ValidationError(
-            f"truth has length {truth.size}, band has {center.size}"
+            f"truth has length {truth.size}, band has {center.shape[-1]}"
         )
     return truth
 
@@ -167,13 +213,11 @@ def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray) -> float:
 
     def holds(bits: int) -> bool:
         s = np.int64(bits).view(np.float64)
-        return bool(np.all(deviation <= s * sigma))
+        return bool((deviation <= s * sigma).all())
 
     inf = int(np.float64(np.inf).view(np.int64))
     with np.errstate(over="ignore"):
-        if not holds(inf):
-            return np.inf
-        start = float(np.max(deviation / sigma))
+        start = float((deviation / sigma).max())
         hi = int(np.float64(start).view(np.int64))
         step = 1
         if holds(hi):  # walk down to a failing lo; -1 stands for "below 0"
@@ -182,6 +226,8 @@ def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray) -> float:
                 hi, step = lo, 2 * step
                 lo = hi - step
             lo = max(lo, -1)
+        elif not holds(inf):  # a NaN start fails here too
+            return np.inf
         else:  # walk up to a holding hi; holds(inf) ends the walk
             lo = hi
             hi = min(lo + step, inf)
@@ -197,6 +243,24 @@ def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.int64(hi).view(np.float64))
 
 
+def _covered(scaled_factor: np.ndarray, threshold: float,
+             normals: np.ndarray, k: int) -> bool:
+    """Whether at least n_sims - k + 1 of the sups of the rows of normals
+    reach threshold, reading SIM_BLOCK tiles in order until that count, or
+    k sups short of it, is reached."""
+    n_sims, d = normals.shape
+    need_in = n_sims - k + 1  # sups reaching s* that make the band cover
+    sups, product = np.empty(SIM_BLOCK), np.empty(SIM_BLOCK * d)
+    inside = 0
+    for lo in range(0, n_sims, SIM_BLOCK):
+        z = normals[lo:lo + SIM_BLOCK]
+        tile = _tile_sups(scaled_factor, z, sups[:len(z)], product)
+        inside += int(np.count_nonzero(tile >= threshold))
+        if inside >= need_in or lo + len(z) - inside >= k:
+            break
+    return inside >= need_in
+
+
 @_one_blas_thread()  # as the band is built, whatever the caller's count
 def covers(
     estimate: MeanEstimate,
@@ -204,10 +268,11 @@ def covers(
     alpha: float,
     normals: np.ndarray,
     truth: np.ndarray,
-) -> bool:
+) -> bool | np.ndarray:
     """contains(build_band(estimate, cov, alpha, n_sims, seed), truth) for
-    normals = default_rng(seed).standard_normal((n_sims, D)), reading
-    simulations only until the answer is settled; normals is not written.
+    normals = default_rng(seed).standard_normal((n_sims, D)), or any row
+    permutation of it, reading simulations only until the answer is
+    settled; normals is not written.
 
     Same checks and errors as that pair.  Why stopping early is exact: let
     P(s) = all(|truth - center| <= s * sigma), the float expression of
@@ -217,37 +282,42 @@ def covers(
     scalar per band.  The band covers truth iff P(c_alpha), with c_alpha
     the k-th smallest of the n_sims sups, k = ceil((1 - alpha) * n_sims).
     By monotonicity that holds iff at least n_sims - k + 1 sups reach s*,
-    and fails iff at least k sups fall short.  covers reads the band's
-    tiles and stops at the first tile that reaches either count (a
-    sequential Monte Carlo test, Besag & Clifford 1991).
+    and fails iff at least k sups fall short.  covers reads the rows in
+    SIM_BLOCK tiles and stops at the first tile that reaches either count
+    (a sequential Monte Carlo test, Besag & Clifford 1991).
 
-    The band fills its r-wide tiles (r = D, or fewer on the QR path) from
-    one stream in order, so tile lo of m sims is the m * r normals after
-    the first lo * r of the stream: a contiguous view of the flat prefix
-    of normals, whatever r is, and the sups are the band's bit for bit.
+    A simulation is one row, whose first r columns a D x r factor reads
+    (r = D, or fewer on the QR path), as the band reads the rows of its
+    stream, and _tile_sups gives a row the same sup wherever it is read.
+    So the sups are the band's bit for bit, and since a count does not
+    depend on the order of the rows, neither does the flag.
+
+    A block's stack, a (B, D) curve with a (B, rows, D) estimate, gives B
+    flags in one call (np.int8: 1 covered, 0 not, -1 where a variance is
+    not strictly positive and no band exists), each that of its item
+    alone; the stack's factors come from _factors.
     """
     normals = np.asarray(normals, dtype=float)
     n_sims = len(normals)
     _check_sims(alpha, n_sims)
-    scaled_factor, sigma = _scaled_factor(cov)
-    d, r = scaled_factor.shape
+    center = np.asarray(estimate.curve, dtype=float)
+    single = center.ndim == 1
+    if single:  # the band's own errors, in the band's order
+        scaled_factor, sigma = _scaled_factor(cov)
+    d = cov.variance.shape[-1]
     if normals.shape != (n_sims, d):
         raise ValidationError(f"band normals have shape {normals.shape}, "
                               f"not ({n_sims}, {d})")
-    center = np.asarray(estimate.curve, dtype=float)
     deviation = np.abs(_truth_array(truth, center) - center)
-    threshold = _coverage_threshold(deviation, sigma)
     k = _quantile_rank(alpha, n_sims)
-    need_in = n_sims - k + 1  # sups reaching s* that make the band cover
-    flat = normals.reshape(-1)
-    tile_sims = min(SIM_BLOCK, n_sims)
-    sups, product = np.empty(tile_sims), np.empty(tile_sims * d)
-    inside = 0
-    for lo in range(0, n_sims, SIM_BLOCK):
-        m = min(SIM_BLOCK, n_sims - lo)
-        z = flat[lo * r:(lo + m) * r].reshape(m, r)
-        tile = _tile_sups(scaled_factor, z, sups[:m], product)
-        inside += int(np.count_nonzero(tile >= threshold))
-        if inside >= need_in or lo + m - inside >= k:
-            break
-    return inside >= need_in
+    if single:
+        return _covered(scaled_factor, _coverage_threshold(deviation, sigma),
+                        normals, k)
+    sigma = np.sqrt(cov.variance)
+    flags = np.full(len(center), -1, dtype=np.int8)
+    for j, factor in enumerate(_factors(cov)):
+        if factor is not None:
+            flags[j] = _covered(factor / sigma[j][:, None],
+                                _coverage_threshold(deviation[j], sigma[j]),
+                                normals, k)
+    return flags

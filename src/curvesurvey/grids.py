@@ -58,6 +58,11 @@ class FunctionalPopulation:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "aux", aux)
 
+    def __reduce__(self):
+        """Pickle the constructor's arguments; the copy is rebuilt, checked
+        and read-only like any other."""
+        return type(self), (self.grid, self.values, self.aux)
+
     @property
     def N(self) -> int:
         return self.values.shape[0]

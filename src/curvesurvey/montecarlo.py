@@ -11,16 +11,21 @@ most BLOCK_FLOATS floats.  Replicate i draws its sample from its own
 stream replicate_rng(seed, i, 0); the block's B index rows form one
 (B, n) Sample, validated once, and the estimator and the covariance run
 once on the whole stack, through the same functions as a single sample.
-The band stays per replicate: covers reads replicate i's slice of the
-block's curve and rows.  A block in which any estimate raises is re-run
-one replicate at a time, so errors are counted and reported per
-replicate.
+The band is per replicate too, and one call for the block: covers takes
+the block's (B, D) curve and (B, n, D) covariance rows, forms their B
+Gram matrices and B Cholesky factors in one call each, and gives B flags.
+A block in which any estimate raises is re-run one replicate at a time,
+so errors are counted and reported per replicate; a block whose stacked
+covers call raises calls covers one replicate at a time likewise.
 
 Every band of a call reads one read-only (sims, D) matrix of standard
-normals, drawn once from replicate_rng(seed, 1) (_band_normals), so a
-flag is that of the band built on the matrix.  Each flag keeps its law;
-only the flags' joint law changes, as common random numbers do
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2003).
+normals, drawn once from replicate_rng(seed, 1) and stored largest norm
+first (_band_normals), so a flag is that of the band built on the matrix.
+Each flag keeps its law; only the flags' joint law changes, as common
+random numbers do (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003).  The row order moves no flag (covers counts sups, and
+a row's sup does not depend on where it is read), but large rows tend to
+give large sups, which settle a covered band in fewer tiles.
 
 run_campaign runs the campaigns of every sample size of a command in one
 call: one task list of (size index, lo, hi) blocks spans all sizes, and
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _check_sims, covers
+from .bands import _check_sims, _empty, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
 from .designs import ReplicateStreams, SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
@@ -115,19 +120,19 @@ class _Campaign:
 
 def _band_normals(master_seed: int, sims: int, d: int) -> np.ndarray:
     """The read-only (sims, D) standard normals of every band of a call:
-    replicate_rng(master_seed, 1).standard_normal((sims, d)).
+    the rows of replicate_rng(master_seed, 1).standard_normal((sims, d)),
+    in non-increasing order of their squared norms, rows of equal norm in
+    the order drawn.
 
     numpy reads a spawn key as 32-bit words, so the key is one word, (1,):
     every replicate key (i, 0) is two, and the population's empty key none.
     (2**32,) would be the words (0, 1), the stream of the bands command's
     band.  The buffer is allocated before any draw, so a size beyond
     memory fails at once, as a MemoryError."""
-    try:
-        normals = np.empty((sims, d))
-    except ValueError as exc:  # a size numpy cannot even express
-        raise MemoryError(f"{sims} band simulations of {d} points: "
-                          f"{exc}") from None
+    normals = _empty((sims, d), f"{sims} band simulations of {d} points")
     replicate_rng(master_seed, 1).standard_normal(out=normals)
+    norms = np.einsum("ij,ij->i", normals, normals)
+    normals = normals[np.argsort(-norms, kind="stable")]
     normals.setflags(write=False)
     return normals
 
@@ -142,14 +147,19 @@ def _block(c: _Campaign, lo: int, hi: int):
     estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
     gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
     flags = np.full(len(replicates), -1, dtype=np.int8)
-    for j in range(len(replicates) if c.coverage else 0):
+    if c.coverage:
         try:
-            flags[j] = covers(
-                MeanEstimate(estimate.curve[j], estimate.estimator_kind),
-                CovarianceEstimate(gamma.rows[j]), c.alpha,
-                normals=c.normals, truth=c.truth)
-        except CurveSurveyError:
-            pass  # counted as an error, its estimate kept
+            flags = covers(estimate, gamma, c.alpha, normals=c.normals,
+                           truth=c.truth)
+        except CurveSurveyError:  # each band alone, as failed estimates are
+            for j in range(len(replicates)):
+                try:
+                    flags[j] = covers(
+                        MeanEstimate(estimate.curve[j], estimate.estimator_kind),
+                        CovarianceEstimate(gamma.rows[j]), c.alpha,
+                        normals=c.normals, truth=c.truth)
+                except CurveSurveyError:
+                    pass  # counted as an error, its estimate kept
     return estimate.curve, gamma.variance, flags, []
 
 
@@ -191,9 +201,13 @@ _WORKER_CAMPAIGNS: tuple[_Campaign, ...] = ()
 
 
 def _start_worker(campaigns: tuple[_Campaign, ...]) -> None:
-    """Pool initializer: keep every size's campaign, run BLAS on one thread
-    for good."""
+    """Pool initializer: keep every size's campaign, its band normals
+    read-only (a spawned worker unpickles a writable copy), and run BLAS
+    on one thread for good."""
     global _WORKER_CAMPAIGNS
+    for c in campaigns:
+        if c.coverage:
+            c.normals.setflags(write=False)
     _WORKER_CAMPAIGNS = campaigns
     _set_blas_threads(1)
 

@@ -214,15 +214,17 @@ def one_shot_sup_sample(
     n_sims: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """max_t |(F Z)(t)| / sigma(t) from one (n_sims, r) standard normal
-    draw, F of shape (D, r).
+    """max_t |(F z)(t)| / sigma(t) for the rows z of one (n_sims, D)
+    standard normal draw, F of shape (D, r) reading the first r columns of
+    each row.
 
     One-shot reference twin of the tiled ``bands._band_sups``, which takes
     the band's factor F / sigma[:, None], with F F' = C'C and sigma the
     square root of its diagonal, and draws the same stream in SIM_BLOCK
     tiles.
     """
-    draws = rng.standard_normal((n_sims, factor.shape[1]))
+    d, r = factor.shape
+    draws = rng.standard_normal((n_sims, d))[:, :r]
     return (np.abs(draws @ factor.T) / sigma).max(axis=1)
 
 

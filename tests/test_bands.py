@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvesurvey import (
@@ -198,7 +198,7 @@ class TestScaledFactor:
         assert np.abs(factor @ factor.T - repaired).max() <= 1e-13 * scale
         assert np.array_equal(sigma, np.sqrt(cov.variance))
         assert np.all(sigma[cov.variance > 0.0] > 0.0)
-        # the band's tiles of r-wide normals against one one-shot draw
+        # the band's tiles of D-wide rows against one one-shot draw
         expected = one_shot_sup_sample(factor, sigma, 3000,
                                        np.random.default_rng(4))
         sups = bands._band_sups(scaled, 3000, np.random.default_rng(4))
@@ -310,12 +310,12 @@ class TestSupKernel:
 
 
 def _filled_sups(scaled, n_sims, rng):
-    """A band's sups from covers' loop: SIM_BLOCK tiles drawn and
-    multiplied on the calling thread."""
-    d, r = scaled.shape
+    """A band's sups from covers' loop: SIM_BLOCK tiles of D-wide rows
+    drawn and multiplied on the calling thread."""
+    d = scaled.shape[0]
     sups, product = np.empty(n_sims), np.empty(bands.SIM_BLOCK * d)
     for lo in range(0, n_sims, bands.SIM_BLOCK):
-        z = rng.standard_normal((min(bands.SIM_BLOCK, n_sims - lo), r))
+        z = rng.standard_normal((min(bands.SIM_BLOCK, n_sims - lo), d))
         bands._tile_sups(scaled, z, sups[lo:lo + len(z)], product)
     return sups
 
@@ -339,7 +339,8 @@ class TestTileSups:
         out = np.full(m + 2, -1.0)
         tile = bands._tile_sups(scaled, z, out[1:-1], product)
         assert np.shares_memory(tile, out) and out[0] == out[-1] == -1.0
-        fresh = bands._tile_sups(scaled, z, np.empty(m), np.empty(m * d))
+        fresh = bands._tile_sups(scaled, z, np.empty(m),
+                                 np.empty(bands.SIM_BLOCK * d))
         assert np.array_equal(tile, fresh)
         direct = np.abs(scaled @ z.T).max(axis=0)
         assert np.abs(tile - direct).max() <= 1e-12 * direct.max()
@@ -361,7 +362,7 @@ class TestBandSups:
         assert np.array_equal(sups, _filled_sups(scaled, n_sims,
                                                  np.random.default_rng(21)))
         reference = np.random.default_rng(21)
-        reference.standard_normal((n_sims, scaled.shape[1]))
+        reference.standard_normal((n_sims, scaled.shape[0]))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_c_alpha_at_336_points_does_not_depend_on_the_callers_count(
@@ -638,6 +639,173 @@ class TestCovers:
         tiles = _record_tiles(monkeypatch)
         covers(_zero_estimate(d), cov, alpha, normals=normals, truth=truth)
         assert np.array_equal(np.vstack(tiles), normals[:drawn])
+
+
+class TestRowOrder:
+    """covers counts sups, and _tile_sups gives a row the same sup wherever
+    it is read, so no row order moves a flag; a campaign reads its matrix
+    largest norm first."""
+
+    @given(
+        d=st.integers(2, 24),
+        path=st.sampled_from(["cholesky", "qr"]),
+        # tails of every width, and one-row tails (a GEMV when unpadded)
+        n_sims=st.one_of(st.integers(100, 3 * bands.SIM_BLOCK + 10),
+                         st.sampled_from([bands.SIM_BLOCK + 1,
+                                          2 * bands.SIM_BLOCK + 1])),
+        alpha=st.floats(0.01, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from(["edge row last", "permutation",
+                               "largest norm first"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_row_permutation_moves_no_flag(self, d, path, n_sims, alpha,
+                                             seed, order):
+        rng = np.random.default_rng(seed)
+        # fewer rows than points make C'C singular, so the band factors C
+        rows = int(rng.integers(1, d)) if path == "qr" else 2 * d
+        cov = CovarianceEstimate(rng.standard_normal((rows, d)))
+        assume(_cholesky_fails(cov.matrix) == (path == "qr"))
+        estimate = _zero_estimate(d)
+        normals = _normals(n_sims, d, seed)
+        # the row whose sup is c_alpha, moved to the short last tile
+        sups = bands._band_sups(bands._scaled_factor(cov)[0], n_sims,
+                                np.random.default_rng(seed))
+        edge_row = np.argsort(sups, kind="stable")[
+            bands._quantile_rank(alpha, n_sims) - 1]
+        last = np.arange(n_sims)
+        last[[edge_row, -1]] = last[[-1, edge_row]]
+        permuted = normals[{
+            "edge row last": last,
+            "permutation": rng.permutation(n_sims),
+            "largest norm first": np.argsort(-(normals**2).sum(axis=1),
+                                             kind="stable"),
+        }[order]]
+        band = build_band(estimate, cov, alpha=alpha, n_sims=n_sims,
+                          seed=seed)
+        # with a zero center, truth on the edge is a tie, which the closed
+        # interval covers; one ulp beyond it at one point is outside
+        edge = band.half_width
+        beyond = edge.copy()
+        beyond[-1] = np.nextafter(edge[-1], np.inf)
+        for truth, inside in ((edge, True), (beyond, False)):
+            assert contains(band, truth) is inside
+            for matrix in (normals, permuted):
+                assert covers(estimate, cov, alpha, normals=matrix,
+                              truth=truth) is inside
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    @pytest.mark.parametrize("m", [1, 7, 136])
+    def test_a_rows_sup_does_not_depend_on_its_tile(self, name, m):
+        # a short tile is padded, so its rows get the sups they have in a
+        # full tile, at any place in it
+        scaled, _ = bands._scaled_factor(_cov(name))
+        d = scaled.shape[0]
+        z = np.random.default_rng(m).standard_normal((bands.SIM_BLOCK, d))
+        product = np.empty(bands.SIM_BLOCK * d)
+        full = bands._tile_sups(scaled, z, np.empty(bands.SIM_BLOCK),
+                                product).copy()
+        for lo in (0, bands.SIM_BLOCK - m):
+            short = bands._tile_sups(scaled, z[lo:lo + m], np.empty(m),
+                                     product)
+            assert np.array_equal(short, full[lo:lo + m])
+
+
+def _stack(rows):
+    """One CovarianceEstimate of the (B, n, D) stack of the rows of B
+    estimates."""
+    return CovarianceEstimate(np.stack(rows))
+
+
+# The rows of five estimates on D = 6 points, 10 rows each: definite, and
+# the QR-path and zero-variance items a stack may hold
+def _stack_rows(seed, kind=None):
+    rng = np.random.default_rng(seed)
+    rows = [rng.standard_normal((10, 6)) / 10 for _ in range(5)]
+    if kind == "qr":  # rank 3 < D, so Cholesky refuses its C'C
+        rows[2] = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 6)) / 10
+    elif kind == "zero variance":
+        rows[2][:, 4] = 0.0
+    return rows
+
+
+class TestStackedCovers:
+    """covers on a block's stack equals covers on each of its items, and
+    the stacked factors equal the single ones bit for bit."""
+
+    @pytest.mark.parametrize("kind", [None, "qr", "zero variance"])
+    def test_the_stacked_factors_are_the_single_ones(self, monkeypatch,
+                                                     kind):
+        rows = _stack_rows(3, kind)
+        stack = _stack(rows)
+        calls, cholesky = [], np.linalg.cholesky
+
+        def counted(matrix):
+            calls.append(np.shape(matrix))
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        factors = bands._factors(stack)
+        # one stacked call; per item ones only when the stack is refused
+        assert calls[0] == (5, 6, 6)
+        if kind is None:
+            assert len(calls) == 1
+        else:
+            assert len(calls) == 1 + 4 + (kind == "qr")
+        for j, (c, factor) in enumerate(zip(rows, factors)):
+            single = CovarianceEstimate(c)
+            assert np.array_equal(stack.matrix[j], single.matrix)
+            assert np.array_equal(stack.variance[j], single.variance)
+            if kind == "zero variance" and j == 2:
+                assert factor is None
+                continue
+            if kind == "qr" and j == 2:
+                assert _cholesky_fails(single.matrix)
+                assert factor.shape == (6, 6)
+            scaled, sigma = bands._scaled_factor(single)
+            assert np.array_equal(factor / sigma[:, None], scaled)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from([None, "qr", "zero variance"]),
+           alpha=st.floats(0.01, 0.6),
+           n_sims=st.integers(100, 3 * bands.SIM_BLOCK + 10),
+           spread=st.floats(0.0, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_covers_item_by_item(self, seed, kind, alpha, n_sims,
+                                        spread):
+        rows = _stack_rows(seed, kind)
+        rng = np.random.default_rng(seed)
+        truth = rng.standard_normal(6)
+        # each center within a few sigma of the truth, so flags vary
+        sigma = np.sqrt(_stack(rows).variance)
+        curves = truth + spread * sigma * rng.uniform(-1.0, 1.0, sigma.shape)
+        normals = _normals(n_sims, 6, seed)
+        flags = covers(MeanEstimate(curves, "ModelAssisted"), _stack(rows),
+                       alpha, normals=normals, truth=truth)
+        assert flags.dtype == np.int8 and flags.shape == (5,)
+        for j, (curve, c) in enumerate(zip(curves, rows)):
+            args = (MeanEstimate(curve, "ModelAssisted"),
+                    CovarianceEstimate(c), alpha)
+            if kind == "zero variance" and j == 2:
+                with pytest.raises(DegenerateVarianceError):
+                    covers(*args, normals=normals, truth=truth)
+                assert flags[j] == -1
+            else:
+                assert flags[j] == int(covers(*args, normals=normals,
+                                              truth=truth))
+
+    def test_the_same_validation_errors(self):
+        stack, curves = _stack(_stack_rows(0)), np.zeros((5, 6))
+        estimate = MeanEstimate(curves, "ModelAssisted")
+        with pytest.raises(ValidationError, match="band normals have shape"):
+            covers(estimate, stack, 0.05, normals=np.zeros((500, 5)),
+                   truth=np.zeros(6))
+        with pytest.raises(ValidationError, match="truth has length 5, band has 6"):
+            covers(estimate, stack, 0.05, normals=np.zeros((500, 6)),
+                   truth=np.zeros(5))
+        with pytest.raises(ValidationError, match="at least 100"):
+            covers(estimate, stack, 0.05, normals=np.zeros((99, 6)),
+                   truth=np.zeros(6))
 
 
 def _float_after(s, direction):

@@ -630,6 +630,19 @@ class TestCliRejectsBadNumbers:
             or "Unable to allocate" in line
         assert not list(out.glob("*"))
 
+    def test_band_sims_beyond_what_numpy_can_size_exit_2(self, tmp_path,
+                                                         capsys):
+        # 10^30 sups are more than numpy can size an array for
+        n_sims = "1" + "0" * 30
+        cfg = write_config(tmp_path, SYNTH.format(n=10, kind="ma").replace(
+            "n_sims = 500", f"n_sims = {n_sims}"))
+        out = tmp_path / "out"
+        assert main(["bands", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {n_sims} band simulations: ")
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("command", ["estimate", "bands", "montecarlo",
                                          "oracle-check"])
     @pytest.mark.parametrize("option", ["t_max = 0", "t_max = -2",

@@ -150,8 +150,8 @@ def _blocks(replicates, design, pop):
 
 class TestReplicateWork:
     """A replicate block computes what the report reads: the variance
-    curves, from one gather and one fit per block; the D x D matrix only
-    for a coverage band, once per replicate."""
+    curves, from one gather and one fit per block; the D x D matrices only
+    for coverage bands, one stacked Gram per block."""
 
     @pytest.fixture(params=["srswor", "stratified"])
     def design(self, request, mc_pop):
@@ -178,10 +178,11 @@ class TestReplicateWork:
 
     def test_coverage_forms_the_matrix_once(self, mc_pop, design,
                                             covariance_work):
+        # one stacked Gram per block, for the block's five bands
         [report] = run_campaign(mc_pop, [design], replicates=5,
                                 compute_coverage=True, band_sims=200)
         assert report.coverage_bands == 5
-        assert covariance_work["grams"] == 5
+        assert covariance_work["grams"] == _blocks(5, design, mc_pop) == 1
         assert covariance_work["rows"] == _blocks(5, design, mc_pop) == 1
 
 
@@ -194,8 +195,17 @@ def _label_strata(pop):
 
 
 def _band_normals(seed, sims, d):
-    """A coverage campaign's band normals, drawn as the docs say."""
+    """A coverage campaign's band normals, drawn as the docs say, in the
+    order drawn."""
     return replicate_rng(seed, 1).standard_normal((sims, d))
+
+
+def _sorted_band_normals(seed, sims, d):
+    """_band_normals as a campaign stores them: largest squared norm first,
+    rows of equal norm in the order drawn."""
+    normals = _band_normals(seed, sims, d)
+    norms = np.einsum("ij,ij->i", normals, normals)
+    return normals[np.argsort(-norms, kind="stable")]
 
 
 def _replicate_twin(pop, design, replicates, kind, a, coverage, seed,
@@ -339,10 +349,11 @@ class TestBlocks:
                                 master_seed=3)
         assert report.coverage_bands == 30
         assert sum(drawn, []) == _states(3, range(30), 0)
-        # every band reads the one read-only matrix of the campaign
-        assert len(banded) == 30 and all(m is banded[0] for m in banded)
+        # every block's bands read the one read-only matrix of the campaign,
+        # in one covers call per block
+        assert len(banded) == 3 and all(m is banded[0] for m in banded)
         assert not banded[0].flags.writeable
-        assert np.array_equal(banded[0], _band_normals(3, 150, 12))
+        assert np.array_equal(banded[0], _sorted_band_normals(3, 150, 12))
 
 
 def _record_band_normals(monkeypatch):
@@ -580,21 +591,22 @@ def test_bad_band_settings_are_refused_before_any_replicate(
 
 class TestCoverageBands:
     def test_one_failed_band_is_left_out_of_the_rate(self, mc_pop, monkeypatch):
-        flags, real = [], montecarlo.covers
+        stacks, real = [], montecarlo.covers
 
         def third_band_fails(*args, **kwargs):
-            if len(flags) == 2:
-                flags.append(None)
-                raise NumericalError("no band")
-            flags.append(real(*args, **kwargs))
-            return flags[-1]
+            # one covers call per block, whose third band is not built
+            flags = real(*args, **kwargs)
+            flags[2] = -1
+            stacks.append(flags)
+            return flags
 
         monkeypatch.setattr(montecarlo, "covers", third_band_fails)
         design = SamplingDesign(N=mc_pop.N, n=40)
         [report] = run_campaign(mc_pop, [design], replicates=12,
                                 compute_coverage=True, band_sims=400,
                                 master_seed=4)
-        built = [f for f in flags if f is not None]
+        [flags] = stacks
+        built = flags[flags >= 0]
         assert len(flags) == 12 and len(built) == 11
         assert report.coverage_bands == 11
         assert report.n_errors == 1
@@ -618,7 +630,7 @@ class TestPoolBlasThreads:
 
     def test_worker_runs_one_blas_thread(self):
         with ProcessPoolExecutor(
-            max_workers=1, initializer=montecarlo._start_worker, initargs=(None,)
+            max_workers=1, initializer=montecarlo._start_worker, initargs=((),)
         ) as pool:
             assert pool.submit(_blas_threads).result(timeout=60) == 1
 
@@ -748,10 +760,71 @@ def test_a_pool_is_sent_one_read_only_band_matrix(mc_pop, monkeypatch):
     normals = campaigns[0].normals
     assert all(c.normals is normals for c in campaigns)
     assert not normals.flags.writeable
-    assert np.array_equal(normals, _band_normals(3, 300, mc_pop.grid.size))
+    assert np.array_equal(normals,
+                          _sorted_band_normals(3, 300, mc_pop.grid.size))
     # pickle sends the matrix, which every size shares, once
     extra = len(pickle.dumps(campaigns)) - len(pickle.dumps(campaigns[:1]))
     assert extra < normals.nbytes
+
+
+class _FixedStream:
+    """Stands in for a replicate_rng stream: fills its draw with `rows`."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def standard_normal(self, out):
+        out[...] = self.rows
+
+
+class TestBandNormalsOrder:
+    """_band_normals stores the rows of the campaign's stream largest norm
+    first, ties in the order drawn, read-only."""
+
+    @pytest.mark.parametrize("seed, sims, d", [(3, 300, 12), (1204, 5000, 48),
+                                               (2**64 + 5, 100, 1)])
+    def test_the_streams_rows_in_non_increasing_norm_order(self, seed, sims,
+                                                           d):
+        normals = montecarlo._band_normals(seed, sims, d)
+        norms = np.einsum("ij,ij->i", normals, normals)
+        assert np.all(norms[:-1] >= norms[1:])
+        assert np.array_equal(normals, _sorted_band_normals(seed, sims, d))
+        assert not normals.flags.writeable
+
+    def test_ties_keep_the_order_drawn(self, monkeypatch):
+        rows = np.array([[1.0, 0.0], [0.0, -1.0], [2.0, 0.0], [-1.0, 0.0],
+                         [0.0, 2.0], [0.5, 0.5]])
+        monkeypatch.setattr(montecarlo, "replicate_rng",
+                            lambda seed, *key: _FixedStream(rows))
+        normals = montecarlo._band_normals(0, 6, 2)
+        assert np.array_equal(normals, rows[[2, 4, 0, 1, 3, 5]])
+        assert not normals.flags.writeable
+
+
+def test_a_pickled_campaign_is_read_only_in_a_worker(mc_pop, monkeypatch):
+    # a spawned or forkserver worker unpickles the campaigns, where fork
+    # would inherit them
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sent", [])
+    monkeypatch.setattr(montecarlo, "_WORKER_CAMPAIGNS", ())
+    monkeypatch.setattr(montecarlo, "_set_blas_threads", lambda count: None)
+    run_campaign(mc_pop, _sizes(mc_pop)[:2], replicates=12,
+                 compute_coverage=True, band_sims=300, master_seed=3,
+                 workers=2)
+    [campaigns] = _RecordingPool.sent
+    montecarlo._start_worker(pickle.loads(pickle.dumps(campaigns)))
+    copies = montecarlo._WORKER_CAMPAIGNS
+    assert copies is not campaigns and len(copies) == 2
+    for copy, c in zip(copies, campaigns):
+        arrays = {"pop.values": copy.pop.values, "pop.aux": copy.pop.aux,
+                  "design.pi": copy.design.pi,
+                  "design.labels": copy.design.labels,
+                  "normals": copy.normals}
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+        assert np.array_equal(copy.normals, c.normals)
+        assert np.array_equal(copy.pop.values, c.pop.values)
+    assert copies[0].normals is copies[1].normals
 
 
 def _key_words(seed, key):
