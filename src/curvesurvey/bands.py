@@ -13,7 +13,8 @@ from C'C or C as they are, with no repair and no clip.
 
 A simulation is one D-wide row of standard normals, of which a D x r
 factor reads the first r columns; every row's sup comes out of the same
-SIM_BLOCK-wide product, so it does not depend on where the row is read.
+SIM_BLOCK-wide product, so (on the BLAS measured, see _tile_sups) it does
+not depend on where the row is read.
 covers decides whether the band on a given (n_sims, D) matrix of such
 rows covers a curve, without c_alpha, and in any row order; a coverage
 campaign (``montecarlo``) gives every replicate's covers one shared
@@ -81,18 +82,21 @@ def _scaled_factor(cov: CovarianceEstimate) -> tuple[np.ndarray, np.ndarray]:
 
 def _factors(cov: CovarianceEstimate) -> list:
     """_factor of every estimate of the (B, rows, D) stack cov, None where
-    its variance is not strictly positive: the B Gram matrices and the B
-    Cholesky factors in one call each, and factors one at a time (QR where
-    Cholesky refuses) only when the stacked Cholesky refuses.  Each factor
-    equals the single estimate's bit for bit: the stacked product and
-    factorization run item by item along the leading axis."""
+    its variance is not strictly positive: the B Gram matrices in one call,
+    and the B Cholesky factors in one call when B > 1 and every variance is
+    positive.  Otherwise, or when the stacked Cholesky refuses, the factors
+    come one at a time (QR where Cholesky refuses): a zero variance is a
+    zero diagonal, which the stacked Cholesky would refuse anyway.  Each
+    factor equals the single estimate's bit for bit: the stacked product
+    and factorization run item by item along the leading axis."""
     built = np.all(cov.variance > 0.0, axis=-1)
-    try:
-        factors = np.linalg.cholesky(cov.matrix)
-    except np.linalg.LinAlgError:
-        factors = [_factor(m, c) if ok else None
-                   for m, c, ok in zip(cov.matrix, cov.rows, built)]
-    return [f if ok else None for f, ok in zip(factors, built)]
+    if len(built) > 1 and built.all():
+        try:
+            return list(np.linalg.cholesky(cov.matrix))
+        except np.linalg.LinAlgError:
+            pass
+    return [_factor(m, c) if ok else None
+            for m, c, ok in zip(cov.matrix, cov.rows, built)]
 
 
 def _empty(shape, what: str) -> np.ndarray:
@@ -112,12 +116,15 @@ def _tile_sups(scaled_factor: np.ndarray, z: np.ndarray, out: np.ndarray,
     of at least D * SIM_BLOCK floats.
 
     A shorter tile is padded to SIM_BLOCK rows, so every product has one
-    shape, (D, r) by (r, SIM_BLOCK), and a row's sup does not depend on its
-    tile or its place in it: BLAS may round a product of another width
-    (a one-row product is a GEMV) differently.  So the band and covers
-    get the same sup from a row bit for bit, in whatever order they read
-    the rows; these equal the sups of one rng.standard_normal((n_sims, D))
-    draw (oracle.one_shot_sup_sample) up to rounding.
+    shape, (D, r) by (r, SIM_BLOCK): BLAS may round a product of another
+    width (a one-row product is a GEMV) differently.  Within that one
+    shape, a row's sup did not depend on its place in the tile on the
+    OpenBLAS measured (0.3.31, Haswell kernels, one thread), so the band
+    and covers got the same sup from a row bit for bit, in whatever order
+    they read the rows; BLAS does not promise this, and
+    test_bands.TestRowOrder checks it on the BLAS in use.  These sups
+    equal those of one rng.standard_normal((n_sims, D)) draw
+    (oracle.one_shot_sup_sample) up to rounding.
     """
     d, r = scaled_factor.shape
     m = len(z)
@@ -288,9 +295,10 @@ def covers(
 
     A simulation is one row, whose first r columns a D x r factor reads
     (r = D, or fewer on the QR path), as the band reads the rows of its
-    stream, and _tile_sups gives a row the same sup wherever it is read.
-    So the sups are the band's bit for bit, and since a count does not
-    depend on the order of the rows, neither does the flag.
+    stream, and _tile_sups gives a row the same sup wherever it is read
+    (on the BLAS measured; see _tile_sups).  So the sups are the band's
+    bit for bit, and since a count does not depend on the order of the
+    rows, neither does the flag.
 
     A block's stack, a (B, D) curve with a (B, rows, D) estimate, gives B
     flags in one call (np.int8: 1 covered, 0 not, -1 where a variance is

@@ -14,9 +14,9 @@ once on the whole stack, through the same functions as a single sample.
 The band is per replicate too, and one call for the block: covers takes
 the block's (B, D) curve and (B, n, D) covariance rows, forms their B
 Gram matrices and B Cholesky factors in one call each, and gives B flags.
-A block in which any estimate raises is re-run one replicate at a time,
-so errors are counted and reported per replicate; a block whose stacked
-covers call raises calls covers one replicate at a time likewise.
+An item with no band (a variance not strictly positive) gets flag -1
+in that call.  A block in which any estimate raises is re-run one
+replicate at a time, so errors are counted and reported per replicate.
 
 Every band of a call reads one read-only (sims, D) matrix of standard
 normals, drawn once from replicate_rng(seed, 1) and stored largest norm
@@ -50,7 +50,7 @@ from .bands import _check_sims, _empty, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
 from .designs import ReplicateStreams, SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
-from .estimators import ESTIMATORS, MeanEstimate
+from .estimators import ESTIMATORS
 from .grids import FunctionalPopulation, population_mean
 from .linalg import _one_blas_thread, _set_blas_threads
 
@@ -151,15 +151,8 @@ def _block(c: _Campaign, lo: int, hi: int):
         try:
             flags = covers(estimate, gamma, c.alpha, normals=c.normals,
                            truth=c.truth)
-        except CurveSurveyError:  # each band alone, as failed estimates are
-            for j in range(len(replicates)):
-                try:
-                    flags[j] = covers(
-                        MeanEstimate(estimate.curve[j], estimate.estimator_kind),
-                        CovarianceEstimate(gamma.rows[j]), c.alpha,
-                        normals=c.normals, truth=c.truth)
-                except CurveSurveyError:
-                    pass  # counted as an error, its estimate kept
+        except CurveSurveyError:
+            pass  # no band built; flags stay -1, the estimates are kept
     return estimate.curve, gamma.variance, flags, []
 
 
