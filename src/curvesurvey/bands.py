@@ -19,7 +19,8 @@ covers decides whether the band on a given (n_sims, D) matrix of such
 rows covers a curve, without c_alpha, and in any row order; a coverage
 campaign (``montecarlo``) gives every replicate's covers one shared
 matrix, largest norm first, and a block's stack of estimates in one
-call.
+call, which forms the block's Gram matrices in one product and factors
+each band on its own.
 """
 
 from __future__ import annotations
@@ -64,39 +65,24 @@ def _factor(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.linalg.qr(rows, mode="r").T
 
 
+def _check_variance(variance: np.ndarray) -> None:
+    if np.any(variance <= 0.0):
+        worst = int(np.argmin(variance))
+        raise DegenerateVarianceError(
+            f"estimated variance is not strictly positive at grid index "
+            f"{worst} (value {variance[worst]:g}); no band can be built"
+        )
+
+
 def _scaled_factor(cov: CovarianceEstimate) -> tuple[np.ndarray, np.ndarray]:
     """(F / sigma[:, None], sigma) with F = _factor(C'C, C), C = cov.rows,
     and sigma = sqrt(cov.variance), the square root of the diagonal of C'C.
     The variance is finite (CovarianceEstimate refuses it otherwise), and
     it bounds every entry of C'C.
     """
-    if np.any(cov.variance <= 0.0):
-        worst = int(np.argmin(cov.variance))
-        raise DegenerateVarianceError(
-            f"estimated variance is not strictly positive at grid index "
-            f"{worst} (value {cov.variance[worst]:g}); no band can be built"
-        )
+    _check_variance(cov.variance)
     sigma = np.sqrt(cov.variance)
     return _factor(cov.matrix, cov.rows) / sigma[:, None], sigma
-
-
-def _factors(cov: CovarianceEstimate) -> list:
-    """_factor of every estimate of the (B, rows, D) stack cov, None where
-    its variance is not strictly positive: the B Gram matrices in one call,
-    and the B Cholesky factors in one call when B > 1 and every variance is
-    positive.  Otherwise, or when the stacked Cholesky refuses, the factors
-    come one at a time (QR where Cholesky refuses): a zero variance is a
-    zero diagonal, which the stacked Cholesky would refuse anyway.  Each
-    factor equals the single estimate's bit for bit: the stacked product
-    and factorization run item by item along the leading axis."""
-    built = np.all(cov.variance > 0.0, axis=-1)
-    if len(built) > 1 and built.all():
-        try:
-            return list(np.linalg.cholesky(cov.matrix))
-        except np.linalg.LinAlgError:
-            pass
-    return [_factor(m, c) if ok else None
-            for m, c, ok in zip(cov.matrix, cov.rows, built)]
 
 
 def _empty(shape, what: str) -> np.ndarray:
@@ -303,29 +289,29 @@ def covers(
     A block's stack, a (B, D) curve with a (B, rows, D) estimate, gives B
     flags in one call (np.int8: 1 covered, 0 not, -1 where a variance is
     not strictly positive and no band exists), each that of its item
-    alone; the stack's factors come from _factors.
+    alone: the B Gram matrices come from one stacked product, which runs
+    item by item along the leading axis, and each item is factored on its
+    own by _factor, as a single band is.  A single band is a stack of one.
     """
     normals = np.asarray(normals, dtype=float)
     n_sims = len(normals)
     _check_sims(alpha, n_sims)
     center = np.asarray(estimate.curve, dtype=float)
     single = center.ndim == 1
-    if single:  # the band's own errors, in the band's order
-        scaled_factor, sigma = _scaled_factor(cov)
+    if single:  # the band's own error, in the band's order
+        _check_variance(cov.variance)
     d = cov.variance.shape[-1]
     if normals.shape != (n_sims, d):
         raise ValidationError(f"band normals have shape {normals.shape}, "
                               f"not ({n_sims}, {d})")
-    deviation = np.abs(_truth_array(truth, center) - center)
+    deviation = np.abs(_truth_array(truth, center) - center).reshape(-1, d)
     k = _quantile_rank(alpha, n_sims)
-    if single:
-        return _covered(scaled_factor, _coverage_threshold(deviation, sigma),
-                        normals, k)
-    sigma = np.sqrt(cov.variance)
-    flags = np.full(len(center), -1, dtype=np.int8)
-    for j, factor in enumerate(_factors(cov)):
-        if factor is not None:
-            flags[j] = _covered(factor / sigma[j][:, None],
-                                _coverage_threshold(deviation[j], sigma[j]),
-                                normals, k)
-    return flags
+    sigma = np.sqrt(cov.variance).reshape(-1, d)
+    matrices = cov.matrix.reshape(-1, d, d)
+    rows = cov.rows.reshape(-1, *cov.rows.shape[-2:])
+    flags = np.full(len(sigma), -1, dtype=np.int8)
+    for j in np.flatnonzero(np.all(sigma > 0.0, axis=-1)):  # a band exists
+        flags[j] = _covered(_factor(matrices[j], rows[j]) / sigma[j][:, None],
+                            _coverage_threshold(deviation[j], sigma[j]),
+                            normals, k)
+    return bool(flags[0]) if single else flags

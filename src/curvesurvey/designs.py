@@ -298,6 +298,7 @@ class ReplicateStreams:
                 f"at most 2**32 replicates, got {replicates}")
         keys = np.arange(replicates, dtype=np.uint32)
         self.words = _seed_words(int(master_seed), keys, 0)
+        self.words.setflags(write=False)
         self._rng = np.random.Generator(np.random.PCG64(0))
 
     def rng(self, i: int) -> np.random.Generator:

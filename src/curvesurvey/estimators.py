@@ -62,6 +62,12 @@ def _check_match(pop: FunctionalPopulation, design: SamplingDesign):
         raise ValidationError(f"design has N={design.N}, population has N={pop.N}")
 
 
+def _check_floor(a: float | None):
+    if a is not None and not 0.0 <= a < np.inf:  # NaN fails the test too
+        raise ValidationError(
+            f"regularization floor a must be finite and >= 0, got {a}")
+
+
 def _sample_arrays(pop: FunctionalPopulation, sample: Sample):
     """(y_s, pi) of the sampled units, once the sizes are checked: (n, D)
     and (n,) for one sample, with a leading B for a stack, gathered by one
@@ -113,8 +119,7 @@ def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
     beta += inv(M) (x' e / pi - (M - N G) beta) with M = N G floored and e
     the residuals, takes the solve's error down to the residuals' rounding.
     """
-    if a is not None and a < 0:
-        raise ValidationError("regularization floor a must be >= 0")
+    _check_floor(a)
     root_pi = np.sqrt(pi)[..., None]
     u, s, vt = np.linalg.svd(x / root_pi, full_matrices=False)
     # eigenvalues of G over the largest; those missing when n < p are 0

@@ -16,14 +16,19 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)  # the caller's stays writable
         if pts.ndim != 1 or pts.size < 2:
             raise ValidationError("grid needs at least 2 one-dimensional points")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("grid points must be finite")
         if not np.all(np.diff(pts) > 0):
             raise ValidationError("grid points must be strictly increasing")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    def __reduce__(self):
+        """Pickle the points; the copy is rebuilt, checked and read-only."""
+        return type(self), (self.points,)
 
     @property
     def size(self) -> int:

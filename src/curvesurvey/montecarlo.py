@@ -13,10 +13,10 @@ stream replicate_rng(seed, i, 0); the block's B index rows form one
 once on the whole stack, through the same functions as a single sample.
 The band is per replicate too, and one call for the block: covers takes
 the block's (B, D) curve and (B, n, D) covariance rows, forms their B
-Gram matrices and B Cholesky factors in one call each, and gives B flags.
-An item with no band (a variance not strictly positive) gets flag -1
-in that call.  A block in which any estimate raises is re-run one
-replicate at a time, so errors are counted and reported per replicate.
+Gram matrices in one product, factors each band on its own and gives B
+flags, -1 for an item with no band (a variance not strictly positive).
+A block in which any estimate raises is re-run one replicate at a time,
+so errors are counted and reported per replicate.
 
 Every band of a call reads one read-only (sims, D) matrix of standard
 normals, drawn once from replicate_rng(seed, 1) and stored largest norm
@@ -50,7 +50,7 @@ from .bands import _check_sims, _empty, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
 from .designs import ReplicateStreams, SamplingDesign, draw, replicate_rng
 from .errors import CurveSurveyError, NumericalError, ValidationError
-from .estimators import ESTIMATORS
+from .estimators import ESTIMATORS, _check_floor, _check_match
 from .grids import FunctionalPopulation, population_mean
 from .linalg import _one_blas_thread, _set_blas_threads
 
@@ -113,10 +113,6 @@ class _Campaign:
     normals: np.ndarray | None  # the call's band normals; None: no coverage
     truth: np.ndarray
 
-    @property
-    def coverage(self) -> bool:
-        return self.normals is not None
-
 
 def _band_normals(master_seed: int, sims: int, d: int) -> np.ndarray:
     """The read-only (sims, D) standard normals of every band of a call:
@@ -147,7 +143,7 @@ def _block(c: _Campaign, lo: int, hi: int):
     estimate = ESTIMATORS[c.estimator](c.pop, sample, c.a)
     gamma = ht_covariance_estimate(c.pop, sample, estimate=estimate)
     flags = np.full(len(replicates), -1, dtype=np.int8)
-    if c.coverage:
+    if c.normals is not None:
         try:
             flags = covers(estimate, gamma, c.alpha, normals=c.normals,
                            truth=c.truth)
@@ -194,13 +190,14 @@ _WORKER_CAMPAIGNS: tuple[_Campaign, ...] = ()
 
 
 def _start_worker(campaigns: tuple[_Campaign, ...]) -> None:
-    """Pool initializer: keep every size's campaign, its band normals
-    read-only (a spawned worker unpickles a writable copy), and run BLAS
-    on one thread for good."""
+    """Pool initializer: keep every size's campaign, its truth, seed words
+    and band normals read-only (a spawned worker unpickles writable
+    copies), and run BLAS on one thread for good."""
     global _WORKER_CAMPAIGNS
     for c in campaigns:
-        if c.coverage:
-            c.normals.setflags(write=False)
+        for array in (c.truth, c.streams.words, c.normals):
+            if array is not None:
+                array.setflags(write=False)
     _WORKER_CAMPAIGNS = campaigns
     _set_blas_threads(1)
 
@@ -234,10 +231,14 @@ def run_campaign(
         raise ValidationError("need at least 2 replicates")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    for design in designs:
+        _check_match(pop, design)
+    _check_floor(a)
     if compute_coverage:
         _check_sims(alpha, band_sims)
     streams = ReplicateStreams(master_seed, replicates)
     truth = population_mean(pop)
+    truth.setflags(write=False)
     normals = (_band_normals(master_seed, band_sims, truth.size)
                if compute_coverage else None)
     campaigns = tuple(_Campaign(pop, design, estimator, a, streams, alpha,
@@ -293,7 +294,7 @@ def _report(c: _Campaign, replicates: int, results) -> MonteCarloReport:
     """The summary of one campaign's replicate results, in replicate order."""
     mus, gdiags, flags, errors = results
     failures = len(errors)
-    if c.coverage:
+    if c.normals is not None:
         failures += int(np.count_nonzero(flags < 0))  # estimate kept, band failed
     flags = flags[flags >= 0]  # one per band built
     if len(mus) < 2:

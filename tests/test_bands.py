@@ -733,59 +733,74 @@ def _stack_rows(seed, kind=None):
     return rows
 
 
+def _counted(monkeypatch, name):
+    """The shapes of the first argument of every later np.linalg.<name>
+    call."""
+    shapes, original = [], getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
 class TestStackedCovers:
     """covers on a block's stack equals covers on each of its items, and
-    the stacked factors equal the single ones bit for bit."""
+    factors each item on its own, from the stacked Gram matrices, bit for
+    bit as the single ones."""
 
     @pytest.mark.parametrize("kind", [None, "qr", "zero variance"])
-    def test_the_stacked_factors_are_the_single_ones(self, monkeypatch,
-                                                     kind):
+    @pytest.mark.parametrize("items", ["stack", "block of one", "single"])
+    def test_one_cholesky_per_band(self, monkeypatch, kind, items):
+        # each band's own Cholesky, none where no band exists and no
+        # stacked call to be refused first; a thin QR only where the
+        # item's Cholesky refuses
+        rows = _stack_rows(3, kind)
+        if items != "stack":
+            rows = rows[2:3]
+        cov = CovarianceEstimate(rows[0]) if items == "single" else _stack(rows)
+        choleskys = _counted(monkeypatch, "cholesky")
+        qrs = _counted(monkeypatch, "qr")
+        args = (MeanEstimate(np.zeros(cov.variance.shape), "ModelAssisted"),
+                cov, 0.05)
+        kwargs = {"normals": _normals(500, 6, 3), "truth": np.zeros(6)}
+        if items == "single" and kind == "zero variance":
+            with pytest.raises(DegenerateVarianceError):
+                covers(*args, **kwargs)
+        else:
+            covers(*args, **kwargs)
+        built = len(rows) - (kind == "zero variance")
+        assert choleskys == [(6, 6)] * built
+        assert qrs == ([(10, 6)] if kind == "qr" else [])
+
+    @pytest.mark.parametrize("kind", [None, "qr", "zero variance"])
+    def test_the_stacked_grams_and_factors_are_the_single_ones(
+            self, monkeypatch, kind):
         rows = _stack_rows(3, kind)
         stack = _stack(rows)
-        calls, cholesky = [], np.linalg.cholesky
+        factors, factor = [], bands._factor
 
-        def counted(matrix):
-            calls.append(np.shape(matrix))
-            return cholesky(matrix)
+        def recorded(matrix, c):
+            factors.append((matrix, c, factor(matrix, c)))
+            return factors[-1][2]
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
-        factors = bands._factors(stack)
-        # one stacked call; per item ones only when the stack is refused,
-        # and at once, for the four items with a band, when one has none
-        if kind is None:
-            assert calls == [(5, 6, 6)]
-        elif kind == "qr":
-            assert calls == [(5, 6, 6)] + [(6, 6)] * 5
-        else:
-            assert calls == [(6, 6)] * 4
-        for j, (c, factor) in enumerate(zip(rows, factors)):
-            single = CovarianceEstimate(c)
-            assert np.array_equal(stack.matrix[j], single.matrix)
+        monkeypatch.setattr(bands, "_factor", recorded)
+        covers(MeanEstimate(np.zeros((5, 6)), "ModelAssisted"), stack, 0.05,
+               normals=_normals(500, 6, 3), truth=np.zeros(6))
+        built = [j for j in range(5) if kind != "zero variance" or j != 2]
+        assert len(factors) == len(built)
+        for j, (matrix, c, f) in zip(built, factors):
+            single = CovarianceEstimate(rows[j])
+            assert np.array_equal(matrix, single.matrix)  # stack.matrix[j]
             assert np.array_equal(stack.variance[j], single.variance)
-            if kind == "zero variance" and j == 2:
-                assert factor is None
-                continue
+            assert np.array_equal(c, rows[j])
             if kind == "qr" and j == 2:
                 assert _cholesky_fails(single.matrix)
-                assert factor.shape == (6, 6)
+                assert f.shape == (6, 6)
             scaled, sigma = bands._scaled_factor(single)
-            assert np.array_equal(factor / sigma[:, None], scaled)
-
-    @pytest.mark.parametrize("kind", [None, "qr"])
-    def test_a_block_of_one_is_factored_once(self, monkeypatch, kind):
-        # no stacked call to be refused before the item's own
-        rows = _stack_rows(3, kind)[2:3]
-        calls, cholesky = [], np.linalg.cholesky
-
-        def counted(matrix):
-            calls.append(np.shape(matrix))
-            return cholesky(matrix)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
-        (factor,) = bands._factors(_stack(rows))
-        assert calls == [(6, 6)]
-        scaled, sigma = bands._scaled_factor(CovarianceEstimate(rows[0]))
-        assert np.array_equal(factor / sigma[:, None], scaled)
+            assert np.array_equal(f / sigma[:, None], scaled)
 
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from([None, "qr", "zero variance"]),

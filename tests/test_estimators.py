@@ -235,6 +235,14 @@ class TestModelAssisted:
         with pytest.raises(ValidationError):
             model_assisted_mean(small_pop, sample, a=-1.0)
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf])
+    def test_non_finite_floor_rejected(self, small_pop, small_design, a):
+        # not an unfloored fit with the singularity test off (NaN), nor an
+        # all-NaN curve (inf)
+        sample = draw(small_design, replicate_rng(7, 0))
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            model_assisted_mean(small_pop, sample, a=a)
+
     def test_singular_sample_design(self, small_pop):
         design = SamplingDesign(N=small_pop.N, n=1)
         sample = draw(design, replicate_rng(7, 0))  # n < p

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,14 @@ class TestTimeGrid:
     def test_valid(self):
         g = TimeGrid([0.0, 0.5, 1.0])
         assert g.size == 3
+
+    def test_points_are_a_read_only_copy(self):
+        pts = np.linspace(0.0, 1.0, 4)
+        g = TimeGrid(pts)
+        assert not g.points.flags.writeable and pts.flags.writeable
+        copy = pickle.loads(pickle.dumps(g))
+        assert not copy.points.flags.writeable
+        assert np.array_equal(copy.points, pts)
 
     @pytest.mark.parametrize(
         "pts", [[0.0], [0.0, 0.0], [1.0, 0.5], [0.0, np.nan]]

@@ -589,6 +589,25 @@ def test_bad_band_settings_are_refused_before_any_replicate(
                      **setting)
 
 
+@pytest.mark.parametrize("design_n, a, message", [
+    (120, 0.0, "design has N=120, population has N=400"),
+    (None, -1.0, "floor a must be finite and >= 0, got -1.0"),
+    (None, np.nan, "floor a must be finite and >= 0, got nan"),
+    (None, np.inf, "floor a must be finite and >= 0, got inf"),
+])
+def test_bad_campaign_inputs_are_refused_before_any_replicate(
+        mc_pop, monkeypatch, design_n, a, message):
+    # a ValidationError (exit 2), not every replicate failing (exit 3)
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(montecarlo, "_run_replicate", no_replicate)
+    designs = [SamplingDesign(N=mc_pop.N, n=40),
+               SamplingDesign(N=design_n or mc_pop.N, n=10)]
+    with pytest.raises(ValidationError, match=message):
+        run_campaign(mc_pop, designs, replicates=5, a=a)
+
+
 class TestCoverageBands:
     def test_one_failed_band_is_left_out_of_the_rate(self, mc_pop, monkeypatch):
         stacks, real = [], montecarlo.covers
@@ -816,12 +835,16 @@ def test_a_pickled_campaign_is_read_only_in_a_worker(mc_pop, monkeypatch):
     copies = montecarlo._WORKER_CAMPAIGNS
     assert copies is not campaigns and len(copies) == 2
     for copy, c in zip(copies, campaigns):
-        arrays = {"pop.values": copy.pop.values, "pop.aux": copy.pop.aux,
-                  "design.pi": copy.design.pi,
-                  "design.labels": copy.design.labels,
-                  "normals": copy.normals}
-        for name, array in arrays.items():
-            assert not array.flags.writeable, name
+        for where, campaign in (("worker", copy), ("caller", c)):
+            arrays = {"pop.values": campaign.pop.values,
+                      "pop.aux": campaign.pop.aux,
+                      "pop.grid.points": campaign.pop.grid.points,
+                      "design.pi": campaign.design.pi,
+                      "design.labels": campaign.design.labels,
+                      "streams.words": campaign.streams.words,
+                      "truth": campaign.truth, "normals": campaign.normals}
+            for name, array in arrays.items():
+                assert not array.flags.writeable, f"{where}'s {name}"
         assert np.array_equal(copy.normals, c.normals)
         assert np.array_equal(copy.pop.values, c.pop.values)
     assert copies[0].normals is copies[1].normals
