@@ -32,6 +32,7 @@ from math import ceil
 import numpy as np
 
 from .covariance import CovarianceEstimate
+from .designs import _integer
 from .errors import DegenerateVarianceError, ValidationError
 from .estimators import MeanEstimate
 from .linalg import _one_blas_thread, normal_blocks
@@ -133,7 +134,7 @@ def _quantile_rank(alpha: float, n_sims: int) -> int:
 def _check_sims(alpha: float, n_sims: int) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be in (0, 1)")
-    if n_sims < 100:
+    if _integer(n_sims, "n_sims") < 100:
         raise ValidationError("need at least 100 simulations")
 
 
@@ -191,64 +192,41 @@ def contains(band: ConfidenceBand, truth: np.ndarray) -> bool:
     return bool(np.all(np.abs(truth - band.center) <= band.half_width))
 
 
-def _coverage_threshold(deviation: np.ndarray, sigma: np.ndarray) -> float:
-    """The smallest float s >= 0 with P(s) = all(deviation <= s * sigma),
-    or inf when no finite s satisfies P (e.g. a NaN or infinite
-    deviation).
+def _covered(scaled_factor: np.ndarray, deviation: np.ndarray,
+             sigma: np.ndarray, normals: np.ndarray, k: int) -> bool:
+    """Whether at least n_sims - k + 1 of the sups s of the rows of normals
+    satisfy P(s) = all(deviation <= s * sigma), reading SIM_BLOCK tiles in
+    order until that count, or k sups short of it, is reached.
 
-    P is monotone in s (see covers), so the floats satisfying it are those
-    from this threshold up.  The search starts at max(deviation / sigma),
-    which is exact or an ulp off, and walks the floats in bit order
-    (non-negative floats order as their bit patterns), doubling its step
-    until P changes and then bisecting, so a far start (an overflow) costs
-    a few dozen evaluations, not a walk.
-    """
+    P is monotone in s (see covers).  So when P fails at a and holds at b,
+    the points start * (1 -+ 1e-9) around start = max(deviation / sigma),
+    it fails at every sup <= a and holds at every sup >= b, and only a sup
+    strictly between them needs P itself.  Where the bracket does not come
+    out so (a NaN, infinite, zero or subnormal deviation), P is evaluated
+    on every sup."""
 
-    def holds(bits: int) -> bool:
-        s = np.int64(bits).view(np.float64)
-        return bool((deviation <= s * sigma).all())
+    def holds(s: np.ndarray) -> np.ndarray:  # P at each of the scales s
+        with np.errstate(over="ignore"):
+            return np.all(deviation[:, None] <= s * sigma[:, None], axis=0)
 
-    inf = int(np.float64(np.inf).view(np.int64))
+    n_sims, d = normals.shape
+    need_in = n_sims - k + 1  # sups satisfying P that make the band cover
     with np.errstate(over="ignore"):
         start = float((deviation / sigma).max())
-        hi = int(np.float64(start).view(np.int64))
-        step = 1
-        if holds(hi):  # walk down to a failing lo; -1 stands for "below 0"
-            lo = hi - step
-            while lo >= 0 and holds(lo):
-                hi, step = lo, 2 * step
-                lo = hi - step
-            lo = max(lo, -1)
-        elif not holds(inf):  # a NaN start fails here too
-            return np.inf
-        else:  # walk up to a holding hi; holds(inf) ends the walk
-            lo = hi
-            hi = min(lo + step, inf)
-            while not holds(hi):
-                lo, step = hi, 2 * step
-                hi = min(lo + step, inf)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if holds(mid):
-                hi = mid
-            else:
-                lo = mid
-    return float(np.int64(hi).view(np.float64))
-
-
-def _covered(scaled_factor: np.ndarray, threshold: float,
-             normals: np.ndarray, k: int) -> bool:
-    """Whether at least n_sims - k + 1 of the sups of the rows of normals
-    reach threshold, reading SIM_BLOCK tiles in order until that count, or
-    k sups short of it, is reached."""
-    n_sims, d = normals.shape
-    need_in = n_sims - k + 1  # sups reaching s* that make the band cover
+    a, b = start * (1.0 - 1e-9), start * (1.0 + 1e-9)
+    bracket = holds(np.array([a, b])).tolist() == [False, True]
     sups, product = np.empty(SIM_BLOCK), np.empty(SIM_BLOCK * d)
     inside = 0
     for lo in range(0, n_sims, SIM_BLOCK):
         z = normals[lo:lo + SIM_BLOCK]
         tile = _tile_sups(scaled_factor, z, sups[:len(z)], product)
-        inside += int(np.count_nonzero(tile >= threshold))
+        if bracket:
+            held = np.count_nonzero(tile >= b)
+            if np.count_nonzero(tile > a) > held:  # a sup in (a, b)
+                held += np.count_nonzero(holds(tile[(a < tile) & (tile < b)]))
+        else:
+            held = np.count_nonzero(holds(tile))
+        inside += held
         if inside >= need_in or lo + len(z) - inside >= k:
             break
     return inside >= need_in
@@ -270,14 +248,15 @@ def covers(
     Same checks and errors as that pair.  Why stopping early is exact: let
     P(s) = all(|truth - center| <= s * sigma), the float expression of
     build_band's half-width and of contains' test.  IEEE multiplication by
-    a positive number is monotone, so P is monotone in s: a sup satisfies
-    it iff it is at least the threshold s* of _coverage_threshold, one
-    scalar per band.  The band covers truth iff P(c_alpha), with c_alpha
-    the k-th smallest of the n_sims sups, k = ceil((1 - alpha) * n_sims).
-    By monotonicity that holds iff at least n_sims - k + 1 sups reach s*,
-    and fails iff at least k sups fall short.  covers reads the rows in
-    SIM_BLOCK tiles and stops at the first tile that reaches either count
-    (a sequential Monte Carlo test, Besag & Clifford 1991).
+    a positive number is monotone, so P is monotone in s.  The band covers
+    truth iff P(c_alpha), with c_alpha the k-th smallest of the n_sims
+    sups, k = ceil((1 - alpha) * n_sims).  By monotonicity that holds iff
+    at least n_sims - k + 1 sups satisfy P, and fails iff at least k sups
+    do not.  _covered settles most sups by two scales at which P was
+    evaluated, one failing just below max(deviation / sigma) and one
+    holding just above it, and evaluates P on any other sup.  covers reads
+    the rows in SIM_BLOCK tiles and stops at the first tile that reaches
+    either count (a sequential Monte Carlo test, Besag & Clifford 1991).
 
     A simulation is one row, whose first r columns a D x r factor reads
     (r = D, or fewer on the QR path), as the band reads the rows of its
@@ -312,6 +291,5 @@ def covers(
     flags = np.full(len(sigma), -1, dtype=np.int8)
     for j in np.flatnonzero(np.all(sigma > 0.0, axis=-1)):  # a band exists
         flags[j] = _covered(_factor(matrices[j], rows[j]) / sigma[j][:, None],
-                            _coverage_threshold(deviation[j], sigma[j]),
-                            normals, k)
+                            deviation[j], sigma[j], normals, k)
     return bool(flags[0]) if single else flags

@@ -17,6 +17,7 @@ one Generator restated per sample.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -97,6 +98,17 @@ def _indices(values, what: str) -> np.ndarray:
     if idx is None or not np.array_equal(idx, raw):
         raise ValidationError(f"{what} must be integers, got {values!r}")
     return idx
+
+
+def _integer(value, what: str) -> int:
+    """value, a Python or numpy integer, as an int; anything else (1.5,
+    2.0, NaN, a string) raises ValidationError rather than being
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,9 +303,10 @@ class ReplicateStreams:
     used up before the next is asked for, and no two threads share it."""
 
     def __init__(self, master_seed: int, replicates: int):
-        if master_seed < 0:
+        if _integer(master_seed, "seed") < 0:
             raise ValidationError(f"seed must be >= 0, got {master_seed}")
-        if replicates > 2**32:  # a key of one 32-bit word each
+        # a key of one 32-bit word each
+        if _integer(replicates, "replicates") > 2**32:
             raise ValidationError(
                 f"at most 2**32 replicates, got {replicates}")
         keys = np.arange(replicates, dtype=np.uint32)

@@ -37,15 +37,19 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class FunctionalPopulation:
-    """N discretized curves on a shared grid plus an N x p auxiliary matrix."""
+    """N discretized curves on a shared grid plus an N x p auxiliary matrix.
+
+    values and aux are read-only views of the caller's float arrays, which
+    stay writable: the population shares their buffers and copies nothing,
+    so a write to them shows in it."""
 
     grid: TimeGrid
     values: np.ndarray  # (N, D)
     aux: np.ndarray  # (N, p)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        aux = np.asarray(self.aux, dtype=float)
+        values = np.asarray(self.values, dtype=float).view()
+        aux = np.asarray(self.aux, dtype=float).view()
         if values.ndim != 2 or values.shape[1] != self.grid.size:
             raise ValidationError(
                 f"values must be (N, {self.grid.size}), got {values.shape}"

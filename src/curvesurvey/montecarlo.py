@@ -48,7 +48,8 @@ import numpy as np
 
 from .bands import _check_sims, _empty, covers
 from .covariance import CovarianceEstimate, ht_covariance_estimate
-from .designs import ReplicateStreams, SamplingDesign, draw, replicate_rng
+from .designs import (ReplicateStreams, SamplingDesign, _integer, draw,
+                      replicate_rng)
 from .errors import CurveSurveyError, NumericalError, ValidationError
 from .estimators import ESTIMATORS, _check_floor, _check_match
 from .grids import FunctionalPopulation, population_mean
@@ -227,9 +228,9 @@ def run_campaign(
     if estimator not in ESTIMATORS:
         raise ValidationError(f"estimator must be one of "
                               f"{', '.join(ESTIMATORS)}, not {estimator!r}")
-    if replicates < 2:
+    if _integer(replicates, "replicates") < 2:
         raise ValidationError("need at least 2 replicates")
-    if workers < 1:
+    if _integer(workers, "workers") < 1:
         raise ValidationError("workers must be >= 1")
     for design in designs:
         _check_match(pop, design)

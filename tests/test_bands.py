@@ -84,6 +84,14 @@ class TestSupQuantile:
             _c_alpha(factored(np.eye(2)), 1.5, 1000, seed=0)
         with pytest.raises(ValidationError):
             _c_alpha(factored(np.eye(2)), 0.05, 50, seed=0)
+        with pytest.raises(ValidationError,
+                           match="n_sims must be an integer, got 100.5"):
+            _c_alpha(factored(np.eye(2)), 0.05, 100.5, seed=0)
+
+    def test_a_numpy_integer_count_is_a_python_int_alike(self):
+        cov = factored(np.eye(3))
+        assert (_c_alpha(cov, 0.1, np.int64(300), seed=6)
+                == _c_alpha(cov, 0.1, 300, seed=6))
 
     def test_degenerate_variance_refused(self):
         with pytest.raises(DegenerateVarianceError):
@@ -845,53 +853,56 @@ class TestStackedCovers:
                    truth=np.zeros(6))
 
 
-def _float_after(s, direction):
-    return float(np.nextafter(s, direction))
-
-
-class TestCoverageThreshold:
-    """_coverage_threshold is the smallest float whose band covers."""
+class TestCoversAtEveryScale:
+    """covers equals contains(build_band(...)) for deviations from
+    subnormal to near overflow, zero, NaN and infinite, and sigma_hat from
+    1e-160 to 1e150, so that deviation / sigma_hat can underflow or
+    overflow and covers settles its sups by P's checked bracket or by P
+    itself."""
 
     @staticmethod
-    def _holds(s, deviation, sigma):
-        with np.errstate(over="ignore"):
-            return bool(np.all(deviation <= s * sigma))
-
-    def _assert_smallest(self, deviation, sigma):
-        s = bands._coverage_threshold(deviation, sigma)
-        if s == np.inf:
-            assert not self._holds(np.finfo(float).max, deviation, sigma)
+    def _assert_matches_oracle(deviation, c, alpha, n_sims, seed):
+        estimate = _zero_estimate(deviation.size)  # truth - 0 is exact
+        cov = CovarianceEstimate(c)
+        args = (estimate, cov, alpha, n_sims, seed, deviation)
+        try:
+            expected = _oracle_covers(*args)
+        except DegenerateVarianceError:  # sigma_hat^2 underflowed to 0
+            with pytest.raises(DegenerateVarianceError):
+                _covers(*args)
             return
-        assert s >= 0.0 and self._holds(s, deviation, sigma)
-        if s > 0.0:
-            assert not self._holds(_float_after(s, 0.0), deviation, sigma)
+        assert _covers(*args) is expected
 
     @given(
         d=st.integers(1, 6),
+        rows=st.integers(1, 8),
         exponent=st.integers(-320, 308),
         sigma_exponent=st.integers(-160, 150),
+        near=st.booleans(),
+        special=st.sampled_from([None, "nan", "inf", "-inf"]),
+        alpha=st.floats(0.01, 0.5),
+        n_sims=st.integers(100, 600),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_is_the_smallest_float_that_covers(self, d, exponent,
-                                               sigma_exponent, seed):
-        # deviations from subnormal to near overflow, so that the start
-        # deviation / sigma can underflow or overflow
+    def test_matches_oracle(self, d, rows, exponent, sigma_exponent, near,
+                            special, alpha, n_sims, seed):
         rng = np.random.default_rng(seed)
-        deviation = rng.uniform(0.0, 1.7, d) * 10.0 ** exponent
+        c = rng.standard_normal((rows, d)) * 10.0 ** sigma_exponent
+        if near:  # deviation / sigma_hat among the sups: the band's edge
+            deviation = rng.uniform(0.0, 4.0, d) * np.sqrt((c * c).sum(axis=0))
+        else:
+            deviation = rng.uniform(0.0, 1.7, d) * 10.0 ** exponent
         deviation[rng.uniform(size=d) < 0.2] = 0.0
-        sigma = rng.uniform(0.1, 3.0, d) * 10.0 ** sigma_exponent
-        self._assert_smallest(deviation, sigma)
+        if special is not None:
+            deviation[rng.integers(d)] = float(special)
+        self._assert_matches_oracle(deviation, c, alpha, n_sims, seed)
 
-    @pytest.mark.parametrize("deviation, expected", [
-        ([0.0, 0.0], 0.0),
-        ([0.0, np.nan], np.inf),
-        ([1.0, np.inf], None),  # finite only where s * sigma overflows
-        ([1e300, 0.0], None),
+    @pytest.mark.parametrize("deviation", [
+        [0.0, 0.0], [0.0, np.nan], [1.0, np.inf], [1e300, 0.0],
+        [1e-320, 0.0], [5e-324, 1e-310],
     ])
     @pytest.mark.parametrize("sigma", [[1.0, 1.0], [1e-150, 1e150]])
-    def test_edge_deviations(self, deviation, expected, sigma):
-        deviation, sigma = np.array(deviation), np.array(sigma)
-        self._assert_smallest(deviation, sigma)
-        if expected is not None:
-            assert bands._coverage_threshold(deviation, sigma) == expected
+    def test_edge_deviations(self, deviation, sigma):
+        c = np.diag(sigma)  # sigma_hat = sigma exactly
+        self._assert_matches_oracle(np.array(deviation), c, 0.05, 300, 3)

@@ -229,10 +229,18 @@ class TestReplicateStreams:
         (-1, 5, "seed must be >= 0"),
         # keys beyond one 32-bit word; refused before any table exists
         (0, 2**32 + 1, "at most 2\\*\\*32 replicates"),
+        (1.5, 5, "seed must be an integer, got 1.5"),
+        (np.float64(2.0), 5, "seed must be an integer"),
+        (0, 2.5, "replicates must be an integer, got 2.5"),
     ])
     def test_refused(self, seed, replicates, message):
         with pytest.raises(ValidationError, match=message):
             ReplicateStreams(seed, replicates)
+
+    def test_numpy_integers_are_python_ints_alike(self):
+        streams = ReplicateStreams(np.uint64(2**64 - 1), np.int32(3))
+        want = ReplicateStreams(2**64 - 1, 3)
+        assert np.array_equal(streams.words, want.words)
 
 
 class TestSampleStack:

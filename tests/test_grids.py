@@ -62,3 +62,11 @@ class TestPopulation:
             FunctionalPopulation(g, np.ones((3, 2)), np.ones((2, 1)))
         with pytest.raises(ValidationError):
             FunctionalPopulation(g, np.full((3, 2), np.inf), np.ones((3, 1)))
+
+    def test_values_and_aux_are_read_only_views_of_the_callers_arrays(self):
+        values, aux = np.zeros((3, 4)), np.ones((3, 2))
+        pop = FunctionalPopulation(TimeGrid(np.linspace(0, 1, 4)), values, aux)
+        for mine, held in ((values, pop.values), (aux, pop.aux)):
+            assert not held.flags.writeable and np.shares_memory(mine, held)
+            mine[0, 0] = 7.0  # the caller's array stays writable
+            assert held[0, 0] == 7.0

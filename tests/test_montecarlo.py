@@ -589,6 +589,35 @@ def test_bad_band_settings_are_refused_before_any_replicate(
                      **setting)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"master_seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
+    ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+    ({"compute_coverage": True, "band_sims": 150.5},
+     "n_sims must be an integer, got 150.5"),
+])
+def test_counts_and_seeds_that_are_not_integers_are_refused(
+        mc_pop, monkeypatch, setting, message):
+    # refused, neither truncated (1.5 as seed 1) nor a bare TypeError
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(montecarlo, "_run_replicate", no_replicate)
+    design = SamplingDesign(N=mc_pop.N, n=40)
+    with pytest.raises(ValidationError, match=message):
+        run_campaign(mc_pop, [design], **{"replicates": 5, **setting})
+
+
+def test_numpy_integer_counts_and_seeds_are_python_ints_alike(mc_pop):
+    design = SamplingDesign(N=mc_pop.N, n=40)
+    settings = {"replicates": 6, "master_seed": 3, "workers": 1,
+                "band_sims": 200}
+    [want] = run_campaign(mc_pop, [design], compute_coverage=True, **settings)
+    [got] = run_campaign(mc_pop, [design], compute_coverage=True,
+                         **{k: np.int64(v) for k, v in settings.items()})
+    assert got.rmse == want.rmse and got.coverage == want.coverage
+
+
 @pytest.mark.parametrize("design_n, a, message", [
     (120, 0.0, "design has N=120, population has N=400"),
     (None, -1.0, "floor a must be finite and >= 0, got -1.0"),
