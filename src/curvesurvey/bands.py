@@ -32,7 +32,7 @@ from math import ceil
 import numpy as np
 
 from .covariance import CovarianceEstimate
-from .designs import _integer
+from .designs import _generator, _integer
 from .errors import DegenerateVarianceError, ValidationError
 from .estimators import MeanEstimate
 from .linalg import _one_blas_thread, normal_blocks
@@ -169,7 +169,7 @@ def build_band(
     """
     _check_sims(alpha, n_sims)
     scaled_factor, sigma = _scaled_factor(cov)
-    sups = _band_sups(scaled_factor, n_sims, np.random.default_rng(seed))
+    sups = _band_sups(scaled_factor, n_sims, _generator(seed))
     k = _quantile_rank(alpha, n_sims)
     c_alpha = float(np.partition(sups, k - 1)[k - 1])
     half_width = c_alpha * sigma

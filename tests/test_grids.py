@@ -63,6 +63,25 @@ class TestPopulation:
         with pytest.raises(ValidationError):
             FunctionalPopulation(g, np.full((3, 2), np.inf), np.ones((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["values", "aux"])
+    def test_one_nonfinite_entry_anywhere_is_refused(self, bad, where, rng):
+        g = TimeGrid(np.linspace(0, 1, 7))
+        for k in rng.choice(300 * 7, size=12, replace=False):
+            values, aux = rng.standard_normal((300, 7)), np.ones((300, 2))
+            target = values if where == "values" else aux
+            target.flat[k % target.size] = bad
+            with pytest.raises(ValidationError, match="must be finite"):
+                FunctionalPopulation(g, values, aux)
+
+    def test_huge_finite_entries_and_an_empty_population_are_accepted(self):
+        g = TimeGrid([0.0, 1.0])
+        big = np.finfo(float).max
+        pop = FunctionalPopulation(g, np.array([[big, -big], [big, big]]),
+                                   np.full((2, 1), -big))
+        assert pop.N == 2
+        assert FunctionalPopulation(g, np.empty((0, 2)), np.empty((0, 1))).N == 0
+
     def test_values_and_aux_are_read_only_views_of_the_callers_arrays(self):
         values, aux = np.zeros((3, 4)), np.ones((3, 2))
         pop = FunctionalPopulation(TimeGrid(np.linspace(0, 1, 4)), values, aux)

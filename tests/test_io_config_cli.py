@@ -545,6 +545,10 @@ class TestCliRejectsBadNumbers:
         [
             ("estimate", "a = 0", "a = nan", "'a' must be finite"),
             ("estimate", "a = 0", "a = inf", "'a' must be finite"),
+            # N * a overflows, so the fit's floor would be inf (60 * 1e308)
+            ("estimate", "\na = 0\n", "\na = 1e308\n", "too large for N = 60"),
+            ("bands", "\na = 0\n", "\na = 1e308\n", "too large for N = 60"),
+            ("montecarlo", "\na = 0\n", "\na = 1e308\n", "too large for N = 60"),
             ("bands", "alpha = 0.05", "alpha = -inf", "'alpha' must be finite"),
             ("estimate", "n_points = 5", "n_points = 5\nt_max = nan",
              "'t_max' must be finite"),
@@ -579,6 +583,11 @@ class TestCliRejectsBadNumbers:
              "the residual variance is not finite"),
             ("estimate", "n = 10", "n = 10\nsample_file = no-such-file.txt",
              "cannot read sample file"),
+            # 2 pi lag / period overflows, and the cosine of inf is NaN
+            ("estimate", "n_points = 5", "n_points = 5\nt_max = 1e308\n"
+             "kernel = periodic_exponential", "residual kernel is not finite"),
+            ("oracle-check", "n_list = 10,20", "n_list = 10,20\n[oracle]\n"
+             "corrupt_pi2 = 1e308", "'corrupt_pi2' must lie in (-1, 1)"),
             # the n = 10 campaign would run and write its CSV first
             ("montecarlo", "n_list = 10,20", "n_list = 10,500",
              "need 1 <= n <= N, got n=500, N=60"),
@@ -967,15 +976,9 @@ def ini_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-@given(ini_texts())
-@settings(max_examples=30, deadline=None)
-def test_cli_survives_arbitrary_config(text):
-    """Every subcommand exits 0, 2, 3 or 4 on any config text, prints no
-    traceback and writes only finite numbers.  The generated population,
-    replicate and simulation counts stay small (n_units <= 60,
-    replicates <= 5, n_sims <= 500), and replicates is never dropped (its
-    default is 1000), only to bound the run time; a huge allocation is
-    covered by TestCliRejectsBadNumbers."""
+def run_every_command(text):
+    """Run each command on the config text: it exits 0, 2, 3 or 4, prints
+    no traceback and writes only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.ini"
         cfg.write_text(text, encoding="utf-8")
@@ -994,3 +997,52 @@ def test_cli_survives_arbitrary_config(text):
                     except ValueError:
                         continue
                     assert math.isfinite(value), (table.name, cell)
+
+
+@given(ini_texts())
+@settings(max_examples=30, deadline=None)
+def test_cli_survives_arbitrary_config(text):
+    """Every subcommand exits 0, 2, 3 or 4 on any config text, prints no
+    traceback and writes only finite numbers.  The generated population,
+    replicate and simulation counts stay small (n_units <= 60,
+    replicates <= 5, n_sims <= 500), and replicates is never dropped (its
+    default is 1000), only to bound the run time; a huge allocation is
+    covered by TestCliRejectsBadNumbers."""
+    run_every_command(text)
+
+
+def _numeric(value: str) -> bool:
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return True
+
+
+# (section, key) of every option with a numeric valid value
+NUMERIC_KEYS = [(name, key) for name, options in FUZZ_VALUES.items()
+                for key, values in options.items() if any(map(_numeric, values))]
+
+
+@pytest.mark.parametrize("name, key", NUMERIC_KEYS,
+                         ids=[f"{name}.{key}" for name, key in NUMERIC_KEYS])
+def test_cli_survives_every_junk_value_of_a_numeric_option(name, key):
+    """The fuzz test's assertions on the base config with one numeric
+    option set to each junk value in turn, so every such pair runs every
+    time.  A config that load_config refuses runs estimate alone, which
+    exits 2; one that it accepts runs every command."""
+    for junk in FUZZ_JUNK:
+        config = {section: dict(options) for section, options in FUZZ_BASE.items()}
+        config[name][key] = junk
+        text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+                       for section, options in config.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text, encoding="utf-8")
+            try:
+                load_config(path)
+            except ValidationError:
+                assert main(["estimate", "--config", str(path),
+                             "--out", str(Path(tmp) / "out")]) == 2, junk
+                continue
+        run_every_command(text)

@@ -786,7 +786,7 @@ def test_no_helper_thread_is_alive_when_the_pool_forks(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "threads", [])
     before = threading.active_count()
-    # three GEN_BLOCKs: the normals are drawn on a helper thread
+    # the normals are drawn on a helper thread
     pop = study_population(3000, 8, seed=2)
     design = SamplingDesign(N=pop.N, n=40)
     replicates = montecarlo.block_size(40, 8) + 1  # two blocks, so a pool

@@ -7,6 +7,7 @@ import pytest
 from curvesurvey import linalg, synthetic
 from curvesurvey import (
     ConfigurationError,
+    ValidationError,
     heteroscedastic_study_population,
     study_population,
 )
@@ -148,8 +149,8 @@ def assert_close(actual, expected):
     assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-BLOCK_SIZES = [1, synthetic.GEN_BLOCK - 1, synthetic.GEN_BLOCK,
-               synthetic.GEN_BLOCK + 1, 2 * synthetic.GEN_BLOCK + 300]
+BLOCK = synthetic.gen_block(GRID.size)
+BLOCK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 300]
 
 
 @pytest.mark.parametrize("n_units", BLOCK_SIZES)
@@ -185,11 +186,58 @@ def test_load_curve_population_holds_one_n_by_d_array(make):
     assert peak < pop.values.nbytes + 16 * 2**20
 
 
+@pytest.mark.parametrize("aux_mean", [None, 5.0])
+def test_generator_working_set_is_the_population_and_a_few_blocks(aux_mean):
+    """Besides values and aux, generate_population holds at most three
+    gen_block(D) x D blocks and O(D^2) floats at once: the helper's two
+    buffers, then the mean term's product.  At N = 200000 and D = 24 an
+    N x D boolean alone (4.8 MB) is above that slack."""
+    n_units, grid = 200000, TimeGrid(np.linspace(0.0, 1.0, 24))
+    d = grid.size
+    args = (grid, make_beta(aux_mean, grid),
+            ResidualKernel(kind="exponential", sigma2=0.5))
+    generate_population(10, *args, seed=1, aux_mean=aux_mean)  # first-call caches
+    tracemalloc.start()
+    try:
+        pop = generate_population(n_units, *args, seed=5, aux_mean=aux_mean)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 8 * (3 * synthetic.gen_block(d) * d + 16 * d * d)
+    assert peak <= pop.values.nbytes + pop.aux.nbytes + slack
+
+
+@pytest.mark.parametrize("call", [
+    lambda: study_population(200.5, 8),
+    lambda: study_population(200, 8.5),
+    lambda: study_population(200, 8, seed=1.5),
+    lambda: study_population(200, 8, seed="7"),
+    lambda: study_population(200, 8, seed=-1),
+    lambda: heteroscedastic_study_population(200, 8, seed=np.nan),
+    lambda: generate_population(np.float64(20), GRID, make_beta(),
+                                ResidualKernel(), aux_mean=5.0),
+], ids=["n_units", "n_points", "seed", "string seed", "negative seed",
+        "nan seed", "numpy float n_units"])
+def test_a_count_or_seed_that_is_not_an_integer_is_refused(call):
+    with pytest.raises(ValidationError, match="integer|>= 0"):
+        call()
+
+
+def test_integer_seeds_of_every_kind_give_the_same_population():
+    pop = study_population(50, 6, seed=9)
+    for seed in (np.int64(9), np.uint32(9), np.random.SeedSequence(9),
+                 np.random.default_rng(9)):
+        assert np.array_equal(study_population(50, 6, seed=seed).values,
+                              pop.values)
+    assert np.array_equal(study_population(np.int64(50), np.int32(6),
+                                           seed=9).values, pop.values)
+
+
 def blocked_population(n_units, grid, beta, kernel, seed, aux_mean, scale_sd):
     """(aux, values) of generate_population from a sequential loop on one
-    BLAS thread: GEN_BLOCK rows of the (N, D) draw at a time, drawn and
+    BLAS thread: gen_block(D) rows of the (N, D) draw at a time, drawn and
     then multiplied on the calling thread."""
-    block = synthetic.GEN_BLOCK
+    block = synthetic.gen_block(grid.size)
     with linalg._one_blas_thread():
         rng = np.random.default_rng(seed)
         aux = np.ones((n_units, 1))
@@ -244,7 +292,8 @@ class TestBitsDoNotDependOnTheCallersBlasThreads:
 
     def test_intercept_only(self):
         grid = TimeGrid(np.linspace(0.0, 1.0, LOAD_CURVE_POINTS))
-        args = (2 * synthetic.GEN_BLOCK + 300, grid, make_beta(None, grid),
+        args = (2 * synthetic.gen_block(grid.size) + 300, grid,
+                make_beta(None, grid),
                 ResidualKernel(kind="exponential", sigma2=0.5))
         pop = generate_population(*args, seed=9)
         aux, values = blocked_population(*args, 9, None, None)
